@@ -13,7 +13,10 @@
 //
 // A final section benchmarks the width-specialized SIMD fast path against the
 // runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
-// tracked configuration), with and without the Horner kernel table.
+// tracked configuration), with and without the Horner kernel table; later
+// sections ablate batching, caching, sigma, the tile writeback (including the
+// M-TIP merge transform, `mtip_merge3d`), interior classification and worker
+// count.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -28,7 +31,9 @@
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
+#include "common/rng.hpp"
 #include "core/plan.hpp"
+#include "mtip/geometry.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/spread.hpp"
 #include "vgpu/buffer.hpp"
@@ -248,9 +253,8 @@ Tracked3d make_tracked3d(std::size_t M) {
 /// Best-of-reps execute timing (one warmup, like time_best) that samples the
 /// spread-stage time from the SAME best rep — last_breakdown() after an
 /// unrelated rep would pair a best exec_s with a noisy spread_s.
-template <typename Body>
-std::pair<double, double> time_exec_best(const core::Plan<float>& plan, Body&& body,
-                                         int reps) {
+template <typename PlanT, typename Body>
+std::pair<double, double> time_exec_best(const PlanT& plan, Body&& body, int reps) {
   double best = 1e300, spread = 0;
   body();
   for (int r = 0; r < reps; ++r) {
@@ -456,7 +460,7 @@ void run_workers(const Tracked3d& t3, std::size_t M, int reps,
 /// rand, tol = 1e-6, fp32, SM and GM-sort, tile-owned atomic-free writeback
 /// (Options::tiled_spread, the default) against the atomic writeback
 /// baseline. Records per-execute global atomics (zero on the tiled path; the
-/// halo-merge counter shows the plain adds that replaced them), the
+/// halo-add counter shows the plain adds that replaced them), the
 /// set_points/cache-build cost the tile ownership adds, and whether the tiled
 /// output is bitwise-identical across worker counts {1, 2}.
 void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& json) {
@@ -557,6 +561,110 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
         break;
       }
     }
+  }
+  t.print();
+}
+
+/// M-TIP merge ablation (paper Sec. V): the merge transform of one M-TIP rank
+/// — 3D type 1 at fp64 tol 1e-12, N = 81, on 40 Ewald slices of 32^2
+/// detector pixels (default GM-sort, default 16x16x2 bins, w = 13) — with the
+/// colour-scheduled tile writeback against the atomic writeback
+/// (tiled_spread = 0). Rows record the execute and spread times (median and
+/// range over the reps), global atomics and halo adds per point, the tile
+/// scratch bytes, the colour classes, and whether the tiled output is
+/// bitwise-identical across worker counts {1, 2}.
+void run_mtip_merge(int reps, bench::JsonReport& json) {
+  const double tol = 1e-12;
+  const std::vector<std::int64_t> N = {81, 81, 81};
+  std::vector<double> x, y, z;
+  for (const auto& R : mtip::random_rotations(40, 42))
+    mtip::ewald_slice_points(R, mtip::DetectorSpec{}, x, y, z);
+  const std::size_t M = x.size(), ntot = 81 * 81 * 81;
+  Rng rng(43);
+  std::vector<std::complex<double>> c(M), f(ntot);
+  for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+  std::printf("\n--- M-TIP merge ablation: 3D type-1 execute, 40 Ewald slices x 32^2 "
+              "(M=%zu), N=81, tol=%g, fp64, colour-scheduled tiles vs atomic ---\n",
+              M, tol);
+  Table t({"writeback", "exec [s]", "spread [s]", "atomics/pt", "halo adds/pt",
+           "arena [MB]", "colours", "spread spdup"});
+  double base_exec = 0, base_spread = 0;
+  for (int tiled : {0, 1}) {
+    vgpu::Device dev;
+    core::Options opts;
+    opts.method = core::Method::GMSort;  // what Auto resolves to here (Rmk. 2)
+    opts.tiled_spread = tiled;
+    core::Plan<double> plan(dev, 1, N, +1, tol, opts);
+    Timer ts;
+    plan.set_points(M, x.data(), y.data(), z.data());
+    const double setpts_s = ts.seconds();
+    // Median and range over the reps (after one warmup execute).
+    std::vector<double> ex, sp;
+    plan.execute(c.data(), f.data());
+    for (int r = 0; r < std::max(1, reps); ++r) {
+      Timer te;
+      plan.execute(c.data(), f.data());
+      ex.push_back(te.seconds());
+      sp.push_back(plan.last_breakdown().spread);
+    }
+    std::sort(ex.begin(), ex.end());
+    std::sort(sp.begin(), sp.end());
+    const double exec_s = ex[ex.size() / 2], spread_s = sp[sp.size() / 2];
+    dev.counters.reset();
+    plan.execute(c.data(), f.data());
+    const auto bd = plan.last_breakdown();
+    const std::uint64_t atomics = dev.counters.global_atomics.load();
+    const std::uint64_t merges = dev.counters.tile_merge_ops.load();
+    if (!tiled) {
+      base_exec = exec_s;
+      base_spread = spread_s;
+    }
+    bool bitwise = true;
+    if (tiled) {
+      std::vector<std::complex<double>> f1(ntot), f2(ntot);
+      for (auto [wks, fp] : {std::pair<std::size_t, std::complex<double>*>{1, f1.data()},
+                             {2, f2.data()}}) {
+        vgpu::Device devw(wks);
+        core::Plan<double> planw(devw, 1, N, +1, tol, opts);
+        planw.set_points(M, x.data(), y.data(), z.data());
+        planw.execute(c.data(), fp);
+        bitwise = bitwise && planw.last_breakdown().tiled == 1;
+      }
+      bitwise = bitwise && f1 == f2;
+    }
+    t.add_row({tiled ? "tiled" : "atomic", Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
+               Table::fmt(double(atomics) / double(M), 1),
+               Table::fmt(double(merges) / double(M), 1),
+               Table::fmt(double(bd.arena_bytes) / 1e6, 2),
+               std::to_string(bd.tile_colors),
+               Table::fmt(base_spread / spread_s, 2) + "x"});
+    auto& rec = json.add();
+    rec.field("bench", "mtip_merge3d")
+        .field("dim", 3)
+        .field("M", M)
+        .field("N", static_cast<std::int64_t>(81))
+        .field("tol", tol)
+        .field("method", core::method_name(core::Method::GMSort))
+        .field("path", tiled ? "tiled" : "atomic")
+        .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
+        .field("tiles", bd.tiles_active)
+        .field("tile_colors", bd.tile_colors)
+        .field("arena_bytes", bd.arena_bytes)
+        .field("reps", static_cast<std::int64_t>(ex.size()))
+        .field("exec_s", exec_s)
+        .field("exec_min_s", ex.front())
+        .field("exec_max_s", ex.back())
+        .field("spread_s", spread_s)
+        .field("spread_min_s", sp.front())
+        .field("spread_max_s", sp.back())
+        .field("setpts_s", setpts_s)
+        .field("global_atomics", atomics)
+        .field("atomics_per_pt", double(atomics) / double(M))
+        .field("tile_merge_ops", merges)
+        .field("spread_speedup_vs_atomic", base_spread / spread_s)
+        .field("exec_speedup_vs_atomic", base_exec / exec_s);
+    if (tiled) rec.field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
   }
   t.print();
 }
@@ -800,6 +908,7 @@ int main(int argc, char** argv) {
   run_sigma(dev, tracked, mfast, reps, json);
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);
+  run_mtip_merge(reps, json);
   run_interior(dev, tracked, mfast, reps, json);
   run_workers(tracked, mfast, reps, json);
 

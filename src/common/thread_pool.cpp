@@ -113,57 +113,6 @@ void ThreadPool::parallel_for(
   sync->wait();
 }
 
-std::uint64_t ThreadPool::parallel_steal(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return 0;
-  const std::size_t nw = size();
-  if (nw <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-    return 0;
-  }
-  // List k holds items k, k + nw, k + 2nw, ... — the round-robin deal keeps
-  // each list in the caller's priority order. Per-list monotone cursors make
-  // claiming an item a single fetch_add whether the claimant is the owner or
-  // a thief; a cursor racing past the list length just yields a failed claim.
-  auto len = [n, nw](std::size_t k) { return k < n ? (n - k - 1) / nw + 1 : 0; };
-  auto cursors = std::make_unique<std::atomic<std::size_t>[]>(nw);
-  for (std::size_t k = 0; k < nw; ++k) cursors[k].store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> steals{0};
-  auto sync = std::make_shared<CallSync>(nw);
-  auto body = [&, sync](std::size_t wid) {
-    for (;;) {
-      const std::size_t t = cursors[wid].fetch_add(1, std::memory_order_relaxed);
-      if (t >= len(wid)) break;
-      fn(wid + t * nw, wid);
-    }
-    std::uint64_t stolen = 0;
-    for (;;) {
-      // Steal from the most-loaded victim: its front pending item is the
-      // largest unit of work still waiting anywhere.
-      std::size_t victim = nw, best = 0;
-      for (std::size_t k = 0; k < nw; ++k) {
-        const std::size_t lk = len(k);
-        const std::size_t ck = cursors[k].load(std::memory_order_relaxed);
-        const std::size_t rem = ck < lk ? lk - ck : 0;
-        if (rem > best) {
-          best = rem;
-          victim = k;
-        }
-      }
-      if (victim == nw) break;
-      const std::size_t t = cursors[victim].fetch_add(1, std::memory_order_relaxed);
-      if (t >= len(victim)) continue;  // lost the claim race; rescan
-      ++stolen;
-      fn(victim + t * nw, wid);
-    }
-    if (stolen) steals.fetch_add(stolen, std::memory_order_relaxed);
-    sync->done();
-  };
-  for (std::size_t t = 0; t < nw; ++t) submit(body);
-  sync->wait();
-  return steals.load();
-}
-
 void ThreadPool::parallel_chunks(
     std::size_t begin, std::size_t end, std::size_t nchunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {

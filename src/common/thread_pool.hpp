@@ -55,19 +55,6 @@ class ThreadPool {
       std::size_t begin, std::size_t end, std::size_t nchunks,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-  /// Work-stealing schedule over `n` independent, pre-prioritized items:
-  /// fn(i, worker_id) runs exactly once for every i in [0, n). Items are
-  /// dealt round-robin into per-worker lists (item i belongs to worker
-  /// i % size()), which preserves the caller's order within each list — pass
-  /// items sorted largest-first and every list stays largest-first. A worker
-  /// drains its own list front to back; once empty it steals the front
-  /// pending item of the currently most-loaded victim, so the biggest
-  /// remaining work migrates to idle workers. Returns the number of stolen
-  /// items (0 on the single-worker inline path). Unlike parallel_for there
-  /// is no grain: every item is an independently schedulable unit.
-  std::uint64_t parallel_steal(
-      std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Enqueues one task; returns immediately. Use wait_idle() to join.
   void submit(std::function<void(std::size_t)> task);
 

@@ -92,7 +92,7 @@ int cfs_destroy(cfs_plan plan);
 /* Tiled-spread statistics from the plan's most recent setpts/execute:
  * tile_chunks = (tile, chunk) work items in the spread schedule (equals
  * tiles_active when no tile was split), chunk_steals = work items the
- * stealing scheduler moved across workers in the last execute,
+ * last execute ran off their round-robin home worker (its rebalancing),
  * max_tile_points = largest bin population, tiles_active = non-empty tiles,
  * tiled = 1 when the last execute used the atomic-free tile writeback.
  * Any output pointer may be NULL. */

@@ -172,12 +172,9 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
       // CF_TILE_CHUNK env var can force a cap (CI runs the suite with
       // CF_TILE_CHUNK=1 to exercise maximal splitting everywhere).
       int chunk_cap = opts_.tile_chunk_cap;
-      if (chunk_cap == 0)
-        if (const char* e = std::getenv("CF_TILE_CHUNK"); e && *e)
-          chunk_cap = std::atoi(e);
+      if (chunk_cap == 0) chunk_cap = spread::env_tile_chunk_cap();
       spread::build_tile_set(*dev_, grid_, bins_, kp_.w, sort_,
-                             std::max(1, opts_.ntransf), spread::kTileArenaMaxBytes,
-                             cache_.tiles, chunk_cap);
+                             std::max(1, opts_.ntransf), cache_.tiles, chunk_cap);
     }
     // SM always consumes a tap table, so point_cache >= 1 persists it. The
     // tiled GM-sort engine can stream the same table instead of evaluating
@@ -211,7 +208,7 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   bd_.interior_points = cache_.interior.n_interior;
   bd_.boundary_points = cache_.interior.n_boundary;
   bd_.tiles_active = cache_.tiles.n_active;
-  bd_.tiles_merge = cache_.tiles.n_merge;
+  bd_.tile_colors = cache_.tiles.n_colors;
   bd_.arena_bytes = cache_.tiles.usable ? cache_.tiles.arena_bytes : 0;
   bd_.tile_chunks = cache_.tiles.usable ? cache_.tiles.n_chunks : 0;
   bd_.max_tile_points = cache_.tiles.usable ? cache_.tiles.max_tile_points : 0;

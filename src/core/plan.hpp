@@ -83,12 +83,12 @@ struct Options {
   int interior_fastpath = 1;  ///< 1 = interior-first iteration partition with
                               ///< branch-free no-wrap indexing in GM/GM-sort
                               ///< spread and interp; 0 = always wrap
-  int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread writeback with
-                         ///< deterministic halo merge for SM and GM-sort type 1
-                         ///< (zero global atomics; output bitwise-identical at
-                         ///< any worker count); 0 = atomic writeback (ablation
+  int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread writeback in
+                         ///< colour classes for SM and GM-sort type 1 (zero
+                         ///< global atomics; output bitwise-identical at any
+                         ///< worker count); 0 = atomic writeback (ablation
                          ///< baseline). Falls back to atomics automatically
-                         ///< when the tile geometry gate or arena cap fails.
+                         ///< when the tile geometry gate fails.
   int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item):
                            ///< 0 = auto (points-per-worker heuristic; the
                            ///< CF_TILE_CHUNK env var overrides the auto value),
@@ -122,17 +122,17 @@ struct Breakdown {
   std::size_t boundary_points = 0;  ///< wrap-path points (last set_points)
   int tiled = 0;  ///< last execute's spread used the tile-owned writeback
   std::size_t tiles_active = 0;  ///< tiles holding points (last set_points)
-  std::size_t tiles_merge = 0;   ///< tiles receiving halo merges (last set_points)
-  std::size_t arena_bytes = 0;   ///< tiled-spread arena allocation: shell-only
-                                 ///< halo slots + per-worker padded scratch
-                                 ///< + split-chunk planes
+  std::size_t tile_colors = 0;   ///< tile colour classes the tiled spread
+                                 ///< writes back in order (last set_points)
+  std::size_t arena_bytes = 0;   ///< tiled-spread allocation: per-worker padded
+                                 ///< scratch + split-chunk planes
                                  ///< (last set_points; 0 on atomic fallback)
   std::size_t tile_chunks = 0;   ///< (tile, chunk) work items in the tiled
                                  ///< spread schedule (last set_points;
                                  ///< == tiles_active when nothing split)
   std::size_t max_tile_points = 0;  ///< largest bin population (last set_points)
-  std::uint64_t chunk_steals = 0;   ///< work items the tiled spread's stealing
-                                    ///< scheduler moved across workers (last
+  std::uint64_t chunk_steals = 0;   ///< work items the tiled spread ran off
+                                    ///< their round-robin home worker (last
                                     ///< execute; 0 single-worker / untiled)
   double total() const { return spread + fft + deconvolve + interp; }
 };

@@ -189,8 +189,7 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   // Tile-ownership set for the atomic-free source spread (SM and GM-sort).
   src_tiles_ = spread::TileSet<T>{};
   if (opts_.tiled_spread && (method_ == Method::SM || method_ == Method::GMSort))
-    spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1,
-                           spread::kTileArenaMaxBytes, src_tiles_);
+    spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1, src_tiles_);
   subs_ = spread::SubprobSetup{};
   if (method_ == Method::SM) {
     // Subproblems only matter on the atomic fallback (the tile engine works

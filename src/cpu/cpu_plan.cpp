@@ -123,18 +123,19 @@ void CpuPlan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   bd_.sort = t.seconds();
 }
 
-// Set_points-time half of the tile-owned merge (the setpts-amortization
+// Set_points-time half of the tile-owned spread (the setpts-amortization
 // contract: nothing point-dependent is rebuilt per execute): the geometry
-// gate — same as the device engine's (padded extent <= nf per axis, so every
-// (tile, cell) contribution has a unique scratch coordinate) — plus the
-// active-bin compaction and the arena, sized for ntransf stacked planes
-// under the shared byte cap.
+// gate — same as the device engine's (padded extent <= nf per axis, so a
+// tile's writeback covers each cell at most once) — plus the active bins
+// grouped by tile colour (spread_impl.hpp), the canonical chunk split, and
+// the per-worker scratch.
 template <typename T>
 void CpuPlan<T>::build_tile_cache() {
   tile_ok_ = false;
   tile_active_.clear();
-  tile_slot_of_.clear();
-  tile_arena_.clear();
+  color_chunk0_.clear();
+  color_split0_.clear();
+  tile_scratch_.clear();
   tile_chunk0_.clear();
   chunk_tile_.clear();
   chunk_off_.clear();
@@ -144,32 +145,23 @@ void CpuPlan<T>::build_tile_cache() {
   split_tile_.clear();
   chunk_arena_.clear();
   if (!opts_.tiled_spread || type_ != 1) return;  // spread-only machinery
+  const int dim = grid_.dim;
   const int pad = (kp_.w + 1) / 2;
   std::size_t padded = 1;
-  for (int d = 0; d < grid_.dim; ++d) {
+  for (int d = 0; d < dim; ++d) {
     const std::int64_t p = bins_.m[d] + 2 * pad;
     if (p > grid_.nf[d]) return;
     padded *= static_cast<std::size_t>(p);
   }
-  const std::size_t nbins = static_cast<std::size_t>(bins_.total_bins());
-  tile_slot_of_.assign(nbins, 0xffffffffu);
+  // Tile colours (the device build_tile_set's), active bins grouped by
+  // colour in ascending bin order.
+  std::vector<std::uint32_t> color;
+  std::vector<std::vector<std::uint32_t>> by_color(
+      spread::detail::tile_colors(grid_, bins_, pad, color));
+  const std::size_t nbins = color.size();
   for (std::size_t b = 0; b < nbins; ++b)
-    if (bin_start_[b + 1] > bin_start_[b]) {
-      tile_slot_of_[b] = static_cast<std::uint32_t>(tile_active_.size());
-      tile_active_.push_back(static_cast<std::uint32_t>(b));
-    }
-  // Chunk the batch like the device's build_tile_set: hold as many planes
-  // per tile as the byte cap allows (at least one, else atomic fallback).
-  const std::size_t B = static_cast<std::size_t>(std::max(1, opts_.ntransf));
-  const std::size_t per_plane = tile_active_.size() * padded * sizeof(cplx);
-  if (per_plane > spread::kTileArenaMaxBytes) {
-    tile_active_.clear();
-    tile_slot_of_.clear();
-    return;  // bins too large for the arena: atomic fallback
-  }
-  tile_nb_ = static_cast<int>(
-      std::min(B, std::max<std::size_t>(1, spread::kTileArenaMaxBytes / per_plane)));
-  tile_arena_.resize(tile_active_.size() * padded * tile_nb_);
+    if (bin_start_[b + 1] > bin_start_[b])
+      by_color[color[b]].push_back(static_cast<std::uint32_t>(b));
 
   // Canonical chunk split (the CPU mirror of build_tile_set's): cap
   // resolution, balanced per-bin cuts, and the largest-first schedule are all
@@ -177,8 +169,7 @@ void CpuPlan<T>::build_tile_cache() {
   // split (and with it the output bits) is identical at every pool size.
   std::uint32_t cap;
   int req = opts_.tile_chunk_cap;
-  if (req == 0)
-    if (const char* e = std::getenv("CF_TILE_CHUNK"); e && *e) req = std::atoi(e);
+  if (req == 0) req = spread::env_tile_chunk_cap();
   if (req < 0) {
     cap = 0xffffffffu;
   } else if (req > 0) {
@@ -193,44 +184,55 @@ void CpuPlan<T>::build_tile_cache() {
   std::size_t nsplitch = 0;
   for (;;) {
     nsplitch = 0;
-    for (const std::uint32_t b : tile_active_) {
+    for (std::size_t b = 0; b < nbins; ++b) {
       const std::uint32_t cnt = bin_start_[b + 1] - bin_start_[b];
       if (cnt > cap) nsplitch += (cnt + cap - 1) / cap;
     }
     if (cap == 0xffffffffu ||
-        nsplitch * padded * static_cast<std::size_t>(tile_nb_) * sizeof(cplx) <=
-            spread::kTileChunkArenaMaxBytes)
+        nsplitch * padded * sizeof(cplx) <= spread::kTileChunkArenaMaxBytes)
       break;
     cap = cap > 0x7fffffffu ? 0xffffffffu : cap * 2;
   }
   chunk_cap_ = cap;
-  tile_chunk0_.reserve(tile_active_.size() + 1);
   std::uint32_t plane_id = 0;
-  for (const std::uint32_t b : tile_active_) {
-    tile_chunk0_.push_back(static_cast<std::uint32_t>(chunk_tile_.size()));
-    const std::uint32_t cnt = bin_start_[b + 1] - bin_start_[b];
-    const std::uint32_t k = cnt > cap ? (cnt + cap - 1) / cap : 1;
-    const std::uint32_t base = cnt / k, rem = cnt % k;
-    std::uint32_t off = 0;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      chunk_tile_.push_back(tile_chunk0_.size() - 1);
-      chunk_off_.push_back(off);
-      const std::uint32_t sz = base + (i < rem ? 1 : 0);
-      chunk_cnt_.push_back(sz);
-      chunk_plane_.push_back(k > 1 ? plane_id++ : 0xffffffffu);
-      off += sz;
+  for (const auto& tiles : by_color) {
+    const std::size_t ck0 = chunk_tile_.size();
+    color_chunk0_.push_back(static_cast<std::uint32_t>(ck0));
+    color_split0_.push_back(static_cast<std::uint32_t>(split_tile_.size()));
+    for (const std::uint32_t b : tiles) {
+      const auto ai = static_cast<std::uint32_t>(tile_active_.size());
+      tile_active_.push_back(b);
+      tile_chunk0_.push_back(static_cast<std::uint32_t>(chunk_tile_.size()));
+      const std::uint32_t cnt = bin_start_[b + 1] - bin_start_[b];
+      const std::uint32_t k = cnt > cap ? (cnt + cap - 1) / cap : 1;
+      const std::uint32_t base = cnt / k, rem = cnt % k;
+      std::uint32_t off = 0;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        chunk_sched_.push_back(static_cast<std::uint32_t>(chunk_tile_.size()));
+        chunk_tile_.push_back(ai);
+        chunk_off_.push_back(off);
+        const std::uint32_t sz = base + (i < rem ? 1 : 0);
+        chunk_cnt_.push_back(sz);
+        chunk_plane_.push_back(k > 1 ? plane_id++ : 0xffffffffu);
+        off += sz;
+      }
+      if (k > 1) split_tile_.push_back(ai);
     }
-    if (k > 1)
-      split_tile_.push_back(static_cast<std::uint32_t>(tile_chunk0_.size() - 1));
+    std::stable_sort(chunk_sched_.begin() + static_cast<std::ptrdiff_t>(ck0),
+                     chunk_sched_.end(), [&](std::uint32_t a, std::uint32_t b) {
+                       return chunk_cnt_[a] > chunk_cnt_[b];
+                     });
   }
+  color_chunk0_.push_back(static_cast<std::uint32_t>(chunk_tile_.size()));
+  color_split0_.push_back(static_cast<std::uint32_t>(split_tile_.size()));
   tile_chunk0_.push_back(static_cast<std::uint32_t>(chunk_tile_.size()));
-  chunk_sched_.resize(chunk_tile_.size());
-  for (std::size_t i = 0; i < chunk_sched_.size(); ++i)
-    chunk_sched_[i] = static_cast<std::uint32_t>(i);
-  std::stable_sort(chunk_sched_.begin(), chunk_sched_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return chunk_cnt_[a] > chunk_cnt_[b];
-                   });
+  // Batch planes held at once, bounded like the device engine's (worker
+  // scratch + chunk planes under the chunk budget, at least one).
+  const std::size_t per_plane = (pool_->size() + plane_id) * padded * sizeof(cplx);
+  tile_nb_ = static_cast<int>(
+      std::min(static_cast<std::size_t>(std::max(1, opts_.ntransf)),
+               std::max<std::size_t>(1, spread::kTileChunkArenaMaxBytes / per_plane)));
+  tile_scratch_.resize(pool_->size() * padded * static_cast<std::size_t>(tile_nb_));
   chunk_arena_.resize(static_cast<std::size_t>(plane_id) * padded *
                       static_cast<std::size_t>(tile_nb_));
   tile_ok_ = true;
@@ -342,12 +344,12 @@ void CpuPlan<T>::spread_sorted(const cplx* c, int B) {
 }
 
 // Tile-owned spread (the CPU mirror of spread_tiled.cpp): each active bin's
-// points are accumulated into a per-tile padded buffer in sorted order, the
-// disjoint in-range core is added to the fine grid with plain stores, and a
-// second pass merges every tile's halo into the neighboring cores in the
-// fixed canonical order of spread_impl.hpp — no atomics, and the result is
+// points are accumulated into a per-worker padded buffer in sorted order and
+// the whole padded box is added to the fine grid with plain stores — tiles
+// of one colour never share a cell, and the colours are written back in a
+// fixed order, so there are no atomics and the result is
 // bitwise-identical at every pool size (the sort is stable and serial).
-// All point-dependent setup (gate, active list, arena) comes from the
+// All point-dependent setup (gate, colours, chunk split) comes from the
 // set_points-time tile cache.
 template <typename T>
 void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
@@ -358,21 +360,18 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
   std::int64_t p[3] = {1, 1, 1};
   for (int d = 0; d < dim; ++d) p[d] = bins_.m[d] + 2 * pad;
   const std::size_t padded = static_cast<std::size_t>(p[0] * p[1] * p[2]);
+  const std::size_t slot = padded * static_cast<std::size_t>(tile_nb_);
   const std::size_t ftot = static_cast<std::size_t>(grid_.total());
-  const std::size_t nbins = static_cast<std::size_t>(bins_.total_bins());
-  const auto nf = grid_.nf;
   const auto& active = tile_active_;
-  const auto& slot_of = tile_slot_of_;
-  auto& arena = tile_arena_;
 
-  // The batch runs in chunks of tile_nb_ planes (cap-chunked like the device
-  // engine), phase 1 + phase 2 per chunk.
+  // The batch runs in chunks of tile_nb_ planes (like the device engine),
+  // every colour round per chunk.
   for (int b0 = 0; b0 < B; b0 += tile_nb_) {
   const int nb = std::min(tile_nb_, B - b0);
 
-  // Phase 1 helpers, shared by the chunk accumulation and the split-tile
+  // Per-tile helpers, shared by the chunk accumulation and the split-tile
   // reduce: accumulate a canonical slice [first, first+cnt) of bin b's sorted
-  // run into `buf`, and add a tile's owned core to the fine grid.
+  // run into `buf`, and add a finished tile's padded box to the fine grid.
   auto accum = [&](std::uint32_t b, std::uint32_t first, std::uint32_t cnt,
                    cplx* buf) {
     std::int64_t delta[3];
@@ -418,117 +417,92 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
     };
     if (!sd::dispatch_width(kp_.w, run)) run(std::integral_constant<int, 0>{});
   };
-  // Owned core writeback: plain accumulating stores, no wrap possible.
-  auto core_writeback = [&](std::uint32_t b, const cplx* buf) {
-    std::int64_t bc[3];
-    sd::bin_coords(bins_, b, bc);
-    std::int64_t c0[3] = {0, 0, 0}, ce[3] = {1, 1, 1};
-    for (int d = 0; d < dim; ++d) sd::tile_core(bc[d], bins_.m[d], nf[d], c0[d], ce[d]);
-    for (std::int64_t s2 = 0; s2 < ce[2]; ++s2) {
-      for (std::int64_t s1 = 0; s1 < ce[1]; ++s1) {
-        const std::int64_t s1p = dim > 1 ? pad + s1 : 0;
-        const std::int64_t s2p = dim > 2 ? pad + s2 : 0;
-        const std::size_t src =
-            static_cast<std::size_t>((s2p * p[1] + s1p) * p[0] + pad);
-        const std::int64_t dst = c0[0] + nf[0] * ((c0[1] + s1) + nf[1] * (c0[2] + s2));
-        for (int bb = 0; bb < nb; ++bb) {
-          const cplx* bufb = buf + padded * bb + src;
-          cplx* fwb = fw_.data() + ftot * (b0 + bb) + dst;
-          for (std::int64_t i = 0; i < ce[0]; ++i) fwb[i] += bufb[i];
-        }
-      }
-    }
+  // Padded-box writeback: plain accumulating stores (one colour, one writer
+  // per cell), wrap resolved once per contiguous row run.
+  auto writeback = [&](std::uint32_t b, const cplx* buf) {
+    std::int64_t delta[3];
+    sd::subprob_delta(bins_, b, dim, pad, delta);
+    auto rows = [&](auto DC) {
+      sd::for_padded_rows<decltype(DC)::value, T>(
+          grid_, p, delta, 0, padded / static_cast<std::size_t>(p[0]),
+          [&](std::size_t src, std::int64_t dst, std::int64_t run) {
+            for (int bb = 0; bb < nb; ++bb) {
+              const cplx* bufb = buf + padded * bb + src;
+              cplx* fwb = fw_.data() + ftot * (b0 + bb) + dst;
+              for (std::int64_t i = 0; i < run; ++i) fwb[i] += bufb[i];
+            }
+          });
+    };
+    sd::dispatch_dim(
+        dim, [&] { rows(std::integral_constant<int, 1>{}); },
+        [&] { rows(std::integral_constant<int, 2>{}); },
+        [&] { rows(std::integral_constant<int, 3>{}); });
   };
 
-  // Phase 1a: every (tile, chunk) work item, largest-first over the pool's
-  // work-stealing path. An unsplit tile runs the whole per-tile pipeline; a
-  // chunk of a split tile only accumulates its canonical point slice into its
-  // dedicated plane (the reduce and writeback happen in phase 1b, in fixed
-  // chunk order — the schedule never touches the summation order).
-  pool_->parallel_steal(chunk_sched_.size(), [&](std::size_t si, std::size_t) {
-    const std::uint32_t ck = chunk_sched_[si];
-    const std::uint32_t ai = chunk_tile_[ck];
-    const std::uint32_t b = active[ai];
-    if (chunk_plane_[ck] == 0xffffffffu) {
-      cplx* buf = arena.data() + ai * padded * static_cast<std::size_t>(tile_nb_);
-      std::fill(buf, buf + padded * nb, cplx(0, 0));
-      accum(b, 0, bin_start_[b + 1] - bin_start_[b], buf);
-      core_writeback(b, buf);
-    } else {
-      cplx* buf = chunk_arena_.data() +
-                  chunk_plane_[ck] * padded * static_cast<std::size_t>(tile_nb_);
-      std::fill(buf, buf + padded * nb, cplx(0, 0));
-      accum(b, chunk_off_[ck], chunk_cnt_[ck], buf);
-    }
-  });
-
-  // Phase 1b: split tiles fold their chunk planes in ascending chunk order
-  // into the tile's arena slot, then write the owned core.
-  if (!split_tile_.empty())
-    pool_->parallel_for(0, split_tile_.size(), [&](std::size_t si, std::size_t) {
-      const std::uint32_t ai = split_tile_[si];
-      const std::uint32_t b = active[ai];
-      cplx* buf = arena.data() + ai * padded * static_cast<std::size_t>(tile_nb_);
-      std::fill(buf, buf + padded * nb, cplx(0, 0));
-      for (std::uint32_t ck = tile_chunk0_[ai]; ck < tile_chunk0_[ai + 1]; ++ck) {
-        const cplx* src = chunk_arena_.data() +
-                          chunk_plane_[ck] * padded * static_cast<std::size_t>(tile_nb_);
-        for (std::size_t i = 0; i < padded * static_cast<std::size_t>(nb); ++i)
-          buf[i] += src[i];
-      }
-      core_writeback(b, buf);
-    });
-
-  // Phase 2: each owner merges its neighbors' halos in the fixed order.
-  pool_->parallel_for(0, nbins, [&](std::size_t bown, std::size_t) {
-    std::int64_t bc[3];
-    sd::bin_coords(bins_, static_cast<std::uint32_t>(bown), bc);
-    sd::TileNbr nbr[3][sd::kMaxTileNbrs];
-    int nn[3] = {1, 1, 1};
-    for (int d = 0; d < dim; ++d)
-      nn[d] = sd::tile_axis_nbrs(bc[d], bins_.m[d], bins_.nbins[d], nf[d], pad, nbr[d]);
-    for (int iz = 0; iz < nn[2]; ++iz) {
-      for (int iy = 0; iy < nn[1]; ++iy) {
-        for (int ix = 0; ix < nn[0]; ++ix) {
-          const std::int64_t q0 = nbr[0][ix].q;
-          const std::int64_t q1 = dim > 1 ? nbr[1][iy].q : 0;
-          const std::int64_t q2 = dim > 2 ? nbr[2][iz].q : 0;
-          if (q0 == bc[0] && q1 == bc[1] && q2 == bc[2]) continue;  // self core
-          const std::uint32_t slot = slot_of[static_cast<std::size_t>(
-              q0 + bins_.nbins[0] * (q1 + bins_.nbins[1] * q2))];
-          if (slot == 0xffffffffu) continue;  // empty tile
-          const cplx* sbuf =
-              arena.data() + slot * padded * static_cast<std::size_t>(tile_nb_);
-          const int nsz = dim > 2 ? nbr[2][iz].nsegs : 1;
-          const int nsy = dim > 1 ? nbr[1][iy].nsegs : 1;
-          for (int sz = 0; sz < nsz; ++sz) {
-            const sd::TileSeg zseg =
-                dim > 2 ? nbr[2][iz].segs[sz] : sd::TileSeg{0, 0, 1};
-            for (int sy = 0; sy < nsy; ++sy) {
-              const sd::TileSeg yseg =
-                  dim > 1 ? nbr[1][iy].segs[sy] : sd::TileSeg{0, 0, 1};
-              for (int sx = 0; sx < nbr[0][ix].nsegs; ++sx) {
-                const sd::TileSeg xseg = nbr[0][ix].segs[sx];
-                for (std::int64_t gz = 0; gz < zseg.len; ++gz) {
-                  for (std::int64_t gy = 0; gy < yseg.len; ++gy) {
-                    const std::size_t src = static_cast<std::size_t>(
-                        ((zseg.s0 + gz) * p[1] + (yseg.s0 + gy)) * p[0] + xseg.s0);
-                    const std::int64_t dst =
-                        xseg.g0 + nf[0] * ((yseg.g0 + gy) + nf[1] * (zseg.g0 + gz));
-                    for (int bb = 0; bb < nb; ++bb) {
-                      const cplx* sb = sbuf + padded * bb + src;
-                      cplx* fwb = fw_.data() + ftot * (b0 + bb) + dst;
-                      for (std::int64_t i = 0; i < xseg.len; ++i) fwb[i] += sb[i];
-                    }
-                  }
-                }
-              }
-            }
-          }
+  // One pool pass runs every colour round (the device engine's schedule):
+  // each worker claims items in colour-major order from a shared counter —
+  // colour k's (tile, chunk) items largest-first, then its split-tile folds —
+  // accumulating at once but writing back only after every earlier colour
+  // has finished, and folding only after the colour's split chunks have
+  // accumulated. Waits target items earlier in the claim order only, all of
+  // them held by running workers, so they cannot deadlock.
+  const std::size_t ncol = color_chunk0_.size() - 1;
+  const auto nitems = static_cast<std::uint32_t>(chunk_tile_.size() + split_tile_.size());
+  std::vector<std::atomic<std::uint32_t>> left(ncol), chunks_left(ncol);
+  for (std::size_t k = 0; k < ncol; ++k) {
+    std::uint32_t nsplit = 0;
+    for (std::uint32_t ck = color_chunk0_[k]; ck < color_chunk0_[k + 1]; ++ck)
+      nsplit += chunk_plane_[ck] != 0xffffffffu;
+    chunks_left[k].store(nsplit);
+    left[k].store(color_chunk0_[k + 1] - color_chunk0_[k] + color_split0_[k + 1] -
+                  color_split0_[k]);
+  }
+  auto wait_zero = [](const std::atomic<std::uint32_t>& n) {
+    while (n.load(std::memory_order_acquire) != 0) std::this_thread::yield();
+  };
+  std::atomic<std::uint32_t> next{0};
+  pool_->parallel_for(0, std::min<std::size_t>(pool_->size(), nitems),
+                      [&](std::size_t, std::size_t wid) {
+    cplx* const scratch = tile_scratch_.data() + wid * slot;
+    std::size_t k = 0, done_colors = 0;
+    auto wait_earlier_colors = [&] {
+      for (; done_colors < k; ++done_colors) wait_zero(left[done_colors]);
+    };
+    for (;;) {
+      const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= nitems) break;
+      while (i >= color_chunk0_[k + 1] + color_split0_[k + 1]) ++k;
+      const std::uint32_t first_fold = color_chunk0_[k + 1] + color_split0_[k];
+      if (i < first_fold) {
+        const std::uint32_t ck = chunk_sched_[i - color_split0_[k]];
+        const std::uint32_t b = active[chunk_tile_[ck]];
+        if (chunk_plane_[ck] == 0xffffffffu) {
+          std::fill(scratch, scratch + padded * nb, cplx(0, 0));
+          accum(b, 0, bin_start_[b + 1] - bin_start_[b], scratch);
+          wait_earlier_colors();
+          writeback(b, scratch);
+        } else {
+          cplx* buf = chunk_arena_.data() + chunk_plane_[ck] * slot;
+          std::fill(buf, buf + padded * nb, cplx(0, 0));
+          accum(b, chunk_off_[ck], chunk_cnt_[ck], buf);
+          chunks_left[k].fetch_sub(1, std::memory_order_release);
         }
+      } else {
+        // Split tile: fold its chunk planes in ascending chunk order.
+        const std::uint32_t ai = split_tile_[i - color_chunk0_[k + 1]];
+        wait_zero(chunks_left[k]);
+        wait_earlier_colors();
+        std::fill(scratch, scratch + padded * nb, cplx(0, 0));
+        for (std::uint32_t ck = tile_chunk0_[ai]; ck < tile_chunk0_[ai + 1]; ++ck) {
+          const cplx* src = chunk_arena_.data() + chunk_plane_[ck] * slot;
+          for (std::size_t x = 0; x < padded * static_cast<std::size_t>(nb); ++x)
+            scratch[x] += src[x];
+        }
+        writeback(active[ai], scratch);
       }
+      left[k].fetch_sub(1, std::memory_order_release);
     }
-  });
+  }, 1);
   }  // batch chunk
 }
 

@@ -4,8 +4,8 @@
 // deconvolution as the device library, but organized the way the parallel
 // CPU code is: bin-sorted
 // points are spread in subproblems into thread-local padded-bin buffers that
-// are merged into the fine grid — by default with the same tile-owned
-// atomic-free core/halo scheme as the device library (deterministic at any
+// are merged into the fine grid — by default with the same colour-scheduled
+// atomic-free tile writeback as the device library (deterministic at any
 // pool size), with FINUFFT's atomic padded-bin merge as the
 // Options::tiled_spread = 0 fallback; interpolation is a plain parallel
 // gather over sorted points; the FFT runs on the host pool.
@@ -57,8 +57,8 @@ class CpuPlan {
     int modeord = 0;                      ///< 0 = CMCL (-N/2..), 1 = FFT-style
     int kerevalmeth = 0;                  ///< 0 = exp/sqrt; 1 = Horner table
     int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread merge (same
-                           ///< scheme as the device library: disjoint core
-                           ///< writes + fixed-order halo merge, bitwise-
+                           ///< scheme as the device library: colour rounds of
+                           ///< disjoint padded-box writes, bitwise-
                            ///< deterministic at any pool size); 0 = atomic
                            ///< padded-bin merge (FINUFFT's strategy)
     int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item),
@@ -123,23 +123,27 @@ class CpuPlan {
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> bin_start_;  // size nbins+1
 
-  // Tile-ownership cache for the atomic-free merge, built in set_points
-  // (mirrors the device library's build_tile_set): geometry gate, active-bin
-  // compaction, and the per-tile arena reused by every execute.
+  // Tile cache for the atomic-free spread, built in set_points (mirrors the
+  // device library's build_tile_set): geometry gate, active bins grouped by
+  // tile colour, and the per-worker padded scratch reused by every execute.
   bool tile_ok_ = false;
-  int tile_nb_ = 1;  ///< batch planes held per tile (cap-chunked, like device)
-  std::vector<std::uint32_t> tile_active_, tile_slot_of_;
-  std::vector<cplx> tile_arena_;
+  int tile_nb_ = 1;  ///< batch planes per scratch / chunk plane (like device)
+  std::vector<std::uint32_t> tile_active_;   ///< slot -> bin, grouped by colour
+  std::vector<std::uint32_t> color_chunk0_;  ///< colour -> first chunk (+1 end)
+  std::vector<std::uint32_t> color_split0_;  ///< colour -> first split_tile_
+                                             ///< entry (+1 end)
+  std::vector<cplx> tile_scratch_;           ///< pool size * tile_nb_ planes
 
   // Canonical (tile, chunk) split mirroring the device TileSet: overfull bins
   // are cut into balanced point-chunks (pure function of the points, never of
-  // the pool size), scheduled largest-first over the pool's work-stealing
-  // path; split tiles reduce their chunk planes in fixed chunk order before
-  // the core writeback, so the merge stays bitwise-deterministic.
+  // the pool size), claimed largest-first within each colour from a shared
+  // counter; split tiles reduce their chunk planes in fixed
+  // chunk order before the writeback, so the spread stays
+  // bitwise-deterministic.
   std::uint32_t chunk_cap_ = 0;  ///< applied cap (UINT32_MAX = no splitting)
   std::vector<std::uint32_t> tile_chunk0_;  ///< slot -> first chunk (size +1)
   std::vector<std::uint32_t> chunk_tile_, chunk_off_, chunk_cnt_, chunk_plane_;
-  std::vector<std::uint32_t> chunk_sched_;  ///< chunk ids largest-first
+  std::vector<std::uint32_t> chunk_sched_;  ///< chunk ids largest-first per colour
   std::vector<std::uint32_t> split_tile_;   ///< slots with > 1 chunk
   std::vector<cplx> chunk_arena_;  ///< split-chunk planes (plane-major)
 

@@ -1,7 +1,8 @@
 // Builders for the plan-resident point caches (point_cache.hpp): the
 // bin-sorted tap table consumed by SM/tiled spreading, the interior-first
 // iteration partition consumed by the branch-free GM/GM-sort no-wrap path,
-// and the tile-ownership set consumed by the atomic-free spread writeback.
+// and the colour-classed tile set consumed by the atomic-free spread
+// writeback.
 #include "spreadinterp/point_cache.hpp"
 
 #include <thread>
@@ -114,8 +115,7 @@ void classify_interior(vgpu::Device& dev, const GridSpec& grid,
 
 template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
-                    const DeviceSort& sort, int B, std::size_t max_bytes,
-                    TileSet<T>& out, int chunk_cap) {
+                    const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap) {
   out = TileSet<T>{};
   const int dim = grid.dim;
   const int pad = (w + 1) / 2;
@@ -124,8 +124,8 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   for (int d = 0; d < dim; ++d) {
     out.p[d] = bins.m[d] + 2 * pad;
     // Geometry gate: the padded extent must cover each cell at most once so
-    // every (tile, cell) contribution has a unique scratch coordinate (see
-    // spread_impl.hpp). Violated e.g. by a single bin spanning the axis.
+    // a tile's writeback never hits a cell twice (see spread_impl.hpp).
+    // Violated e.g. by a single bin spanning the axis.
     if (out.p[d] > grid.nf[d]) return false;
     out.padded *= static_cast<std::size_t>(out.p[d]);
   }
@@ -134,79 +134,29 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   // inside its own slot.
   out.plane = out.padded + static_cast<std::size_t>(pad_width(w) - w);
 
+  // -- colour classes (host-side; setpts-time, like the sort) ---------------
+  // Active bins counting-sorted by tile colour (stable: ascending bin id
+  // within a colour).
+  std::vector<std::uint32_t> color;
+  out.n_colors = tile_colors(grid, bins, pad, color);
   const std::size_t nbins = sort.bin_counts.size();
-  vgpu::device_buffer<std::uint32_t> flag(dev, nbins), pos(dev, nbins);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    flag[b] = sort.bin_counts[b] > 0 ? 1u : 0u;
-  });
-  out.n_active =
-      static_cast<std::uint32_t>(vgpu::exclusive_scan(dev, flag.span(), pos.span()));
+  out.color_tile0.assign(out.n_colors + 1, 0);
+  for (std::size_t b = 0; b < nbins; ++b)
+    if (sort.bin_counts[b] > 0) ++out.color_tile0[color[b] + 1];
+  for (std::uint32_t k = 0; k < out.n_colors; ++k)
+    out.color_tile0[k + 1] += out.color_tile0[k];
+  out.n_active = out.color_tile0[out.n_colors];
   out.tile_bin = vgpu::device_buffer<std::uint32_t>(dev, out.n_active);
-  out.slot_of_bin = vgpu::device_buffer<std::uint32_t>(dev, nbins);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    if (flag[b]) {
-      out.tile_bin[pos[b]] = static_cast<std::uint32_t>(b);
-      out.slot_of_bin[b] = pos[b];
-    } else {
-      out.slot_of_bin[b] = TileSet<T>::kNoTile;
-    }
-  });
+  {
+    std::vector<std::uint32_t> cursor(out.color_tile0.begin(), out.color_tile0.end() - 1);
+    for (std::size_t b = 0; b < nbins; ++b)
+      if (sort.bin_counts[b] > 0)
+        out.tile_bin[cursor[color[b]]++] = static_cast<std::uint32_t>(b);
+  }
 
-  // Merge owners: bins whose core receives halo from at least one active
-  // tile. The enumeration mirrors the merge kernel's exactly.
-  vgpu::device_buffer<std::uint32_t> mflag(dev, nbins);
-  dev.launch_items(nbins, 256, [&, dim, pad](std::size_t b, vgpu::BlockCtx&) {
-    std::int64_t bc[3];
-    bin_coords(bins, static_cast<std::uint32_t>(b), bc);
-    TileNbr nbr[3][kMaxTileNbrs];
-    int nn[3] = {1, 1, 1};
-    for (int d = 0; d < dim; ++d)
-      nn[d] = tile_axis_nbrs(bc[d], bins.m[d], bins.nbins[d], grid.nf[d], pad, nbr[d]);
-    bool any = false;
-    for (int iz = 0; iz < nn[2] && !any; ++iz)
-      for (int iy = 0; iy < nn[1] && !any; ++iy)
-        for (int ix = 0; ix < nn[0] && !any; ++ix) {
-          const std::int64_t q0 = nbr[0][ix].q;
-          const std::int64_t q1 = dim > 1 ? nbr[1][iy].q : 0;
-          const std::int64_t q2 = dim > 2 ? nbr[2][iz].q : 0;
-          if (q0 == bc[0] && q1 == bc[1] && q2 == bc[2]) continue;  // self core
-          const std::size_t q = static_cast<std::size_t>(
-              q0 + bins.nbins[0] * (q1 + bins.nbins[1] * q2));
-          if (sort.bin_counts[q] > 0) any = true;
-        }
-    mflag[b] = any ? 1u : 0u;
-  });
-  vgpu::device_buffer<std::uint32_t> mpos(dev, nbins);
-  out.n_merge =
-      static_cast<std::uint32_t>(vgpu::exclusive_scan(dev, mflag.span(), mpos.span()));
-  out.merge_bin = vgpu::device_buffer<std::uint32_t>(dev, out.n_merge);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    if (mflag[b]) out.merge_bin[mpos[b]] = static_cast<std::uint32_t>(b);
-  });
-
-  // Shell-only halo arena: per active tile only the shell cells (padded
-  // volume minus the in-range core box, which phase 1 writes straight to fw)
-  // are persisted, at shell_base[slot] in the shell-compact layout. The
-  // full-padded accumulation scratch is per WORKER, not per tile, so its
-  // cost does not scale with the active-tile count.
   B = std::max(1, B);
   if (out.n_active > 0) {
-    vgpu::device_buffer<std::uint32_t> ssz(dev, out.n_active);
-    dev.launch_items(out.n_active, 256, [&, dim](std::size_t s, vgpu::BlockCtx&) {
-      std::int64_t bc[3], c0[3] = {0, 0, 0}, ce[3] = {1, 1, 1};
-      bin_coords(bins, out.tile_bin[s], bc);
-      for (int d = 0; d < dim; ++d)
-        tile_core(bc[d], bins.m[d], grid.nf[d], c0[d], ce[d]);
-      ssz[s] = static_cast<std::uint32_t>(tile_shell_cells(dim, out.p, ce));
-    });
-    out.shell_base = vgpu::device_buffer<std::uint32_t>(dev, out.n_active);
-    out.shell_total = static_cast<std::size_t>(
-        vgpu::exclusive_scan(dev, ssz.span(), out.shell_base.span()));
-    const std::size_t scratch = dev.n_workers() * out.plane;
-    const std::size_t per_plane = (out.shell_total + scratch) * 2 * sizeof(T);
-    if (per_plane > max_bytes) return false;  // bins too large for the arena
-
-    // -- canonical chunk split (host-side; setpts-time, like the sort) ------
+    // -- canonical chunk split ----------------------------------------------
     // Resolve the cap, count chunks at that cap, and double the cap until the
     // split tiles' chunk planes fit kTileChunkArenaMaxBytes. The budget test
     // excludes the per-worker scratch on purpose: the applied cap must be a
@@ -253,44 +203,57 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
     out.chunk_cnt = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
     out.chunk_plane = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
     out.split_tile = vgpu::device_buffer<std::uint32_t>(dev, out.n_split);
-    std::uint32_t ck = 0, cpl = 0, sp = 0;
-    for (std::uint32_t s = 0; s < out.n_active; ++s) {
-      out.tile_chunk0[s] = ck;
-      const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];
-      const std::uint64_t k = (cnt + cap - 1) / cap;
-      if (k > 1) out.split_tile[sp++] = s;
-      // Balanced sizes (differing by at most one point) beat cap-sized runs
-      // with a small remainder chunk for load balance; the split is a pure
-      // function of (cnt, cap), hence canonical.
-      const std::uint64_t base = cnt / k, rem = cnt % k;
-      std::uint64_t off = 0;
-      for (std::uint64_t i = 0; i < k; ++i, ++ck) {
-        const std::uint64_t sz = base + (i < rem ? 1 : 0);
-        out.chunk_tile[ck] = s;
-        out.chunk_off[ck] = static_cast<std::uint32_t>(off);
-        out.chunk_cnt[ck] = static_cast<std::uint32_t>(sz);
-        out.chunk_plane[ck] = k > 1 ? cpl++ : TileSet<T>::kNoTile;
-        off += sz;
-      }
-    }
-    out.tile_chunk0[out.n_active] = ck;
     out.sched = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    for (std::uint32_t i = 0; i < out.n_chunks; ++i) out.sched[i] = i;
-    std::stable_sort(out.sched.data(), out.sched.data() + out.n_chunks,
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return out.chunk_cnt[a] > out.chunk_cnt[b];
-                     });
+    out.color_chunk0.assign(out.n_colors + 1, 0);
+    out.color_split0.assign(out.n_colors + 1, 0);
+    std::uint32_t ck = 0, cpl = 0, sp = 0;
+    for (std::uint32_t k = 0; k < out.n_colors; ++k) {
+      out.color_chunk0[k] = ck;
+      out.color_split0[k] = sp;
+      for (std::uint32_t s = out.color_tile0[k]; s < out.color_tile0[k + 1]; ++s) {
+        out.tile_chunk0[s] = ck;
+        const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];
+        const std::uint64_t nk = (cnt + cap - 1) / cap;
+        if (nk > 1) out.split_tile[sp++] = s;
+        // Balanced sizes (differing by at most one point) beat cap-sized runs
+        // with a small remainder chunk for load balance; the split is a pure
+        // function of (cnt, cap), hence canonical.
+        const std::uint64_t base = cnt / nk, rem = cnt % nk;
+        std::uint64_t off = 0;
+        for (std::uint64_t i = 0; i < nk; ++i, ++ck) {
+          const std::uint64_t sz = base + (i < rem ? 1 : 0);
+          out.chunk_tile[ck] = s;
+          out.chunk_off[ck] = static_cast<std::uint32_t>(off);
+          out.chunk_cnt[ck] = static_cast<std::uint32_t>(sz);
+          out.chunk_plane[ck] = nk > 1 ? cpl++ : TileSet<T>::kNoTile;
+          out.sched[ck] = ck;
+          off += sz;
+        }
+      }
+      // Largest-first within the colour's launch (stable by chunk id).
+      std::stable_sort(out.sched.data() + out.color_chunk0[k], out.sched.data() + ck,
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return out.chunk_cnt[a] > out.chunk_cnt[b];
+                       });
+    }
+    out.color_chunk0[out.n_colors] = ck;
+    out.color_split0[out.n_colors] = sp;
+    out.tile_chunk0[out.n_active] = ck;
 
+    // Batch planes held at once: as many as the chunk budget covers for the
+    // worker scratch plus the chunk planes, at least one. Planes never mix,
+    // so this affects memory only, never the output bits.
+    const std::size_t per_plane =
+        (dev.n_workers() + out.n_split_chunks) * out.plane * 2 * sizeof(T);
     out.nb = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(B), std::max<std::size_t>(1, max_bytes / per_plane)));
-    out.halo_re = vgpu::device_buffer<T>(dev, out.shell_total * out.nb);
-    out.halo_im = vgpu::device_buffer<T>(dev, out.shell_total * out.nb);
-    out.scratch_re = vgpu::device_buffer<T>(dev, scratch * out.nb);
-    out.scratch_im = vgpu::device_buffer<T>(dev, scratch * out.nb);
+        static_cast<std::size_t>(B),
+        std::max<std::size_t>(1, kTileChunkArenaMaxBytes / per_plane)));
+    const std::size_t scratch = dev.n_workers() * out.plane * out.nb;
+    out.scratch_re = vgpu::device_buffer<T>(dev, scratch);
+    out.scratch_im = vgpu::device_buffer<T>(dev, scratch);
     out.chunk_re = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
     out.chunk_im = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
-    out.arena_bytes =
-        (out.halo_re.bytes() + out.scratch_re.bytes() + out.chunk_re.bytes()) * 2;
+    out.arena_bytes = (out.scratch_re.bytes() + out.chunk_re.bytes()) * 2;
   }
   out.usable = true;
   return true;
@@ -304,8 +267,7 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
                                      const KernelParams<T>&, const NuPoints<T>&,        \
                                      const std::uint32_t*, InteriorPartition&);         \
   template bool build_tile_set<T>(vgpu::Device&, const GridSpec&, const BinSpec&, int,  \
-                                  const DeviceSort&, int, std::size_t, TileSet<T>&,     \
-                                  int);
+                                  const DeviceSort&, int, TileSet<T>&, int);
 
 CF_INSTANTIATE(float)
 CF_INSTANTIATE(double)

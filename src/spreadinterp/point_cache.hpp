@@ -16,10 +16,10 @@
 //                 two segments as separate launches, so the no-wrap hot loop
 //                 is branch-free instead of testing a per-point flag.
 //  * TileSet    — the tile-ownership geometry for the atomic-free spread
-//                 writeback: the active (non-empty) bins, the bin -> arena
-//                 slot map, the owners that receive halo contributions, and
-//                 the per-tile deinterleaved halo arena. See the tile
-//                 geometry notes in spread_impl.hpp.
+//                 writeback: the active (non-empty) bins grouped into colour
+//                 classes of tiles with disjoint padded boxes, the canonical
+//                 (tile, chunk) work split, and the per-worker scratch. See
+//                 the tile colouring notes in spread_impl.hpp.
 //
 // Lifetime: built by Plan::set_points (or a caller's equivalent), invalidated
 // by the next set_points; plan options are fixed at construction so no other
@@ -27,7 +27,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "common/env.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/es_kernel.hpp"
 #include "spreadinterp/grid.hpp"
@@ -74,49 +77,50 @@ struct InteriorPartition {
 
 /// Tile-ownership precomputation for the atomic-free spread writeback
 /// (Options::tiled_spread). `usable` is false when the geometry gate fails
-/// (some padded tile extent exceeds nf — e.g. a single bin spanning an axis)
-/// or the halo arena would exceed the byte cap; callers then keep the atomic
-/// writeback.
+/// (some padded tile extent exceeds nf — e.g. a single bin spanning an axis);
+/// callers then keep the atomic writeback.
 ///
-/// Phase 1 accumulates each tile into a PER-WORKER full padded scratch
-/// (`scratch_re/im`, `plane` cells per batch plane), writes the core box to
-/// fw, and copies the shell into the tile's persistent arena slot. The arena
-/// is SHELL-ONLY (spread_impl.hpp's shell-compact layout): core cells are
-/// dead after phase 1, so per active tile only `shell cells = padded - core`
-/// are stored per batch plane — the ~10% (3D) to ~35% (2D) of padded-tile
-/// memory the whole-tile layout wasted on slots the merge never read.
+/// Colour classes: every tile carries the canonical colour of spread_impl.hpp
+/// (tile_axis_colors), and the active tiles are stored grouped by colour —
+/// slots [color_tile0[k], color_tile0[k+1]) hold colour k's tiles in
+/// ascending bin order. The engine writes the colours back in ascending
+/// order; tiles of one colour have disjoint padded boxes, so each finished
+/// tile adds its whole padded box to fw with plain stores and every cell
+/// sums its contributions in colour order. Nothing persists per tile: a tile
+/// accumulates in a PER-WORKER full padded scratch (`scratch_re/im`, `plane`
+/// cells per batch plane) and is written out before the worker moves on, so
+/// memory does not scale with the active-tile count.
 ///
 /// Chunked scheduling: a tile whose bin holds more than `chunk_cap` points is
 /// split into several canonical point-CHUNKS (balanced sizes, fixed order
 /// within the bin's sorted run) so workers can cooperate on one overfull bin
 /// instead of serializing behind it. Every (tile, chunk) pair is a work item;
-/// `sched` lists the items largest-first for the work-stealing launch. A
-/// singleton chunk (unsplit tile) runs the whole per-tile pipeline; chunks of
-/// a split tile accumulate into dedicated planes of `chunk_re/im` that a
-/// second pass reduces in canonical chunk order — the per-cell summation
-/// order is a pure function of the split, never of the schedule, keeping the
-/// spread bitwise-deterministic across worker counts.
+/// chunk ids follow slot order, so each colour owns the contiguous range
+/// [color_chunk0[k], color_chunk0[k+1]), which `sched` lists largest-first
+/// — the order the engine claims the colour's items in. A singleton chunk
+/// (unsplit tile) runs the whole per-tile pipeline; chunks of a split tile
+/// accumulate into dedicated planes of `chunk_re/im` that the tile's fold,
+/// claimed after the colour's chunks, reduces in canonical chunk order — the
+/// per-cell summation order is a pure function of the split, never of the
+/// schedule, keeping the spread bitwise-deterministic across worker counts.
 template <typename T>
 struct TileSet {
   static constexpr std::uint32_t kNoTile = 0xffffffffu;
 
-  vgpu::device_buffer<std::uint32_t> tile_bin;     ///< arena slot -> bin id
-  vgpu::device_buffer<std::uint32_t> slot_of_bin;  ///< bin id -> slot | kNoTile
-  vgpu::device_buffer<std::uint32_t> merge_bin;    ///< owners receiving halo
+  vgpu::device_buffer<std::uint32_t> tile_bin;  ///< slot -> bin id (by colour)
   std::uint32_t n_active = 0;
-  std::uint32_t n_merge = 0;
+  std::uint32_t n_colors = 0;  ///< colour classes (product of axis colours)
+  std::vector<std::uint32_t> color_tile0;   ///< colour -> first slot (+1 end)
+  std::vector<std::uint32_t> color_chunk0;  ///< colour -> first chunk (+1 end)
+  std::vector<std::uint32_t> color_split0;  ///< colour -> first split_tile
+                                            ///< entry (+1 end)
   int pad = 0;
   std::int64_t p[3] = {1, 1, 1};  ///< padded tile dims (unused axes 1)
   std::size_t padded = 0;         ///< cells per padded tile
   std::size_t plane = 0;          ///< scratch stride: padded + fast-path slack
-  int nb = 1;                     ///< batch planes held per tile slot
-  /// Exclusive prefix of per-tile shell sizes over the arena slots (cells);
-  /// slot s's shell plane is shell_base[s] .. shell_base[s] + shell size(s).
-  vgpu::device_buffer<std::uint32_t> shell_base;
-  std::size_t shell_total = 0;  ///< total shell cells over all active tiles
-  vgpu::device_buffer<T> halo_re, halo_im;  ///< shell arena: shell_total * nb
+  int nb = 1;                     ///< batch planes held per scratch / chunk plane
   vgpu::device_buffer<T> scratch_re, scratch_im;  ///< n_workers * nb * plane
-  std::size_t arena_bytes = 0;  ///< shell arena + accumulation scratch bytes
+  std::size_t arena_bytes = 0;  ///< worker scratch + split-chunk plane bytes
 
   // -- chunked (tile, chunk) work items, canonical order ---------------------
   std::uint32_t n_chunks = 0;       ///< total work items (== n_active unsplit)
@@ -126,47 +130,52 @@ struct TileSet {
   std::uint32_t max_tile_points = 0;       ///< largest bin population
   vgpu::device_buffer<std::uint32_t> tile_chunk0;  ///< slot -> first chunk id
                                                    ///< (size n_active + 1)
-  vgpu::device_buffer<std::uint32_t> chunk_tile;   ///< chunk -> arena slot
+  vgpu::device_buffer<std::uint32_t> chunk_tile;   ///< chunk -> slot
   vgpu::device_buffer<std::uint32_t> chunk_off;    ///< chunk -> offset in the
                                                    ///< bin's sorted point run
   vgpu::device_buffer<std::uint32_t> chunk_cnt;    ///< chunk -> point count
   vgpu::device_buffer<std::uint32_t> chunk_plane;  ///< chunk -> chunk-scratch
                                                    ///< plane | kNoTile (unsplit)
   vgpu::device_buffer<std::uint32_t> sched;   ///< chunk ids largest-first
-                                              ///< (stable by chunk id)
+                                              ///< within each colour (stable)
   vgpu::device_buffer<std::uint32_t> split_tile;  ///< slots with > 1 chunk
   vgpu::device_buffer<T> chunk_re, chunk_im;  ///< n_split_chunks * nb * plane
 
   bool usable = false;
 };
 
-/// Default cap on the tiled-writeback halo arena; a spread whose active tiles
-/// would need more falls back to the atomic writeback ("bins too large for
-/// the arena").
-inline constexpr std::size_t kTileArenaMaxBytes = std::size_t(512) << 20;
-
 /// Smallest auto chunk cap: splitting finer than this buys no balance (a
 /// chunk this size is cheap next to a launch) but costs chunk-plane zero +
 /// reduce traffic.
 inline constexpr std::uint32_t kTileChunkMin = 1024;
 
+/// The CF_TILE_CHUNK override of the auto chunk cap (plans whose
+/// tile_chunk_cap option is 0 consult it): any integer, same encoding as the
+/// option; unset, or not a whole integer, means 0 = auto (the latter with a
+/// one-line warning).
+inline int env_tile_chunk_cap() {
+  return env_int_strict("CF_TILE_CHUNK", 0, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max());
+}
+
 /// Budget for the per-chunk scratch planes of split tiles; the chunk cap is
-/// doubled until the split fits. Deliberately worker-count independent (the
-/// worker scratch is budgeted separately) so the applied cap — and with it
-/// the summation split — is identical at every worker count.
+/// doubled until one batch plane of them fits. Deliberately worker-count
+/// independent (the worker scratch is not counted) so the applied cap — and
+/// with it the summation split — is identical at every worker count. The
+/// number of batch planes held at once (TileSet::nb) is bounded by the same
+/// budget over worker scratch plus chunk planes.
 inline constexpr std::size_t kTileChunkArenaMaxBytes = std::size_t(64) << 20;
 
-/// Builds the TileSet for the current bin sort: geometry gate, active-tile
-/// compaction, merge-owner list, the halo arena sized for ntransf = B
-/// (chunked to `nb` planes under `max_bytes`), and the canonical chunk split.
+/// Builds the TileSet for the current bin sort: geometry gate, tile colours,
+/// active tiles grouped by colour, the canonical chunk split, and the worker
+/// scratch + chunk planes sized for ntransf = B (chunked to `nb` planes).
 /// `chunk_cap` is the per-chunk point cap: 0 = auto (max(kTileChunkMin,
 /// ceil(M / (4 * hardware threads))) — a points-per-worker heuristic that is
 /// deliberately independent of the device's worker count), > 0 = explicit,
 /// < 0 = never split (one chunk per tile). Returns out.usable.
 template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
-                    const DeviceSort& sort, int B, std::size_t max_bytes,
-                    TileSet<T>& out, int chunk_cap = 0);
+                    const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap = 0);
 
 /// The plan-resident cache; any part may be empty when the owning plan's
 /// method does not use it.

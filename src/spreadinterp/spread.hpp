@@ -34,10 +34,10 @@
 //    passes the partitioned order plus NuPoints::n_nowrap, and the kernels
 //    run the two segments as separate launches (no per-point flag test).
 //  * The TileSet drives the tile-owned atomic-free spread writeback
-//    (spread_tiled_batch): blocks own disjoint core regions of the fine
-//    grid, halos go to per-tile buffers merged in a fixed neighbor order —
-//    zero global atomics and bitwise-deterministic results at any worker
-//    count.
+//    (spread_tiled_batch): tiles run in colour classes whose padded boxes
+//    are disjoint, each adding its whole box to the fine grid with plain
+//    stores in a fixed colour order — zero global atomics and
+//    bitwise-deterministic results at any worker count.
 #pragma once
 
 #include <complex>
@@ -117,22 +117,23 @@ void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bin
                      const TapTable<T>& taps, int B, std::size_t cstride,
                      std::size_t fwstride);
 
-/// Tile-owned atomic-free spread writeback (Options::tiled_spread): one block
-/// per (tile, chunk) work item — scheduled largest-first over the pool's
-/// work-stealing path — accumulates a canonical chunk of the bin's sorted
-/// points into a deinterleaved padded scratch (taps from `taps` when non-null
-/// — the SM cached table — or evaluated inline, identical values either way).
-/// Unsplit tiles add their disjoint in-range core box to fw with plain
-/// vectorizable stores; split tiles (bins over TileSet::chunk_cap points) are
-/// reduced plane by plane in fixed chunk order first. A final kernel merges
-/// every tile's halo shell into the neighboring cores in the fixed canonical
-/// order of spread_impl.hpp's tile enumeration. Zero global atomics; output
-/// is bitwise-identical at every worker count (given the deterministic
-/// bin_sort) because the summation split and every reduction order are pure
-/// functions of the points, never of the steal schedule. Requires
-/// tiles.usable (see build_tile_set); the batch runs in chunks of tiles.nb
-/// planes. Returns the number of work items the scheduler stole across
-/// workers (0 on single-worker devices and inline runs).
+/// Tile-owned atomic-free spread writeback (Options::tiled_spread) in tile
+/// colour classes (TileSet): persistent blocks claim the (tile, chunk) work
+/// items colour by colour, largest-first within a colour, and accumulate a
+/// canonical chunk of the bin's sorted points into a deinterleaved padded
+/// scratch (taps from `taps` when non-null — the SM cached table — or
+/// evaluated inline, identical values either way). Split tiles (bins over
+/// TileSet::chunk_cap points) are reduced plane by plane in fixed chunk
+/// order first. Every finished tile adds its whole padded box to fw with
+/// plain vectorizable stores once all earlier colours are written; tiles of
+/// one colour never share a cell. Zero global atomics; output is
+/// bitwise-identical at every worker count (given the deterministic
+/// bin_sort) because the colour order, the summation split and every
+/// reduction order are pure functions of the bins and points, never of the
+/// schedule. Requires tiles.usable (see build_tile_set); the batch runs in
+/// chunks of tiles.nb planes. Returns the number of work items that ran off
+/// their round-robin home worker (item index mod workers) — the rebalancing
+/// the dynamic schedule did; 0 on single-worker devices.
 template <typename T>
 std::uint64_t spread_tiled_batch(vgpu::Device& dev, const GridSpec& grid,
                                  const BinSpec& bins, const KernelParams<T>& kp,

@@ -10,11 +10,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <complex>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "spreadinterp/es_kernel.hpp"
 #include "spreadinterp/grid.hpp"
@@ -149,24 +151,26 @@ inline void subprob_delta(const BinSpec& bins, std::uint32_t b, int dim, int pad
   for (int d = 0; d < dim; ++d) delta[d] = bc[d] * bins.m[d] - pad;
 }
 
-// ---- tile-ownership geometry (tiled spread writeback) -----------------------
+// ---- tile colouring (tiled spread writeback) --------------------------------
 //
-// The bins partition the fine grid into disjoint CORE boxes (compute_bin_index
-// assigns every cell to exactly one bin). A tile's padded scratch extends the
-// core by `pad` cells per side; everything outside the in-range core — the
-// halo shell plus, for edge bins, the nominal-core cells past nf — belongs to
-// OTHER tiles' cores under the periodic wrap. The tiled writeback exploits
-// this: the owning block writes its core with plain stores and a second pass
-// merges each tile's halo into the neighboring cores in a fixed order, so no
-// two blocks ever write the same fine-grid cell (zero global atomics) and the
-// per-cell summation order is worker-count independent (bitwise-deterministic
-// spreading).
+// A tile's padded scratch covers the cells [q*m - pad, q*m + m + pad) (mod
+// nf) on each axis: its bin's core plus the halo its points reach. The tiled
+// writeback adds every finished tile's WHOLE padded box to fw with plain
+// stores, so two tiles may write concurrently only if their boxes are
+// disjoint. Colouring guarantees that: each axis is coloured greedily in
+// ascending tile index (the smallest colour no earlier overlapping tile
+// holds), and a tile's colour is the mixed-radix number of its axis colours.
+// Two distinct tiles of one colour differ on some axis where they share an
+// axis colour, so their extents on that axis — hence their boxes — are
+// disjoint. The engine writes the colours back in ascending order, so every
+// fw cell sums its contributions in colour order: a pure
+// function of the bins and points, never of the worker schedule (zero global
+// atomics, bitwise-deterministic spreading).
 //
-// All helpers require p = m + 2*pad <= nf on the axis: the padded extent then
-// covers each fine-grid cell at most once, so for a given (tile, cell) pair
-// there is a unique scratch coordinate s = wrap(g - (q*m - pad)) — the merge
-// enumeration below visits every contribution exactly once. Axes violating
-// this (e.g. a single bin spanning the axis) take the atomic fallback.
+// Requires p = m + 2*pad <= nf on every axis (the geometry gate): a padded
+// extent then covers each cell at most once, so a tile's own writeback never
+// hits a cell twice. Axes violating this (e.g. a single bin spanning the axis)
+// take the atomic fallback.
 
 /// In-range core of bin `bc` on one axis: cells [c0, c0 + ce).
 inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
@@ -175,110 +179,51 @@ inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
   ce = std::min<std::int64_t>((bc + 1) * m, nf) - c0;
 }
 
-/// One contiguous run where the owner's core cells g = g0 .. g0+len-1 read
-/// tile-local scratch coordinates s = s0 .. s0+len-1 of a neighboring tile.
-struct TileSeg {
-  std::int64_t g0, s0, len;
-};
-
-/// Computes the (at most 2) segments of the core interval [c0, c0+ce) that
-/// fall inside the padded extent [qbase - pad, qbase + p - pad) of the tile
-/// based at `qbase`, under the periodic wrap. Requires p <= nf.
-inline int tile_overlap_segs(std::int64_t c0, std::int64_t ce, std::int64_t qbase,
-                             std::int64_t pad, std::int64_t p, std::int64_t nf,
-                             TileSeg segs[2]) {
-  int n = 0;
-  const std::int64_t s0 = wrap_index(c0 - qbase + pad, nf);
-  const std::int64_t len1 = std::min(ce, nf - s0);  // before s wraps past nf
-  if (s0 < p) segs[n++] = {c0, s0, std::min(len1, p - s0)};
-  const std::int64_t len2 = ce - len1;
-  if (len2 > 0) segs[n++] = {c0 + len1, 0, std::min(len2, p)};
-  return n;
-}
-
-/// Per-axis neighbor entry: physical tile index q on this axis plus the
-/// overlap segments of the owner's core against q's padded extent.
-struct TileNbr {
-  std::int64_t q;
-  TileSeg segs[2];
-  int nsegs;
-};
-
-/// Window bound: pad <= (kMaxWidth+1)/2 = 12 and m >= 1 give at most
-/// 2*(1 + ceil(pad/m)) + 1 <= 27 candidate tiles per axis (fewer when nbins
-/// is small, since the all-tiles branch caps at nbins <= 27).
-inline constexpr int kMaxTileNbrs = 28;
-
-/// Enumerates, in a FIXED canonical order, the tiles on one axis whose padded
-/// extent overlaps the core of bin `bc`, with the overlap segments. The order
-/// is what makes the halo merge deterministic: every owner sums its neighbor
-/// contributions in exactly this sequence regardless of worker scheduling.
-inline int tile_axis_nbrs(std::int64_t bc, std::int64_t m, std::int64_t nbins,
-                          std::int64_t nf, std::int64_t pad, TileNbr out[kMaxTileNbrs]) {
+/// Greedy canonical colouring of the nbins tiles on one axis (bin size m,
+/// halo pad, fine-grid size nf >= m + 2*pad): writes color[q] and returns the
+/// number of colours. Only tiles whose starts lie less than p apart around
+/// the wrap can overlap, so each tile checks its reach-window of predecessors
+/// plus the first `reach` tiles (the wrap-around neighbours); there are at
+/// most 2*reach + 1 <= 51 colours (pad <= 12), so a 64-bit mask holds them.
+inline int tile_axis_colors(std::int64_t m, std::int64_t nbins, std::int64_t nf,
+                            std::int64_t pad, std::uint32_t* color) {
   const std::int64_t p = m + 2 * pad;
-  std::int64_t c0, ce;
-  tile_core(bc, m, nf, c0, ce);
-  const std::int64_t K = 1 + (pad + m - 1) / m;  // K*m >= m + pad covers the reach
-  int n = 0;
-  auto push = [&](std::int64_t q) {
-    TileNbr e;
-    e.q = q;
-    e.nsegs = tile_overlap_segs(c0, ce, q * m, pad, p, nf, e.segs);
-    if (e.nsegs > 0) out[n++] = e;
-  };
-  if (2 * K + 1 >= nbins) {
-    for (std::int64_t q = 0; q < nbins; ++q) push(q);
-  } else {
-    for (std::int64_t od = -K; od <= K; ++od) push(wrap_index(bc + od, nbins));
+  const std::int64_t reach = (p + m - 1) / m;
+  int ncolors = 0;
+  for (std::int64_t q = 0; q < nbins; ++q) {
+    std::uint64_t used = 0;
+    auto mark = [&](std::int64_t q2) {
+      const std::int64_t d = (q - q2) * m;  // start distance, in (0, nf)
+      if (d < p || nf - d < p) used |= std::uint64_t(1) << color[q2];
+    };
+    for (std::int64_t q2 = 0; q2 < std::min(q, reach); ++q2) mark(q2);
+    for (std::int64_t q2 = std::max(reach, q - reach); q2 < q; ++q2) mark(q2);
+    color[q] = static_cast<std::uint32_t>(std::countr_one(used));
+    ncolors = std::max(ncolors, static_cast<int>(color[q]) + 1);
   }
-  return n;
+  return ncolors;
 }
 
-// ---- shell-only halo arena layout ------------------------------------------
-//
-// After phase 1 of the tiled writeback the core box of a padded tile has been
-// added to fw and is never read again; only the SHELL (padded minus core)
-// feeds the halo merge. The persistent arena therefore stores each tile's
-// shell compacted row by row: rows whose y/z lie inside the tile's core range
-// keep only the two x-shell runs ([0, pad) and [pad + ce0, p0)), every other
-// row is stored whole. Phase-2 reads are per-axis overlap segments of a
-// NEIGHBOR's core against this tile — cores are disjoint, so a segment never
-// straddles the excluded core run and stays contiguous in the compact layout.
-
-/// Cells of the shell-compact tile: padded volume minus the core box.
-/// `ce` are the in-range core extents (tile_core) of the tile's own bin.
-inline std::size_t tile_shell_cells(int dim, const std::int64_t* p,
-                                    const std::int64_t* ce) {
-  std::int64_t padded = 1, core = 1;
-  for (int d = 0; d < dim; ++d) {
-    padded *= p[d];
-    core *= ce[d];
+/// Tile colour of every bin: the mixed-radix number of its axis colours
+/// (x fastest). Fills color[b] for all bins and returns the number of colour
+/// classes (the product of the per-axis colour counts).
+inline std::uint32_t tile_colors(const GridSpec& grid, const BinSpec& bins, int pad,
+                                 std::vector<std::uint32_t>& color) {
+  std::vector<std::uint32_t> axis[3];
+  std::uint32_t ncol[3] = {1, 1, 1};
+  for (int d = 0; d < 3; ++d) {
+    axis[d].assign(static_cast<std::size_t>(bins.nbins[d]), 0);
+    if (d < grid.dim)
+      ncol[d] = static_cast<std::uint32_t>(
+          tile_axis_colors(bins.m[d], bins.nbins[d], grid.nf[d], pad, axis[d].data()));
   }
-  return static_cast<std::size_t>(padded - core);
-}
-
-/// Offset of padded-tile cell (s0, s1, s2) in the shell-compact layout.
-/// Precondition: the cell lies in the shell (outside the core box); unused
-/// higher coordinates must be 0. Core rows before this row each save ce[0]
-/// cells; within a core row the high x-shell run follows the low one.
-template <int DIM>
-inline std::int64_t tile_shell_off(const std::int64_t* p, std::int64_t pad,
-                                   const std::int64_t* ce, std::int64_t s0,
-                                   std::int64_t s1, std::int64_t s2) {
-  std::int64_t ncr = 0;  // core rows strictly before row (s2, s1)
-  bool core_row = true;
-  if constexpr (DIM > 2) {
-    ncr = std::clamp<std::int64_t>(s2 - pad, 0, ce[2]) * ce[1];
-    core_row = s2 >= pad && s2 < pad + ce[2];
+  color.resize(static_cast<std::size_t>(bins.total_bins()));
+  for (std::size_t b = 0; b < color.size(); ++b) {
+    std::int64_t bc[3];
+    bin_coords(bins, static_cast<std::uint32_t>(b), bc);
+    color[b] = axis[0][bc[0]] + ncol[0] * (axis[1][bc[1]] + ncol[1] * axis[2][bc[2]]);
   }
-  if constexpr (DIM > 1) {
-    if (core_row) {
-      ncr += std::clamp<std::int64_t>(s1 - pad, 0, ce[1]);
-      core_row = s1 >= pad && s1 < pad + ce[1];
-    }
-  }
-  const std::int64_t row = (DIM > 2 ? s2 * p[1] : 0) + (DIM > 1 ? s1 : 0);
-  return row * p[0] - ncr * ce[0] + (core_row && s0 >= pad ? s0 - ce[0] : s0);
+  return ncol[0] * ncol[1] * ncol[2];
 }
 
 /// Iterates the padded bin row by row, handing `f` maximal runs that are

@@ -184,24 +184,6 @@ class Device {
                         /*grain=*/1);
   }
 
-  /// Like launch(), but schedules the blocks over the pool's work-stealing
-  /// path (ThreadPool::parallel_steal): block ids are dealt round-robin to
-  /// the workers in launch order and idle workers steal the front pending
-  /// block of the most-loaded peer. Pass block ids pre-sorted largest-work-
-  /// first so the deal and the steals both move the biggest pending block.
-  /// Blocks must be mutually independent (no inter-block ordering is
-  /// preserved). Returns the number of blocks that ran on a worker other
-  /// than the one they were dealt to (0 on single-worker devices).
-  template <typename K>
-  std::uint64_t launch_stealing(std::size_t nblocks, unsigned nthreads, K&& kernel) {
-    if (nthreads == 0 || nthreads > props.max_threads_per_block)
-      throw std::invalid_argument("vgpu: bad block size");
-    counters.kernels_launched.fetch_add(1, std::memory_order_relaxed);
-    counters.blocks_executed.fetch_add(nblocks, std::memory_order_relaxed);
-    if (nblocks == 0) return 0;
-    return pool_->parallel_steal(nblocks, block_runner(nblocks, nthreads, kernel));
-  }
-
   /// Convenience: grid-stride launch over `n` independent items with block
   /// size `block`; f(item_index, blk).
   template <typename F>
@@ -224,8 +206,8 @@ class Device {
   void reset_peak();
 
  private:
-  /// Per-block driver shared by launch() and launch_stealing(): builds the
-  /// BlockCtx, runs the kernel, and flushes the block-local counters.
+  /// Per-block driver of launch(): builds the BlockCtx, runs the kernel, and
+  /// flushes the block-local counters.
   template <typename K>
   auto block_runner(std::size_t nblocks, unsigned nthreads, K& kernel) {
     return [&kernel, this, nblocks, nthreads](std::size_t b, std::size_t wid) {

@@ -3,8 +3,12 @@
 //    $CF_WORKERS} on the tiled path (the whole pipeline is atomic-free and
 //    every fine-grid cell has a single owner with a fixed merge order);
 //  * zero global atomics across an entire tiled type-1 execute, all-interior
-//    and boundary-heavy alike, with the halo-merge counter accounting for the
+//    and boundary-heavy alike, with the halo-add counter accounting for the
 //    traffic that replaced them;
+//  * the tile colouring: no two same-colour tiles share a fine-grid cell, and
+//    colours and outputs are identical at every worker count;
+//  * the M-TIP merge geometry (3D fp64 at 1e-12) runs tiled in bounded
+//    memory;
 //  * parity against the atomic writeback at one worker across dims x methods
 //    x precisions x B in {1, 3};
 //  * graceful fallback: geometries failing the tile gate (padded extent
@@ -12,15 +16,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdlib>
 #include <complex>
 #include <numbers>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/plan.hpp"
 #include "cpu/direct.hpp"
+#include "mtip/geometry.hpp"
 #include "test_env.hpp"
 #include "vgpu/device.hpp"
 
@@ -200,8 +208,8 @@ TEST(TiledSpread, Sigma125BitwiseAcrossWorkerCounts) {
 
 TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
   // Zero global atomics is per-sigma part of the contract: the wider sigma =
-  // 1.25 halos go through the same shell arena + merge schedule, never
-  // through atomics.
+  // 1.25 halos go through the same colour-round writeback, never through
+  // atomics.
   for (int dim = 2; dim <= 3; ++dim) {
     auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
     opts.upsampfac = 1.25;
@@ -220,53 +228,51 @@ TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
   }
 }
 
-// ---- shell-only halo arena ---------------------------------------------------
+// ---- tile memory does not scale with the active tiles ------------------------
 
-TEST(TiledSpread, ShellOnlyArenaSmallerThanPaddedTileLayout) {
-  // The halo arena stores each tile's SHELL only (padded volume minus the
-  // core box phase 1 writes straight to fw). Breakdown::arena_bytes — shell
-  // slots plus the per-worker padded accumulation scratch — must therefore
-  // undercut the whole-padded-tile layout it replaced, whose size is
-  // reconstructed here from the plan's public geometry. Two device workers
-  // keep the scratch term small and deterministic. Chunk splitting is pinned
-  // off: this test measures the shell layout, and a forced split (e.g. the
-  // CI CF_TILE_CHUNK=1 pass) would add chunk planes to arena_bytes.
-  // Sigma is pinned to 2: shell < whole-tile is a pad-much-smaller-than-bin
-  // regime claim, and the sigma = 1.25 widths push the pad past half the bin
-  // on test-sized grids (the dedicated Sigma125 suites cover that regime).
+TEST(TiledSpread, ArenaBytesIndependentOfActiveTileCount) {
+  // Colour rounds persist nothing per tile: Breakdown::arena_bytes is the
+  // per-worker padded scratch plus split-chunk planes, so a point set that
+  // lights up every tile costs exactly what one confined to a few tiles does.
+  // Chunk splitting is pinned off (a forced split, e.g. the CI
+  // CF_TILE_CHUNK=1 pass, would add point-dependent chunk planes). Sigma is
+  // pinned to 2: the sigma = 1.25 test grids hold too few bins to tell a
+  // handful of active tiles from all of them.
   for (int dim = 2; dim <= 3; ++dim) {
     auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
     opts.tile_chunk_cap = -1;
     opts.upsampfac = 2.0;
+    const auto modes = modes_for(dim, 2.0);
     vgpu::Device dev(2);
-    core::Plan<float> plan(dev, 1, modes_for(dim, 2.0), +1, 1e-5, opts);
-    Problem<float> p(modes_for(dim, 2.0), 4000, 1, plan.fine_grid().nf, 0,
-                     77 + dim);
-    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    const auto bd = plan.last_breakdown();
-    ASSERT_GT(bd.tiles_active, 0u) << "dim=" << dim;
-    ASSERT_GT(bd.arena_bytes, 0u) << "dim=" << dim;
+    core::Plan<float> plan(dev, 1, modes, +1, 1e-5, opts);
+    const auto& nf = plan.fine_grid().nf;
+    Problem<float> spread_out(modes, 4000, 1, nf, 0, 77 + dim);
+    // Same strengths, coordinates squeezed into a 4-cell box near the origin.
+    Problem<float> few = spread_out;
+    auto squeeze = [](std::vector<float>& v, std::int64_t n) {
+      for (auto& x : v) x = x * float(4.0 / double(n));
+    };
+    squeeze(few.x, nf[0]);
+    if (dim >= 2) squeeze(few.y, nf[1]);
+    if (dim >= 3) squeeze(few.z, nf[2]);
 
-    const int w = plan.kernel_width();
-    const int pad = (w + 1) / 2;
-    const auto bins = cf::spread::BinSpec::make(
-        plan.fine_grid(), cf::spread::BinSpec::default_size(dim));
-    std::size_t padded = 1;
-    for (int d = 0; d < dim; ++d)
-      padded *= static_cast<std::size_t>(bins.m[d] + 2 * pad);
-    const std::size_t plane = padded + static_cast<std::size_t>(
-                                           cf::spread::pad_width(w) - w);
-    const std::size_t whole_tile_layout =
-        bd.tiles_active * plane * 2 * sizeof(float);
-    EXPECT_LT(bd.arena_bytes, whole_tile_layout) << "dim=" << dim;
-
-    // The slimmer arena must not change behavior: still tiled, still exact.
-    std::vector<std::complex<float>> f(static_cast<std::size_t>(p.ntot));
-    auto c = p.c;
-    dev.counters.reset();
-    plan.execute(c.data(), f.data());
-    EXPECT_EQ(plan.last_breakdown().tiled, 1);
-    EXPECT_EQ(dev.counters.global_atomics.load(), 0u);
+    core::Breakdown bd[2];
+    int k = 0;
+    for (const auto* p : {&few, &spread_out}) {
+      plan.set_points(p->M, p->x.data(), p->yp(), p->zp());
+      bd[k] = plan.last_breakdown();
+      std::vector<std::complex<float>> f(static_cast<std::size_t>(p->ntot));
+      auto c = p->c;
+      dev.counters.reset();
+      plan.execute(c.data(), f.data());
+      EXPECT_EQ(plan.last_breakdown().tiled, 1) << "dim=" << dim;
+      EXPECT_EQ(dev.counters.global_atomics.load(), 0u) << "dim=" << dim;
+      ++k;
+    }
+    ASSERT_GT(bd[0].arena_bytes, 0u) << "dim=" << dim;
+    ASSERT_GT(bd[1].tiles_active, 4 * bd[0].tiles_active) << "dim=" << dim;
+    EXPECT_EQ(bd[1].arena_bytes, bd[0].arena_bytes) << "dim=" << dim;
+    EXPECT_EQ(bd[1].tile_colors, bd[0].tile_colors) << "dim=" << dim;
   }
 }
 
@@ -525,4 +531,214 @@ TEST(TiledSpread, ClusteredChunkingBitwiseF32) {
 TEST(TiledSpread, ClusteredChunkingBitwiseF64) {
   for (int dim = 1; dim <= 3; ++dim)
     for (int kind = 0; kind <= 2; ++kind) check_cluster<double>(dim, kind);
+}
+
+// ---- tile colouring ----------------------------------------------------------
+
+namespace {
+
+/// One colouring geometry: a type-1 plan shape plus its bin size.
+struct ColorCase {
+  const char* name;
+  std::vector<std::int64_t> N;
+  double sigma, tol;
+  std::array<int, 3> binsize;
+  int want_w;  ///< kernel width the case is meant to exercise
+};
+
+/// The TileSet schedule fields that must not depend on the worker count.
+struct TileSchedule {
+  std::vector<std::uint32_t> tile_bin, color_tile0, color_chunk0, sched;
+  bool operator==(const TileSchedule&) const = default;
+};
+
+/// Builds the TileSet of `p`'s points on a `workers`-worker device and checks
+/// that no two tiles of one colour share a fine-grid cell: every tile stamps
+/// its whole wrapped padded box with its colour, and a cell stamped twice in
+/// one colour fails.
+TileSchedule check_coloring(const ColorCase& cc, const cf::spread::GridSpec& grid,
+                            const Problem<double>& p, std::size_t workers, int cap) {
+  namespace sp = cf::spread;
+  vgpu::Device dev(workers);
+  const auto bins = sp::BinSpec::make(grid, cc.binsize);
+  std::vector<double> xg(p.M), yg(p.y.size()), zg(p.z.size());
+  for (std::size_t j = 0; j < p.M; ++j) {
+    xg[j] = sp::fold_rescale(p.x[j], grid.nf[0]);
+    if (!yg.empty()) yg[j] = sp::fold_rescale(p.y[j], grid.nf[1]);
+    if (!zg.empty()) zg[j] = sp::fold_rescale(p.z[j], grid.nf[2]);
+  }
+  sp::DeviceSort sort;
+  sp::bin_sort(dev, grid, bins, xg.data(), yg.empty() ? nullptr : yg.data(),
+               zg.empty() ? nullptr : zg.data(), p.M, sort);
+  sp::TileSet<double> ts;
+  EXPECT_TRUE(sp::build_tile_set(dev, grid, bins, cc.want_w, sort, 1, ts, cap)) << cc.name;
+  EXPECT_GT(ts.n_active, 0u) << cc.name;
+  EXPECT_EQ(ts.color_tile0.size(), ts.n_colors + 1u) << cc.name;
+
+  std::vector<std::uint32_t> stamp(static_cast<std::size_t>(grid.total()), 0);
+  std::size_t collisions = 0;
+  for (std::uint32_t k = 0; k < ts.n_colors; ++k) {
+    for (std::uint32_t s = ts.color_tile0[k]; s < ts.color_tile0[k + 1]; ++s) {
+      std::int64_t delta[3], rem = ts.tile_bin[s];
+      for (int d = 0; d < 3; ++d) {
+        delta[d] = (rem % bins.nbins[d]) * bins.m[d] - (d < grid.dim ? ts.pad : 0);
+        rem /= bins.nbins[d];
+      }
+      for (std::int64_t s2 = 0; s2 < ts.p[2]; ++s2)
+        for (std::int64_t s1 = 0; s1 < ts.p[1]; ++s1)
+          for (std::int64_t s0 = 0; s0 < ts.p[0]; ++s0) {
+            const std::int64_t g0 = sp::wrap_index(delta[0] + s0, grid.nf[0]);
+            const std::int64_t g1 = sp::wrap_index(delta[1] + s1, grid.nf[1]);
+            const std::int64_t g2 = sp::wrap_index(delta[2] + s2, grid.nf[2]);
+            auto& st = stamp[static_cast<std::size_t>(
+                g0 + grid.nf[0] * (g1 + grid.nf[1] * g2))];
+            if (st == k + 1) ++collisions;
+            st = k + 1;
+          }
+    }
+  }
+  EXPECT_EQ(collisions, 0u) << cc.name << " cap=" << cap;
+  TileSchedule out;
+  out.tile_bin.assign(ts.tile_bin.data(), ts.tile_bin.data() + ts.n_active);
+  out.color_tile0 = ts.color_tile0;
+  out.color_chunk0 = ts.color_chunk0;
+  out.sched.assign(ts.sched.data(), ts.sched.data() + ts.n_chunks);
+  return out;
+}
+
+}  // namespace
+
+TEST(TiledSpread, ColoringDisjointAndWorkerIndependent) {
+  // 1D/2D/3D; nf = 162 with m = 16 (11 bins, short last core: the wrap pair
+  // needs a third axis colour); bins narrower than 2*pad (the M-TIP z axis,
+  // m = 2 at w = 13; sigma = 1.25 at w = 24 with m = 16).
+  const std::vector<ColorCase> cases = {
+      {"1d-nf162", {81}, 2.0, 1e-12, {16, 1, 1}, 13},
+      {"2d-nf162x100", {81, 50}, 2.0, 1e-12, {16, 16, 1}, 13},
+      {"3d-mtip-bins", {81, 24, 16}, 2.0, 1e-12, {16, 16, 2}, 13},
+      {"2d-sigma125-w24", {40, 40}, 1.25, 1e-15, {16, 16, 1}, 24},
+  };
+  for (const auto& cc : cases) {
+    const int dim = static_cast<int>(cc.N.size());
+    core::Options opts;
+    opts.method = core::Method::GMSort;
+    opts.upsampfac = cc.sigma;
+    opts.binsize = cc.binsize;
+    vgpu::Device probe(1);
+    core::Plan<double> trial(probe, 1, cc.N, +1, cc.tol, opts);
+    ASSERT_EQ(trial.kernel_width(), cc.want_w) << cc.name;
+    const auto grid = trial.fine_grid();
+    Problem<double> p(cc.N, 3000, 1, grid.nf, 0, 500 + dim);
+    for (int cap : {0, 1}) {
+      opts.tile_chunk_cap = cap;
+      std::vector<std::complex<double>> ref;
+      TileSchedule ref_sched;
+      for (std::size_t wc : {1, 2, 4}) {
+        const auto sched = check_coloring(cc, grid, p, wc, cap);
+        int tiled = 0;
+        const auto got = run_type1<double>(wc, p, opts, cc.tol, &tiled);
+        ASSERT_EQ(tiled, 1) << cc.name;
+        if (wc == 1) {
+          ref = got;
+          ref_sched = sched;
+          continue;
+        }
+        EXPECT_TRUE(sched == ref_sched) << cc.name << " cap=" << cap << " workers=" << wc;
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], ref[i]) << cc.name << " cap=" << cap << " workers=" << wc
+                                    << " i=" << i;
+      }
+    }
+  }
+}
+
+// ---- M-TIP merge geometry ----------------------------------------------------
+
+TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
+  // The M-TIP merge transform (paper Sec. V): 3D fp64 type 1 at tol 1e-12,
+  // N = 81, on 40 Ewald slices of 32^2 detector pixels, default 16x16x2 bins
+  // (w = 13 reaches 7 cells past a 2-cell-deep bin). Its thousands of active
+  // tiles must run on the tile engine — no atomic fallback — in memory that
+  // does not scale with them. Chunk splitting is pinned off so a forced CI
+  // cap cannot add chunk planes; the auto cap splits nothing here anyway,
+  // since no bin reaches kTileChunkMin points (asserted).
+  const double tol = 1e-12;
+  const std::vector<std::int64_t> N = {81, 81, 81};
+  std::vector<double> x, y, z;
+  cf::mtip::DetectorSpec det;
+  for (const auto& R : cf::mtip::random_rotations(40, 42))
+    cf::mtip::ewald_slice_points(R, det, x, y, z);
+  const std::size_t M = x.size();
+  ASSERT_EQ(M, 40u * 32u * 32u);
+  Rng rng(43);
+  std::vector<std::complex<double>> c(M);
+  for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+  core::Options opts;
+  opts.method = core::Method::GMSort;
+  opts.tile_chunk_cap = -1;
+  vgpu::Device dev(2);
+  core::Plan<double> plan(dev, 1, N, +1, tol, opts);
+  plan.set_points(M, x.data(), y.data(), z.data());
+  std::vector<std::complex<double>> f(static_cast<std::size_t>(81 * 81 * 81));
+  dev.counters.reset();
+  plan.execute(c.data(), f.data());
+  const auto bd = plan.last_breakdown();
+  ASSERT_EQ(bd.tiled, 1);
+  EXPECT_EQ(dev.counters.global_atomics.load(), 0u);
+  EXPECT_GT(bd.tiles_active, 1000u);
+  EXPECT_LT(bd.max_tile_points, cf::spread::kTileChunkMin);
+  EXPECT_LT(bd.arena_bytes, std::size_t(2) << 20);
+
+  // Sampled modes against the exact sum (x-fastest, k = i - N/2 per axis).
+  std::vector<std::complex<double>> got, want;
+  for (int s = 0; s < 48; ++s) {
+    const std::int64_t i0 = static_cast<std::int64_t>(rng.uniform(0, 81));
+    const std::int64_t i1 = static_cast<std::int64_t>(rng.uniform(0, 81));
+    const std::int64_t i2 = static_cast<std::int64_t>(rng.uniform(0, 81));
+    const double k0 = double(i0 - 40), k1 = double(i1 - 40), k2 = double(i2 - 40);
+    std::complex<double> acc(0, 0);
+    for (std::size_t j = 0; j < M; ++j)
+      acc += c[j] * std::polar(1.0, k0 * x[j] + k1 * y[j] + k2 * z[j]);
+    want.push_back(acc);
+    got.push_back(f[static_cast<std::size_t>(i0 + 81 * (i1 + 81 * i2))]);
+  }
+  EXPECT_LT(cf::cpu::rel_l2_error<double>(got, want), 10 * tol);
+}
+
+// ---- CF_TILE_CHUNK parsing ---------------------------------------------------
+
+TEST(TiledSpread, InvalidTileChunkEnvWarnsAndFallsBackToAuto) {
+  // A malformed CF_TILE_CHUNK must not silently mean "auto" (nor an
+  // out-of-range value undefined behaviour): the plan warns once on stderr
+  // and uses the auto cap, i.e. the exact schedule of an unset variable.
+  const char* prev = std::getenv("CF_TILE_CHUNK");
+  const std::string saved = prev ? prev : "";
+  const auto opts = base_opts(2, core::Method::GMSort, /*tiled=*/1);
+  vgpu::Device dev(2);
+  core::Plan<float> plan(dev, 1, modes_for(2), +1, 1e-5, opts);
+  const auto p = cluster_problem<float>(2, 0, 6000, plan.fine_grid().nf, 17);
+  auto breakdown_with = [&](const char* value) {
+    if (value)
+      setenv("CF_TILE_CHUNK", value, 1);
+    else
+      unsetenv("CF_TILE_CHUNK");
+    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
+    return plan.last_breakdown();
+  };
+  const auto auto_bd = breakdown_with(nullptr);
+  const auto forced_bd = breakdown_with("1");
+  ASSERT_GT(forced_bd.tile_chunks, auto_bd.tile_chunks);  // the knob is live
+  for (const char* bad : {"abc", "12x", "99999999999999999999"}) {
+    testing::internal::CaptureStderr();
+    const auto bd = breakdown_with(bad);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("CF_TILE_CHUNK"), std::string::npos) << bad;
+    EXPECT_EQ(bd.tile_chunks, auto_bd.tile_chunks) << bad;
+  }
+  if (prev)
+    setenv("CF_TILE_CHUNK", saved.c_str(), 1);
+  else
+    unsetenv("CF_TILE_CHUNK");
 }
