@@ -16,7 +16,7 @@
 // tracked configuration), with and without the Horner kernel table; later
 // sections ablate batching, caching, sigma, the tile writeback (including the
 // M-TIP merge transform, `mtip_merge3d`), interior classification and worker
-// count.
+// count. An `fft` section times the FFT substrate alone on the workload grids.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -32,7 +32,9 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/plan.hpp"
+#include "fft/fftnd.hpp"
 #include "mtip/geometry.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/spread.hpp"
@@ -569,8 +571,8 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
 /// — 3D type 1 at fp64 tol 1e-12, N = 81, on 40 Ewald slices of 32^2
 /// detector pixels (default GM-sort, default 16x16x2 bins, w = 13) — with the
 /// colour-scheduled tile writeback against the atomic writeback
-/// (tiled_spread = 0). Rows record the execute and spread times (median and
-/// range over the reps), global atomics and halo adds per point, the tile
+/// (tiled_spread = 0). Rows record the execute, spread and FFT times (median
+/// and range over the reps), global atomics and halo adds per point, the tile
 /// scratch bytes, the colour classes, and whether the tiled output is
 /// bitwise-identical across worker counts {1, 2}.
 void run_mtip_merge(int reps, bench::JsonReport& json) {
@@ -587,8 +589,8 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
   std::printf("\n--- M-TIP merge ablation: 3D type-1 execute, 40 Ewald slices x 32^2 "
               "(M=%zu), N=81, tol=%g, fp64, colour-scheduled tiles vs atomic ---\n",
               M, tol);
-  Table t({"writeback", "exec [s]", "spread [s]", "atomics/pt", "halo adds/pt",
-           "arena [MB]", "colours", "spread spdup"});
+  Table t({"writeback", "exec [s]", "spread [s]", "fft [s]", "atomics/pt",
+           "halo adds/pt", "arena [MB]", "colours", "spread spdup"});
   double base_exec = 0, base_spread = 0;
   for (int tiled : {0, 1}) {
     vgpu::Device dev;
@@ -600,16 +602,18 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
     plan.set_points(M, x.data(), y.data(), z.data());
     const double setpts_s = ts.seconds();
     // Median and range over the reps (after one warmup execute).
-    std::vector<double> ex, sp;
+    std::vector<double> ex, sp, ff;
     plan.execute(c.data(), f.data());
     for (int r = 0; r < std::max(1, reps); ++r) {
       Timer te;
       plan.execute(c.data(), f.data());
       ex.push_back(te.seconds());
       sp.push_back(plan.last_breakdown().spread);
+      ff.push_back(plan.last_breakdown().fft);
     }
     std::sort(ex.begin(), ex.end());
     std::sort(sp.begin(), sp.end());
+    std::sort(ff.begin(), ff.end());
     const double exec_s = ex[ex.size() / 2], spread_s = sp[sp.size() / 2];
     dev.counters.reset();
     plan.execute(c.data(), f.data());
@@ -634,7 +638,7 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
       bitwise = bitwise && f1 == f2;
     }
     t.add_row({tiled ? "tiled" : "atomic", Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
-               Table::fmt(double(atomics) / double(M), 1),
+               Table::fmt(ff[ff.size() / 2], 3), Table::fmt(double(atomics) / double(M), 1),
                Table::fmt(double(merges) / double(M), 1),
                Table::fmt(double(bd.arena_bytes) / 1e6, 2),
                std::to_string(bd.tile_colors),
@@ -658,6 +662,9 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
         .field("spread_s", spread_s)
         .field("spread_min_s", sp.front())
         .field("spread_max_s", sp.back())
+        .field("fft_s", ff[ff.size() / 2])
+        .field("fft_min_s", ff.front())
+        .field("fft_max_s", ff.back())
         .field("setpts_s", setpts_s)
         .field("global_atomics", atomics)
         .field("atomics_per_pt", double(atomics) / double(M))
@@ -875,6 +882,61 @@ void run_interior(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int rep
   t.print();
 }
 
+/// FFT substrate alone: one FftNd transform (alternating forward/backward)
+/// of the grids the tracked workloads use — the M-TIP merge, slice and
+/// phasing grids (162^3, 90^3, 81^3 fp64) across worker counts, and the 2D
+/// fp32 grids of the MRI solve and the service mix (512^2, 256^2) at one
+/// worker. Rows give the median and range over the reps and GFlop/s at the
+/// nominal 5*n*log2(n) flops of an n-point complex FFT.
+template <typename T>
+void fft_row(const std::vector<std::size_t>& dims, std::size_t workers, int reps,
+             Table& t, bench::JsonReport& json) {
+  ThreadPool pool(workers);
+  fft::FftNd<T> plan(pool, dims);
+  std::vector<std::complex<T>> data(plan.total());
+  Rng rng(44);
+  for (auto& v : data)
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  plan.exec(data.data(), -1);  // warmup
+  std::vector<double> ts;
+  for (int r = 0; r < reps; ++r) {
+    Timer tm;
+    plan.exec(data.data(), r % 2 ? -1 : +1);
+    ts.push_back(tm.seconds());
+  }
+  std::sort(ts.begin(), ts.end());
+  const double n = double(plan.total()), med = ts[ts.size() / 2];
+  const double gflops = 5.0 * n * std::log2(n) / med * 1e-9;
+  std::string shape;
+  for (std::size_t d : dims) shape += (shape.empty() ? "" : "x") + std::to_string(d);
+  const char* prec = sizeof(T) == 8 ? "fp64" : "fp32";
+  t.add_row({shape, prec, std::to_string(workers), Table::fmt(med * 1e3, 2),
+             Table::fmt(ts.front() * 1e3, 2), Table::fmt(ts.back() * 1e3, 2),
+             Table::fmt(gflops, 2)});
+  json.add()
+      .field("bench", "fft")
+      .field("shape", shape)
+      .field("dim", dims.size())
+      .field("n", plan.total())
+      .field("prec", prec)
+      .field("workers", workers)
+      .field("reps", static_cast<std::int64_t>(ts.size()))
+      .field("fft_s", med)
+      .field("fft_min_s", ts.front())
+      .field("fft_max_s", ts.back())
+      .field("gflops", gflops);
+}
+
+void run_fft(int reps, bench::JsonReport& json) {
+  reps = std::max(5, reps);
+  std::printf("\n--- FFT substrate: FftNd alone, median over %d reps ---\n", reps);
+  Table t({"grid", "prec", "workers", "median [ms]", "min [ms]", "max [ms]", "GFlop/s"});
+  for (std::size_t n : {162, 90, 81})
+    for (std::size_t w : {1, 2, 4}) fft_row<double>({n, n, n}, w, reps, t, json);
+  for (std::size_t n : {512, 256}) fft_row<float>({n, n}, 1, reps, t, json);
+  t.print();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -909,6 +971,7 @@ int main(int argc, char** argv) {
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);
   run_mtip_merge(reps, json);
+  run_fft(reps, json);
   run_interior(dev, tracked, mfast, reps, json);
   run_workers(tracked, mfast, reps, json);
 

@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
     const auto p = mtip::run_weak_scaling(r, cfg, node, rho);
     t.add_row({std::to_string(r), Table::fmt(p.setup_s, 3), Table::fmt(p.slice_s, 3),
                Table::fmt(p.merge_s, 3),
-               r <= ngpus ? "<= 1 rank/GPU (expect flat)" : "oversubscribed"});
+               p.ranks_per_device == 1
+                   ? "<= 1 rank/GPU (expect flat)"
+                   : "oversubscribed (" + std::to_string(p.ranks_per_device) + " ranks/GPU)"});
   }
   t.print();
   std::printf("\nIdeal weak scaling = constant times while ranks <= %d.\n", ngpus);

@@ -1,11 +1,20 @@
 // Complex FFT substrate — the cuFFT substitute.
 //
-// The NUFFT fine grid is always sized to 2^a 3^b 5^c (see next235), handled by
-// a recursive mixed-radix decimation-in-time transform with a single
-// precomputed twiddle table per plan. Arbitrary sizes (used in tests and by
-// Bluestein itself) fall back to Bluestein's algorithm over a power-of-two
-// convolution. Transforms are unnormalized in both directions, matching the
-// paper's eqs. (9) and (12).
+// One engine serves every size and every caller: a Stockham autosort
+// transform that runs L lines ("lanes") in lockstep. A lane group is held
+// split re/im, element j of lane v at re[j*L + v] and im[j*L + v], so every
+// butterfly's innermost loop runs over s*L contiguous values of T (s = the
+// stage's stride) and auto-vectorizes; the butterflies are written in real
+// arithmetic. The NUFFT fine grid is always sized to 2^a 3^b 5^c (see
+// next235), factored into radix-4/2/3/5 stages with per-stage twiddle
+// tables built at plan time (conjugated on the fly for sign +1). Any other
+// size runs Bluestein's algorithm on the same lanes: chirp, a power-of-two
+// convolution through the lane engine, chirp. Transforms are unnormalized in both directions,
+// matching the paper's eqs. (9) and (12).
+//
+// Every lane goes through the same sequence of floating-point operations, so
+// a line's output bits depend only on its own data — not on L, its lane
+// slot, or what the other lanes hold.
 #pragma once
 
 #include <complex>
@@ -23,12 +32,15 @@ std::size_t next235(std::size_t n);
 bool is_235(std::size_t n);
 
 /// One-dimensional complex FFT plan of fixed size n for element type T
-/// (float or double). Thread-safe: exec() is const and all mutable state
-/// lives in the caller-provided workspace.
+/// (float or double). Thread-safe: exec() and exec_lanes() are const and all
+/// mutable state lives in the caller-provided workspace.
 template <typename T>
 class Fft1d {
  public:
   using cplx = std::complex<T>;
+
+  /// Lanes of a full group: one 64-byte vector of T (8 in fp64, 16 in fp32).
+  static constexpr std::size_t kLanes = 64 / sizeof(T);
 
   explicit Fft1d(std::size_t n);
   ~Fft1d();
@@ -45,36 +57,43 @@ class Fft1d {
   /// Computes out[k] = sum_j in[j*stride] * exp(sign * 2*pi*i * j*k / n),
   /// k = 0..n-1, out contiguous. sign must be -1 (forward) or +1 (backward);
   /// both are unnormalized. `work` must hold workspace_size() elements.
+  /// A one-lane call into exec_lanes().
   void exec(const cplx* in, std::ptrdiff_t stride, cplx* out, int sign, cplx* work) const;
 
+  /// Number of T elements of scratch exec_lanes() requires for `lanes` lanes.
+  std::size_t lane_workspace(std::size_t lanes) const;
+
+  /// Transforms `lanes` lines at once. `x` holds 2*n*lanes values: the real
+  /// parts x[j*lanes + v] followed by the imaginary parts
+  /// x[n*lanes + j*lanes + v] (j < n, v < lanes). `work` holds
+  /// lane_workspace(lanes) values. Returns the buffer holding the result in
+  /// the same layout — either `x` or a block of `work`. sign must be +-1
+  /// (unchecked here; exec() checks it).
+  T* exec_lanes(T* x, std::size_t lanes, int sign, T* work) const;
+
  private:
-  void exec_mixed(const cplx* in, std::ptrdiff_t stride, cplx* out, int sign, cplx* work) const;
-  void exec_bluestein(const cplx* in, std::ptrdiff_t stride, cplx* out, int sign,
-                      cplx* work) const;
-  void rec(const cplx* x, std::ptrdiff_t stride, cplx* dst, cplx* scratch, std::size_t n,
-           std::size_t fi, int sign) const;
+  struct Stage {
+    unsigned radix;
+    std::size_t m;       // butterflies per sub-transform: n_cur / radix
+    std::size_t stride;  // product of the radices of earlier stages
+    std::size_t tw;      // offset of this stage's twiddles in twr_/twi_
+  };
+
+  T* exec_stockham(T* x, std::size_t lanes, int sign, T* work) const;
+  T* exec_bluestein(T* x, std::size_t lanes, int sign, T* work) const;
 
   std::size_t n_ = 0;
-  bool bluestein_ = false;
-  std::vector<unsigned> factors_;  // radix sequence, each in {2,3,5}
-  std::vector<cplx> tw_;           // exp(-2*pi*i*j/n), j in [0, n)
-
-  // Per-recursion-depth twiddle tables, precomputed at plan time so the
-  // combine loops index contiguous memory with no `idx % n` reduction:
-  //  stage_tw_[fi][(q-1)*m + t] = w_n^{q*t*stride_fi}   (child twiddles)
-  //  stage_dft_[fi][s*r + q]    = w_r^{q*s}             (radix-r DFT matrix)
-  // where, at depth fi, r = factors_[fi], the subtransform length is m and
-  // stride_fi = prod of factors_[0..fi). All depth-fi recursion nodes share
-  // these tables.
-  std::vector<std::vector<cplx>> stage_tw_;
-  std::vector<std::vector<cplx>> stage_dft_;
+  std::vector<Stage> stages_;
+  // Forward twiddles w_{n_cur}^{j*p} = exp(-2*pi*i*j*p/n_cur) per stage, at
+  // tw + p*(radix-1) + (j-1) for p in [0, m), j in [1, radix).
+  std::vector<T> twr_, twi_;
 
   // Bluestein state (only when !is_235(n)): convolution length nb (pow2),
   // chirp a_j = exp(-i*pi*j^2/n), and FFT of the padded chirp filter.
   std::size_t nb_ = 0;
   std::unique_ptr<Fft1d<T>> sub_;
-  std::vector<cplx> chirp_;
-  std::vector<cplx> bhat_;
+  std::vector<T> chirp_re_, chirp_im_;
+  std::vector<T> bhat_re_, bhat_im_;
 };
 
 extern template class Fft1d<float>;

@@ -4,12 +4,23 @@
 // unnormalized d-dimensional complex transform executed with device
 // parallelism (the vgpu Device hands its pool to this class; the CPU
 // comparator library hands its host pool).
+//
+// Every axis pass works on lane groups: it gathers up to Fft1d::kLanes lines
+// into one worker's split re/im lane buffer, runs the lane engine
+// (Fft1d::exec_lanes) once for the whole group, and scatters the lines back.
+// On a strided axis a group is kLanes consecutive inner indices, so each
+// element row is one contiguous read; on axis 0 a group is kLanes
+// consecutive rows, transposed into lanes. An axis with fewer lines per
+// slab than kLanes runs groups of that many lanes; otherwise a short tail
+// group is padded with zero lanes. Since the engine treats every lane alike,
+// a line's bits do not depend on its group, its lane slot or the worker
+// count.
 #pragma once
 
 #include <algorithm>
 #include <complex>
 #include <cstring>
-#include <numeric>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -24,6 +35,7 @@ template <typename T>
 class FftNd {
  public:
   using cplx = std::complex<T>;
+  static constexpr std::size_t kLanes = Fft1d<T>::kLanes;
 
   FftNd(ThreadPool& pool, std::vector<std::size_t> dims)
       : pool_(&pool), dims_(std::move(dims)) {
@@ -34,16 +46,18 @@ class FftNd {
       if (d == 0) throw std::invalid_argument("FftNd: zero dim");
       total_ *= d;
     }
-    std::size_t nmax = 0, wsmax = 0;
+    std::size_t stride = 1;
     for (std::size_t d : dims_) {
       plans_.emplace_back(d);
-      nmax = std::max(nmax, d);
-      wsmax = std::max(wsmax, plans_.back().workspace_size());
+      geoms_.push_back(make_geom(d, stride));
+      // Per-worker scratch: the lane group plus the engine's workspace, which
+      // also stages the fused pass's rows.
+      const std::size_t lanes = geoms_.back().lanes;
+      ws_ = std::max(ws_, 2 * d * lanes + plans_.back().lane_workspace(lanes));
+      stride *= d;
     }
-    // Per-worker scratch: gather line + output line + FFT workspace.
     scratch_.resize(pool_->size());
-    for (auto& s : scratch_) s.resize(2 * nmax + wsmax);
-    nmax_ = nmax;
+    for (auto& s : scratch_) s.resize(ws_ / 2 + kLanes);  // room to 64-byte align
   }
 
   std::size_t total() const { return total_; }
@@ -62,8 +76,7 @@ class FftNd {
   /// rereads the one plane the previous pass just wrote — the cache reuse a
   /// B = 1 execute gets implicitly — instead of streaming the whole
   /// nbatch-plane stack per axis. Each per-axis launch still spreads its
-  /// total()/n lines over the pool, so multi-worker devices stay saturated;
-  /// the per-stage twiddle tables are shared across planes either way.
+  /// lane groups over the pool, so multi-worker devices stay saturated.
   void exec_batch(cplx* data, std::size_t nbatch, std::size_t batch_stride, int sign) {
     for (std::size_t b = 0; b < nbatch; ++b)
       for (std::size_t axis = 0; axis < dims_.size(); ++axis)
@@ -76,10 +89,10 @@ class FftNd {
   /// writes each row straight into FFT scratch, eliminating one full
   /// write+read pass over the nbatch-plane grid. `fill` must either populate
   /// all dims()[0] entries of `row` and return true, or return false to
-  /// declare the row identically zero — in which case the transform is
-  /// skipped (the DFT of zero is zero) and the row in `data` is zero-filled.
-  /// `data` need not be initialized beforehand; `fill` may be called
-  /// concurrently from pool workers.
+  /// declare the row identically zero — in which case the row in `data` is
+  /// zero-filled, and a lane group whose rows are all zero is not transformed
+  /// (the DFT of zero is zero). `data` need not be initialized beforehand;
+  /// `fill` may be called concurrently from pool workers.
   template <typename RowFill>
   void exec_batch_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
                         int sign, RowFill&& fill) {
@@ -89,76 +102,151 @@ class FftNd {
   }
 
  private:
+  // Where an axis pass finds its lines: lane v of group g within a slab is
+  // line g*lanes + v, and element j of that line sits at
+  // slab_base + (g*lanes + v)*lane_pitch + j*elem_pitch.
+  struct AxisGeom {
+    std::size_t n, lanes, lines, groups, slabs, slab_pitch, lane_pitch, elem_pitch;
+  };
+
+  // Axis of length n whose elements lie `stride` apart (stride 1: axis 0).
+  // Lines per slab are all rows on axis 0 and the inner extent otherwise;
+  // an axis with fewer lines than kLanes runs groups of that many lanes.
+  AxisGeom make_geom(std::size_t n, std::size_t stride) const {
+    AxisGeom g{};
+    g.n = n;
+    if (stride == 1) {
+      g.lines = total_ / n;
+      g.slabs = 1;
+      g.lane_pitch = n;
+      g.elem_pitch = 1;
+    } else {
+      g.lines = stride;
+      g.slabs = total_ / (stride * n);
+      g.slab_pitch = stride * n;
+      g.lane_pitch = 1;
+      g.elem_pitch = stride;
+    }
+    g.lanes = std::min(kLanes, g.lines);
+    g.groups = (g.lines + g.lanes - 1) / g.lanes;
+    return g;
+  }
+
+  // Worker wid's scratch as complex values; the lane buffers view it as T.
+  cplx* scratch(std::size_t wid) {
+    void* p = scratch_[wid].data();
+    std::size_t space = scratch_[wid].size() * sizeof(cplx);
+    return static_cast<cplx*>(std::align(64, ws_ * sizeof(T), p, space));
+  }
+
+  // Copies `cnt` lines into the lane buffer x (re block, then im block) and
+  // zero-fills lanes [cnt, lanes).
+  static void gather(const cplx* base, const AxisGeom& g, std::size_t cnt, T* x) {
+    const std::size_t L = g.lanes;
+    T* xr = x;
+    T* xi = x + g.n * L;
+    if (g.elem_pitch == 1) {
+      for (std::size_t v = 0; v < cnt; ++v) {
+        const cplx* src = base + v * g.lane_pitch;
+        for (std::size_t j = 0; j < g.n; ++j) {
+          xr[j * L + v] = src[j].real();
+          xi[j * L + v] = src[j].imag();
+        }
+      }
+    } else {
+      for (std::size_t j = 0; j < g.n; ++j) {
+        const cplx* src = base + j * g.elem_pitch;
+        for (std::size_t v = 0; v < cnt; ++v) {
+          xr[j * L + v] = src[v].real();
+          xi[j * L + v] = src[v].imag();
+        }
+      }
+    }
+    if (cnt < L)
+      for (std::size_t j = 0; j < g.n; ++j)
+        for (std::size_t v = cnt; v < L; ++v) xr[j * L + v] = xi[j * L + v] = T(0);
+  }
+
+  // Writes lanes [0, cnt) of the lane buffer y back to their lines.
+  static void scatter(const T* y, const AxisGeom& g, std::size_t cnt, cplx* base) {
+    const std::size_t L = g.lanes;
+    const T* yr = y;
+    const T* yi = y + g.n * L;
+    if (g.elem_pitch == 1) {
+      for (std::size_t v = 0; v < cnt; ++v) {
+        cplx* dst = base + v * g.lane_pitch;
+        for (std::size_t j = 0; j < g.n; ++j) dst[j] = cplx(yr[j * L + v], yi[j * L + v]);
+      }
+    } else {
+      for (std::size_t j = 0; j < g.n; ++j) {
+        cplx* dst = base + j * g.elem_pitch;
+        for (std::size_t v = 0; v < cnt; ++v) dst[v] = cplx(yr[j * L + v], yi[j * L + v]);
+      }
+    }
+  }
+
   template <typename RowFill>
   void exec_axis0_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
                         int sign, RowFill&& fill) {
-    const std::size_t n = dims_[0];
-    const std::size_t nlines = total_ / n;
+    const AxisGeom& g = geoms_[0];
     const Fft1d<T>& plan = plans_[0];
     auto body = [&](std::size_t lo, std::size_t hi, std::size_t wid) {
-      auto& s = scratch_[wid];
-      cplx* gather = s.data();
-      cplx* outline = s.data() + nmax_;
-      cplx* work = s.data() + 2 * nmax_;
+      cplx* s = scratch(wid);
+      T* x = reinterpret_cast<T*>(s);
+      T* work = x + 2 * g.n * g.lanes;
+      cplx* rows = s + g.n * g.lanes;  // `work` staging the rows; the engine reuses it
       for (std::size_t idx = lo; idx < hi; ++idx) {
-        const std::size_t line = idx % nlines;
-        const std::size_t b = idx / nlines;
-        cplx* base = data + b * batch_stride + line * n;
-        if (fill(gather, line, b)) {
-          if (n == 1) {
-            base[0] = gather[0];
-            continue;
-          }
-          plan.exec(gather, 1, outline, sign, work);
-          std::memcpy(base, outline, n * sizeof(cplx));
-        } else {
-          std::memset(base, 0, n * sizeof(cplx));
+        const std::size_t b = idx / g.groups;
+        const std::size_t first = (idx % g.groups) * g.lanes;
+        const std::size_t cnt = std::min(g.lanes, g.lines - first);
+        cplx* base = data + b * batch_stride + first * g.n;
+        bool nz[kLanes];
+        bool any = false;
+        for (std::size_t v = 0; v < cnt; ++v) any |= nz[v] = fill(rows + v * g.n, first + v, b);
+        if (!any) {
+          std::memset(static_cast<void*>(base), 0, cnt * g.n * sizeof(cplx));
+          continue;
         }
+        for (std::size_t v = 0; v < cnt; ++v)
+          if (!nz[v]) std::fill_n(rows + v * g.n, g.n, cplx(0, 0));
+        gather(rows, g, cnt, x);
+        scatter(plan.exec_lanes(x, g.lanes, sign, work), g, cnt, base);
+        for (std::size_t v = 0; v < cnt; ++v)
+          if (!nz[v]) std::memset(static_cast<void*>(base + v * g.n), 0, g.n * sizeof(cplx));
       }
     };
-    pool_->parallel_chunks(0, nbatch * nlines, pool_->size() * 4, body);
+    pool_->parallel_chunks(0, nbatch * g.groups, pool_->size() * 4, body);
   }
 
   void exec_axis(cplx* data, std::size_t nbatch, std::size_t batch_stride,
                  std::size_t axis, int sign) {
-    const std::size_t n = dims_[axis];
-    if (n == 1) return;
-    std::size_t stride = 1;
-    for (std::size_t a = 0; a < axis; ++a) stride *= dims_[a];
-    const std::size_t nlines = total_ / n;
+    if (dims_[axis] == 1) return;
+    const AxisGeom& g = geoms_[axis];
     const Fft1d<T>& plan = plans_[axis];
+    const std::size_t per_batch = g.slabs * g.groups;
     auto body = [&](std::size_t lo, std::size_t hi, std::size_t wid) {
-      auto& s = scratch_[wid];
-      cplx* gather = s.data();
-      cplx* outline = s.data() + nmax_;
-      cplx* work = s.data() + 2 * nmax_;
+      T* x = reinterpret_cast<T*>(scratch(wid));
+      T* work = x + 2 * g.n * g.lanes;
       for (std::size_t idx = lo; idx < hi; ++idx) {
-        // Flat index = (line within grid, batch); line = (inner, outer) with
-        // inner in [0, stride).
-        const std::size_t line = idx % nlines;
-        const std::size_t b = idx / nlines;
-        const std::size_t inner = line % stride;
-        const std::size_t outer = line / stride;
-        cplx* base = data + b * batch_stride + outer * stride * n + inner;
-        if (stride == 1) {
-          plan.exec(base, 1, outline, sign, work);
-          std::memcpy(base, outline, n * sizeof(cplx));
-        } else {
-          for (std::size_t j = 0; j < n; ++j) gather[j] = base[j * stride];
-          plan.exec(gather, 1, outline, sign, work);
-          for (std::size_t j = 0; j < n; ++j) base[j * stride] = outline[j];
-        }
+        const std::size_t b = idx / per_batch;
+        const std::size_t slab = (idx % per_batch) / g.groups;
+        const std::size_t first = (idx % g.groups) * g.lanes;
+        const std::size_t cnt = std::min(g.lanes, g.lines - first);
+        cplx* base = data + b * batch_stride + slab * g.slab_pitch + first * g.lane_pitch;
+        gather(base, g, cnt, x);
+        scatter(plan.exec_lanes(x, g.lanes, sign, work), g, cnt, base);
       }
     };
-    pool_->parallel_chunks(0, nbatch * nlines, pool_->size() * 4, body);
+    pool_->parallel_chunks(0, nbatch * per_batch, pool_->size() * 4, body);
   }
 
   ThreadPool* pool_;
   std::vector<std::size_t> dims_;
   std::vector<Fft1d<T>> plans_;
+  std::vector<AxisGeom> geoms_;
   std::vector<std::vector<cplx>> scratch_;
+  std::size_t ws_ = 0;  // values of T each worker's scratch needs
   std::size_t total_ = 0;
-  std::size_t nmax_ = 0;
 };
 
 }  // namespace cf::fft

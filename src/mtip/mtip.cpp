@@ -203,6 +203,7 @@ WeakScalingPoint run_weak_scaling(int nranks, const MtipConfig& cfg, const NodeS
 
   WeakScalingPoint out;
   out.nranks = nranks;
+  out.ranks_per_device = (nranks + node.ngpus - 1) / node.ngpus;
   std::vector<double> setup(nranks), slice(nranks), merge(nranks);
   // Phase-synchronized: all ranks run each step concurrently (MPI style).
   auto run_phase = [&](auto&& fn) {

@@ -106,6 +106,7 @@ struct NodeSpec {
 
 struct WeakScalingPoint {
   int nranks = 0;
+  int ranks_per_device = 0;  ///< most ranks sharing one device
   double setup_s = 0;   ///< max over ranks
   double slice_s = 0;   ///< max over ranks (type-2 exec)
   double merge_s = 0;   ///< max over ranks (type-1 exec)

@@ -1,5 +1,7 @@
 // FFT substrate tests: correctness against the direct DFT for all radix
-// mixtures and Bluestein sizes, algebraic properties, and N-d plans.
+// mixtures and Bluestein sizes, algebraic properties, N-d plans (including
+// lane-group tails and the fused first axis), and the lane engine's
+// determinism contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -101,8 +103,9 @@ TEST_P(Fft1dSizes, MatchesDirectDftSingle) {
 
 INSTANTIATE_TEST_SUITE_P(AllRadixMixes, Fft1dSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24,
-                                           25, 27, 30, 32, 45, 60, 64, 81, 100, 120, 125,
-                                           128, 135, 240, 243, 256, 360, 625, 729, 1024));
+                                           25, 27, 30, 32, 45, 60, 64, 81, 90, 100, 120,
+                                           125, 128, 135, 162, 240, 243, 256, 360, 512, 625,
+                                           729, 1024));
 
 INSTANTIATE_TEST_SUITE_P(BluesteinSizes, Fft1dSizes,
                          ::testing::Values(7, 11, 13, 17, 23, 31, 41, 61, 97, 101, 127,
@@ -358,4 +361,140 @@ TEST(Fft1d, LargeSizeSmoke) {
   for (std::size_t i = 0; i < n; i += 997)
     maxerr = std::max(maxerr, std::abs(out[i] / double(n) - in[i]));
   EXPECT_LT(maxerr, 1e-10);
+}
+
+namespace {
+
+/// Separable direct DFT in double along every axis of a dims[0]-fastest grid.
+template <typename T>
+std::vector<std::complex<double>> direct_dft_nd(const std::vector<std::complex<T>>& in,
+                                                const std::vector<std::size_t>& dims,
+                                                int sign) {
+  std::vector<std::complex<double>> a(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) a[i] = {in[i].real(), in[i].imag()};
+  std::size_t stride = 1;
+  for (std::size_t n : dims) {
+    std::vector<std::complex<double>> line(n);
+    for (std::size_t base = 0; base < a.size(); ++base) {
+      if ((base / stride) % n != 0) continue;  // first element of a line
+      for (std::size_t j = 0; j < n; ++j) line[j] = a[base + j * stride];
+      const auto out = direct_dft(line, sign);
+      for (std::size_t k = 0; k < n; ++k) a[base + k * stride] = out[k];
+    }
+    stride *= n;
+  }
+  return a;
+}
+
+template <typename T>
+void check_nd_against_direct(const std::vector<std::size_t>& dims, double tol) {
+  ThreadPool pool(3);
+  fft::FftNd<T> plan(pool, dims);
+  auto in = random_signal<T>(plan.total(), 300 + plan.total());
+  for (int sign : {-1, +1}) {
+    auto data = in;
+    plan.exec(data.data(), sign);
+    EXPECT_LT(max_err(data, direct_dft_nd(in, dims, sign)), tol) << "sign=" << sign;
+  }
+}
+
+}  // namespace
+
+// Lane-group tails: neither the line count nor the stride is a multiple of
+// the lane width; a Bluestein dim on a strided axis and on axis 0; the
+// workload line sizes (81, 90, 162, 256, 512) inside lane groups.
+class FftNdGeometry : public ::testing::TestWithParam<std::vector<std::size_t>> {};
+
+TEST_P(FftNdGeometry, MatchesDirectDftDouble) { check_nd_against_direct<double>(GetParam(), 1e-11); }
+
+TEST_P(FftNdGeometry, MatchesDirectDftSingle) { check_nd_against_direct<float>(GetParam(), 2e-4); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Tails, FftNdGeometry,
+    ::testing::Values(std::vector<std::size_t>{6, 5, 7}, std::vector<std::size_t>{162, 3, 5},
+                      std::vector<std::size_t>{12, 11, 4}, std::vector<std::size_t>{13, 10},
+                      std::vector<std::size_t>{9, 17}, std::vector<std::size_t>{81, 9},
+                      std::vector<std::size_t>{90, 10}, std::vector<std::size_t>{256, 9},
+                      std::vector<std::size_t>{9, 512}));
+
+// One line transformed alone (Fft1d), in every lane slot of a full group next
+// to unrelated lanes, and as every line of a 3D FftNd at 1, 2 and 4 workers
+// gives the same bits everywhere.
+template <typename T>
+void check_lane_slot_independence() {
+  using cplx = std::complex<T>;
+  const std::size_t n = 360;  // radices 4, 2, 3, 3, 5
+  const std::size_t L = fft::Fft1d<T>::kLanes;
+  const auto line = random_signal<T>(n, 400);
+  fft::Fft1d<T> plan(n);
+  std::vector<cplx> want(n), work(plan.workspace_size());
+  plan.exec(line.data(), 1, want.data(), -1, work.data());
+
+  const auto others = random_signal<T>(n * L, 401);
+  std::vector<T> x(2 * n * L), lw(plan.lane_workspace(L));
+  for (std::size_t slot = 0; slot < L; ++slot) {
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t v = 0; v < L; ++v) {
+        const cplx z = v == slot ? line[j] : others[j * L + v];
+        x[j * L + v] = z.real();
+        x[n * L + j * L + v] = z.imag();
+      }
+    const T* y = plan.exec_lanes(x.data(), L, -1, lw.data());
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(cplx(y[k * L + slot], y[n * L + k * L + slot]), want[k])
+          << "slot " << slot << " k " << k;
+  }
+
+  // The line sits at (0, 0) of axis 2 in an otherwise zero grid. The axis-0
+  // and axis-1 passes (2-3-5 sizes) turn delta rows into exact constants, so
+  // every axis-2 line (30 of them: three groups of 8 and a padded tail of 6
+  // in fp64) is a copy of `line` when its own transform runs.
+  const std::vector<std::size_t> dims = {5, 6, n};
+  const std::size_t plane = dims[0] * dims[1];
+  for (std::size_t workers : {1, 2, 4}) {
+    ThreadPool pool(workers);
+    fft::FftNd<T> nd(pool, dims);
+    std::vector<cplx> grid(nd.total(), cplx(0, 0));
+    for (std::size_t j = 0; j < n; ++j) grid[j * plane] = line[j];
+    nd.exec(grid.data(), -1);
+    for (std::size_t l = 0; l < plane; ++l)
+      for (std::size_t k = 0; k < n; ++k)
+        ASSERT_EQ(grid[l + k * plane], want[k]) << workers << " workers, line " << l;
+  }
+}
+
+TEST(FftLanes, LaneSlotIndependenceDouble) { check_lane_slot_independence<double>(); }
+
+TEST(FftLanes, LaneSlotIndependenceSingle) { check_lane_slot_independence<float>(); }
+
+TEST(FftNd, FusedFirstAxisMatchesUnfused) {
+  // 36 rows per plane (groups of 8 in fp64: 4 full and a tail of 4). Zero
+  // rows are scattered through the groups, and rows 16..23 — one whole
+  // group — are all zero, so both the mixed-group path and the skipped-group
+  // path run.
+  using cplx = std::complex<double>;
+  ThreadPool pool(3);
+  const std::vector<std::size_t> dims = {10, 12, 3};
+  fft::FftNd<double> plan(pool, dims);
+  const std::size_t n0 = dims[0], total = plan.total(), nbatch = 2;
+  const auto src = random_signal<double>(total * nbatch, 500);
+  auto is_zero = [](std::size_t line, std::size_t b) {
+    return (line >= 16 && line < 24) || (line + b) % 3 == 1;
+  };
+  std::vector<cplx> unfused(total * nbatch, cplx(0, 0));
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t line = 0; line < total / n0; ++line)
+      if (!is_zero(line, b))
+        std::copy_n(src.begin() + b * total + line * n0, n0,
+                    unfused.begin() + b * total + line * n0);
+  plan.exec_batch(unfused.data(), nbatch, total, +1);
+
+  std::vector<cplx> fused(total * nbatch, cplx(7, 7));  // fused path overwrites all
+  plan.exec_batch_fused(fused.data(), nbatch, total, +1,
+                        [&](cplx* row, std::size_t line, std::size_t b) {
+                          if (is_zero(line, b)) return false;
+                          std::copy_n(src.begin() + b * total + line * n0, n0, row);
+                          return true;
+                        });
+  for (std::size_t i = 0; i < fused.size(); ++i) ASSERT_EQ(fused[i], unfused[i]) << i;
 }
