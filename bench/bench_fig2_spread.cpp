@@ -24,7 +24,9 @@
 // Flags: --m2d <pts> --m3d <pts> (override rho=1), --reps N, --full (paper
 // grid range), --mfast N (fast-path section size), --json <path>.
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -46,6 +48,15 @@ using namespace cf;
 using bench::Dist;
 
 namespace {
+
+/// "16x16x16": the bin (tile) dimensions a plan's spread ran on.
+template <typename T>
+std::string tile_dims(const core::Plan<T>& plan) {
+  std::string out;
+  for (int d = 0; d < plan.dim(); ++d)
+    out += (d ? "x" : "") + std::to_string(plan.bins().m[d]);
+  return out;
+}
 
 struct Row {
   double spread_gm, total_sort, spread_sort, total_sm, spread_sm;
@@ -540,6 +551,7 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
             .field("method", core::method_name(method))
             .field("path", tiled ? "tiled" : "atomic")
             .field("tiled_active", static_cast<std::int64_t>(tiled_ran))
+            .field("tile_dims", tile_dims(plan))
             .field("tiles", tiles_active)
             .field("exec_s", exec_s)
             .field("spread_s", spread_s)
@@ -569,12 +581,13 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
 
 /// M-TIP merge ablation (paper Sec. V): the merge transform of one M-TIP rank
 /// — 3D type 1 at fp64 tol 1e-12, N = 81, on 40 Ewald slices of 32^2
-/// detector pixels (default GM-sort, default 16x16x2 bins, w = 13) — with the
-/// colour-scheduled tile writeback against the atomic writeback
-/// (tiled_spread = 0). Rows record the execute, spread and FFT times (median
-/// and range over the reps), global atomics and halo adds per point, the tile
-/// scratch bytes, the colour classes, and whether the tiled output is
-/// bitwise-identical across worker counts {1, 2}.
+/// detector pixels (default GM-sort, w = 13) — with the colour-scheduled
+/// tile writeback on its default halo-proportioned 16^3 tiles and pinned to
+/// the paper's 16x16x2 bins, against the atomic writeback (tiled_spread = 0,
+/// paper bins). Rows record the bin dims, the execute, spread and FFT times
+/// (median and range over the reps), global atomics and halo adds per point,
+/// the tile scratch bytes, the colour classes, and whether the tiled output
+/// is bitwise-identical across worker counts {1, 2}.
 void run_mtip_merge(int reps, bench::JsonReport& json) {
   const double tol = 1e-12;
   const std::vector<std::int64_t> N = {81, 81, 81};
@@ -589,14 +602,22 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
   std::printf("\n--- M-TIP merge ablation: 3D type-1 execute, 40 Ewald slices x 32^2 "
               "(M=%zu), N=81, tol=%g, fp64, colour-scheduled tiles vs atomic ---\n",
               M, tol);
-  Table t({"writeback", "exec [s]", "spread [s]", "fft [s]", "atomics/pt",
+  Table t({"writeback", "bins", "exec [s]", "spread [s]", "fft [s]", "atomics/pt",
            "halo adds/pt", "arena [MB]", "colours", "spread spdup"});
+  struct Cfg {
+    const char* path;
+    int tiled;
+    std::array<int, 3> binsize;
+  };
   double base_exec = 0, base_spread = 0;
-  for (int tiled : {0, 1}) {
+  for (const Cfg& cfg : {Cfg{"atomic", 0, {0, 0, 0}}, Cfg{"tiled-paper-bins", 1, {16, 16, 2}},
+                         Cfg{"tiled", 1, {0, 0, 0}}}) {
+    const int tiled = cfg.tiled;
     vgpu::Device dev;
     core::Options opts;
     opts.method = core::Method::GMSort;  // what Auto resolves to here (Rmk. 2)
     opts.tiled_spread = tiled;
+    opts.binsize = cfg.binsize;
     core::Plan<double> plan(dev, 1, N, +1, tol, opts);
     Timer ts;
     plan.set_points(M, x.data(), y.data(), z.data());
@@ -637,7 +658,7 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
       }
       bitwise = bitwise && f1 == f2;
     }
-    t.add_row({tiled ? "tiled" : "atomic", Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
+    t.add_row({cfg.path, tile_dims(plan), Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
                Table::fmt(ff[ff.size() / 2], 3), Table::fmt(double(atomics) / double(M), 1),
                Table::fmt(double(merges) / double(M), 1),
                Table::fmt(double(bd.arena_bytes) / 1e6, 2),
@@ -650,8 +671,9 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
         .field("N", static_cast<std::int64_t>(81))
         .field("tol", tol)
         .field("method", core::method_name(core::Method::GMSort))
-        .field("path", tiled ? "tiled" : "atomic")
+        .field("path", cfg.path)
         .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
+        .field("tile_dims", tile_dims(plan))
         .field("tiles", bd.tiles_active)
         .field("tile_colors", bd.tile_colors)
         .field("arena_bytes", bd.arena_bytes)
@@ -718,6 +740,9 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
         plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
         const auto [exec_s, spread_s] =
             time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
+        dev.counters.reset();
+        plan.execute(c.data(), f.data());
+        const std::uint64_t merges = dev.counters.tile_merge_ops.load();
         const auto bd = plan.last_breakdown();
         if (cc.cap < 0) {
           base_exec = exec_s;
@@ -755,7 +780,9 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
             .field("path", std::string("tiled-") + cc.name)
             .field("chunk_cap", cc.cap)
             .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
+            .field("tile_dims", tile_dims(plan))
             .field("tiles", bd.tiles_active)
+            .field("tile_merge_ops", merges)
             .field("tile_chunks", bd.tile_chunks)
             .field("max_tile_points", bd.max_tile_points)
             .field("chunk_steals_2w", steals2)

@@ -91,6 +91,13 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
           "(paper Rmk. 2); use GM-sort");
   }
   need_sort_ = (method_ == Method::GMSort || method_ == Method::SM);
+  // A type-1 spread on the tile engine keeps its scratch in global memory,
+  // not the shared memory the paper's bins are sized for, so it takes
+  // halo-proportioned tiles unless the caller chose bins. The method above
+  // (and the atomic fallback, which the tile gate alone triggers) stays on
+  // the paper bins.
+  if (opts_.binsize[0] <= 0 && opts_.tiled_spread && type_ == 1 && need_sort_)
+    bins_ = spread::tile_bins(grid_, bins_, kp_.w);
 
   // One fine-grid plane per stacked vector, so a batched execute spreads,
   // transforms, and deconvolves the whole ntransf stack without reusing (and

@@ -62,7 +62,11 @@ const char* method_name(Method m);
 struct Options {
   Method method = Method::Auto;
   std::uint32_t msub = 1024;            ///< max subproblem size (paper Rmk. 1)
-  std::array<int, 3> binsize{0, 0, 0};  ///< 0 = paper defaults (32x32 / 16x16x2)
+  std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults: the paper's bins
+                                        ///< (32x32 / 16x16x2) for SM and the
+                                        ///< atomic paths, halo-proportioned
+                                        ///< tiles (BinSpec::tile_size) for a
+                                        ///< tiled spread; > 0 overrides both
   double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 (paper) or 1.25
                                         ///< (low-upsampling: ~2x 3D volume
                                         ///< instead of 8x, wider kernel)
@@ -158,6 +162,7 @@ class Plan {
   std::int64_t modes_total() const { return N_[0] * N_[1] * N_[2]; }
   std::array<std::int64_t, 3> modes() const { return N_; }
   const spread::GridSpec& fine_grid() const { return grid_; }
+  const spread::BinSpec& bins() const { return bins_; }
   std::size_t npoints() const { return M_; }
   vgpu::Device& device() const { return *dev_; }
 

@@ -89,6 +89,11 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     method_ = spread::sm_fits<T>(*dev_, grid_, bins_, w) ? Method::SM : Method::GMSort;
   if (method_ == Method::SM && !spread::sm_fits<T>(*dev_, grid_, bins_, w))
     throw std::invalid_argument("Type3Plan: SM padded bin exceeds shared memory");
+  // The source spread on the tile engine takes halo-proportioned tiles (see
+  // Plan); the target sort shares them, which only reorders the interp.
+  if (opts_.binsize[0] <= 0 && opts_.tiled_spread &&
+      (method_ == Method::SM || method_ == Method::GMSort))
+    bins_ = spread::tile_bins(grid_, bins_, w);
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < dim_; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));

@@ -57,6 +57,9 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
   auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(grid_.dim);
   bins_ = spread::BinSpec::make(grid_, bsz);
+  // Halo-proportioned tiles for the tiled spread, as in the device Plan.
+  if (opts_.binsize[0] <= 0 && opts_.tiled_spread && type_ == 1)
+    bins_ = spread::tile_bins(grid_, bins_, kp_.w);
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < grid_.dim; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));
@@ -144,15 +147,13 @@ void CpuPlan<T>::build_tile_cache() {
   chunk_sched_.clear();
   split_tile_.clear();
   chunk_arena_.clear();
+  chunk_box_.clear();
   if (!opts_.tiled_spread || type_ != 1) return;  // spread-only machinery
-  const int dim = grid_.dim;
+  if (!spread::tile_fits(grid_, bins_, kp_.w)) return;
   const int pad = (kp_.w + 1) / 2;
   std::size_t padded = 1;
-  for (int d = 0; d < dim; ++d) {
-    const std::int64_t p = bins_.m[d] + 2 * pad;
-    if (p > grid_.nf[d]) return;
-    padded *= static_cast<std::size_t>(p);
-  }
+  for (int d = 0; d < grid_.dim; ++d)
+    padded *= static_cast<std::size_t>(bins_.m[d] + 2 * pad);
   // Tile colours (the device build_tile_set's), active bins grouped by
   // colour in ascending bin order.
   std::vector<std::uint32_t> color;
@@ -235,6 +236,7 @@ void CpuPlan<T>::build_tile_cache() {
   tile_scratch_.resize(pool_->size() * padded * static_cast<std::size_t>(tile_nb_));
   chunk_arena_.resize(static_cast<std::size_t>(plane_id) * padded *
                       static_cast<std::size_t>(tile_nb_));
+  chunk_box_.resize(plane_id);
   tile_ok_ = true;
 }
 
@@ -345,10 +347,11 @@ void CpuPlan<T>::spread_sorted(const cplx* c, int B) {
 
 // Tile-owned spread (the CPU mirror of spread_tiled.cpp): each active bin's
 // points are accumulated into a per-worker padded buffer in sorted order and
-// the whole padded box is added to the fine grid with plain stores — tiles
-// of one colour never share a cell, and the colours are written back in a
-// fixed order, so there are no atomics and the result is
-// bitwise-identical at every pool size (the sort is stable and serial).
+// their footprint (the box their taps reach) is added to the fine grid with
+// plain stores, then cleared — tiles of one colour never share a cell, and
+// the colours are written back in a fixed order, so there are no atomics and
+// the result is bitwise-identical at every pool size (the sort is stable and
+// serial). Buffers start zero and every reader clears what it consumed.
 // All point-dependent setup (gate, colours, chunk split) comes from the
 // set_points-time tile cache.
 template <typename T>
@@ -371,11 +374,17 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
 
   // Per-tile helpers, shared by the chunk accumulation and the split-tile
   // reduce: accumulate a canonical slice [first, first+cnt) of bin b's sorted
-  // run into `buf`, and add a finished tile's padded box to the fine grid.
+  // run into `buf` and return its footprint, add a finished tile's footprint
+  // to the fine grid, and clear a footprint.
   auto accum = [&](std::uint32_t b, std::uint32_t first, std::uint32_t cnt,
                    cplx* buf) {
     std::int64_t delta[3];
     sd::subprob_delta(bins_, b, dim, pad, delta);
+    spread::TileBox box;
+    for (int d = dim; d < 3; ++d) {
+      box.lo[d] = 0;
+      box.hi[d] = 1;
+    }
     auto run = [&](auto WC) {
       constexpr int W = decltype(WC)::value;
       const int wl = W > 0 ? W : kp_.w;
@@ -389,6 +398,8 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
             li0[d] = spread::es_values_fixed<W>(kp_, px[d], vals[d]) - delta[d];
           else
             li0[d] = spread::es_values(kp_, px[d], vals[d]) - delta[d];
+          box.lo[d] = std::min(box.lo[d], li0[d]);
+          box.hi[d] = std::max(box.hi[d], li0[d] + wl);
         }
         for (int bb = 0; bb < nb; ++bb) {
           const cplx cj = c[(b0 + bb) * M_ + j];
@@ -416,15 +427,23 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
       }
     };
     if (!sd::dispatch_width(kp_.w, run)) run(std::integral_constant<int, 0>{});
+    box.xend = box.hi[0];
+    return box;
   };
-  // Padded-box writeback: plain accumulating stores (one colour, one writer
-  // per cell), wrap resolved once per contiguous row run.
-  auto writeback = [&](std::uint32_t b, const cplx* buf) {
+  auto clear = [&](const spread::TileBox& box, cplx* buf) {
+    sd::for_box_spans(p, box, box.xend, [&](std::size_t lo, std::size_t hi) {
+      for (int bb = 0; bb < nb; ++bb)
+        std::fill(buf + padded * bb + lo, buf + padded * bb + hi, cplx(0, 0));
+    });
+  };
+  // Footprint writeback: plain accumulating stores (one colour, one writer
+  // per cell), wrap resolved once per contiguous row run; then clear.
+  auto writeback = [&](std::uint32_t b, const spread::TileBox& box, cplx* buf) {
     std::int64_t delta[3];
     sd::subprob_delta(bins_, b, dim, pad, delta);
     auto rows = [&](auto DC) {
-      sd::for_padded_rows<decltype(DC)::value, T>(
-          grid_, p, delta, 0, padded / static_cast<std::size_t>(p[0]),
+      sd::for_box_rows<decltype(DC)::value, T>(
+          grid_, p, delta, box, 0, sd::box_rows(box),
           [&](std::size_t src, std::int64_t dst, std::int64_t run) {
             for (int bb = 0; bb < nb; ++bb) {
               const cplx* bufb = buf + padded * bb + src;
@@ -437,6 +456,7 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
         dim, [&] { rows(std::integral_constant<int, 1>{}); },
         [&] { rows(std::integral_constant<int, 2>{}); },
         [&] { rows(std::integral_constant<int, 3>{}); });
+    clear(box, buf);
   };
 
   // One pool pass runs every colour round (the device engine's schedule):
@@ -477,28 +497,33 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
         const std::uint32_t ck = chunk_sched_[i - color_split0_[k]];
         const std::uint32_t b = active[chunk_tile_[ck]];
         if (chunk_plane_[ck] == 0xffffffffu) {
-          std::fill(scratch, scratch + padded * nb, cplx(0, 0));
-          accum(b, 0, bin_start_[b + 1] - bin_start_[b], scratch);
+          const auto box = accum(b, 0, bin_start_[b + 1] - bin_start_[b], scratch);
           wait_earlier_colors();
-          writeback(b, scratch);
+          writeback(b, box, scratch);
         } else {
           cplx* buf = chunk_arena_.data() + chunk_plane_[ck] * slot;
-          std::fill(buf, buf + padded * nb, cplx(0, 0));
-          accum(b, chunk_off_[ck], chunk_cnt_[ck], buf);
+          chunk_box_[chunk_plane_[ck]] = accum(b, chunk_off_[ck], chunk_cnt_[ck], buf);
           chunks_left[k].fetch_sub(1, std::memory_order_release);
         }
       } else {
-        // Split tile: fold its chunk planes in ascending chunk order.
+        // Split tile: fold its chunk planes in ascending chunk order over the
+        // union of their footprints, clearing each as it is consumed.
         const std::uint32_t ai = split_tile_[i - color_chunk0_[k + 1]];
         wait_zero(chunks_left[k]);
         wait_earlier_colors();
-        std::fill(scratch, scratch + padded * nb, cplx(0, 0));
+        spread::TileBox box;
+        for (std::uint32_t ck = tile_chunk0_[ai]; ck < tile_chunk0_[ai + 1]; ++ck)
+          box.merge(chunk_box_[chunk_plane_[ck]]);
         for (std::uint32_t ck = tile_chunk0_[ai]; ck < tile_chunk0_[ai + 1]; ++ck) {
-          const cplx* src = chunk_arena_.data() + chunk_plane_[ck] * slot;
-          for (std::size_t x = 0; x < padded * static_cast<std::size_t>(nb); ++x)
-            scratch[x] += src[x];
+          cplx* src = chunk_arena_.data() + chunk_plane_[ck] * slot;
+          sd::for_box_spans(p, box, box.hi[0], [&](std::size_t lo, std::size_t hi) {
+            for (int bb = 0; bb < nb; ++bb)
+              for (std::size_t x = lo; x < hi; ++x)
+                scratch[padded * bb + x] += src[padded * bb + x];
+          });
+          clear(chunk_box_[chunk_plane_[ck]], src);
         }
-        writeback(active[ai], scratch);
+        writeback(active[ai], box, scratch);
       }
       left[k].fetch_sub(1, std::memory_order_release);
     }

@@ -51,7 +51,8 @@ class CpuPlan {
 
   struct Options {
     std::uint32_t msub = 16384;           ///< CPU subproblem cap (larger caches)
-    std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults
+    std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults (tile_size for a
+                                          ///< tiled spread, as in core::Plan)
     double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 or 1.25
     int ntransf = 1;                      ///< stacked vectors per execute
     int modeord = 0;                      ///< 0 = CMCL (-N/2..), 1 = FFT-style
@@ -146,6 +147,7 @@ class CpuPlan {
   std::vector<std::uint32_t> chunk_sched_;  ///< chunk ids largest-first per colour
   std::vector<std::uint32_t> split_tile_;   ///< slots with > 1 chunk
   std::vector<cplx> chunk_arena_;  ///< split-chunk planes (plane-major)
+  std::vector<spread::TileBox> chunk_box_;  ///< chunk plane -> its footprint
 
   mutable std::mutex mu_;  ///< serializes set_points/execute; guards bd_
   CpuBreakdown bd_;

@@ -1,6 +1,7 @@
 // Fine-grid and bin geometry shared by the spreading/interpolation kernels.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -36,14 +37,69 @@ struct BinSpec {
     return b;
   }
 
-  /// Hand-tuned defaults from the paper (Rmk. 1): 32x32 in 2D, 16x16x2 in 3D.
-  /// 1D (our future-work extension) uses 1024.
+  /// The paper's bins (Rmk. 1): 32x32 in 2D, 16x16x2 in 3D, sized so an fp32
+  /// padded bin fits the SM shared-memory budget (Rmk. 2); 1D (our
+  /// future-work extension) uses 1024. SM vs GM-sort and the atomic
+  /// fallback resolve on these. A spread on the tile engine, whose scratch
+  /// lives in global memory, uses tile_size instead; an explicit
+  /// Options::binsize overrides both.
   static std::array<int, 3> default_size(int dim) {
     if (dim == 1) return {1024, 1, 1};
     if (dim == 2) return {32, 32, 1};
     return {16, 16, 2};
   }
+
+  /// Halo-proportioned tiles for the tile engine: each axis of the paper bin
+  /// grown to at least its halo depth 2*pad (pad = ceil(w/2)), rounded up to
+  /// a multiple of 8, so a tile's core is not dwarfed by the halo it zeroes
+  /// and writes back. 16x16x16 in 3D at w = 13 (paper: 16x16x2); 1D and 2D
+  /// bins are unchanged at every width up to 24.
+  static std::array<int, 3> tile_size(int dim, int w) {
+    auto m = default_size(dim);
+    const int halo = (2 * ((w + 1) / 2) + 7) / 8 * 8;
+    for (int d = 0; d < dim; ++d) m[d] = std::max(m[d], halo);
+    return m;
+  }
 };
+
+/// The cells a tile's points reach, in local padded-tile coordinates:
+/// [lo[d], hi[d]) per axis (the min/max of the points' leftmost taps, plus
+/// the kernel width). `xend` ends the x-lanes the accumulation wrote: the
+/// fast path runs pad_width(w) lanes, whose zero-tap overhang may spill
+/// past the row end into the next row (or the plane slack). Those lanes add
+/// c * 0 — harmless for finite c, NaN otherwise — so clearing covers them.
+struct TileBox {
+  std::int64_t lo[3] = {INT64_MAX, INT64_MAX, INT64_MAX};
+  std::int64_t hi[3] = {INT64_MIN, INT64_MIN, INT64_MIN};
+  std::int64_t xend = INT64_MIN;
+
+  void merge(const TileBox& o) {
+    for (int d = 0; d < 3; ++d) {
+      lo[d] = std::min(lo[d], o.lo[d]);
+      hi[d] = std::max(hi[d], o.hi[d]);
+    }
+    xend = std::max(xend, o.xend);
+  }
+};
+
+/// The tile geometry gate: every padded tile extent m + 2*pad (pad =
+/// ceil(w/2)) must fit the fine grid, so a tile's writeback covers each cell
+/// at most once (see spread_impl.hpp). Fails e.g. for a single bin spanning
+/// an axis; such plans keep the atomic writeback.
+inline bool tile_fits(const GridSpec& grid, const BinSpec& bins, int w) {
+  const int pad = (w + 1) / 2;
+  for (int d = 0; d < grid.dim; ++d)
+    if (bins.m[d] + 2 * pad > grid.nf[d]) return false;
+  return true;
+}
+
+/// Bins for a spread that runs on the tile engine with Options::binsize
+/// unset: the halo-proportioned BinSpec::tile_size when they pass the tile
+/// gate, else `paper` (the default bins the method was resolved on).
+inline BinSpec tile_bins(const GridSpec& grid, const BinSpec& paper, int w) {
+  const BinSpec t = BinSpec::make(grid, BinSpec::tile_size(grid.dim, w));
+  return tile_fits(grid, t, w) ? t : paper;
+}
 
 /// Maps a nonuniform coordinate (any real; typically [-pi, pi)) to its
 /// fine-grid coordinate in [0, nf) with periodic folding (the FINUFFT

@@ -117,16 +117,12 @@ template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
                     const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap) {
   out = TileSet<T>{};
-  const int dim = grid.dim;
+  if (!tile_fits(grid, bins, w)) return false;
   const int pad = (w + 1) / 2;
   out.pad = pad;
   out.padded = 1;
-  for (int d = 0; d < dim; ++d) {
+  for (int d = 0; d < grid.dim; ++d) {
     out.p[d] = bins.m[d] + 2 * pad;
-    // Geometry gate: the padded extent must cover each cell at most once so
-    // a tile's writeback never hits a cell twice (see spread_impl.hpp).
-    // Violated e.g. by a single bin spanning the axis.
-    if (out.p[d] > grid.nf[d]) return false;
     out.padded *= static_cast<std::size_t>(out.p[d]);
   }
   // Fast-path x-loops run pad_width(w) lanes, overhanging the final row by up
@@ -253,6 +249,7 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
     out.scratch_im = vgpu::device_buffer<T>(dev, scratch);
     out.chunk_re = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
     out.chunk_im = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
+    out.chunk_box.resize(out.n_split_chunks);
     out.arena_bytes = (out.scratch_re.bytes() + out.chunk_re.bytes()) * 2;
   }
   out.usable = true;

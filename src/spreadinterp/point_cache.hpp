@@ -85,11 +85,16 @@ struct InteriorPartition {
 /// slots [color_tile0[k], color_tile0[k+1]) hold colour k's tiles in
 /// ascending bin order. The engine writes the colours back in ascending
 /// order; tiles of one colour have disjoint padded boxes, so each finished
-/// tile adds its whole padded box to fw with plain stores and every cell
+/// tile adds its footprint (TileBox) to fw with plain stores and every cell
 /// sums its contributions in colour order. Nothing persists per tile: a tile
 /// accumulates in a PER-WORKER full padded scratch (`scratch_re/im`, `plane`
 /// cells per batch plane) and is written out before the worker moves on, so
 /// memory does not scale with the active-tile count.
+///
+/// Clean-scratch invariant: the scratch and chunk planes are zero when
+/// allocated, and whoever consumes a footprint clears exactly the cells its
+/// accumulation wrote, so every plane is all zero again between spreads and
+/// no pass zeroes a plane up front.
 ///
 /// Chunked scheduling: a tile whose bin holds more than `chunk_cap` points is
 /// split into several canonical point-CHUNKS (balanced sizes, fixed order
@@ -140,6 +145,8 @@ struct TileSet {
                                               ///< within each colour (stable)
   vgpu::device_buffer<std::uint32_t> split_tile;  ///< slots with > 1 chunk
   vgpu::device_buffer<T> chunk_re, chunk_im;  ///< n_split_chunks * nb * plane
+  std::vector<TileBox> chunk_box;  ///< chunk plane -> footprint of the chunk
+                                   ///< accumulated there (per execute)
 
   bool usable = false;
 };

@@ -35,7 +35,7 @@
 //    run the two segments as separate launches (no per-point flag test).
 //  * The TileSet drives the tile-owned atomic-free spread writeback
 //    (spread_tiled_batch): tiles run in colour classes whose padded boxes
-//    are disjoint, each adding its whole box to the fine grid with plain
+//    are disjoint, each adding its footprint to the fine grid with plain
 //    stores in a fixed colour order — zero global atomics and
 //    bitwise-deterministic results at any worker count.
 #pragma once
@@ -124,9 +124,11 @@ void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bin
 /// scratch (taps from `taps` when non-null — the SM cached table — or
 /// evaluated inline, identical values either way). Split tiles (bins over
 /// TileSet::chunk_cap points) are reduced plane by plane in fixed chunk
-/// order first. Every finished tile adds its whole padded box to fw with
-/// plain vectorizable stores once all earlier colours are written; tiles of
-/// one colour never share a cell. Zero global atomics; output is
+/// order first. Every finished tile adds its footprint (the box its points'
+/// taps reach) to fw with plain vectorizable stores once all earlier colours
+/// are written, then clears it, leaving the TileSet's scratch and chunk
+/// planes all zero on return; tiles of one colour never share a cell. Zero
+/// global atomics; output is
 /// bitwise-identical at every worker count (given the deterministic
 /// bin_sort) because the colour order, the summation split and every
 /// reduction order are pure functions of the bins and points, never of the

@@ -155,17 +155,17 @@ inline void subprob_delta(const BinSpec& bins, std::uint32_t b, int dim, int pad
 //
 // A tile's padded scratch covers the cells [q*m - pad, q*m + m + pad) (mod
 // nf) on each axis: its bin's core plus the halo its points reach. The tiled
-// writeback adds every finished tile's WHOLE padded box to fw with plain
-// stores, so two tiles may write concurrently only if their boxes are
-// disjoint. Colouring guarantees that: each axis is coloured greedily in
-// ascending tile index (the smallest colour no earlier overlapping tile
-// holds), and a tile's colour is the mixed-radix number of its axis colours.
-// Two distinct tiles of one colour differ on some axis where they share an
-// axis colour, so their extents on that axis — hence their boxes — are
-// disjoint. The engine writes the colours back in ascending order, so every
-// fw cell sums its contributions in colour order: a pure
-// function of the bins and points, never of the worker schedule (zero global
-// atomics, bitwise-deterministic spreading).
+// writeback adds a finished tile's footprint (TileBox, a sub-box of the
+// padded box) to fw with plain stores, so two tiles may write concurrently
+// only if their padded boxes are disjoint. Colouring guarantees that: each
+// axis is coloured greedily in ascending tile index (the smallest colour no
+// earlier overlapping tile holds), and a tile's colour is the mixed-radix
+// number of its axis colours. Two distinct tiles of one colour differ on
+// some axis where they share an axis colour, so their extents on that axis
+// — hence their boxes — are disjoint. The engine writes the colours back in
+// ascending order, so every fw cell sums its contributions in colour order:
+// a pure function of the bins and points, never of the worker schedule
+// (zero global atomics, bitwise-deterministic spreading).
 //
 // Requires p = m + 2*pad <= nf on every axis (the geometry gate): a padded
 // extent then covers each cell at most once, so a tile's own writeback never
@@ -177,6 +177,25 @@ inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
                       std::int64_t& c0, std::int64_t& ce) {
   c0 = bc * m;
   ce = std::min<std::int64_t>((bc + 1) * m, nf) - c0;
+}
+
+/// Halo cells the clipped writeback of `box` adds for bin `b`: the box's
+/// cells outside the bin's in-range core (local core = [pad, pad + ce) per
+/// axis). Bounded by the padded-minus-core cells of the whole padded box.
+inline std::uint64_t box_halo_cells(const GridSpec& grid, const BinSpec& bins,
+                                    std::uint32_t b, int dim, int pad,
+                                    const TileBox& box) {
+  std::int64_t bc[3];
+  bin_coords(bins, b, bc);
+  std::uint64_t cells = 1, core = 1;
+  for (int d = 0; d < dim; ++d) {
+    std::int64_t c0, ce;
+    tile_core(bc[d], bins.m[d], grid.nf[d], c0, ce);
+    cells *= static_cast<std::uint64_t>(box.hi[d] - box.lo[d]);
+    core *= static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::min(box.hi[d], pad + ce) - std::max(box.lo[d], std::int64_t(pad))));
+  }
+  return cells - core;
 }
 
 /// Greedy canonical colouring of the nbins tiles on one axis (bin size m,
@@ -226,33 +245,74 @@ inline std::uint32_t tile_colors(const GridSpec& grid, const BinSpec& bins, int 
   return ncol[0] * ncol[1] * ncol[2];
 }
 
-/// Iterates the padded bin row by row, handing `f` maximal runs that are
-/// contiguous in both the scratch (src index) and the periodic fine grid
-/// (global index): f(scratch_offset, global_linear_index, run_length).
-/// One division per row replaces the per-element div/mod + wrap of the
-/// scalar path, and the runs give the caller vectorizable/streamed bodies.
+/// Rows (y fastest, then z) of `box`, a sub-box of the padded bin.
+inline std::size_t box_rows(const TileBox& box) {
+  return static_cast<std::size_t>((box.hi[1] - box.lo[1]) * (box.hi[2] - box.lo[2]));
+}
+
+/// Iterates rows [row_lo, row_hi) of `box` (a sub-box of the padded bin with
+/// unused axes [0, 1); rows counted as in box_rows), handing `f` maximal
+/// runs of each row's x-extent [lo[0], hi[0]) that are contiguous in both
+/// the scratch (src index) and the periodic fine grid (global index):
+/// f(scratch_offset, global_linear_index, run_length). One division per row
+/// replaces the per-element div/mod + wrap of the scalar path, and the runs
+/// give the caller vectorizable/streamed bodies.
 template <int DIM, typename T, typename F>
-inline void for_padded_rows(const GridSpec& grid, const std::int64_t* p,
-                            const std::int64_t* delta, std::size_t row_lo,
-                            std::size_t row_hi, F&& f) {
+inline void for_box_rows(const GridSpec& grid, const std::int64_t* p,
+                         const std::int64_t* delta, const TileBox& box,
+                         std::size_t row_lo, std::size_t row_hi, F&& f) {
+  const std::int64_t ny = box.hi[1] - box.lo[1];
   for (std::size_t rr = row_lo; rr < row_hi; ++rr) {
-    std::int64_t g1 = 0, g2 = 0;
+    std::int64_t s1 = 0, s2 = 0, g1 = 0, g2 = 0;
     if constexpr (DIM >= 2) {
-      const std::int64_t s1 = static_cast<std::int64_t>(rr) % p[1];
-      const std::int64_t s2 = static_cast<std::int64_t>(rr) / p[1];
+      s1 = box.lo[1] + static_cast<std::int64_t>(rr) % ny;
+      s2 = box.lo[2] + static_cast<std::int64_t>(rr) / ny;
       g1 = wrap_index(delta[1] + s1, grid.nf[1]);
       if constexpr (DIM >= 3) g2 = wrap_index(delta[2] + s2, grid.nf[2]);
     }
     const std::int64_t rowbase = grid.nf[0] * (g1 + grid.nf[1] * g2);
-    const std::size_t src0 = rr * static_cast<std::size_t>(p[0]);
-    std::int64_t g0 = wrap_index(delta[0], grid.nf[0]);
-    for (std::int64_t i = 0; i < p[0];) {
-      const std::int64_t run = std::min<std::int64_t>(p[0] - i, grid.nf[0] - g0);
-      f(src0 + static_cast<std::size_t>(i), rowbase + g0, run);
+    const std::int64_t src0 = (s2 * p[1] + s1) * p[0];
+    std::int64_t g0 = wrap_index(delta[0] + box.lo[0], grid.nf[0]);
+    for (std::int64_t i = box.lo[0]; i < box.hi[0];) {
+      const std::int64_t run = std::min<std::int64_t>(box.hi[0] - i, grid.nf[0] - g0);
+      f(static_cast<std::size_t>(src0 + i), rowbase + g0, run);
       i += run;
       g0 = 0;
     }
   }
+}
+
+/// for_box_rows over the whole padded bin.
+template <int DIM, typename T, typename F>
+inline void for_padded_rows(const GridSpec& grid, const std::int64_t* p,
+                            const std::int64_t* delta, std::size_t row_lo,
+                            std::size_t row_hi, F&& f) {
+  TileBox whole;
+  for (int d = 0; d < 3; ++d) {
+    whole.lo[d] = 0;
+    whole.hi[d] = p[d];
+  }
+  for_box_rows<DIM, T>(grid, p, delta, whole, row_lo, row_hi, f);
+}
+
+/// Hands `f` the scratch spans [first, last) covering x in [lo[0], xend) of
+/// every row of `box` — xend may run past the row end, continuing into the
+/// next row as the fast-path overhang lanes do — merged where consecutive
+/// rows' spans touch, so a full-width box is one span per z-slab.
+template <typename F>
+inline void for_box_spans(const std::int64_t* p, const TileBox& box, std::int64_t xend,
+                          F&& f) {
+  std::int64_t first = 0, last = -1;
+  for (std::int64_t s2 = box.lo[2]; s2 < box.hi[2]; ++s2)
+    for (std::int64_t s1 = box.lo[1]; s1 < box.hi[1]; ++s1) {
+      const std::int64_t row = (s2 * p[1] + s1) * p[0];
+      if (row + box.lo[0] > last) {
+        if (last >= 0) f(static_cast<std::size_t>(first), static_cast<std::size_t>(last));
+        first = row + box.lo[0];
+      }
+      last = row + xend;
+    }
+  if (last >= 0) f(static_cast<std::size_t>(first), static_cast<std::size_t>(last));
 }
 
 /// Grid-stride launch over the iteration positions [lo, hi): f(jj, blk).

@@ -11,23 +11,39 @@
 // order from a shared counter:
 //
 //  (tile, chunk) items, largest-first within a colour (TileSet::sched):
-//    accumulate a chunk of the bin's sorted points into a full padded
-//    scratch (the per-tile generalization of the SM shared-memory scratch —
-//    living in global memory, it is not limited by the 48 KiB shared budget,
-//    so the engine also covers configurations where SM cannot run, e.g. 3D
-//    double). Unsplit tiles are a single chunk and run the whole per-tile
-//    pipeline in the WORKER's scratch, ending with the writeback: once every
-//    earlier colour has finished, the whole padded box is added to fw with
-//    plain vectorizable stores, row runs resolved by for_padded_rows. Tiles
-//    whose bin exceeds the chunk cap (TileSet::chunk_cap) are split into
-//    canonical point-chunks that accumulate into dedicated chunk planes, so
-//    a Gaussian clump that lands in one bin is carved across workers instead
-//    of serializing behind one block — the msub-capped load-balancing idea
-//    of the paper's SM scheme, applied to the tile engine.
+//    accumulate a chunk of the bin's sorted points into a padded scratch
+//    (the per-tile generalization of the SM shared-memory scratch — living
+//    in global memory, it is not limited by the 48 KiB shared budget, so the
+//    engine also covers configurations where SM cannot run, e.g. 3D double),
+//    recording the chunk's footprint: the box its points' taps reach.
+//    Unsplit tiles are a single chunk and run the whole per-tile pipeline in
+//    the WORKER's scratch, ending with the writeback: once every earlier
+//    colour has finished, the footprint is added to fw with plain
+//    vectorizable stores, row runs resolved by for_box_rows, and then
+//    cleared. Tiles whose bin exceeds the chunk cap (TileSet::chunk_cap) are
+//    split into canonical point-chunks that accumulate into dedicated chunk
+//    planes, so a Gaussian clump that lands in one bin is carved across
+//    workers instead of serializing behind one block — the msub-capped
+//    load-balancing idea of the paper's SM scheme, applied to the tile
+//    engine.
 //
 //  split-tile folds, after the colour's chunk items: fold the tile's chunk
-//    planes into the worker scratch in FIXED chunk order, then the same
+//    planes into the worker scratch in FIXED chunk order over the union of
+//    their footprints, clear each chunk's footprint, then the same
 //    writeback.
+//
+// Zero and writeback traffic therefore scale with the cells the points
+// reach, not with the padded box: scratch and chunk planes are zero when
+// allocated and every reader clears what it consumed (TileSet's
+// clean-scratch invariant), so no pass zeroes a whole plane. Only +0 adds
+// (zero-tap overhang lanes, untouched cells) are skipped, so the output bits
+// are those of a whole-box writeback.
+//
+// Tile geometry: the paper's bins (BinSpec::default_size, e.g. 16x16x2 in
+// 3D) are the SM shared-memory choice. Here scratch is global, so a plan
+// whose spread runs on this engine takes halo-proportioned tiles
+// (BinSpec::tile_size: 16x16x16 at w = 13, where a 2-deep bin would carry a
+// 14-deep halo); an explicit Options::binsize overrides both.
 //
 // Each cell therefore sums its contributions in colour order, each one a
 // per-tile sum in the canonical split — pure functions of the bins and the
@@ -78,28 +94,36 @@ std::uint64_t tiled_accumulate(vgpu::Device& dev, const GridSpec& grid,
   T* const cim = ts.chunk_im.data();
 
   // The per-tile pipeline, split into pieces the (tile, chunk) work items
-  // compose: zero a padded scratch, accumulate a slice of the bin's sorted
-  // run into it, add the finished tile's padded box to fw. A singleton chunk runs all three back to back — numerically the
-  // exact unchunked per-tile path.
+  // compose: accumulate a slice of the bin's sorted run into a clean padded
+  // scratch, recording its footprint; add the finished tile's footprint to
+  // fw; clear exactly what was written. A singleton chunk runs them back to
+  // back — numerically the exact unchunked per-tile path.
 
-  auto zero_planes = [plane, nb](vgpu::BlockCtx& blk, T* zre, T* zim) {
-    blk.for_each_thread([&](unsigned t) {
-      const auto [lo, hi] = thread_chunk(plane * nb, t, blk.nthreads);
-      for (std::size_t i = lo; i < hi; ++i) zre[i] = T(0);
-      for (std::size_t i = lo; i < hi; ++i) zim[i] = T(0);
+  // Restores the clean-scratch invariant: zeroes the spans an accumulation
+  // with footprint `box` wrote, overhang lanes included, in every plane.
+  auto clear = [p, plane, nb](const TileBox& box, T* zre, T* zim) {
+    for_box_spans(p, box, box.xend, [&](std::size_t lo, std::size_t hi) {
+      for (int bb = 0; bb < nb; ++bb) {
+        std::fill(zre + plane * bb + lo, zre + plane * bb + hi, T(0));
+        std::fill(zim + plane * bb + lo, zim + plane * bb + hi, T(0));
+      }
     });
-    blk.sync_threads();
   };
 
-  // Accumulates points [first, first + cnt) of bin b's sorted run; tap-table
-  // rows are indexed by absolute sorted position, so chunks of one tile read
-  // disjoint row ranges.
+  // Accumulates points [first, first + cnt) of bin b's sorted run and
+  // returns their footprint; tap-table rows are indexed by absolute sorted
+  // position, so chunks of one tile read disjoint row ranges.
   auto accum_points = [&, w, wpad, pad, plane, b0, nb](
                           vgpu::BlockCtx& blk, std::uint32_t b, std::uint32_t first,
                           std::uint32_t cnt, T* sre0, T* sim0) {
     const std::uint32_t start = sort.bin_start[b] + first;
     std::int64_t delta[3];
     subprob_delta(bins, b, DIM, pad, delta);
+    std::int64_t lmin[DIM], lmax[DIM];
+    for (int d = 0; d < DIM; ++d) {
+      lmin[d] = INT64_MAX;
+      lmax[d] = INT64_MIN;
+    }
     blk.for_each_thread([&](unsigned t) {
       const auto [lo, hi] = thread_chunk(cnt, t, blk.nthreads);
       for (std::size_t i = lo; i < hi; ++i) {
@@ -210,27 +234,41 @@ std::uint64_t tiled_accumulate(vgpu::Device& dev, const GridSpec& grid,
             }
           }
         }
+        for (int d = 0; d < DIM; ++d) {
+          lmin[d] = std::min(lmin[d], li0[d]);
+          lmax[d] = std::max(lmax[d], li0[d]);
+        }
         blk.note_shared_op(static_cast<std::uint64_t>(nb) * w * (DIM > 1 ? w : 1) *
                            (DIM > 2 ? w : 1));
       }
     });
     blk.sync_threads();
+    TileBox box;
+    for (int d = 0; d < 3; ++d) {
+      box.lo[d] = d < DIM ? lmin[d] : 0;
+      box.hi[d] = d < DIM ? lmax[d] + w : 1;
+    }
+    box.xend = lmax[0] + (W > 0 ? WP : w);
+    return box;
   };
 
-  // Adds a finished tile's whole padded box (scratch sre0/sim0) to fw. No
-  // other tile of the running colour touches these cells, so the adds are
-  // plain stores; the wrapped box is walked as row runs contiguous in both
-  // the scratch and fw. The cells outside the bin's in-range core are the
-  // halo adds that replaced global atomics (tile_merge_ops).
+  // Adds a finished tile's footprint `box` (scratch sre0/sim0) to fw, then
+  // clears it. No other tile of the running colour touches these cells, so
+  // the adds are plain stores; the wrapped box is walked as row runs
+  // contiguous in both the scratch and fw. Cells outside the footprint hold
+  // only the +0 of overhang lanes, so skipping them leaves fw's bits
+  // unchanged. The box cells outside the bin's in-range core are the halo
+  // adds that replaced global atomics (tile_merge_ops).
   auto writeback = [&, pad, plane, b0, nb](vgpu::BlockCtx& blk, std::uint32_t b,
-                                           const T* sre0, const T* sim0) {
-    std::int64_t delta[3], bc[3];
+                                           const TileBox& box, T* sre0, T* sim0) {
+    std::int64_t delta[3];
     subprob_delta(bins, b, DIM, pad, delta);
-    const std::size_t nrows = static_cast<std::size_t>(p[1] * p[2]);
+    const std::size_t nrows = box_rows(box);
     blk.for_each_thread([&](unsigned t) {
       const auto [lo, hi] = thread_chunk(nrows, t, blk.nthreads);
-      for_padded_rows<DIM, T>(
-          grid, p, delta, lo, hi, [&](std::size_t src, std::int64_t dst, std::int64_t run) {
+      for_box_rows<DIM, T>(
+          grid, p, delta, box, lo, hi,
+          [&](std::size_t src, std::int64_t dst, std::int64_t run) {
             for (int bb = 0; bb < nb; ++bb) {
               std::complex<T>* CF_RESTRICT fwb = fw + (b0 + bb) * fwstride + dst;
               const T* CF_RESTRICT sre = sre0 + plane * bb + src;
@@ -241,14 +279,8 @@ std::uint64_t tiled_accumulate(vgpu::Device& dev, const GridSpec& grid,
           });
     });
     blk.sync_threads();
-    bin_coords(bins, b, bc);
-    std::size_t core = 1;
-    for (int d = 0; d < DIM; ++d) {
-      std::int64_t c0, ce;
-      tile_core(bc[d], bins.m[d], grid.nf[d], c0, ce);
-      core *= static_cast<std::size_t>(ce);
-    }
-    blk.note_tile_merge(static_cast<std::uint64_t>(ts.padded - core) * nb);
+    clear(box, sre0, sim0);
+    blk.note_tile_merge(box_halo_cells(grid, bins, b, DIM, pad, box) * nb);
   };
 
   // One launch runs every colour round. n_workers persistent blocks claim
@@ -301,46 +333,51 @@ std::uint64_t tiled_accumulate(vgpu::Device& dev, const GridSpec& grid,
         const std::uint32_t cpl = ts.chunk_plane[ck];
         if (cpl == TileSet<T>::kNoTile) {
           // Unsplit tile: the whole pipeline in the worker scratch.
-          zero_planes(blk, sre0, sim0);
-          accum_points(blk, b, 0, sort.bin_counts[b], sre0, sim0);
+          const TileBox box = accum_points(blk, b, 0, sort.bin_counts[b], sre0, sim0);
           wait_earlier_colors();
-          writeback(blk, b, sre0, sim0);
+          writeback(blk, b, box, sre0, sim0);
         } else {
           // Chunk of a split tile: accumulate this slice of the bin's sorted
           // run into the chunk's dedicated plane for the tile's fold.
           T* const dre0 = cre + cpl * (static_cast<std::size_t>(nba) * plane);
           T* const dim0 = cim + cpl * (static_cast<std::size_t>(nba) * plane);
-          zero_planes(blk, dre0, dim0);
-          accum_points(blk, b, ts.chunk_off[ck], ts.chunk_cnt[ck], dre0, dim0);
+          ts.chunk_box[cpl] =
+              accum_points(blk, b, ts.chunk_off[ck], ts.chunk_cnt[ck], dre0, dim0);
           chunks_left[k].fetch_sub(1, std::memory_order_release);
         }
       } else {
         // Split tile: fold its chunk planes into the worker scratch in
-        // canonical (ascending) chunk order, then write back. The reduction
+        // canonical (ascending) chunk order over the union of their
+        // footprints, clear each chunk plane, then write back. The reduction
         // order is a pure function of the split, so the result is
         // bitwise-identical at every worker count.
         const std::uint32_t slot = ts.split_tile[i - ts.color_chunk0[k + 1]];
         wait_zero(chunks_left[k]);
         wait_earlier_colors();
-        zero_planes(blk, sre0, sim0);
         const std::uint32_t ck0 = ts.tile_chunk0[slot];
         const std::uint32_t ck1 = ts.tile_chunk0[slot + 1];
+        TileBox box;
+        for (std::uint32_t ck = ck0; ck < ck1; ++ck)
+          box.merge(ts.chunk_box[ts.chunk_plane[ck]]);
         for (std::uint32_t ck = ck0; ck < ck1; ++ck) {
-          const T* const pre = cre + ts.chunk_plane[ck] * (static_cast<std::size_t>(nba) * plane);
-          const T* const pim = cim + ts.chunk_plane[ck] * (static_cast<std::size_t>(nba) * plane);
-          blk.for_each_thread([&](unsigned t) {
-            const auto [lo, hi] = thread_chunk(plane * nb, t, blk.nthreads);
-            T* CF_RESTRICT dre = sre0;
-            T* CF_RESTRICT dim0 = sim0;
-            const T* CF_RESTRICT qre = pre;
-            const T* CF_RESTRICT qim = pim;
-            for (std::size_t x = lo; x < hi; ++x) dre[x] += qre[x];
-            for (std::size_t x = lo; x < hi; ++x) dim0[x] += qim[x];
+          const std::uint32_t cpl = ts.chunk_plane[ck];
+          T* const pre = cre + cpl * (static_cast<std::size_t>(nba) * plane);
+          T* const pim = cim + cpl * (static_cast<std::size_t>(nba) * plane);
+          for_box_spans(p, box, box.hi[0], [&](std::size_t lo, std::size_t hi) {
+            for (int bb = 0; bb < nb; ++bb) {
+              T* CF_RESTRICT dre = sre0 + plane * bb;
+              T* CF_RESTRICT dim0 = sim0 + plane * bb;
+              const T* CF_RESTRICT qre = pre + plane * bb;
+              const T* CF_RESTRICT qim = pim + plane * bb;
+              for (std::size_t x = lo; x < hi; ++x) dre[x] += qre[x];
+              for (std::size_t x = lo; x < hi; ++x) dim0[x] += qim[x];
+            }
           });
-          blk.sync_threads();
+          clear(ts.chunk_box[cpl], pre, pim);
         }
-        blk.note_shared_op(static_cast<std::uint64_t>(ck1 - ck0) * plane * nb);
-        writeback(blk, ts.tile_bin[slot], sre0, sim0);
+        blk.note_shared_op(static_cast<std::uint64_t>(ck1 - ck0) * box_rows(box) *
+                           static_cast<std::uint64_t>(box.hi[0] - box.lo[0]) * nb);
+        writeback(blk, ts.tile_bin[slot], box, sre0, sim0);
       }
       left[k].fetch_sub(1, std::memory_order_release);
     }

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <complex>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <thread>
@@ -137,6 +138,21 @@ std::vector<std::size_t> worker_counts() {
   return counts;
 }
 
+/// Upper bound on one execute's tile_merge_ops over `nb` planes: the clipped
+/// writeback adds each tile's footprint cells outside its core, at most the
+/// padded-minus-core cells of the whole padded box.
+template <typename T>
+std::uint64_t halo_bound(const core::Plan<T>& plan, int nb) {
+  const int pad = (plan.kernel_width() + 1) / 2;
+  std::uint64_t padded = 1, core = 1;
+  for (int d = 0; d < plan.dim(); ++d) {
+    padded *= static_cast<std::uint64_t>(plan.bins().m[d] + 2 * pad);
+    core *= static_cast<std::uint64_t>(plan.bins().m[d]);
+  }
+  return (padded - core) * plan.last_breakdown().tiles_active *
+         static_cast<std::uint64_t>(nb);
+}
+
 }  // namespace
 
 // ---- bitwise determinism across worker counts --------------------------------
@@ -225,6 +241,7 @@ TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
     ASSERT_EQ(plan.last_breakdown().tiled, 1) << "dim=" << dim;
     EXPECT_EQ(dev.counters.global_atomics.load(), 0u) << "dim=" << dim;
     EXPECT_GT(dev.counters.tile_merge_ops.load(), 0u) << "dim=" << dim;
+    EXPECT_LE(dev.counters.tile_merge_ops.load(), halo_bound(plan, 1)) << "dim=" << dim;
   }
 }
 
@@ -310,6 +327,7 @@ TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
             << "dim=" << dim << " method=" << core::method_name(method)
             << " band=" << band;
         EXPECT_GT(dev.counters.tile_merge_ops.load(), 0u);
+        EXPECT_LE(dev.counters.tile_merge_ops.load(), halo_bound(plan, 1));
       }
     }
   }
@@ -655,14 +673,18 @@ TEST(TiledSpread, ColoringDisjointAndWorkerIndependent) {
 
 // ---- M-TIP merge geometry ----------------------------------------------------
 
-TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
-  // The M-TIP merge transform (paper Sec. V): 3D fp64 type 1 at tol 1e-12,
-  // N = 81, on 40 Ewald slices of 32^2 detector pixels, default 16x16x2 bins
-  // (w = 13 reaches 7 cells past a 2-cell-deep bin). Its thousands of active
-  // tiles must run on the tile engine — no atomic fallback — in memory that
-  // does not scale with them. Chunk splitting is pinned off so a forced CI
-  // cap cannot add chunk planes; the auto cap splits nothing here anyway,
-  // since no bin reaches kTileChunkMin points (asserted).
+namespace {
+
+struct MtipMergeRun {
+  core::Breakdown bd;
+  std::array<int, 3> bins;
+};
+
+/// The M-TIP merge transform (paper Sec. V): 3D fp64 type 1 at tol 1e-12,
+/// N = 81, on 40 Ewald slices of 32^2 detector pixels (w = 13), one execute
+/// on a 2-worker device. Checks the tiled path, zero global atomics and 48
+/// sampled modes against the exact sum (within 10 tol).
+MtipMergeRun run_mtip_merge(const core::Options& opts) {
   const double tol = 1e-12;
   const std::vector<std::int64_t> N = {81, 81, 81};
   std::vector<double> x, y, z;
@@ -670,14 +692,11 @@ TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
   for (const auto& R : cf::mtip::random_rotations(40, 42))
     cf::mtip::ewald_slice_points(R, det, x, y, z);
   const std::size_t M = x.size();
-  ASSERT_EQ(M, 40u * 32u * 32u);
+  EXPECT_EQ(M, 40u * 32u * 32u);
   Rng rng(43);
   std::vector<std::complex<double>> c(M);
   for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
 
-  core::Options opts;
-  opts.method = core::Method::GMSort;
-  opts.tile_chunk_cap = -1;
   vgpu::Device dev(2);
   core::Plan<double> plan(dev, 1, N, +1, tol, opts);
   plan.set_points(M, x.data(), y.data(), z.data());
@@ -685,11 +704,8 @@ TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
   dev.counters.reset();
   plan.execute(c.data(), f.data());
   const auto bd = plan.last_breakdown();
-  ASSERT_EQ(bd.tiled, 1);
+  EXPECT_EQ(bd.tiled, 1);
   EXPECT_EQ(dev.counters.global_atomics.load(), 0u);
-  EXPECT_GT(bd.tiles_active, 1000u);
-  EXPECT_LT(bd.max_tile_points, cf::spread::kTileChunkMin);
-  EXPECT_LT(bd.arena_bytes, std::size_t(2) << 20);
 
   // Sampled modes against the exact sum (x-fastest, k = i - N/2 per axis).
   std::vector<std::complex<double>> got, want;
@@ -705,6 +721,232 @@ TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
     got.push_back(f[static_cast<std::size_t>(i0 + 81 * (i1 + 81 * i2))]);
   }
   EXPECT_LT(cf::cpu::rel_l2_error<double>(got, want), 10 * tol);
+  return {bd, plan.bins().m};
+}
+
+}  // namespace
+
+TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
+  // Pinned to the paper's 16x16x2 bins, where w = 13 reaches 7 cells past a
+  // 2-cell-deep bin: thousands of active tiles must run on the tile engine —
+  // no atomic fallback — in memory that does not scale with them. Chunk
+  // splitting is pinned off so a forced CI cap cannot add chunk planes; the
+  // auto cap splits nothing here anyway, since no bin reaches kTileChunkMin
+  // points (asserted).
+  core::Options opts;
+  opts.method = core::Method::GMSort;
+  opts.tile_chunk_cap = -1;
+  opts.binsize = {16, 16, 2};
+  const auto r = run_mtip_merge(opts);
+  EXPECT_GT(r.bd.tiles_active, 1000u);
+  EXPECT_LT(r.bd.max_tile_points, cf::spread::kTileChunkMin);
+  EXPECT_LT(r.bd.arena_bytes, std::size_t(2) << 20);
+}
+
+TEST(TiledSpread, MtipMergePlanDefaultsToHaloProportionedTiles) {
+  // The same plan with binsize unset runs on 16^3 tiles (the halo-
+  // proportioned geometry at w = 13), still tiled, in the same bounded
+  // scratch, at the same accuracy.
+  core::Options opts;
+  opts.method = core::Method::GMSort;
+  opts.tile_chunk_cap = -1;
+  const auto r = run_mtip_merge(opts);
+  EXPECT_EQ(r.bins, (std::array<int, 3>{16, 16, 16}));
+  EXPECT_GT(r.bd.tiles_active, 0u);
+  EXPECT_LT(r.bd.arena_bytes, std::size_t(2) << 20);
+}
+
+// ---- tile geometry rule ------------------------------------------------------
+
+TEST(TiledSpread, TileSizeRuleGrowsOnlyShallowAxes) {
+  namespace sp = cf::spread;
+  for (int dim = 1; dim <= 3; ++dim)
+    for (int w = 2; w <= 24; ++w) {
+      const auto paper = sp::BinSpec::default_size(dim);
+      const auto tile = sp::BinSpec::tile_size(dim, w);
+      if (dim < 3) {
+        EXPECT_EQ(tile, paper) << "dim=" << dim << " w=" << w;
+        continue;
+      }
+      const int halo = 2 * ((w + 1) / 2);
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(tile[d], std::max(paper[d], (halo + 7) / 8 * 8)) << "w=" << w;
+        EXPECT_GE(tile[d], halo) << "w=" << w;
+      }
+    }
+  EXPECT_EQ(sp::BinSpec::tile_size(3, 13), (std::array<int, 3>{16, 16, 16}));
+  EXPECT_EQ(sp::BinSpec::tile_size(3, 7), (std::array<int, 3>{16, 16, 8}));
+}
+
+TEST(TiledSpread, MethodResolvesOnPaperBinsTilesOnHaloBins) {
+  // fp32 3D type 1 at tol 1e-6 (w = 7): the paper's 16x16x2 bin fits shared
+  // memory, so Auto resolves to SM; the tile engine then runs 16x16x8
+  // tiles. An explicit binsize wins over both, and plans off the tile engine
+  // keep the paper bins.
+  const std::vector<std::int64_t> N = {32, 32, 32};
+  vgpu::Device dev(1);
+  auto bins_of = [&](int type, core::Options o) {
+    core::Plan<float> plan(dev, type, N, +1, 1e-6, o);
+    EXPECT_EQ(plan.kernel_width(), 7);
+    if (type == 1) {
+      EXPECT_EQ(plan.resolved_method(), core::Method::SM);
+    }
+    return plan.bins().m;
+  };
+  core::Options o;
+  EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{16, 16, 8}));
+  EXPECT_EQ(bins_of(2, o), (std::array<int, 3>{16, 16, 2}));
+  o.tiled_spread = 0;
+  EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{16, 16, 2}));
+  o.tiled_spread = 1;
+  o.binsize = {8, 8, 4};
+  EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{8, 8, 4}));
+}
+
+// ---- footprint-clipped, self-clearing writeback -------------------------------
+
+namespace {
+
+/// Sparse point sets on the 162 x 48 x 32 fine grid of modes {81, 24, 16}
+/// (16^3 tiles at w = 10; the x axis ends in a 2-cell bin): kind 0 a
+/// spherical shell, kind 1 every point in one corner of one bin, kind 2 a
+/// slab straddling the periodic wrap on every axis, through the short last
+/// x bin.
+Problem<double> sparse_problem(int kind, std::size_t M, int B,
+                               const std::array<std::int64_t, 3>& nf) {
+  Problem<double> p({81, 24, 16}, M, B, nf, 0, 300 + kind);
+  Rng rng(400 + kind);
+  for (std::size_t j = 0; j < M; ++j) {
+    double g[3];
+    if (kind == 0) {
+      const double th = std::acos(rng.uniform(-1, 1)), ph = rng.angle();
+      const double r = 12.0 + rng.uniform(0, 0.5);
+      g[0] = 0.5 * double(nf[0]) + r * std::sin(th) * std::cos(ph);
+      g[1] = 0.5 * double(nf[1]) + r * std::sin(th) * std::sin(ph);
+      g[2] = 0.5 * double(nf[2]) + r * std::cos(th);
+    } else {
+      for (int d = 0; d < 3; ++d)
+        g[d] = kind == 1 ? 16.0 + rng.uniform(0, 1.5)
+                         : double(nf[d]) + rng.uniform(-3, 3);
+    }
+    p.x[j] = 2.0 * std::numbers::pi * g[0] / double(nf[0]);
+    p.y[j] = 2.0 * std::numbers::pi * g[1] / double(nf[1]);
+    p.z[j] = 2.0 * std::numbers::pi * g[2] / double(nf[2]);
+  }
+  return p;
+}
+
+core::Options sparse_opts(int cap, int B = 1) {
+  core::Options o;
+  o.method = core::Method::GMSort;
+  o.tile_chunk_cap = cap;
+  o.ntransf = B;
+  return o;
+}
+
+}  // namespace
+
+TEST(TiledSpread, SparseFootprintsBitwiseAcrossWorkersAndAccurate) {
+  const double tol = 1e-9;
+  vgpu::Device probe(1);
+  core::Plan<double> trial(probe, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol,
+                           sparse_opts(-1));
+  const auto nf = trial.fine_grid().nf;
+  ASSERT_EQ(nf[0], 162);
+  ASSERT_EQ(trial.bins().m, (std::array<int, 3>{16, 16, 16}));
+  cf::ThreadPool pool(2);
+  for (int kind = 0; kind <= 2; ++kind) {
+    const auto p = sparse_problem(kind, 1500, 1, nf);
+    std::vector<std::complex<double>> want(static_cast<std::size_t>(p.ntot));
+    cf::cpu::direct_type1<double>(pool, p.x, p.y, p.z, p.c, +1, p.N, want);
+    for (int cap : {-1, 1}) {
+      int tiled = 0;
+      const auto ref = run_type1<double>(1, p, sparse_opts(cap), tol, &tiled);
+      ASSERT_EQ(tiled, 1) << "kind=" << kind;
+      EXPECT_LT(cf::cpu::rel_l2_error<double>(ref, want), 10 * tol)
+          << "kind=" << kind << " cap=" << cap;
+      for (std::size_t wc : {2, 4}) {
+        const auto got = run_type1<double>(wc, p, sparse_opts(cap), tol);
+        ASSERT_TRUE(got == ref) << "kind=" << kind << " cap=" << cap << " workers=" << wc;
+      }
+    }
+  }
+}
+
+TEST(TiledSpread, ScratchAndChunkPlanesAreCleanAfterSpread) {
+  // The clean-scratch invariant: every reader clears what it consumed, so
+  // after spread_tiled_batch returns the worker scratch and every split-chunk
+  // plane are all zero again — unsplit tiles, maximal splitting, and a batch
+  // of 3 planes alike. A second spread then reproduces the first bitwise.
+  namespace sp = cf::spread;
+  const double tol = 1e-9;
+  for (int kind = 0; kind <= 2; ++kind)
+    for (int cap : {-1, 1})
+      for (int B : {1, 3}) {
+        vgpu::Device dev(3);
+        core::Plan<double> plan(dev, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol,
+                                sparse_opts(cap, B));
+        const auto grid = plan.fine_grid();
+        const auto bins = plan.bins();
+        const auto p = sparse_problem(kind, 1500, B, grid.nf);
+        std::vector<double> xg(p.M), yg(p.M), zg(p.M);
+        for (std::size_t j = 0; j < p.M; ++j) {
+          xg[j] = sp::fold_rescale(p.x[j], grid.nf[0]);
+          yg[j] = sp::fold_rescale(p.y[j], grid.nf[1]);
+          zg[j] = sp::fold_rescale(p.z[j], grid.nf[2]);
+        }
+        sp::DeviceSort sort;
+        sp::bin_sort(dev, grid, bins, xg.data(), yg.data(), zg.data(), p.M, sort);
+        sp::TileSet<double> ts;
+        ASSERT_TRUE(sp::build_tile_set(dev, grid, bins, plan.kernel_width(), sort, B, ts,
+                                       cap));
+        if (cap == 1) {
+          EXPECT_GT(ts.n_split, 0u) << "kind=" << kind;
+        }
+        auto kp = sp::KernelParams<double>::from_width(plan.kernel_width(), 2.0);
+        const sp::NuPoints<double> pts{xg.data(), yg.data(), zg.data(), p.M};
+        const std::size_t total = static_cast<std::size_t>(grid.total());
+        std::vector<std::complex<double>> fw[2];
+        for (auto& f : fw) {
+          f.assign(static_cast<std::size_t>(B) * total, {0, 0});
+          sp::spread_tiled_batch<double>(dev, grid, bins, kp, pts, p.c.data(), f.data(),
+                                         sort, ts, nullptr, B, p.M, total);
+          auto all_zero = [](const auto& buf) {
+            return std::all_of(buf.data(), buf.data() + buf.size(),
+                               [](double v) { return v == 0.0; });
+          };
+          EXPECT_TRUE(all_zero(ts.scratch_re) && all_zero(ts.scratch_im))
+              << "kind=" << kind << " cap=" << cap << " B=" << B;
+          EXPECT_TRUE(all_zero(ts.chunk_re) && all_zero(ts.chunk_im))
+              << "kind=" << kind << " cap=" << cap << " B=" << B;
+        }
+        EXPECT_TRUE(fw[0] == fw[1]) << "kind=" << kind << " cap=" << cap << " B=" << B;
+      }
+}
+
+TEST(TiledSpread, NonFiniteStrengthDoesNotPoisonLaterExecutes) {
+  // A NaN (or Inf) strength writes NaN into the zero-tap overhang lanes of
+  // the fast path, which can spill past a row's end; clearing must cover
+  // them, or the next execute on the same plan inherits the NaNs.
+  const double tol = 1e-9;
+  for (int cap : {-1, 1}) {
+    vgpu::Device dev(2);
+    const auto opts = sparse_opts(cap);
+    core::Plan<double> plan(dev, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol, opts);
+    const auto p = sparse_problem(2, 1500, 1, plan.fine_grid().nf);
+    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
+    std::vector<std::complex<double>> f(static_cast<std::size_t>(p.ntot));
+    auto bad = p.c;
+    for (std::size_t j = 0; j < bad.size(); j += 97)
+      bad[j] = {j % 2 ? std::numeric_limits<double>::quiet_NaN()
+                      : std::numeric_limits<double>::infinity(),
+                0.0};
+    plan.execute(bad.data(), f.data());
+    auto c = p.c;
+    plan.execute(c.data(), f.data());
+    const auto fresh = run_type1<double>(2, p, opts, tol);
+    ASSERT_TRUE(f == fresh) << "cap=" << cap;
+  }
 }
 
 // ---- CF_TILE_CHUNK parsing ---------------------------------------------------
