@@ -71,8 +71,7 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 
-  auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(grid_.dim);
-  bins_ = spread::BinSpec::make(grid_, bsz);
+  bins_ = spread::spread_bins(grid_, opts_.binsize, false, kp_.w);
 
   // Method resolution (paper Sec. III + Rmk. 2).
   method_ = opts_.method;
@@ -96,8 +95,8 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   // halo-proportioned tiles unless the caller chose bins. The method above
   // (and the atomic fallback, which the tile gate alone triggers) stays on
   // the paper bins.
-  if (opts_.binsize[0] <= 0 && opts_.tiled_spread && type_ == 1 && need_sort_)
-    bins_ = spread::tile_bins(grid_, bins_, kp_.w);
+  bins_ = spread::spread_bins(grid_, opts_.binsize,
+                              opts_.tiled_spread && type_ == 1 && need_sort_, kp_.w);
 
   // One fine-grid plane per stacked vector, so a batched execute spreads,
   // transforms, and deconvolves the whole ntransf stack without reusing (and

@@ -82,8 +82,7 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     grid_.nf[d] = static_cast<std::int64_t>(fft::next235(static_cast<std::size_t>(
         std::max(std::ceil(sigma * band), double(2 * w)))));
   }
-  auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(dim_);
-  bins_ = spread::BinSpec::make(grid_, bsz);
+  bins_ = spread::spread_bins(grid_, opts_.binsize, false, w);
   method_ = opts_.method;
   if (method_ == Method::Auto)
     method_ = spread::sm_fits<T>(*dev_, grid_, bins_, w) ? Method::SM : Method::GMSort;
@@ -91,9 +90,9 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     throw std::invalid_argument("Type3Plan: SM padded bin exceeds shared memory");
   // The source spread on the tile engine takes halo-proportioned tiles (see
   // Plan); the target sort shares them, which only reorders the interp.
-  if (opts_.binsize[0] <= 0 && opts_.tiled_spread &&
-      (method_ == Method::SM || method_ == Method::GMSort))
-    bins_ = spread::tile_bins(grid_, bins_, w);
+  bins_ = spread::spread_bins(
+      grid_, opts_.binsize,
+      opts_.tiled_spread && (method_ == Method::SM || method_ == Method::GMSort), w);
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < dim_; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));

@@ -55,11 +55,8 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
   grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
-  auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(grid_.dim);
-  bins_ = spread::BinSpec::make(grid_, bsz);
   // Halo-proportioned tiles for the tiled spread, as in the device Plan.
-  if (opts_.binsize[0] <= 0 && opts_.tiled_spread && type_ == 1)
-    bins_ = spread::tile_bins(grid_, bins_, kp_.w);
+  bins_ = spread::spread_bins(grid_, opts_.binsize, opts_.tiled_spread && type_ == 1, kp_.w);
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < grid_.dim; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));

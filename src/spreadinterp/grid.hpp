@@ -93,10 +93,15 @@ inline bool tile_fits(const GridSpec& grid, const BinSpec& bins, int w) {
   return true;
 }
 
-/// Bins for a spread that runs on the tile engine with Options::binsize
-/// unset: the halo-proportioned BinSpec::tile_size when they pass the tile
-/// gate, else `paper` (the default bins the method was resolved on).
-inline BinSpec tile_bins(const GridSpec& grid, const BinSpec& paper, int w) {
+/// A plan's bins: an explicit `binsize` (m[0] > 0) wins; otherwise the
+/// paper's default_size, unless `tile_engine` (the plan's spread will run on
+/// the tile engine) and the halo-proportioned tile_size passes the tile
+/// gate. Plans resolve SM vs GM-sort with `tile_engine` false.
+inline BinSpec spread_bins(const GridSpec& grid, const std::array<int, 3>& binsize,
+                           bool tile_engine, int w) {
+  if (binsize[0] > 0) return BinSpec::make(grid, binsize);
+  const BinSpec paper = BinSpec::make(grid, BinSpec::default_size(grid.dim));
+  if (!tile_engine) return paper;
   const BinSpec t = BinSpec::make(grid, BinSpec::tile_size(grid.dim, w));
   return tile_fits(grid, t, w) ? t : paper;
 }

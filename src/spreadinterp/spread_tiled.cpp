@@ -43,7 +43,7 @@
 // 3D) are the SM shared-memory choice. Here scratch is global, so a plan
 // whose spread runs on this engine takes halo-proportioned tiles
 // (BinSpec::tile_size: 16x16x16 at w = 13, where a 2-deep bin would carry a
-// 14-deep halo); an explicit Options::binsize overrides both.
+// 14-deep halo); an explicit Options::binsize overrides both (spread_bins).
 //
 // Each cell therefore sums its contributions in colour order, each one a
 // per-tile sum in the canonical split — pure functions of the bins and the

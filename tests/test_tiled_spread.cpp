@@ -782,7 +782,8 @@ TEST(TiledSpread, MethodResolvesOnPaperBinsTilesOnHaloBins) {
   // fp32 3D type 1 at tol 1e-6 (w = 7): the paper's 16x16x2 bin fits shared
   // memory, so Auto resolves to SM; the tile engine then runs 16x16x8
   // tiles. An explicit binsize wins over both, and plans off the tile engine
-  // keep the paper bins.
+  // keep the paper bins. A plan whose tiles fail the tile gate keeps the
+  // paper bins too.
   const std::vector<std::int64_t> N = {32, 32, 32};
   vgpu::Device dev(1);
   auto bins_of = [&](int type, core::Options o) {
@@ -801,6 +802,30 @@ TEST(TiledSpread, MethodResolvesOnPaperBinsTilesOnHaloBins) {
   o.tiled_spread = 1;
   o.binsize = {8, 8, 4};
   EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{8, 8, 4}));
+
+  // Fallback: fp64 at tol 1e-12 (w = 13, pad 7) on modes {81, 81, 8} gives
+  // nf_z = 27. A 16-deep tile needs 16 + 14 = 30 cells on z and fails the
+  // tile gate, the paper's 2-deep bin needs 16 and passes, so the plan keeps
+  // 16x16x2 and still spreads tiled, with no global atomics.
+  const std::vector<std::int64_t> Na = {81, 81, 8};
+  core::Plan<double> plan(dev, 1, Na, +1, 1e-12);
+  EXPECT_EQ(plan.kernel_width(), 13);
+  EXPECT_EQ(plan.fine_grid().nf[2], 27);
+  EXPECT_EQ(plan.bins().m, (std::array<int, 3>{16, 16, 2}));
+  const std::size_t M = 2000;
+  Rng rng(44);
+  std::vector<double> x(M), y(M), z(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = rng.angle();
+    y[j] = rng.angle();
+    z[j] = rng.angle();
+  }
+  std::vector<std::complex<double>> c(M, {1.0, 0.0}), f(81 * 81 * 8);
+  plan.set_points(M, x.data(), y.data(), z.data());
+  dev.counters.reset();
+  plan.execute(c.data(), f.data());
+  EXPECT_EQ(plan.last_breakdown().tiled, 1);
+  EXPECT_EQ(dev.counters.global_atomics.load(), 0u);
 }
 
 // ---- footprint-clipped, self-clearing writeback -------------------------------
