@@ -4,9 +4,9 @@
 // non-Cartesian MRI) is inverted with the library's InverseNufft solver —
 // conjugate gradients on the normal equations (A^H A) f = A^H y, where A is
 // the type-2 NUFFT. This is the paper's motivating "iterative
-// reconstruction" use case: the nonuniform points are sorted once in
-// set_points, and every CG iteration re-executes the plan pair at "exec"
-// speed.
+// reconstruction" use case: set_points sorts the points once and builds the
+// Toeplitz kernel of A^H A from a few type-1 executes; every CG iteration
+// then applies A^H A as two (2N)^2 FFTs, without touching the points.
 //
 // Run: ./build/examples/mri_gridding [--n 128] [--spokes 201] [--iters 15]
 #include <cmath>
@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
   opts.tol = 1e-12;  // run all requested iterations
   opts.nufft_tol = tol;
   cf::solver::InverseNufft<double> inv(dev, std::span(N, 2), -1, opts);
-  inv.set_points(M, kx.data(), ky.data(), nullptr);
+  const double setpts_s =
+      cf::time_once([&] { inv.set_points(M, kx.data(), ky.data(), nullptr); });
 
   std::vector<cplx> f(ntot, cplx(0, 0));
   cf::Timer timer;
@@ -127,9 +128,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\nimage-space relative error: %.3e (1%% noise floor)\n",
               std::sqrt(num / den));
-  std::printf("%d CG iterations (2 NUFFT execs each) in %.3f s — %.1f ms/NUFFT\n",
-              rep.iters, elapsed, 1e3 * elapsed / (2.0 * std::max(rep.iters, 1)));
-  std::printf("Points were sorted once in set_points; every CG step ran at \"exec\"\n"
-              "speed — the use case the paper's plan interface targets.\n");
+  std::printf("set_points (sort + Toeplitz kernel) %.3f s; %d CG iterations in %.3f s"
+              " — %.1f ms/iteration\n",
+              setpts_s, rep.iters, elapsed, 1e3 * elapsed / std::max(rep.iters, 1));
+  std::printf("Only set_points and the right-hand side A^H y touched the points; every\n"
+              "CG step ran on FFTs alone.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "core/plan.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -141,7 +142,7 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   if (grid_.dim >= 2 && !y) throw std::invalid_argument("set_points: y required");
   if (grid_.dim >= 3 && !z) throw std::invalid_argument("set_points: z required");
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait
-  M_ = M;
+  M_ = 0;  // no usable points until the new ones pass the finiteness check
   cache_.invalidate();  // previous points' caches are stale from here on
   subs_ = spread::SubprobSetup{};  // ...as is the subproblem decomposition
   Timer t;
@@ -150,11 +151,19 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   if (grid_.dim >= 3) zg_ = vgpu::device_buffer<T>(*dev_, M);
   const std::int64_t nf0 = grid_.nf[0], nf1 = grid_.nf[1], nf2 = grid_.nf[2];
   const int dim = grid_.dim;
+  // A NaN or Inf coordinate folds to NaN, whose bin index is undefined, so
+  // the fold pass also checks finiteness and the sort never sees one.
+  std::atomic<bool> finite{true};
   dev_->launch_items(M, 256, [&](std::size_t j, vgpu::BlockCtx&) {
     xg_[j] = spread::fold_rescale(x[j], nf0);
     if (dim >= 2) yg_[j] = spread::fold_rescale(y[j], nf1);
     if (dim >= 3) zg_[j] = spread::fold_rescale(z[j], nf2);
+    if (!(std::isfinite(x[j]) && (dim < 2 || std::isfinite(y[j])) &&
+          (dim < 3 || std::isfinite(z[j]))))
+      finite.store(false, std::memory_order_relaxed);
   });
+  if (!finite.load()) throw std::invalid_argument("set_points: non-finite coordinate");
+  M_ = M;
   if (need_sort_)
     spread::bin_sort(*dev_, grid_, bins_, xg_.data(), dim >= 2 ? yg_.data() : nullptr,
                      dim >= 3 ? zg_.data() : nullptr, M, sort_);

@@ -175,7 +175,9 @@ class Plan {
   /// Registers M nonuniform points (device pointers; y/z null for dim<2/3).
   /// Performs fold-rescale, the GM-sort/SM bin-sort, and the PointCache build
   /// (SM tap table, interior classification) whose cost is amortized over
-  /// repeated execute() calls. Invalidates any previous PointCache.
+  /// repeated execute() calls. Invalidates any previous PointCache. Throws
+  /// std::invalid_argument on a NaN or Inf coordinate, before any sort; the
+  /// plan then holds no points until the next successful set_points.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Runs the transform: type 1 reads c (length M) and writes f (modes);

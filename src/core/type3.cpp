@@ -14,11 +14,15 @@ namespace cf::core {
 
 namespace {
 
-/// Center and half-width of a coordinate array (host-side reduction).
+/// Center and half-width of a coordinate array (host-side reduction). Throws
+/// std::invalid_argument on a NaN or Inf coordinate, which would otherwise
+/// reach the bin sort as an undefined bin index.
 template <typename T>
 void center_halfwidth(const T* v, std::size_t n, double& center, double& half) {
   double lo = v[0], hi = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(v[i]))
+      throw std::invalid_argument("Type3Plan: non-finite coordinate");
     lo = std::min(lo, double(v[i]));
     hi = std::max(hi, double(v[i]));
   }
@@ -55,8 +59,6 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     if (!xs[d] || !ss[d])
       throw std::invalid_argument("Type3Plan: missing coordinate array");
   if (M == 0 || K == 0) throw std::invalid_argument("Type3Plan: empty point sets");
-  M_ = M;
-  K_ = K;
 
   // Geometry: centers, half-widths, scales, fine grid (see header comment).
   const double sigma = opts_.upsampfac;
@@ -71,13 +73,21 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   // pi/2 keeps the roundoff floor below 1e-11 while the fine grid still
   // shrinks (8/5)^dim vs sigma = 2.
   const double sigma_s = std::max(sigma, 2.0);
-  grid_.dim = dim_;
-  double Sw[3] = {0, 0, 0};
+  // Every array is checked before any member changes, so a rejected set
+  // leaves the previous one in place.
+  std::array<double, 3> xcen{0, 0, 0}, scen{0, 0, 0};
+  double X[3] = {0, 0, 0}, Sw[3] = {0, 0, 0};
   for (int d = 0; d < dim_; ++d) {
-    double X;
-    center_halfwidth(xs[d], M, xc_[d], X);
-    center_halfwidth(ss[d], K, sc_[d], Sw[d]);
-    gam_[d] = sigma_s * X / std::numbers::pi;
+    center_halfwidth(xs[d], M, xcen[d], X[d]);
+    center_halfwidth(ss[d], K, scen[d], Sw[d]);
+  }
+  M_ = M;
+  K_ = K;
+  xc_ = xcen;
+  sc_ = scen;
+  grid_.dim = dim_;
+  for (int d = 0; d < dim_; ++d) {
+    gam_[d] = sigma_s * X[d] / std::numbers::pi;
     const double band = 2.0 * gam_[d] * Sw[d] + w;  // modes the targets touch
     grid_.nf[d] = static_cast<std::int64_t>(fft::next235(static_cast<std::size_t>(
         std::max(std::ceil(sigma * band), double(2 * w)))));

@@ -56,7 +56,8 @@ class Type3Plan {
   /// Registers M source points (x/y/z, device pointers, unused = null) and
   /// K target frequencies (s/t/u). Computes the geometry-dependent fine
   /// grid, precomputes per-point corrections and phases, and bin-sorts both
-  /// point sets.
+  /// point sets. Throws std::invalid_argument on a NaN or Inf coordinate,
+  /// leaving the previous point sets in place.
   void set_points(std::size_t M, const T* x, const T* y, const T* z, std::size_t K,
                   const T* s, const T* t, const T* u);
 

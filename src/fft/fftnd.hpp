@@ -91,8 +91,10 @@ class FftNd {
   /// all dims()[0] entries of `row` and return true, or return false to
   /// declare the row identically zero — in which case the row in `data` is
   /// zero-filled, and a lane group whose rows are all zero is not transformed
-  /// (the DFT of zero is zero). `data` need not be initialized beforehand;
-  /// `fill` may be called concurrently from pool workers.
+  /// (the DFT of zero is zero). `data` need not be initialized beforehand,
+  /// but `fill` may read line `line` of plane b of `data`: the pass writes a
+  /// line only after the fills of its lane group return. `fill` may be
+  /// called concurrently from pool workers.
   template <typename RowFill>
   void exec_batch_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
                         int sign, RowFill&& fill) {

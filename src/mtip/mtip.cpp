@@ -54,7 +54,8 @@ double MtipRank::setup() {
   dmerge_grid_ = vgpu::device_buffer<cplx>(*dev_, static_cast<std::size_t>(nm3));
 
   // Plans: slicing is type 2 on the N_slice grid; merging is type 1 on the
-  // N_merge grid; both reuse the same nonuniform points (sorted once here).
+  // N_merge grid. Both take the same nonuniform points, but each plan sorts
+  // them for its own fine grid.
   const std::int64_t ns[3] = {cfg_.N_slice, cfg_.N_slice, cfg_.N_slice};
   const std::int64_t nm[3] = {cfg_.N_merge, cfg_.N_merge, cfg_.N_merge};
   slice_plan_ = std::make_unique<core::Plan<double>>(*dev_, 2, std::span(ns, 3), -1,

@@ -249,6 +249,7 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
     double setpts_t0 = 0, setpts_dur = 0;
     if (!points_reused) {
       mono::Stopwatch sp_sw;
+      entry->fingerprint = 0;  // a set_points that throws leaves no points loaded
       if (type3)
         plan.set_points3(head.M, static_cast<const T*>(head.x),
                          static_cast<const T*>(head.y), static_cast<const T*>(head.z),

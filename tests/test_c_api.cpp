@@ -2,8 +2,10 @@
 // the C++ plan.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <complex>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -128,6 +130,45 @@ TEST(CApi, InvalidArgumentsReturnErrorCodes) {
   EXPECT_EQ(cfs_setpts(plan, 10, x.data(), nullptr, nullptr), CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_execute(nullptr, nullptr, nullptr), CFS_ERR_INVALID_ARG);
   cfs_destroy(plan);
+}
+
+TEST(CApi, NonFiniteCoordinatesReturnInvalidArg) {
+  DeviceGuard g;
+  const int64_t n3[3] = {8, 8, 8};
+  const size_t M = 64;
+  Rng rng(65);
+  std::vector<double> xyz[3];
+  std::vector<float> xyzf[3];
+  for (int d = 0; d < 3; ++d)
+    for (size_t j = 0; j < M; ++j) {
+      xyz[d].push_back(rng.angle());
+      xyzf[d].push_back(static_cast<float>(xyz[d].back()));
+    }
+  cfs_plan plan = nullptr;
+  cfs_planf planf = nullptr;
+  cfs_plan3 plan3 = nullptr;
+  ASSERT_EQ(cfs_makeplan(g.dev, 1, 3, n3, +1, 1e-6, nullptr, &plan), CFS_SUCCESS);
+  ASSERT_EQ(cfs_makeplanf(g.dev, 2, 3, n3, +1, 1e-5, nullptr, &planf), CFS_SUCCESS);
+  ASSERT_EQ(cfs_makeplan3(g.dev, 3, +1, 1e-6, nullptr, &plan3), CFS_SUCCESS);
+  const double bads[2] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()};
+  for (int d = 0; d < 3; ++d)
+    for (const double bad : bads) {
+      auto p = std::to_array({xyz[0], xyz[1], xyz[2]});
+      auto pf = std::to_array({xyzf[0], xyzf[1], xyzf[2]});
+      p[d][M / 2] = bad;
+      pf[d][M / 2] = static_cast<float>(bad);
+      EXPECT_EQ(cfs_setpts(plan, M, p[0].data(), p[1].data(), p[2].data()),
+                CFS_ERR_INVALID_ARG) << "axis " << d << " value " << bad;
+      EXPECT_EQ(cfs_setptsf(planf, M, pf[0].data(), pf[1].data(), pf[2].data()),
+                CFS_ERR_INVALID_ARG) << "axis " << d << " value " << bad;
+      EXPECT_EQ(cfs_setpts3(plan3, M, p[0].data(), p[1].data(), p[2].data(), M,
+                            xyz[0].data(), xyz[1].data(), xyz[2].data()),
+                CFS_ERR_INVALID_ARG) << "axis " << d << " value " << bad;
+    }
+  cfs_destroy(plan);
+  cfs_destroyf(planf);
+  cfs_destroy3(plan3);
 }
 
 TEST(CApi, CustomBinSizeAndMsub) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -306,6 +307,45 @@ TEST(Plan, InvalidArgumentsThrow) {
   // ... but fits in single precision.
   core::Plan<float> ok(dev, 1, std::span(n3, 3), +1, 1e-5, sm);
   EXPECT_EQ(ok.resolved_method(), core::Method::SM);
+}
+
+namespace {
+
+// Every axis x NaN/+Inf is rejected at set_points on both types, and the plan
+// then takes valid points and reproduces a fresh plan's output bit for bit
+// (one worker, so a type-1 spread on the atomic fallback adds in one order).
+template <typename T>
+void check_non_finite_rejected() {
+  vgpu::Device dev(1);
+  Problem<T> p({12, 10, 8}, 600, false, 61);
+  const T bads[2] = {std::numeric_limits<T>::quiet_NaN(), std::numeric_limits<T>::infinity()};
+  for (int type : {1, 2}) {
+    core::Plan<T> plan(dev, type, p.N, +1, 1e-5);
+    for (int d = 0; d < 3; ++d)
+      for (const T bad : bads) {
+        Problem<T> q = p;
+        std::vector<T>* axis[3] = {&q.x, &q.y, &q.z};
+        (*axis[d])[q.M / 2] = bad;
+        EXPECT_THROW(plan.set_points(q.M, q.x.data(), q.y.data(), q.z.data()),
+                     std::invalid_argument)
+            << "type " << type << " axis " << d << " value " << bad;
+      }
+    core::Plan<T> fresh(dev, type, p.N, +1, 1e-5);
+    std::vector<std::complex<T>> c1 = p.c, f1 = p.f, c2 = p.c, f2 = p.f;
+    plan.set_points(p.M, p.x.data(), p.y.data(), p.z.data());
+    fresh.set_points(p.M, p.x.data(), p.y.data(), p.z.data());
+    plan.execute(c1.data(), f1.data());
+    fresh.execute(c2.data(), f2.data());
+    EXPECT_EQ(c1, c2) << "type " << type;
+    EXPECT_EQ(f1, f2) << "type " << type;
+  }
+}
+
+}  // namespace
+
+TEST(Plan, NonFiniteCoordinatesAreRejected) {
+  check_non_finite_rejected<double>();
+  check_non_finite_rejected<float>();
 }
 
 TEST(Plan, AutoMethodResolution) {

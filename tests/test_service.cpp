@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -813,6 +814,26 @@ TEST(Service, StatsInvariantHoldsAcrossFailuresAndSheds) {
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(ok));
   EXPECT_EQ(st.shed, static_cast<std::uint64_t>(shed));
   EXPECT_EQ(st.failed, st.shed + 3);
+}
+
+// ---- a non-finite point set fails alone ---------------------------------------
+
+TEST(Service, NonFinitePointsFailWithoutPoisoningThePlan) {
+  // The rejected set_points leaves the shared plan without points; the next
+  // request on the earlier set must load it again, not be served from a
+  // plan that no longer holds it.
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
+  service::NufftService svc(dev);
+  Problem<float> p(std::vector<std::int64_t>{20, 16}, 2, 500, 64);
+  const core::Options opts = opts_for(2);
+  std::vector<std::complex<float>> first(p.out_len()), again(p.out_len()),
+      out(p.out_len());
+  svc.submit(p.request(opts, first)).get();
+  Problem<float> bad = p;
+  bad.x[bad.M / 2] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(svc.submit(bad.request(opts, out)).get(), std::invalid_argument);
+  svc.submit(p.request(opts, again)).get();
+  EXPECT_EQ(first, again);
 }
 
 // ---- iflag = 0 is rejected, not silently folded -----------------------------

@@ -1,9 +1,12 @@
 // Inverse NUFFT solver: exact recovery in well-posed regimes, convergence
-// behavior, weighting, damping, and misuse handling.
+// behavior, weighting, damping, misuse handling, the Toeplitz normal
+// operator against the NUFFT pair, and worker-count determinism.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -183,11 +186,22 @@ TEST(InverseNufft, MisuseThrows) {
   std::vector<double> x(10, 0.1), wneg(10, -1.0);
   EXPECT_THROW(inv.set_points(10, x.data(), nullptr, nullptr, wneg.data()),
                std::invalid_argument);
+  std::vector<double> winf(10, std::numeric_limits<double>::infinity()), xnan = x;
+  EXPECT_THROW(inv.set_points(10, x.data(), nullptr, nullptr, winf.data()),
+               std::invalid_argument);
+  xnan[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(inv.set_points(10, xnan.data(), nullptr, nullptr), std::invalid_argument);
+  EXPECT_THROW(inv.solve(y.data(), f.data()), std::logic_error);  // still no points
+  // The solver's workspaces hold one vector; a batched plan would overrun them.
+  solver::InverseOptions batched;
+  batched.plan_opts.ntransf = 2;
+  EXPECT_THROW(solver::InverseNufft<double>(dev, std::span(N, 1), +1, batched),
+               std::invalid_argument);
 }
 
 TEST(InverseNufft, PlanOptionsPropagate) {
-  // kerevalmeth/method preferences flow into both inner plans; result
-  // matches the default-path solve.
+  // kerevalmeth/method preferences flow into the type-1 plan (and through it
+  // into the Toeplitz kernel); the result matches the default-path solve.
   cf::vgpu::Device dev(4);
   InvProblem<double> p({20, 20}, 3000, dev, 18);
   solver::InverseOptions base;
@@ -195,7 +209,7 @@ TEST(InverseNufft, PlanOptionsPropagate) {
   base.tol = 1e-10;
   solver::InverseOptions tuned = base;
   tuned.plan_opts.kerevalmeth = 1;
-  tuned.plan_opts.method = cf::core::Method::SM;  // adjoint uses SM; fwd falls back
+  tuned.plan_opts.method = cf::core::Method::SM;
   solver::InverseNufft<double> a(dev, p.N, +1, base), b(dev, p.N, +1, tuned);
   a.set_points(p.M, p.x.data(), p.y.data(), nullptr);
   b.set_points(p.M, p.x.data(), p.y.data(), nullptr);
@@ -227,4 +241,139 @@ TEST(InverseNufft, NoiseRobustnessWithDamping) {
   std::vector<std::complex<double>> f(p.f_true.size(), {0, 0});
   inv.solve(noisy.data(), f.data());
   EXPECT_LT(p.recovery_error(f), 0.05);
+}
+
+namespace {
+
+struct ToeplitzCase {
+  std::vector<std::int64_t> N;
+  bool weights;
+  double lambda;  ///< in units of M, the scale of A^H A
+  int modeord;
+  double upsampfac;
+  int iflag;
+};
+
+/// ||T x - (A^H W A + lambda) x|| / ||(A^H W A + lambda) x|| for random x,
+/// with the reference built from a type-2 and a type-1 core::Plan.
+template <typename T>
+double toeplitz_vs_pair(const ToeplitzCase& tc, double tol, std::uint64_t seed) {
+  using C = std::complex<T>;
+  cf::vgpu::Device dev(4);
+  const int dim = static_cast<int>(tc.N.size());
+  const std::size_t M = 2000 * static_cast<std::size_t>(dim);
+  Rng rng(seed);
+  std::vector<T> xyz[3];
+  for (int d = 0; d < dim; ++d) {
+    xyz[d].resize(M);
+    for (auto& v : xyz[d]) v = static_cast<T>(rng.angle());
+  }
+  const T* x = xyz[0].data();
+  const T* y = dim >= 2 ? xyz[1].data() : nullptr;
+  const T* z = dim >= 3 ? xyz[2].data() : nullptr;
+  std::vector<T> w;
+  if (tc.weights)
+    for (std::size_t j = 0; j < M; ++j) w.push_back(static_cast<T>(rng.uniform(0.2, 2.0)));
+
+  cf::core::Options po;
+  po.modeord = tc.modeord;
+  po.upsampfac = tc.upsampfac;
+  solver::InverseOptions io;
+  io.nufft_tol = tol;
+  io.lambda = tc.lambda * double(M);
+  io.plan_opts = po;
+  solver::InverseNufft<T> inv(dev, tc.N, tc.iflag, io);
+  inv.set_points(M, x, y, z, tc.weights ? w.data() : nullptr);
+  const auto ntot = static_cast<std::size_t>(inv.modes_total());
+  std::vector<C> in(ntot), out(ntot);
+  for (auto& v : in)
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  inv.apply_normal(in.data(), out.data());
+
+  cf::core::Plan<T> A(dev, 2, tc.N, tc.iflag, tol, po), AH(dev, 1, tc.N, -tc.iflag, tol, po);
+  A.set_points(M, x, y, z);
+  AH.set_points(M, x, y, z);
+  std::vector<C> c(M), ref(ntot), in_copy = in;
+  A.execute(c.data(), in_copy.data());
+  if (tc.weights)
+    for (std::size_t j = 0; j < M; ++j) c[j] *= w[j];
+  AH.execute(c.data(), ref.data());
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < ntot; ++i) {
+    ref[i] += static_cast<T>(io.lambda) * in[i];
+    num += std::norm(std::complex<double>(out[i] - ref[i]));
+    den += std::norm(std::complex<double>(ref[i]));
+  }
+  return std::sqrt(num / den);
+}
+
+template <typename T>
+void check_toeplitz_matrix(double tol) {
+  const std::vector<std::vector<std::int64_t>> even = {{40}, {24, 20}, {12, 10, 8}};
+  const std::vector<std::vector<std::int64_t>> odd = {{41}, {23, 17}, {11, 9, 7}};
+  for (int d = 0; d < 3; ++d) {
+    const std::vector<ToeplitzCase> cases = {
+        {even[d], false, 0.0, 0, 2.0, +1},
+        {even[d], true, 0.1, 0, 2.0, -1},
+        {odd[d], false, 0.0, 1, 2.0, +1},
+        {odd[d], true, 0.0, 1, 1.25, -1},
+        {even[d], false, 0.1, 0, 1.25, +1},
+    };
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const auto& tc = cases[k];
+      const double rel = toeplitz_vs_pair<T>(tc, tol, 100 + 10 * d + k);
+      EXPECT_LE(rel, 10 * tol) << "dim " << d + 1 << " case " << k << " N0 " << tc.N[0]
+                               << " weights " << tc.weights << " lambda " << tc.lambda
+                               << " modeord " << tc.modeord << " sigma " << tc.upsampfac
+                               << " iflag " << tc.iflag;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(InverseNufft, ToeplitzMatchesPlanPair) {
+  check_toeplitz_matrix<double>(1e-9);
+  check_toeplitz_matrix<float>(1e-5);
+}
+
+TEST(InverseNufft, SolveIsBitwiseIdenticalAcrossWorkerCounts) {
+  // The Toeplitz kernel comes from the tiled type-1 spread, and the FFT,
+  // pad, product and crop are per-element or per-line: no step's bits depend
+  // on how the device splits work.
+  using C = std::complex<float>;
+  const std::vector<std::int64_t> N = {48, 40};
+  const std::size_t M = 8000;
+  Rng rng(31);
+  std::vector<float> x(M), y(M), w(M);
+  std::vector<C> yv(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = static_cast<float>(rng.angle());
+    y[j] = static_cast<float>(rng.angle());
+    w[j] = static_cast<float>(rng.uniform(0.5, 1.5));
+    yv[j] = {static_cast<float>(rng.normal()), static_cast<float>(rng.normal())};
+  }
+  solver::InverseOptions opts;
+  opts.max_iters = 8;
+  opts.tol = 0;
+  opts.nufft_tol = 1e-5;
+  opts.lambda = 10.0;
+  std::vector<C> ref;
+  std::vector<double> ref_hist;
+  for (std::size_t workers : {1, 2, 4}) {
+    cf::vgpu::Device dev(workers);
+    solver::InverseNufft<float> inv(dev, N, -1, opts);
+    inv.set_points(M, x.data(), y.data(), nullptr, w.data());
+    std::vector<C> f(static_cast<std::size_t>(inv.modes_total()), C(0, 0));
+    const auto rep = inv.solve(yv.data(), f.data());
+    EXPECT_EQ(rep.iters, 8);
+    if (ref.empty()) {
+      ref = f;
+      ref_hist = rep.history;
+      continue;
+    }
+    EXPECT_EQ(0, std::memcmp(f.data(), ref.data(), f.size() * sizeof(C)))
+        << workers << " workers";
+    EXPECT_EQ(rep.history, ref_hist) << workers << " workers";
+  }
 }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <array>
+#include <cmath>
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -277,6 +280,40 @@ TEST(Type3, InvalidUseThrows) {
                std::invalid_argument);  // missing y
   std::vector<std::complex<double>> c(5), f(5);
   EXPECT_THROW(plan.execute(c.data(), f.data()), std::logic_error);  // no setpts
+}
+
+TEST(Type3, NonFiniteCoordinatesAreRejected) {
+  // NaN or +Inf in any source or target axis is rejected before the sort, and
+  // a rejected set leaves the previous points in place.
+  cf::vgpu::Device dev(2);
+  const std::size_t M = 300, K = 200;
+  Rng rng(63);
+  std::vector<double> xyz[3], stu[3];
+  for (int d = 0; d < 3; ++d) {
+    for (std::size_t j = 0; j < M; ++j) xyz[d].push_back(rng.uniform(-2, 2));
+    for (std::size_t k = 0; k < K; ++k) stu[d].push_back(rng.uniform(-20, 20));
+  }
+  std::vector<std::complex<double>> c(M), before(K), after(K);
+  for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  core::Type3Plan<double> plan(dev, 3, +1, 1e-6);
+  plan.set_points(M, xyz[0].data(), xyz[1].data(), xyz[2].data(), K, stu[0].data(),
+                  stu[1].data(), stu[2].data());
+  plan.execute(c.data(), before.data());
+  const double bads[2] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()};
+  for (int targets = 0; targets < 2; ++targets)
+    for (int d = 0; d < 3; ++d)
+      for (const double bad : bads) {
+        auto src = std::to_array({xyz[0], xyz[1], xyz[2]});
+        auto trg = std::to_array({stu[0], stu[1], stu[2]});
+        (targets ? trg : src)[d][targets ? K / 2 : M / 2] = bad;
+        EXPECT_THROW(plan.set_points(M, src[0].data(), src[1].data(), src[2].data(), K,
+                                     trg[0].data(), trg[1].data(), trg[2].data()),
+                     std::invalid_argument)
+            << (targets ? "target" : "source") << " axis " << d << " value " << bad;
+      }
+  plan.execute(c.data(), after.data());
+  EXPECT_EQ(before, after);
 }
 
 TEST(Type3, FineGridScalesWithSpaceBandwidthProduct) {
