@@ -38,23 +38,10 @@
 // pipeline's determinism guarantee surviving coalescing, admission, and
 // windows); the exit code is nonzero on any mismatch.
 //
-// The service_shards family sweeps the sharded front tier (shards in
-// {1, 2, 4}) against a single hot signature and a 4-signature mix: sticky
-// routing must build each signature's plan exactly ONCE at any shard count
-// (the single-signature stream shows plan_misses == 1 — zero duplicate plan
-// constructions), and every response must be bitwise-identical both to the
-// serial per-request reference and to the 1-shard outputs. Both checks feed
-// the exit code. Throughput per shard count is recorded; on a multi-core
-// host the mixed-signature stream is expected to scale with shards (each
-// signature's shard owns a private device), while on one core the sweep
-// only documents the routing overhead.
-//
 // Flags: --m N (closed-loop points, default 1e6), --reps R (best-of, 3),
 //        --threads T (service dispatchers, default 2), --json PATH,
 //        --open-m N (open-loop points/request, default 30000; 0 disables),
-//        --open-requests K (arrivals per run, default 120),
-//        --shard-m N (points/request in the shard sweep, default 120000;
-//        0 disables).
+//        --open-requests K (arrivals per run, default 120).
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -65,7 +52,6 @@
 #include "bench_util.hpp"
 #include "core/plan.hpp"
 #include "service/service.hpp"
-#include "service/shard_router.hpp"
 #include "vgpu/device.hpp"
 
 using namespace cf;
@@ -528,159 +514,7 @@ int main(int argc, char** argv) {
     ot.print();
   }
 
-  // ---- sharded tier: shards x {single hot signature, mixed signatures} -----
-  const std::size_t shard_m =
-      static_cast<std::size_t>(cli.get_int("shard-m", 120000));
-  bool shard_ok = true;
-  if (shard_m > 0) {
-    const int kReq = 16, kSigs = 4, shard_reps = 2;
-    // Four distinct signatures: different mode boxes, each with its own
-    // point set and per-request strengths. The hot scenario streams only
-    // signature 0; the mixed scenario round-robins all four.
-    auto make_sig = [&](int delta) {
-      Config c0 = make_config(shard_m);
-      const std::int64_t n = c0.N[0] + 2 * delta;
-      c0.N = {n, n, n};
-      c0.ntot = static_cast<std::size_t>(n * n * n);
-      c0.wl = bench::make_workload<float>(3, shard_m, Dist::Rand, 2 * n);
-      return c0;
-    };
-    std::vector<Config> sigs;
-    for (int i = 0; i < kSigs; ++i) sigs.push_back(make_sig(i));
-    Rng srng(555);
-    std::vector<std::vector<std::complex<float>>> scin(kReq);
-    for (auto& ci : scin) {
-      ci.resize(shard_m);
-      for (auto& v : ci)
-        v = {float(srng.uniform(-1, 1)), float(srng.uniform(-1, 1))};
-    }
-
-    std::printf("\nSharded tier: %d requests, shards x {hot, mixed %d signatures}, "
-                "M=%zu/request\n",
-                kReq, kSigs, shard_m);
-    Table sht({"scenario", "shards", "16 req [s]", "Mpts/s", "vs 1 shard",
-               "plan misses", "sticky", "bitwise"});
-
-    for (const bool mixed : {false, true}) {
-      const char* scen = mixed ? "mixed" : "hot";
-      auto sig_of = [&](int b) { return mixed ? b % kSigs : 0; };
-
-      // Serial per-request references (deterministic tiled pipeline: any
-      // worker count yields the same bits as the shard devices).
-      std::vector<std::vector<std::complex<float>>> ref(kReq);
-      for (int s = 0; s < kSigs; ++s) {
-        bool used = false;
-        for (int b = 0; b < kReq; ++b) used = used || sig_of(b) == s;
-        if (!used) continue;
-        core::Plan<float> rplan(dev, 1, sigs[s].N, +1, cfg.tol, plan_opts());
-        rplan.set_points(shard_m, sigs[s].wl.xp(), sigs[s].wl.yp(),
-                         sigs[s].wl.zp());
-        for (int b = 0; b < kReq; ++b) {
-          if (sig_of(b) != s) continue;
-          ref[b].assign(sigs[s].ntot, {});
-          std::vector<std::complex<float>> cb = scin[b];
-          rplan.execute(cb.data(), ref[b].data());
-        }
-      }
-
-      std::vector<std::vector<std::complex<float>>> f1;  // 1-shard outputs
-      double one_shard_s = 0;
-      for (const int nsh : {1, 2, 4}) {
-        service::ShardedConfig scfg;
-        scfg.shards = nsh;
-        scfg.shard.threads = threads;
-        scfg.shard.max_batch = 8;
-        service::ShardedNufftService svc(scfg);
-
-        std::vector<std::vector<std::complex<float>>> fout(kReq);
-        auto round = [&] {
-          std::vector<std::thread> submitters;
-          std::vector<std::future<service::ExecReport>> futs(kReq);
-          std::mutex mu;
-          for (int t4 = 0; t4 < 4; ++t4)
-            submitters.emplace_back([&, t4] {
-              for (int b = t4; b < kReq; b += 4) {
-                const Config& sg = sigs[static_cast<std::size_t>(sig_of(b))];
-                fout[b].assign(sg.ntot, {});
-                service::Request<float> req;
-                req.type = 1;
-                req.modes = sg.N;
-                req.tol = cfg.tol;
-                req.opts = plan_opts();
-                req.M = shard_m;
-                req.x = sg.wl.xp();
-                req.y = sg.wl.yp();
-                req.z = sg.wl.zp();
-                req.input = scin[b].data();
-                req.output = fout[b].data();
-                auto fut = svc.submit(req);
-                std::lock_guard lk(mu);
-                futs[b] = std::move(fut);
-              }
-            });
-          for (auto& th : submitters) th.join();
-          for (auto& f : futs) f.get();
-        };
-
-        round();  // warmup: plans built, fingerprints resident
-        double best_s = 1e300;
-        for (int r = 0; r < shard_reps; ++r) {
-          Timer tm;
-          round();
-          best_s = std::min(best_s, tm.seconds());
-        }
-        const auto sst = svc.stats();
-
-        bool bw = true;
-        for (int b = 0; b < kReq && bw; ++b)
-          bw = fout[b] == ref[b];
-        if (nsh == 1) {
-          f1 = fout;
-          one_shard_s = best_s;
-        } else {
-          for (int b = 0; b < kReq && bw; ++b)
-            bw = fout[b] == f1[b];  // any shard count, same bits
-        }
-        // Sticky routing: one plan per signature, at ANY shard count.
-        const std::uint64_t want_misses = mixed ? kSigs : 1;
-        const bool sticky_ok = sst.total.plan_misses == want_misses &&
-                               sst.migrations == 0;
-        shard_ok = shard_ok && bw && sticky_ok;
-
-        sht.add_row({scen, std::to_string(nsh), Table::fmt(best_s, 3),
-                     Table::fmt(double(kReq) * double(shard_m) / best_s / 1e6, 2),
-                     Table::fmt(one_shard_s / best_s, 2) + "x",
-                     std::to_string(sst.total.plan_misses),
-                     std::to_string(sst.sticky_hits),
-                     bw && sticky_ok ? "yes" : "NO"});
-        auto& rec = json.add();
-        rec.field("bench", "service_shards")
-            .field("dist", "rand")
-            .field("dim", 3)
-            .field("M", shard_m)
-            .field("requests", kReq)
-            .field("tol", cfg.tol)
-            .field("method", "GM-sort")
-            .field("scenario", scen)
-            .field("signatures", mixed ? kSigs : 1)
-            .field("shards", nsh)
-            .field("service_threads", threads)
-            .field("exec_s", best_s)
-            .field("pts_per_s", double(kReq) * double(shard_m) / best_s)
-            .field("speedup_vs_1shard", one_shard_s / best_s)
-            .field("plan_misses", sst.total.plan_misses)
-            .field("setpts_reuses", sst.total.setpts_reuses)
-            .field("sticky_hits", sst.sticky_hits)
-            .field("migrations", sst.migrations)
-            .field("bitwise_vs_serial_and_1shard", bw ? "true" : "false");
-      }
-    }
-    sht.print();
-    if (!shard_ok)
-      std::printf("sharded sweep FAILED its bitwise/sticky checks\n");
-  }
-
   json.write(json_path);
   std::printf("wrote %s\n", json_path.c_str());
-  return bitwise && shard_ok ? 0 : 1;
+  return bitwise ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "service/service.hpp"
-#include "service/shard_router.hpp"
 #include "vgpu/device.hpp"
 
 int main() {
@@ -157,86 +156,26 @@ int main() {
               static_cast<unsigned long long>(qs.failed),
               static_cast<unsigned long long>(qs.shed));
 
-  // ---- scale-out: the sharded tier over two devices -------------------------
-  // Two signatures served through a 2-shard ShardedNufftService (each shard
-  // owns a private device + plan registry). Sticky routing pins each
-  // signature to hash(PlanKey) % 2, so the two mode boxes typically serve
-  // from different shards — and each plan is built exactly once no matter
-  // how many clients share its signature.
-  service::ShardedConfig shcfg;
-  shcfg.shards = 2;
-  shcfg.shard.threads = 2;
-  shcfg.shard.max_batch = 8;
-  shcfg.shard.coalesce_window = std::chrono::milliseconds(2);
-  shcfg.shard.adaptive_window = false;
-  // Keep routing pure-sticky for the demo: the default spill threshold
-  // (2 x max_batch outstanding) would let this synchronized 24-request burst
-  // trigger migration when both signatures hash to the same home shard.
-  shcfg.spill_threshold = 1u << 20;
-  service::ShardedNufftService sharded(shcfg);
-
-  const std::vector<std::int64_t> modes_b{96, 96};
-  const std::size_t ntot_b = 96 * 96;
-  std::vector<std::vector<cplx>> image_b(kClients);
-  std::vector<std::future<service::ExecReport>> shfut(2 * kClients);
-  std::vector<std::thread> shclients;
-  for (int i = 0; i < kClients; ++i) {
-    image_b[i].assign(ntot_b, cplx(0, 0));
-    shclients.emplace_back([&, i] {
-      // Signature A: the 128x128 trajectory from above.
-      shfut[2 * i] = sharded.submit(make_req(i, service::Priority::Bulk));
-      // Signature B: a 96x96 reconstruction on the same points.
-      service::Request<float> req;
-      req.type = 1;
-      req.modes = modes_b;
-      req.tol = 1e-5;
-      req.M = M;
-      req.x = x.data();
-      req.y = y.data();
-      req.input = data[i].data();
-      req.output = image_b[i].data();
-      shfut[2 * i + 1] = sharded.submit(req);
-    });
-  }
-  for (auto& t : shclients) t.join();
-  for (auto& f : shfut) f.get();
-
-  const auto ss = sharded.stats();
-  std::printf("\nsharded tier: %d shards, %llu requests routed "
-              "(%llu sticky hits, %llu migrations)\n",
-              sharded.n_shards(), static_cast<unsigned long long>(ss.routed),
-              static_cast<unsigned long long>(ss.sticky_hits),
-              static_cast<unsigned long long>(ss.migrations));
-  for (std::size_t s = 0; s < ss.shards.size(); ++s)
-    std::printf("  shard %zu: %llu served, %llu batches, plan built %llu time(s)\n",
-                s, static_cast<unsigned long long>(ss.shards[s].completed),
-                static_cast<unsigned long long>(ss.shards[s].batches),
-                static_cast<unsigned long long>(ss.shards[s].plan_misses));
-  std::printf("  2 signatures -> %llu plan build(s) total across the tier\n",
-              static_cast<unsigned long long>(ss.total.plan_misses));
-
   // ---- observability: metrics snapshot + Chrome trace ----------------------
   // Every service above self-registered in the global metrics registry; the
-  // sharded front tier's ledger closes over its shards' failures, so the
-  // exported snapshot itself proves submitted == completed + failed.
-  const auto front = sharded.metrics().snapshot();
-  std::printf("\nobservability (sharded front tier '%s'):\n", front.name.c_str());
+  // ledger moves submitted/completed/failed in one critical section, so the
+  // snapshot itself proves submitted == completed + failed + outstanding.
+  const auto snap = svc.metrics().snapshot();
+  std::printf("\nobservability (service '%s'):\n", snap.name.c_str());
   std::printf("  ledger: submitted %llu = completed %llu + failed %llu "
               "(consistent: %s)\n",
-              static_cast<unsigned long long>(front.ledger.submitted),
-              static_cast<unsigned long long>(front.ledger.completed),
-              static_cast<unsigned long long>(front.ledger.failed),
-              front.ledger.consistent() ? "yes" : "NO");
-  // Per-shard latency histograms: log2-bucketed, percentile by interpolation.
-  for (std::size_t s = 0; s < ss.shards.size(); ++s) {
-    const auto& m = sharded.shard(static_cast<int>(s)).metrics();
-    const auto e2e = m.e2e_us->snap();
-    const auto bs = m.batch_size->snap();
-    std::printf("  shard %zu e2e: n=%llu p50=%.0f us p99=%.0f us; "
-                "batch p50=%.1f\n",
-                s, static_cast<unsigned long long>(e2e.count),
-                e2e.percentile(50), e2e.percentile(99), bs.percentile(50));
-  }
+              static_cast<unsigned long long>(snap.ledger.submitted),
+              static_cast<unsigned long long>(snap.ledger.completed),
+              static_cast<unsigned long long>(snap.ledger.failed),
+              snap.ledger.consistent() ? "yes" : "NO");
+  // Latency histograms: log2-bucketed, percentile by interpolation.
+  const auto e2e = svc.metrics().e2e_us->snap();
+  const auto qwait = svc.metrics().queue_wait_us->snap();
+  const auto bs = svc.metrics().batch_size->snap();
+  std::printf("  e2e: n=%llu p50=%.0f us p99=%.0f us; queue wait p50=%.0f us; "
+              "batch p50=%.1f\n",
+              static_cast<unsigned long long>(e2e.count), e2e.percentile(50),
+              e2e.percentile(99), qwait.percentile(50), bs.percentile(50));
 
   // Machine-readable exports: the full registry as JSON (all services, all
   // counters/histograms) and the span rings as a Chrome trace — open

@@ -1,6 +1,6 @@
-// Strict environment-variable parsing shared by the service tier and the
-// observability layer (CF_SERVICE_THREADS, CF_SERVICE_WINDOW_US,
-// CF_SERVICE_SHARDS, CF_TRACE, CF_SLOW_MS, ...).
+// Strict environment-variable parsing shared by the service and the
+// observability layer (CF_SERVICE_THREADS, CF_SERVICE_WINDOW_US, CF_TRACE,
+// CF_SLOW_MS, ...).
 //
 // Anything that is not a whole integer in [min_v, max_v] gets a one-line
 // stderr diagnostic and the fallback. (An atoi-style path would silently

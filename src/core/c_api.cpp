@@ -10,7 +10,6 @@
 #include "core/type3.hpp"
 #include "obs/obs.hpp"
 #include "service/service.hpp"
-#include "service/shard_router.hpp"
 #include "vgpu/device.hpp"
 
 namespace {
@@ -71,87 +70,34 @@ struct ServiceHandle {
   int64_t next_id = 1;
 };
 
+/// Translates the C descriptor into a typed request (the caller checked
+/// precision, priority, dim, and nmodes) and submits it.
 template <typename T>
-int service_submit_impl(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                        int iflag, double tol, const cfs_opts* opts, size_t M,
-                        const T* x, const T* y, const T* z, const T* input, T* output,
-                        int priority, cfs_request* req) {
-  if (!svc || !nmodes || !req || dim < 1 || dim > 3) return CFS_ERR_INVALID_ARG;
-  if (priority != CFS_PRIORITY_BULK && priority != CFS_PRIORITY_INTERACTIVE)
-    return CFS_ERR_INVALID_ARG;
-  try {
-    auto* h = reinterpret_cast<ServiceHandle*>(svc);
-    cf::service::Request<T> r;
-    r.type = type;
-    r.modes.assign(nmodes, nmodes + dim);
-    r.iflag = iflag;
-    r.tol = tol;
-    r.opts = to_options(opts);
-    r.priority = priority == CFS_PRIORITY_INTERACTIVE
-                     ? cf::service::Priority::Interactive
-                     : cf::service::Priority::Bulk;
-    r.M = M;
-    r.x = x;
-    r.y = y;
-    r.z = z;
-    r.input = reinterpret_cast<const std::complex<T>*>(input);
-    r.output = reinterpret_cast<std::complex<T>*>(output);
-    auto fut = h->svc.submit(r);
-    std::lock_guard lk(h->mu);
-    const int64_t id = h->next_id++;
-    h->inflight.emplace(id, std::move(fut));
-    *req = id;
-    return CFS_SUCCESS;
-  } catch (...) {
-    return CFS_ERR_INTERNAL;
-  }
-}
-
-/// C-side sharded-tier wrapper; owns its devices through the router.
-struct ShardedHandle {
-  explicit ShardedHandle(cf::service::ShardedConfig cfg) : svc(cfg) {}
-
-  cf::service::ShardedNufftService svc;
-  std::mutex mu;
-  std::unordered_map<int64_t, std::future<cf::service::ExecReport>> inflight;
-  int64_t next_id = 1;
-};
-
-template <typename T>
-int sharded_submit_impl(cfs_sharded svc, cf::service::Request<T>& r,
-                        cfs_request* req) {
-  try {
-    auto* h = reinterpret_cast<ShardedHandle*>(svc);
-    auto fut = h->svc.submit(r);
-    std::lock_guard lk(h->mu);
-    const int64_t id = h->next_id++;
-    h->inflight.emplace(id, std::move(fut));
-    *req = id;
-    return CFS_SUCCESS;
-  } catch (...) {
-    return CFS_ERR_INTERNAL;
-  }
-}
-
-template <typename T>
-int sharded_submit12_impl(cfs_sharded svc, int type, int dim, const int64_t* nmodes,
-                          int iflag, double tol, const cfs_opts* opts, size_t M,
-                          const T* x, const T* y, const T* z, const T* input,
-                          T* output, cfs_request* req) {
-  if (!svc || !nmodes || !req || dim < 1 || dim > 3) return CFS_ERR_INVALID_ARG;
+std::future<cf::service::ExecReport> submit_request(cf::service::NufftService& svc,
+                                                    const cfs_service_request& d) {
   cf::service::Request<T> r;
-  r.type = type;
-  r.modes.assign(nmodes, nmodes + dim);
-  r.iflag = iflag;
-  r.tol = tol;
-  r.opts = to_options(opts);
-  r.M = M;
-  r.x = x;
-  r.y = y;
-  r.z = z;
-  r.input = reinterpret_cast<const std::complex<T>*>(input);
-  r.output = reinterpret_cast<std::complex<T>*>(output);
-  return sharded_submit_impl(svc, r, req);
+  r.type = d.type;
+  if (d.type == 3)
+    r.modes.assign(static_cast<std::size_t>(d.dim), 1);  // type 3: dim only
+  else
+    r.modes.assign(d.nmodes, d.nmodes + d.dim);
+  r.iflag = d.iflag;
+  r.tol = d.tol;
+  r.opts = to_options(d.opts);
+  r.priority = d.priority == CFS_PRIORITY_INTERACTIVE
+                   ? cf::service::Priority::Interactive
+                   : cf::service::Priority::Bulk;
+  r.M = d.M;
+  r.x = static_cast<const T*>(d.x);
+  r.y = static_cast<const T*>(d.y);
+  r.z = static_cast<const T*>(d.z);
+  r.K = d.K;
+  r.s = static_cast<const T*>(d.s);
+  r.t = static_cast<const T*>(d.t);
+  r.u = static_cast<const T*>(d.u);
+  r.input = static_cast<const std::complex<T>*>(d.input);
+  r.output = static_cast<std::complex<T>*>(d.output);
+  return svc.submit(r);
 }
 
 template <typename T, typename PlanPtr>
@@ -297,31 +243,36 @@ int cfs_plan_statsf(cfs_planf plan, uint64_t* tile_chunks, uint64_t* chunk_steal
                          chunk_steals, max_tile_points, tiles_active, tiled);
 }
 
-int cfs_service_create(cfs_service* svc, cfs_device dev, int threads, int max_plans,
-                       int max_batch) {
-  return cfs_service_create_ex(svc, dev, threads, max_plans, max_batch, 0,
-                               CFS_ADMIT_BLOCK, -1);
+void cfs_default_service_config(cfs_service_config* cfg) {
+  if (!cfg) return;
+  cfg->threads = 0;
+  cfg->max_plans = 0;
+  cfg->max_batch = 0;
+  cfg->max_outstanding = 0;
+  cfg->admission = CFS_ADMIT_BLOCK;
+  cfg->window_us = -1;
 }
 
-int cfs_service_create_ex(cfs_service* svc, cfs_device dev, int threads,
-                          int max_plans, int max_batch, int64_t max_outstanding,
-                          int admission, int64_t window_us) {
-  if (!svc || !dev || threads < 0 || max_plans < 0 || max_batch < 0 ||
-      max_outstanding < 0 ||
-      (admission != CFS_ADMIT_BLOCK && admission != CFS_ADMIT_SHED))
+int cfs_service_create(cfs_service* svc, cfs_device dev, const cfs_service_config* cfg) {
+  cfs_service_config c;
+  cfs_default_service_config(&c);
+  if (cfg) c = *cfg;
+  if (!svc || !dev || c.threads < 0 || c.max_plans < 0 || c.max_batch < 0 ||
+      c.max_outstanding < 0 ||
+      (c.admission != CFS_ADMIT_BLOCK && c.admission != CFS_ADMIT_SHED))
     return CFS_ERR_INVALID_ARG;
   try {
-    cf::service::ServiceConfig cfg;
-    cfg.threads = threads;
-    if (max_plans > 0) cfg.max_plans = static_cast<std::size_t>(max_plans);
-    if (max_batch > 0) cfg.max_batch = max_batch;
-    cfg.max_outstanding = static_cast<std::size_t>(max_outstanding);
-    cfg.admission = admission == CFS_ADMIT_SHED ? cf::service::Admission::Shed
-                                                : cf::service::Admission::Block;
+    cf::service::ServiceConfig sc;
+    sc.threads = c.threads;
+    if (c.max_plans > 0) sc.max_plans = static_cast<std::size_t>(c.max_plans);
+    if (c.max_batch > 0) sc.max_batch = c.max_batch;
+    sc.max_outstanding = static_cast<std::size_t>(c.max_outstanding);
+    sc.admission = c.admission == CFS_ADMIT_SHED ? cf::service::Admission::Shed
+                                                 : cf::service::Admission::Block;
     // window_us < 0 keeps the config's auto sentinel (CF_SERVICE_WINDOW_US).
-    if (window_us >= 0) cfg.coalesce_window = std::chrono::microseconds(window_us);
+    if (c.window_us >= 0) sc.coalesce_window = std::chrono::microseconds(c.window_us);
     *svc = reinterpret_cast<cfs_service>(
-        new ServiceHandle(*reinterpret_cast<cf::vgpu::Device*>(dev), cfg));
+        new ServiceHandle(*reinterpret_cast<cf::vgpu::Device*>(dev), sc));
     return CFS_SUCCESS;
   } catch (...) {
     return CFS_ERR_INTERNAL;
@@ -333,38 +284,26 @@ int cfs_service_destroy(cfs_service svc) {
   return CFS_SUCCESS;
 }
 
-int cfs_service_submit(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                       int iflag, double tol, const cfs_opts* opts, size_t M,
-                       const double* x, const double* y, const double* z,
-                       const double* input, double* output, cfs_request* req) {
-  return service_submit_impl<double>(svc, type, dim, nmodes, iflag, tol, opts, M, x, y,
-                                     z, input, output, CFS_PRIORITY_BULK, req);
-}
-
-int cfs_service_submitf(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                        int iflag, double tol, const cfs_opts* opts, size_t M,
-                        const float* x, const float* y, const float* z,
-                        const float* input, float* output, cfs_request* req) {
-  return service_submit_impl<float>(svc, type, dim, nmodes, iflag, tol, opts, M, x, y,
-                                    z, input, output, CFS_PRIORITY_BULK, req);
-}
-
-int cfs_service_submit_pri(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                           int iflag, double tol, const cfs_opts* opts, size_t M,
-                           const double* x, const double* y, const double* z,
-                           const double* input, double* output, int priority,
-                           cfs_request* req) {
-  return service_submit_impl<double>(svc, type, dim, nmodes, iflag, tol, opts, M, x, y,
-                                     z, input, output, priority, req);
-}
-
-int cfs_service_submitf_pri(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                            int iflag, double tol, const cfs_opts* opts, size_t M,
-                            const float* x, const float* y, const float* z,
-                            const float* input, float* output, int priority,
-                            cfs_request* req) {
-  return service_submit_impl<float>(svc, type, dim, nmodes, iflag, tol, opts, M, x, y,
-                                    z, input, output, priority, req);
+int cfs_service_submit(cfs_service svc, const cfs_service_request* request,
+                       cfs_request* req) {
+  if (!svc || !request || !req) return CFS_ERR_INVALID_ARG;
+  const cfs_service_request& d = *request;
+  if ((d.precision != CFS_PRECISION_DOUBLE && d.precision != CFS_PRECISION_SINGLE) ||
+      (d.priority != CFS_PRIORITY_BULK && d.priority != CFS_PRIORITY_INTERACTIVE) ||
+      d.dim < 1 || d.dim > 3 || (d.type != 3 && !d.nmodes))
+    return CFS_ERR_INVALID_ARG;
+  try {
+    auto* h = reinterpret_cast<ServiceHandle*>(svc);
+    auto fut = d.precision == CFS_PRECISION_DOUBLE ? submit_request<double>(h->svc, d)
+                                                   : submit_request<float>(h->svc, d);
+    std::lock_guard lk(h->mu);
+    const int64_t id = h->next_id++;
+    h->inflight.emplace(id, std::move(fut));
+    *req = id;
+    return CFS_SUCCESS;
+  } catch (...) {
+    return CFS_ERR_INTERNAL;
+  }
 }
 
 int cfs_service_wait(cfs_service svc, cfs_request req) {
@@ -390,166 +329,21 @@ int cfs_service_wait(cfs_service svc, cfs_request req) {
   }
 }
 
-int cfs_service_stats(cfs_service svc, uint64_t* batches, uint64_t* batched_requests,
-                      uint64_t* plan_misses, uint64_t* setpts_reuses) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
+int cfs_service_stats(cfs_service svc, struct cfs_service_stats* stats) {
+  if (!svc || !stats) return CFS_ERR_INVALID_ARG;
   const auto s = reinterpret_cast<ServiceHandle*>(svc)->svc.stats();
-  if (batches) *batches = s.batches;
-  if (batched_requests) *batched_requests = s.batched_requests;
-  if (plan_misses) *plan_misses = s.plan_misses;
-  if (setpts_reuses) *setpts_reuses = s.setpts_reuses;
-  return CFS_SUCCESS;
-}
-
-int cfs_service_stats_ex(cfs_service svc, uint64_t* submitted, uint64_t* completed,
-                         uint64_t* failed, uint64_t* shed) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
-  const auto s = reinterpret_cast<ServiceHandle*>(svc)->svc.stats();
-  if (submitted) *submitted = s.submitted;
-  if (completed) *completed = s.completed;
-  if (failed) *failed = s.failed;
-  if (shed) *shed = s.shed;
-  return CFS_SUCCESS;
-}
-
-int cfs_sharded_create(cfs_sharded* svc, int shards, int device_workers, int threads,
-                       int max_plans, int max_batch) {
-  return cfs_sharded_create_ex(svc, shards, device_workers, threads, max_plans,
-                               max_batch, 0, CFS_ADMIT_BLOCK, -1);
-}
-
-int cfs_sharded_create_ex(cfs_sharded* svc, int shards, int device_workers,
-                          int threads, int max_plans, int max_batch,
-                          int64_t max_outstanding, int admission, int64_t window_us) {
-  if (!svc || shards < 0 || device_workers < 0 || threads < 0 || max_plans < 0 ||
-      max_batch < 0 || max_outstanding < 0 ||
-      (admission != CFS_ADMIT_BLOCK && admission != CFS_ADMIT_SHED))
-    return CFS_ERR_INVALID_ARG;
-  try {
-    cf::service::ShardedConfig cfg;
-    cfg.shards = shards;
-    cfg.device_workers = static_cast<std::size_t>(device_workers);
-    cfg.shard.threads = threads;
-    if (max_plans > 0) cfg.shard.max_plans = static_cast<std::size_t>(max_plans);
-    if (max_batch > 0) cfg.shard.max_batch = max_batch;
-    if (window_us >= 0)
-      cfg.shard.coalesce_window = std::chrono::microseconds(window_us);
-    cfg.max_outstanding = static_cast<std::size_t>(max_outstanding);
-    cfg.admission = admission == CFS_ADMIT_SHED ? cf::service::Admission::Shed
-                                                : cf::service::Admission::Block;
-    *svc = reinterpret_cast<cfs_sharded>(new ShardedHandle(cfg));
-    return CFS_SUCCESS;
-  } catch (...) {
-    return CFS_ERR_INTERNAL;
-  }
-}
-
-int cfs_sharded_destroy(cfs_sharded svc) {
-  delete reinterpret_cast<ShardedHandle*>(svc);
-  return CFS_SUCCESS;
-}
-
-int cfs_sharded_submit(cfs_sharded svc, int type, int dim, const int64_t* nmodes,
-                       int iflag, double tol, const cfs_opts* opts, size_t M,
-                       const double* x, const double* y, const double* z,
-                       const double* input, double* output, cfs_request* req) {
-  return sharded_submit12_impl<double>(svc, type, dim, nmodes, iflag, tol, opts, M, x,
-                                       y, z, input, output, req);
-}
-
-int cfs_sharded_submitf(cfs_sharded svc, int type, int dim, const int64_t* nmodes,
-                        int iflag, double tol, const cfs_opts* opts, size_t M,
-                        const float* x, const float* y, const float* z,
-                        const float* input, float* output, cfs_request* req) {
-  return sharded_submit12_impl<float>(svc, type, dim, nmodes, iflag, tol, opts, M, x,
-                                      y, z, input, output, req);
-}
-
-int cfs_sharded_submit3(cfs_sharded svc, int dim, int iflag, double tol,
-                        const cfs_opts* opts, size_t M, const double* x,
-                        const double* y, const double* z, size_t K, const double* s,
-                        const double* t, const double* u, const double* input,
-                        double* output, cfs_request* req) {
-  if (!svc || !req || dim < 1 || dim > 3) return CFS_ERR_INVALID_ARG;
-  cf::service::Request<double> r;
-  r.type = 3;
-  r.modes.assign(static_cast<std::size_t>(dim), 1);  // type 3: dim only
-  r.iflag = iflag;
-  r.tol = tol;
-  r.opts = to_options(opts);
-  r.M = M;
-  r.x = x;
-  r.y = y;
-  r.z = z;
-  r.K = K;
-  r.s = s;
-  r.t = t;
-  r.u = u;
-  r.input = reinterpret_cast<const std::complex<double>*>(input);
-  r.output = reinterpret_cast<std::complex<double>*>(output);
-  return sharded_submit_impl(svc, r, req);
-}
-
-int cfs_sharded_wait(cfs_sharded svc, cfs_request req) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
-  auto* h = reinterpret_cast<ShardedHandle*>(svc);
-  std::future<cf::service::ExecReport> fut;
-  {
-    std::lock_guard lk(h->mu);
-    auto it = h->inflight.find(req);
-    if (it == h->inflight.end()) return CFS_ERR_INVALID_ARG;
-    fut = std::move(it->second);
-    h->inflight.erase(it);
-  }
-  try {
-    fut.get();
-    return CFS_SUCCESS;
-  } catch (const cf::service::OverloadedError&) {
-    return CFS_ERR_OVERLOADED;
-  } catch (const std::invalid_argument&) {
-    return CFS_ERR_INVALID_ARG;
-  } catch (...) {
-    return CFS_ERR_INTERNAL;
-  }
-}
-
-int cfs_sharded_stats(cfs_sharded svc, int* shards, uint64_t* routed,
-                      uint64_t* sticky_hits, uint64_t* migrations,
-                      uint64_t* plan_misses, uint64_t* setpts_reuses) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
-  auto* h = reinterpret_cast<ShardedHandle*>(svc);
-  const auto s = h->svc.stats();
-  if (shards) *shards = h->svc.n_shards();
-  if (routed) *routed = s.routed;
-  if (sticky_hits) *sticky_hits = s.sticky_hits;
-  if (migrations) *migrations = s.migrations;
-  if (plan_misses) *plan_misses = s.total.plan_misses;
-  if (setpts_reuses) *setpts_reuses = s.total.setpts_reuses;
-  return CFS_SUCCESS;
-}
-
-int cfs_sharded_stats_ex(cfs_sharded svc, uint64_t* submitted, uint64_t* completed,
-                         uint64_t* failed, uint64_t* shed) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
-  const auto s = reinterpret_cast<ShardedHandle*>(svc)->svc.stats();
-  if (submitted) *submitted = s.total.submitted;
-  if (completed) *completed = s.total.completed;
-  if (failed) *failed = s.total.failed;
-  if (shed) *shed = s.total.shed;
-  return CFS_SUCCESS;
-}
-
-int cfs_sharded_shard_stats(cfs_sharded svc, int shard, uint64_t* submitted,
-                            uint64_t* completed, uint64_t* batches,
-                            uint64_t* plan_misses) {
-  if (!svc) return CFS_ERR_INVALID_ARG;
-  auto* h = reinterpret_cast<ShardedHandle*>(svc);
-  if (shard < 0 || shard >= h->svc.n_shards()) return CFS_ERR_INVALID_ARG;
-  const auto s = h->svc.shard(shard).stats();
-  if (submitted) *submitted = s.submitted;
-  if (completed) *completed = s.completed;
-  if (batches) *batches = s.batches;
-  if (plan_misses) *plan_misses = s.plan_misses;
+  stats->submitted = s.submitted;
+  stats->completed = s.completed;
+  stats->failed = s.failed;
+  stats->shed = s.shed;
+  stats->batches = s.batches;
+  stats->batched_requests = s.batched_requests;
+  stats->max_batch_seen = s.max_batch_seen;
+  stats->plan_hits = s.plan_hits;
+  stats->plan_misses = s.plan_misses;
+  stats->plan_evictions = s.plan_evictions;
+  stats->setpts_builds = s.setpts_builds;
+  stats->setpts_reuses = s.setpts_reuses;
   return CFS_SUCCESS;
 }
 

@@ -131,127 +131,100 @@ enum {
   CFS_PRIORITY_INTERACTIVE = 1 /* closes windows early, jumps the queue */
 };
 
-/* threads = 0 reads CF_SERVICE_THREADS (else 2); max_plans = 0 -> 16 plans;
- * max_batch = 0 -> 8 coalesced requests per execute. Equivalent to
- * cfs_service_create_ex(..., 0, CFS_ADMIT_BLOCK, -1). */
-int cfs_service_create(cfs_service* svc, cfs_device dev, int threads, int max_plans,
-                       int max_batch);
-/* Serving-quality variant. max_outstanding = 0 admits unboundedly; otherwise
- * `admission` (CFS_ADMIT_*) decides what happens to submissions past the cap.
- * window_us is the coalescing window in microseconds: dispatchers hold a
- * batch open that long (measured from its oldest request) so near-simultaneous
- * same-signature submitters coalesce; the window is adaptive — it closes
- * early when the batch is full, holds an interactive request, or the service
- * is otherwise idle. window_us < 0 reads CF_SERVICE_WINDOW_US (else 0);
- * 0 = dispatch immediately. */
-int cfs_service_create_ex(cfs_service* svc, cfs_device dev, int threads,
-                          int max_plans, int max_batch, int64_t max_outstanding,
-                          int admission, int64_t window_us);
+/* Request precision: the descriptor's point, frequency, input and output
+ * arrays are double (and interleaved complex double) or float. */
+enum {
+  CFS_PRECISION_DOUBLE = 0,
+  CFS_PRECISION_SINGLE = 1
+};
+
+/* Service settings; fill with cfs_default_service_config, then override. */
+typedef struct {
+  int threads;             /* dispatch threads; 0 reads CF_SERVICE_THREADS
+                              (else 2) */
+  int max_plans;           /* LRU plan registry capacity; 0 = 16 plans */
+  int max_batch;           /* coalesced requests per execute; 0 = 8 */
+  int64_t max_outstanding; /* admission cap on submitted requests not yet
+                              served; 0 = unbounded */
+  int admission;           /* CFS_ADMIT_*: what happens past the cap */
+  int64_t window_us;       /* coalescing window in microseconds: dispatchers
+                              hold a batch open that long (from its oldest
+                              request) so near-simultaneous same-signature
+                              submitters coalesce. The window is adaptive: it
+                              closes early when the batch is full, holds an
+                              interactive request, or the service is
+                              otherwise idle. < 0 reads CF_SERVICE_WINDOW_US
+                              (else 0); 0 = dispatch immediately. */
+} cfs_service_config;
+
+/* Defaults: threads 0, max_plans 0, max_batch 0, max_outstanding 0,
+ * CFS_ADMIT_BLOCK, window_us -1. */
+void cfs_default_service_config(cfs_service_config* cfg);
+
+/* cfg = NULL uses cfs_default_service_config. */
+int cfs_service_create(cfs_service* svc, cfs_device dev, const cfs_service_config* cfg);
 /* Drains outstanding requests, then stops the workers. */
 int cfs_service_destroy(cfs_service svc);
 
-/* Async transform, double precision: type 1 reads input = c (M complex
- * interleaved) and writes output = f (prod(nmodes) complex); type 2 the
- * reverse. opts->ntransf is ignored (the service batches). */
-int cfs_service_submit(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                       int iflag, double tol, const cfs_opts* opts, size_t M,
-                       const double* x, const double* y, const double* z,
-                       const double* input, double* output, cfs_request* req);
-/* Single-precision variant. */
-int cfs_service_submitf(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                        int iflag, double tol, const cfs_opts* opts, size_t M,
-                        const float* x, const float* y, const float* z,
-                        const float* input, float* output, cfs_request* req);
+/* One transform request; zero-initialize, then fill in. Every pointer is
+ * borrowed and must stay valid until cfs_service_wait returns. */
+typedef struct {
+  int precision;         /* CFS_PRECISION_* */
+  int type;              /* 1, 2 or 3 */
+  int dim;               /* 1..3 */
+  const int64_t* nmodes; /* dim mode counts (types 1/2; type 3 ignores it) */
+  int iflag;             /* +1 or -1 (0 is rejected as ambiguous) */
+  double tol;
+  const cfs_opts* opts;  /* NULL = defaults; ntransf is ignored (the service
+                            batches) */
+  int priority;          /* CFS_PRIORITY_* */
+  size_t M;              /* nonuniform points x/y/z (y for dim >= 2, z for 3) */
+  const void* x;
+  const void* y;
+  const void* z;
+  size_t K;              /* type 3: target frequencies s/t/u */
+  const void* s;
+  const void* t;
+  const void* u;
+  const void* input;     /* type 1/3: c (M complex); type 2: f (prod(nmodes)) */
+  void* output;          /* type 1: f (prod(nmodes)); type 2: c (M);
+                            type 3: f (K complex) */
+} cfs_service_request;
 
-/* Priority variants: `priority` is CFS_PRIORITY_BULK or
- * CFS_PRIORITY_INTERACTIVE. The plain submit calls are the BULK class. */
-int cfs_service_submit_pri(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                           int iflag, double tol, const cfs_opts* opts, size_t M,
-                           const double* x, const double* y, const double* z,
-                           const double* input, double* output, int priority,
-                           cfs_request* req);
-int cfs_service_submitf_pri(cfs_service svc, int type, int dim, const int64_t* nmodes,
-                            int iflag, double tol, const cfs_opts* opts, size_t M,
-                            const float* x, const float* y, const float* z,
-                            const float* input, float* output, int priority,
-                            cfs_request* req);
+/* Async transform: returns a request handle immediately (or blocks at the
+ * cap under CFS_ADMIT_BLOCK). Returns CFS_ERR_INVALID_ARG at once for a NULL
+ * argument, an unknown precision or priority, dim outside 1..3, or NULL
+ * nmodes on a type-1/2 request; any other bad request (iflag 0, missing
+ * buffers, a type-3 request with no sources or targets, a bad signature) is
+ * reported by cfs_service_wait. Requests with the same signature and point
+ * set coalesce; type-3 requests share the plan's set_points and execute one
+ * by one. */
+int cfs_service_submit(cfs_service svc, const cfs_service_request* request,
+                       cfs_request* req);
 
 /* Blocks until the request completes; returns its status (CFS_SUCCESS, the
  * mapped dispatch error, or CFS_ERR_OVERLOADED when the request was shed at
  * the admission cap). A handle can be waited on once. */
 int cfs_service_wait(cfs_service svc, cfs_request req);
 
-/* Monotonic counters; any pointer may be NULL. */
-int cfs_service_stats(cfs_service svc, uint64_t* batches, uint64_t* batched_requests,
-                      uint64_t* plan_misses, uint64_t* setpts_reuses);
-/* Admission accounting. After every submitted request has been waited on,
- * submitted == completed + failed always holds; `shed` is the subset of
- * failed rejected at the admission cap. Any pointer may be NULL. */
-int cfs_service_stats_ex(cfs_service svc, uint64_t* submitted, uint64_t* completed,
-                         uint64_t* failed, uint64_t* shed);
-
-/* ---- Sharded service tier ----------------------------------------------- *
- * N service shards, each owning a private device + worker pool, behind one
- * submit: requests are routed sticky-by-signature (same transform signature
- * -> same shard, keeping plan and set_points reuse hot), a saturated shard
- * spills crowded-out signatures to the least-loaded one, and the
- * max_outstanding/admission gate is GLOBAL across shards. Outputs are
- * bitwise-identical at any shard count or routing decision. The tier owns
- * its devices (no cfs_device argument). */
-typedef struct cfs_sharded_s* cfs_sharded;
-
-/* shards = 0 reads CF_SERVICE_SHARDS (else 1); device_workers = 0 splits the
- * hardware threads evenly across shards; threads/max_plans/max_batch are
- * per-shard with the cfs_service_create defaults. Equivalent to
- * cfs_sharded_create_ex(..., 0, CFS_ADMIT_BLOCK, -1). */
-int cfs_sharded_create(cfs_sharded* svc, int shards, int device_workers, int threads,
-                       int max_plans, int max_batch);
-/* Serving-quality variant; max_outstanding/admission/window_us as in
- * cfs_service_create_ex, with the admission cap applied globally. */
-int cfs_sharded_create_ex(cfs_sharded* svc, int shards, int device_workers,
-                          int threads, int max_plans, int max_batch,
-                          int64_t max_outstanding, int admission, int64_t window_us);
-/* Drains every shard, then tears them (and their devices) down. */
-int cfs_sharded_destroy(cfs_sharded svc);
-
-/* Async type-1/2 submits, same buffer contract as cfs_service_submit(f). */
-int cfs_sharded_submit(cfs_sharded svc, int type, int dim, const int64_t* nmodes,
-                       int iflag, double tol, const cfs_opts* opts, size_t M,
-                       const double* x, const double* y, const double* z,
-                       const double* input, double* output, cfs_request* req);
-int cfs_sharded_submitf(cfs_sharded svc, int type, int dim, const int64_t* nmodes,
-                        int iflag, double tol, const cfs_opts* opts, size_t M,
-                        const float* x, const float* y, const float* z,
-                        const float* input, float* output, cfs_request* req);
-/* Async type-3 submit, double precision: M sources (x/y/z) and K target
- * frequencies (s/t/u); input = c (M complex interleaved), output = f (K
- * complex). Requests with the same (dim, iflag, tol, opts) signature AND the
- * same source/target geometry coalesce onto one shard-resident plan,
- * amortizing its geometry-heavy set_points. */
-int cfs_sharded_submit3(cfs_sharded svc, int dim, int iflag, double tol,
-                        const cfs_opts* opts, size_t M, const double* x,
-                        const double* y, const double* z, size_t K, const double* s,
-                        const double* t, const double* u, const double* input,
-                        double* output, cfs_request* req);
-
-/* Blocks for one request; same status mapping as cfs_service_wait. */
-int cfs_sharded_wait(cfs_sharded svc, cfs_request req);
-
-/* Front-tier roll-up counters; any pointer may be NULL. plan_misses and
- * setpts_reuses are summed over the shards, so a single-signature stream
- * shows plan_misses == 1 at any shard count (sticky routing). */
-int cfs_sharded_stats(cfs_sharded svc, int* shards, uint64_t* routed,
-                      uint64_t* sticky_hits, uint64_t* migrations,
-                      uint64_t* plan_misses, uint64_t* setpts_reuses);
-/* Global admission ledger: submitted == completed + failed holds across all
- * shards once every request has been waited on; shed counts global-cap
- * rejections. Any pointer may be NULL. */
-int cfs_sharded_stats_ex(cfs_sharded svc, uint64_t* submitted, uint64_t* completed,
-                         uint64_t* failed, uint64_t* shed);
-/* One shard's own counters (shard in [0, shards)). Any pointer may be NULL. */
-int cfs_sharded_shard_stats(cfs_sharded svc, int shard, uint64_t* submitted,
-                            uint64_t* completed, uint64_t* batches,
-                            uint64_t* plan_misses);
+/* Monotonic service counters. Once every submitted request has been waited
+ * on, submitted == completed + failed; shed is the subset of failed rejected
+ * at the admission cap. */
+struct cfs_service_stats {
+  uint64_t submitted;
+  uint64_t completed;        /* requests fulfilled with a result */
+  uint64_t failed;           /* requests fulfilled with an error */
+  uint64_t shed;             /* rejected at max_outstanding (subset of failed) */
+  uint64_t batches;          /* coalesced executes dispatched */
+  uint64_t batched_requests; /* requests those executes served */
+  uint64_t max_batch_seen;   /* largest coalesced batch so far */
+  uint64_t plan_hits;        /* registry signature hits */
+  uint64_t plan_misses;      /* plans constructed */
+  uint64_t plan_evictions;   /* LRU evictions */
+  uint64_t setpts_builds;    /* set_points actually run */
+  uint64_t setpts_reuses;    /* dispatches served by a point-set match */
+};
+int cfs_service_stats(cfs_service svc, struct cfs_service_stats* stats);
 
 /* ---- observability (src/obs): process-global tracing + metrics ---------- */
 

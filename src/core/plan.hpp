@@ -22,7 +22,12 @@
 // (the paper's setpts amortization argument). With the default
 // Options::tiled_spread, type-1 SM and GM-sort spreading performs ZERO
 // global atomics and the whole execute is bitwise-deterministic at any
-// worker count.
+// worker count. That holds only while the spread actually runs tiled
+// (Breakdown::tiled == 1): the GM method, and any fine grid too small for
+// the tile gate (some padded tile extent exceeds nf — e.g. 12x10x8 modes in
+// fp64 at tol 1e-5), fall back to the atomic writeback, whose output can
+// differ between executes on more than one worker. Type 2 (interp only) is
+// always deterministic.
 //
 // Usage:
 //   vgpu::Device dev;

@@ -86,8 +86,6 @@ const char* span_name(SpanKind k) {
     case SpanKind::StageFft: return "stage.fft";
     case SpanKind::StageDeconvolve: return "stage.deconvolve";
     case SpanKind::StageInterp: return "stage.interp";
-    case SpanKind::Route: return "route";
-    case SpanKind::RouteMigrate: return "route_migrate";
     case SpanKind::FutureResolve: return "resolve";
     case SpanKind::kCount: break;
   }
@@ -351,12 +349,6 @@ bool Ledger::admit(std::size_t cap, bool block, bool* waited) {
   ++submitted_;
   ++outstanding_;
   return true;
-}
-
-void Ledger::admit_routed() {
-  std::lock_guard lk(mu_);
-  ++submitted_;
-  ++outstanding_;
 }
 
 void Ledger::reject() {

@@ -1,6 +1,6 @@
 // Observability layer: end-to-end trace spans + a metrics registry with
-// per-stage latency histograms, threaded through the plan/service/shard
-// tiers (the ISSUE-10 "see WHY a request was slow" subsystem).
+// per-stage latency histograms, threaded through the plan and service
+// layers (the "see WHY a request was slow" subsystem).
 //
 // Two independent planes, both record-only — neither ever changes an output
 // bit, only observes it:
@@ -11,7 +11,7 @@
 //   admission (block/shed wait), queue-enter, group join, coalescing-window
 //   open/close, plan-registry hit/miss, set_points (build vs fingerprint
 //   reuse), execute (with the plan's Breakdown stage timings imported as
-//   child spans), shard routing, and future-resolve. Spans land in
+//   child spans), and future-resolve. Spans land in
 //   per-thread fixed-capacity ring buffers: a thread only ever writes its
 //   own ring (no locks, no sharing on the hot path), memory is bounded at
 //   ring_capacity spans per thread, and the oldest span is overwritten when
@@ -69,8 +69,6 @@ enum class SpanKind : std::uint8_t {
   StageFft,
   StageDeconvolve,
   StageInterp,
-  Route,          ///< sharded front tier; arg = target shard
-  RouteMigrate,   ///< signature moved off a saturated shard; arg = new shard
   FutureResolve,  ///< dur = end-to-end latency (submit arrival -> resolve)
   kCount,
 };
@@ -215,8 +213,8 @@ class MetricsRegistry {
 /// with respect to snap(), so the invariant
 ///   submitted == completed + failed + outstanding
 /// holds on a snapshot taken at ANY instant — mid-storm, mid-shed — not just
-/// after a drain. This is the source of truth the service tiers' admission
-/// gates and drain() waits run on (the mutex was already paid there; the
+/// after a drain. This is the source of truth the service's admission
+/// gate and drain() waits run on (the mutex was already paid there; the
 /// ledger just makes the counters ride the same critical section).
 class Ledger {
  public:
@@ -225,8 +223,6 @@ class Ledger {
   /// (submitted++/failed++/shed++) and returns false. `waited`, when
   /// non-null, reports whether the call actually parked at the cap.
   bool admit(std::size_t cap, bool block, bool* waited = nullptr);
-  /// Unconditional claim (front tier already owns admission).
-  void admit_routed();
   /// Structurally invalid request that never entered: submitted++/failed++.
   void reject();
   /// Frees n slots; n - nfailed completed, nfailed failed. Wakes admission
@@ -253,7 +249,7 @@ class Ledger {
   std::size_t outstanding_ = 0;
 };
 
-/// One service tier's metrics bundle: ledger + registry, with the hot-path
+/// One service's metrics bundle: ledger + registry, with the hot-path
 /// counter/histogram handles resolved once at construction. Registers itself
 /// in the process-wide export list (snapshot_all / json / prometheus) for its
 /// lifetime. `name` gets a process-unique "#<n>" suffix.

@@ -1,9 +1,6 @@
 #include "service/plan_registry.hpp"
 
 #include <span>
-#include <stdexcept>
-
-#include "core/type3.hpp"
 
 namespace cf::service {
 
@@ -49,108 +46,22 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   return o;
 }
 
-/// Device-library backend: core::Plan is already batch-strided and returns
-/// per-execute Breakdown snapshots.
 template <typename T>
-class DevicePlan final : public TypedPlan<T> {
- public:
-  DevicePlan(const PlanKey& key, vgpu::Device& dev, int max_batch)
-      : plan_(dev, key.type, std::span(key.N, static_cast<std::size_t>(key.dim)),
-              key.iflag, key.tol, options_from_key(key, max_batch)) {}
-
-  void set_points(std::size_t M, const T* x, const T* y, const T* z) override {
-    plan_.set_points(M, x, y, z);
-  }
-  core::Breakdown execute(std::complex<T>* c, std::complex<T>* f, int B) override {
-    return plan_.execute(c, f, B);
-  }
-  std::int64_t modes_total() const override { return plan_.modes_total(); }
-
- private:
-  core::Plan<T> plan_;
-};
-
-/// CPU-comparator backend behind the same interface; it shares the device's
-/// worker pool, so service traffic never oversubscribes the host. Stage
-/// timings map onto the device Breakdown fields; device-only counters stay 0.
-template <typename T>
-class CpuBackendPlan final : public TypedPlan<T> {
- public:
-  CpuBackendPlan(const PlanKey& key, vgpu::Device& dev, int max_batch)
-      : plan_(dev.pool(), key.type, std::span(key.N, static_cast<std::size_t>(key.dim)),
-              key.iflag, key.tol, cpu_options(key, max_batch)) {}
-
-  void set_points(std::size_t M, const T* x, const T* y, const T* z) override {
-    plan_.set_points(M, x, y, z);
-  }
-  core::Breakdown execute(std::complex<T>* c, std::complex<T>* f, int B) override {
-    const cpu::CpuBreakdown cb = plan_.execute(c, f, B);
-    core::Breakdown bd;
-    bd.sort = cb.sort;
-    bd.spread = cb.spread;
-    bd.fft = cb.fft;
-    bd.deconvolve = cb.deconvolve;
-    bd.interp = cb.interp;
-    return bd;
-  }
-  std::int64_t modes_total() const override { return plan_.modes_total(); }
-
- private:
-  static typename cpu::CpuPlan<T>::Options cpu_options(const PlanKey& key,
-                                                       int max_batch) {
-    typename cpu::CpuPlan<T>::Options o;
-    if (key.msub > 0) o.msub = static_cast<std::uint32_t>(key.msub);
-    o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
-    o.ntransf = max_batch;
-    o.modeord = key.modeord;
-    o.kerevalmeth = key.kerevalmeth;
-    o.tiled_spread = key.tiled_spread;
-    o.tile_chunk_cap = key.tile_chunk_cap;
-    o.upsampfac = key.upsampfac;
-    return o;
-  }
-
-  cpu::CpuPlan<T> plan_;
-};
-
-/// Type-3 backend (nonuniform -> nonuniform): wraps core::Type3Plan behind
-/// the registry interface so type-3 traffic shares the LRU / fingerprint /
-/// coalescing substrate. The fine grid is geometry-derived in set_points3,
-/// so the plan construction here is cheap (validation + kernel parameters)
-/// and the fingerprint reuse is what amortizes the expensive part.
-template <typename T>
-class Type3BackendPlan final : public TypedPlan<T> {
- public:
-  Type3BackendPlan(const PlanKey& key, vgpu::Device& dev, int max_batch)
-      : plan_(dev, key.dim, key.iflag, key.tol, options_from_key(key, max_batch)) {}
-
-  void set_points(std::size_t, const T*, const T*, const T*) override {
-    throw std::logic_error("TypedPlan: set_points on a type-3 plan");
-  }
-  core::Breakdown execute(std::complex<T>*, std::complex<T>*, int) override {
-    throw std::logic_error("TypedPlan: batched execute on a type-3 plan");
-  }
-  std::int64_t modes_total() const override { return 0; }  // grid is geometry-derived
-
-  void set_points3(std::size_t M, const T* x, const T* y, const T* z, std::size_t K,
-                   const T* s, const T* t, const T* u) override {
-    plan_.set_points(M, x, y, z, K, s, t, u);
-  }
-  void execute3(std::complex<T>* c, std::complex<T>* f) override {
-    plan_.execute(c, f);
-  }
-
- private:
-  core::Type3Plan<T> plan_;
-};
+ServicePlan make_typed_plan(const PlanKey& key, vgpu::Device& dev, int max_batch) {
+  const core::Options opts = options_from_key(key, max_batch);
+  if (key.type == 3)
+    return std::make_unique<core::Type3Plan<T>>(dev, key.dim, key.iflag, key.tol, opts);
+  return std::make_unique<core::Plan<T>>(
+      dev, key.type, std::span(key.N, static_cast<std::size_t>(key.dim)), key.iflag,
+      key.tol, opts);
+}
 
 }  // namespace
 
 template <typename T>
-PlanKey make_plan_key(Backend backend, int type, int dim, const std::int64_t* nmodes,
-                      int iflag, double tol, const core::Options& opts) {
+PlanKey make_plan_key(int type, int dim, const std::int64_t* nmodes, int iflag,
+                      double tol, const core::Options& opts) {
   PlanKey k;
-  k.backend = static_cast<std::uint8_t>(backend);
   k.precision = std::is_same_v<T, double> ? 1 : 0;
   k.type = type;
   k.dim = dim;
@@ -183,25 +94,12 @@ PlanKey make_plan_key(Backend backend, int type, int dim, const std::int64_t* nm
     k.N[0] = k.N[1] = k.N[2] = 1;
     k.modeord = 0;
   }
-  if (backend == Backend::Cpu) {
-    // CpuBackendPlan::cpu_options consumes none of these device-only knobs,
-    // so under Backend::Cpu they are dead signature bits: two requests
-    // differing only here would build two registry entries that serve
-    // byte-identical transforms yet never coalesce (and double-pay plan
-    // construction and set_points). Normalize them to the field defaults.
-    k.method = 0;
-    k.fastpath = 1;
-    k.packed_atomics = 0;
-    k.point_cache = 1;
-    k.interior_fastpath = 1;
-  }
   return k;
 }
 
 std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   // Field-by-field (never raw-struct: padding bytes are indeterminate).
   std::uint64_t h = kFnvOffset;
-  h = fnv1a_value(h, k.backend);
   h = fnv1a_value(h, k.precision);
   h = fnv1a_value(h, k.type);
   h = fnv1a_value(h, k.dim);
@@ -248,57 +146,37 @@ std::uint64_t point_fingerprint3(int dim, std::size_t M, const T* x, const T* y,
   return h ? h : 1;
 }
 
-std::unique_ptr<PlanBase> make_backend_plan(const PlanKey& key, vgpu::Device& dev,
-                                            int max_batch) {
-  const bool f64 = key.precision == 1;
-  if (key.type == 3) {
-    if (key.backend == static_cast<std::uint8_t>(Backend::Cpu))
-      throw std::invalid_argument(
-          "NufftService: type-3 requests run on the device backend only");
-    if (f64) return std::make_unique<Type3BackendPlan<double>>(key, dev, max_batch);
-    return std::make_unique<Type3BackendPlan<float>>(key, dev, max_batch);
-  }
-  if (key.backend == static_cast<std::uint8_t>(Backend::Cpu)) {
-    if (f64) return std::make_unique<CpuBackendPlan<double>>(key, dev, max_batch);
-    return std::make_unique<CpuBackendPlan<float>>(key, dev, max_batch);
-  }
-  if (f64) return std::make_unique<DevicePlan<double>>(key, dev, max_batch);
-  return std::make_unique<DevicePlan<float>>(key, dev, max_batch);
+ServicePlan make_plan(const PlanKey& key, vgpu::Device& dev, int max_batch) {
+  return key.precision == 1 ? make_typed_plan<double>(key, dev, max_batch)
+                            : make_typed_plan<float>(key, dev, max_batch);
 }
 
-PlanRegistry::PlanRegistry(std::size_t capacity) : cap_(std::max<std::size_t>(1, capacity)) {}
+PlanRegistry::PlanRegistry(std::size_t capacity, obs::ServiceMetrics& metrics)
+    : cap_(std::max<std::size_t>(1, capacity)), metrics_(metrics) {}
 
 std::shared_ptr<PlanEntry> PlanRegistry::acquire(const PlanKey& key) {
   std::lock_guard lk(mu_);
   if (auto it = map_.find(key); it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // touch to most recent
-    ++hits_;
-    if (hits_obs_) hits_obs_->add(1);
+    metrics_.plan_hits->add(1);
     return *it->second;
   }
   auto entry = std::make_shared<PlanEntry>();
   entry->key = key;
   lru_.push_front(entry);
   map_[key] = lru_.begin();
-  ++misses_;
-  if (misses_obs_) misses_obs_->add(1);
+  metrics_.plan_misses->add(1);
   while (lru_.size() > cap_) {
     map_.erase(lru_.back()->key);  // in-flight holders keep the plan alive
     lru_.pop_back();
-    ++evictions_;
-    if (evictions_obs_) evictions_obs_->add(1);
+    metrics_.plan_evictions->add(1);
   }
   return entry;
 }
 
-RegistryStats PlanRegistry::stats() const {
-  std::lock_guard lk(mu_);
-  return {hits_, misses_, evictions_, lru_.size()};
-}
-
 #define CF_INSTANTIATE(T)                                                               \
-  template PlanKey make_plan_key<T>(Backend, int, int, const std::int64_t*, int,        \
-                                    double, const core::Options&);                      \
+  template PlanKey make_plan_key<T>(int, int, const std::int64_t*, int, double,         \
+                                    const core::Options&);                              \
   template std::uint64_t point_fingerprint<T>(int, std::size_t, const T*, const T*,     \
                                               const T*);                                \
   template std::uint64_t point_fingerprint3<T>(int, std::size_t, const T*, const T*,    \

@@ -15,16 +15,52 @@ int resolve_threads(int configured) {
   return env_int_strict("CF_SERVICE_THREADS", 2, 1, 4096);
 }
 
-std::int64_t modes_product(const PlanKey& key) {
-  std::int64_t n = 1;
-  for (int d = 0; d < key.dim; ++d) n *= key.N[d];
-  return n;
+// Eager rejection of structurally unusable requests (the dispatcher could
+// not even form a signature or touch the buffers); everything else — bad
+// type, bad modes, method constraints — fails in plan construction on the
+// dispatch thread and reaches the caller through the request future.
+template <typename T>
+const char* validate_request(const Request<T>& req) {
+  const int dim = static_cast<int>(req.modes.size());
+  if (dim < 1 || dim > 3) return "NufftService: dim must be 1..3";
+  if (req.iflag == 0)
+    // The plan key folds iflag to its sign; accepting 0 would silently serve
+    // the +1 transform for a request that never chose a direction.
+    return "NufftService: iflag must be +1 or -1 (0 is ambiguous)";
+  if (!req.input || !req.output) return "NufftService: input/output required";
+  if (req.M > 0 && (!req.x || (dim >= 2 && !req.y) || (dim >= 3 && !req.z)))
+    return "NufftService: coordinate arrays required for M > 0";
+  if (req.type == 3) {
+    // Type3Plan::set_points rejects empty point sets anyway; rejecting here
+    // fails the request before it takes an admission slot.
+    if (req.M == 0 || req.K == 0)
+      return "NufftService: type 3 requires nonempty source and target sets";
+    if (!req.s || (dim >= 2 && !req.t) || (dim >= 3 && !req.u))
+      return "NufftService: target frequency arrays required for type 3";
+  }
+  return nullptr;
+}
+
+template <typename T>
+GroupKey make_group_key(const Request<T>& req) {
+  const int dim = static_cast<int>(req.modes.size());
+  GroupKey key;
+  key.plan =
+      make_plan_key<T>(req.type, dim, req.modes.data(), req.iflag, req.tol, req.opts);
+  // O(M) hash on the SUBMITTING thread: fingerprint work parallelizes across
+  // callers instead of serializing on the dispatchers.
+  key.fingerprint =
+      req.type == 3
+          ? point_fingerprint3<T>(dim, req.M, req.x, req.y, req.z, req.K, req.s,
+                                  req.t, req.u)
+          : point_fingerprint<T>(dim, req.M, req.x, req.y, req.z);
+  return key;
 }
 
 }  // namespace
 
 NufftService::NufftService(vgpu::Device& dev, ServiceConfig cfg)
-    : dev_(&dev), cfg_(cfg), registry_(cfg.max_plans) {
+    : dev_(&dev), cfg_(cfg), registry_(cfg.max_plans, metrics_) {
   cfg_.threads = resolve_threads(cfg_.threads);
   cfg_.max_batch = std::max(1, cfg_.max_batch);
   // Negative window = auto: the CF_SERVICE_WINDOW_US env knob, else no
@@ -42,8 +78,6 @@ NufftService::NufftService(vgpu::Device& dev, ServiceConfig cfg)
   slow_ms_ = cfg_.observability.slow_request_ms >= 0
                  ? cfg_.observability.slow_request_ms
                  : static_cast<double>(env_int_strict("CF_SLOW_MS", 0, 0, 3'600'000));
-  registry_.bind_counters(metrics_.plan_hits, metrics_.plan_misses,
-                          metrics_.plan_evictions);
   queue_.bind(&metrics_);
   workers_.reserve(static_cast<std::size_t>(cfg_.threads));
   for (int t = 0; t < cfg_.threads; ++t)
@@ -75,50 +109,6 @@ std::future<ExecReport> NufftService::submit(const Request<float>& req) {
 
 std::future<ExecReport> NufftService::submit(const Request<double>& req) {
   return submit_impl(req);
-}
-
-// Eager rejection of structurally unusable requests (the dispatcher could
-// not even form a signature or touch the buffers); everything else — bad
-// type, bad modes, method constraints — fails in plan construction on the
-// dispatch thread and reaches the caller through the request future.
-template <typename T>
-const char* validate_request(const Request<T>& req) {
-  const int dim = static_cast<int>(req.modes.size());
-  if (dim < 1 || dim > 3) return "NufftService: dim must be 1..3";
-  if (req.iflag == 0)
-    // The plan key folds iflag to its sign; accepting 0 would silently serve
-    // the +1 transform for a request that never chose a direction.
-    return "NufftService: iflag must be +1 or -1 (0 is ambiguous)";
-  if (!req.input || !req.output) return "NufftService: input/output required";
-  if (req.M > 0 && (!req.x || (dim >= 2 && !req.y) || (dim >= 3 && !req.z)))
-    return "NufftService: coordinate arrays required for M > 0";
-  if (req.type == 3) {
-    // Type3Plan::set_points rejects empty point sets anyway; rejecting here
-    // keeps the front-tier promise that every admitted request dispatches.
-    if (req.M == 0 || req.K == 0)
-      return "NufftService: type 3 requires nonempty source and target sets";
-    if (!req.s || (dim >= 2 && !req.t) || (dim >= 3 && !req.u))
-      return "NufftService: target frequency arrays required for type 3";
-    if (req.backend == Backend::Cpu)
-      return "NufftService: type-3 requests run on the device backend only";
-  }
-  return nullptr;
-}
-
-template <typename T>
-GroupKey make_group_key(const Request<T>& req) {
-  const int dim = static_cast<int>(req.modes.size());
-  GroupKey key;
-  key.plan = make_plan_key<T>(req.backend, req.type, dim, req.modes.data(), req.iflag,
-                              req.tol, req.opts);
-  // O(M) hash on the SUBMITTING thread: fingerprint work parallelizes across
-  // callers instead of serializing on the dispatchers.
-  key.fingerprint =
-      req.type == 3
-          ? point_fingerprint3<T>(dim, req.M, req.x, req.y, req.z, req.K, req.s,
-                                  req.t, req.u)
-          : point_fingerprint<T>(dim, req.M, req.x, req.y, req.z);
-  return key;
 }
 
 template <typename T>
@@ -158,28 +148,7 @@ std::future<ExecReport> NufftService::submit_impl(const Request<T>& req) {
   if (tracing)
     obs::span(obs::SpanKind::Admission, trace, adm_t0, mono::now_us() - adm_t0,
               waited ? 1 : 0);
-  return enqueue(req, key, trace, std::move(promise), std::move(fut));
-}
 
-template <typename T>
-std::future<ExecReport> NufftService::submit_routed(const Request<T>& req,
-                                                    const GroupKey& key,
-                                                    std::uint64_t trace) {
-  // The front tier validated and keyed the request (and owns admission
-  // globally), so this path never rejects and never blocks: it only claims
-  // the drain ledger slot and enqueues.
-  metrics_.ledger().admit_routed();
-  std::promise<ExecReport> promise;
-  auto fut = promise.get_future();
-  return enqueue(req, key, trace, std::move(promise), std::move(fut));
-}
-
-template <typename T>
-std::future<ExecReport> NufftService::enqueue(const Request<T>& req,
-                                              const GroupKey& key,
-                                              std::uint64_t trace,
-                                              std::promise<ExecReport> promise,
-                                              std::future<ExecReport> fut) {
   Pending p;
   p.trace = trace;
   p.M = req.M;
@@ -235,15 +204,21 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
     const double plan_t0 = dispatch_t0;
     auto entry = registry_.acquire(g.key.plan);
     std::lock_guard plan_lk(entry->mu);
-    const bool plan_reused = entry->plan != nullptr;
-    if (!entry->plan)
-      entry->plan = make_backend_plan(g.key.plan, *dev_, cfg_.max_batch);
+    const bool plan_reused = entry->plan.index() != 0;
+    if (!plan_reused) entry->plan = make_plan(g.key.plan, *dev_, cfg_.max_batch);
     if (obs::enabled())
       obs::span(plan_reused ? obs::SpanKind::PlanHit : obs::SpanKind::PlanMiss,
                 btrace, plan_t0, plan_reused ? 0 : mono::now_us() - plan_t0);
-    auto& plan = static_cast<TypedPlan<T>&>(*entry->plan);
 
+    // make_plan chose the alternative from this very key, so the get for the
+    // key's type and precision cannot throw.
     const bool type3 = g.key.plan.type == 3;
+    core::Plan<T>* plan = nullptr;
+    core::Type3Plan<T>* plan3 = nullptr;
+    if (type3)
+      plan3 = std::get<std::unique_ptr<core::Type3Plan<T>>>(entry->plan).get();
+    else
+      plan = std::get<std::unique_ptr<core::Plan<T>>>(entry->plan).get();
     const bool points_reused = entry->fingerprint == g.key.fingerprint &&
                                entry->M == head.M && entry->K == head.K;
     double setpts_t0 = 0, setpts_dur = 0;
@@ -251,13 +226,13 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
       mono::Stopwatch sp_sw;
       entry->fingerprint = 0;  // a set_points that throws leaves no points loaded
       if (type3)
-        plan.set_points3(head.M, static_cast<const T*>(head.x),
-                         static_cast<const T*>(head.y), static_cast<const T*>(head.z),
-                         head.K, static_cast<const T*>(head.s),
-                         static_cast<const T*>(head.t), static_cast<const T*>(head.u));
+        plan3->set_points(head.M, static_cast<const T*>(head.x),
+                          static_cast<const T*>(head.y), static_cast<const T*>(head.z),
+                          head.K, static_cast<const T*>(head.s),
+                          static_cast<const T*>(head.t), static_cast<const T*>(head.u));
       else
-        plan.set_points(head.M, static_cast<const T*>(head.x),
-                        static_cast<const T*>(head.y), static_cast<const T*>(head.z));
+        plan->set_points(head.M, static_cast<const T*>(head.x),
+                         static_cast<const T*>(head.y), static_cast<const T*>(head.z));
       entry->fingerprint = g.key.fingerprint;
       entry->M = head.M;
       entry->K = head.K;  // 0 for types 1/2
@@ -270,11 +245,10 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
       if (obs::enabled())  // zero-duration marker: served by fingerprint reuse
         obs::span(obs::SpanKind::SetPoints, btrace, mono::now_us(), 0, /*built=*/0);
     }
-    entry->executes += 1;
     mono::Stopwatch exec_sw;
 
-    const std::size_t ntot = static_cast<std::size_t>(modes_product(g.key.plan));
-    const std::size_t nc = head.M, nf = ntot;
+    const std::size_t nc = head.M;
+    const std::size_t nf = type3 ? 0 : static_cast<std::size_t>(plan->modes_total());
     const bool type1 = g.key.plan.type == 1;
     core::Breakdown bd;
     if (type3) {
@@ -286,7 +260,7 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
         auto* in = const_cast<std::complex<T>*>(
             static_cast<const std::complex<T>*>(batch[b].input));
         auto* out = static_cast<std::complex<T>*>(batch[b].output);
-        plan.execute3(in, out);
+        plan3->execute(in, out);
       }
     } else if (B == 1) {
       // No coalescing happened: run straight on the caller's buffers — the
@@ -295,7 +269,7 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
       auto* in = const_cast<std::complex<T>*>(
           static_cast<const std::complex<T>*>(head.input));
       auto* out = static_cast<std::complex<T>*>(head.output);
-      bd = type1 ? plan.execute(in, out, 1) : plan.execute(out, in, 1);
+      bd = type1 ? plan->execute(in, out, 1) : plan->execute(out, in, 1);
     } else {
       // Gather -> one batched execute -> scatter. The staging stack is what
       // lets independent callers' vectors share every per-point cost of the
@@ -309,7 +283,7 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
         else
           std::memcpy(fbuf.data() + b * nf, src, nf * sizeof(std::complex<T>));
       }
-      bd = plan.execute(cbuf.data(), fbuf.data(), B);
+      bd = plan->execute(cbuf.data(), fbuf.data(), B);
       for (int b = 0; b < B; ++b) {
         auto* dst = static_cast<std::complex<T>*>(batch[b].output);
         if (type1)
@@ -376,9 +350,8 @@ void NufftService::fulfilled(const GroupKey& key, std::size_t n,
   // completed/failed counters together; it also wakes Block-policy
   // submitters at the cap and drain() waiters (both park on the ledger cv).
   metrics_.ledger().fulfill(n, nfailed);
-  // After the slots are freed, before the promises resolve — the sharded
-  // front tier mirrors this ledger, so its global admission inherits the
-  // same resubmit-after-get guarantee as the local gate.
+  // After the slots are freed, before the promises resolve: a caller the
+  // hook wakes can resubmit without meeting this batch's slots at the gate.
   if (cfg_.on_fulfilled) cfg_.on_fulfilled(key, n, nfailed);
 }
 
@@ -389,7 +362,6 @@ std::size_t NufftService::outstanding() const {
 }
 
 ServiceStats NufftService::stats() const {
-  const RegistryStats reg = registry_.stats();
   const obs::Ledger::Snap led = metrics_.ledger().snap();
   ServiceStats s;
   s.submitted = led.submitted;
@@ -399,23 +371,12 @@ ServiceStats NufftService::stats() const {
   s.batches = metrics_.batches->value();
   s.batched_requests = metrics_.batched_requests->value();
   s.max_batch_seen = metrics_.max_batch_seen->value();
-  s.plan_hits = reg.hits;
-  s.plan_misses = reg.misses;
-  s.plan_evictions = reg.evictions;
+  s.plan_hits = metrics_.plan_hits->value();
+  s.plan_misses = metrics_.plan_misses->value();
+  s.plan_evictions = metrics_.plan_evictions->value();
   s.setpts_builds = metrics_.setpts_builds->value();
   s.setpts_reuses = metrics_.setpts_reuses->value();
   return s;
 }
-
-// The front-tier entry points are called from shard_router.cpp.
-#define CF_INSTANTIATE(T)                                                        \
-  template const char* validate_request<T>(const Request<T>&);                   \
-  template GroupKey make_group_key<T>(const Request<T>&);                        \
-  template std::future<ExecReport> NufftService::submit_routed<T>(               \
-      const Request<T>&, const GroupKey&, std::uint64_t);
-
-CF_INSTANTIATE(float)
-CF_INSTANTIATE(double)
-#undef CF_INSTANTIATE
 
 }  // namespace cf::service

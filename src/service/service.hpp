@@ -12,10 +12,15 @@
 // and point-set fingerprinting reuses set_points (the expensive bin-sort /
 // tap-table / tile-set precomputation) across requests and batches.
 //
-// Determinism: with the default tiled spread the batched execute is
+// Determinism: when the spread runs tiled (ExecReport::breakdown.tiled == 1
+// for type 1; type 2 only interpolates) the batched execute is
 // bitwise-deterministic and treats every plane independently, so a response
 // is bitwise-identical whether it ran alone, in any batch composition, at
-// any position, and at any service/worker thread count.
+// any position, and at any dispatch or device worker count. A spread that
+// falls back to atomics — the GM method, tiled_spread off, or a fine grid
+// too small for the tile gate (e.g. type 1 on 12x10x8 modes in fp64 at tol
+// 1e-5) — sums in a timing-dependent order on more than one device worker,
+// so its output can differ between executes.
 //
 // Threading: dispatch workers only gather/scatter and block in
 // Plan::execute; the actual kernels run on the device's worker pool, whose
@@ -107,12 +112,13 @@ struct ServiceConfig {
   std::size_t max_outstanding = 0;
   Admission admission = Admission::Block;
   ObsOptions observability;
-  /// Internal hook for the sharded front tier: invoked by the dispatcher
-  /// right after a batch's admission slots are freed (before its promises
-  /// resolve), once per batch with the group key, the number of requests
-  /// served, and how many of them failed (0 or n — a batch fails as a unit).
-  /// Runs on the dispatch thread — keep it cheap and never call back into
-  /// this service from it.
+  /// Per-batch completion hook (optional): called once per dispatched batch
+  /// with its group key, the number of requests it served, and how many of
+  /// them failed (0 or n — a batch fails as a unit). It runs on the dispatch
+  /// thread after the batch's admission slots are freed and before its
+  /// futures resolve, so a caller woken by it can resubmit without being
+  /// blocked or shed by the batch it just saw complete. Keep it cheap and
+  /// never call back into this service from it.
   std::function<void(const GroupKey&, std::size_t n, std::size_t nfailed)>
       on_fulfilled;
 };
@@ -145,13 +151,12 @@ struct Request {
   int iflag = 1;                    ///< +1 or -1; 0 is rejected (ambiguous)
   double tol = 1e-6;
   core::Options opts{};
-  Backend backend = Backend::Device;
   Priority priority = Priority::Bulk;
   std::size_t M = 0;
   const T* x = nullptr;
   const T* y = nullptr;  ///< required for dim >= 2
   const T* z = nullptr;  ///< required for dim >= 3
-  /// Type-3 target frequencies (required iff type == 3; device backend only).
+  /// Type-3 target frequencies (required iff type == 3).
   std::size_t K = 0;
   const T* s = nullptr;
   const T* t = nullptr;  ///< required for dim >= 2
@@ -159,19 +164,6 @@ struct Request {
   const std::complex<T>* input = nullptr;  ///< type 1/3: c[M]; type 2: f[prod(N)]
   std::complex<T>* output = nullptr;  ///< type 1: f[prod(N)]; type 2: c[M]; type 3: f[K]
 };
-
-/// Structural validation shared by NufftService::submit and the sharded
-/// front tier (which must admit only requests guaranteed to reach dispatch,
-/// so its global outstanding ledger never leaks). Returns nullptr when the
-/// request can be keyed and dispatched, else the rejection message.
-template <typename T>
-const char* validate_request(const Request<T>& req);
-
-/// Builds the (plan signature, point fingerprint) coalescing key exactly as
-/// submit would — O(M [+ K]) hashing, so front tiers call it once and hand
-/// the result to submit_routed.
-template <typename T>
-GroupKey make_group_key(const Request<T>& req);
 
 class NufftService {
  public:
@@ -195,17 +187,6 @@ class NufftService {
   std::future<ExecReport> submit(const Request<float>& req);
   std::future<ExecReport> submit(const Request<double>& req);
 
-  /// Front-tier entry: enqueue an ALREADY validated request whose group key
-  /// was computed by make_group_key — skips re-validation, re-hashing, and
-  /// this service's admission gate (the sharded tier owns admission
-  /// globally). Every request accepted here reaches dispatch and fires
-  /// ServiceConfig::on_fulfilled exactly once as part of a batch. `trace`
-  /// carries the obs trace ID the front tier minted at its own submit (0
-  /// when tracing is off), so the request's span chain crosses the tiers.
-  template <typename T>
-  std::future<ExecReport> submit_routed(const Request<T>& req, const GroupKey& key,
-                                        std::uint64_t trace = 0);
-
   /// Blocks until every submitted request has been fulfilled.
   void drain();
 
@@ -224,11 +205,6 @@ class NufftService {
  private:
   template <typename T>
   std::future<ExecReport> submit_impl(const Request<T>& req);
-  template <typename T>
-  std::future<ExecReport> enqueue(const Request<T>& req, const GroupKey& key,
-                                  std::uint64_t trace,
-                                  std::promise<ExecReport> promise,
-                                  std::future<ExecReport> fut);
   void worker_loop();
   template <typename T>
   void dispatch(Group& g, std::vector<Pending> batch);
@@ -237,7 +213,8 @@ class NufftService {
   vgpu::Device* dev_;
   ServiceConfig cfg_;
   /// Ledger (admission/drain source of truth) + counters + histograms.
-  /// Declared before registry_/queue_ so the pointers they bind outlive them.
+  /// Declared before registry_/queue_ so the bundle they count into outlives
+  /// them.
   obs::ServiceMetrics metrics_{"service"};
   PlanRegistry registry_;
   RequestQueue queue_;

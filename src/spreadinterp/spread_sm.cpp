@@ -91,6 +91,7 @@ void spread_sm_batch_fast(vgpu::Device& dev, const GridSpec& grid, const BinSpec
           std::int64_t li0[DIM];
           for (int d = 0; d < DIM; ++d) li0[d] = lrow[d] - delta[d];
           for (int bb = 0; bb < nb; ++bb) {
+            CF_SCALAR_LOOP();  // plane loop stays scalar; tap loops vectorize
             const std::complex<T> cj = c[(b0 + bb) * cstride + j];
             const T cr = cj.real(), ci = cj.imag();
             T* CF_RESTRICT sre = &smre[plane * bb];

@@ -24,6 +24,43 @@ struct DeviceGuard {
   ~DeviceGuard() { cfs_device_destroy(dev); }
 };
 
+/// A 2D type-1/2 bulk-class service request over caller-owned arrays.
+cfs_service_request request2d(int precision, int type, const int64_t* nmodes, int iflag,
+                              double tol, const cfs_opts* opts, size_t M,
+                              const void* x, const void* y, const void* input,
+                              void* output) {
+  cfs_service_request r{};
+  r.precision = precision;
+  r.type = type;
+  r.dim = 2;
+  r.nmodes = nmodes;
+  r.iflag = iflag;
+  r.tol = tol;
+  r.opts = opts;
+  r.M = M;
+  r.x = x;
+  r.y = y;
+  r.input = input;
+  r.output = output;
+  return r;
+}
+
+/// A service with cfs_default_service_config plus the given overrides.
+cfs_service_config service_config(int threads, int max_plans, int max_batch,
+                                  int64_t max_outstanding = 0,
+                                  int admission = CFS_ADMIT_BLOCK,
+                                  int64_t window_us = -1) {
+  cfs_service_config c;
+  cfs_default_service_config(&c);
+  c.threads = threads;
+  c.max_plans = max_plans;
+  c.max_batch = max_batch;
+  c.max_outstanding = max_outstanding;
+  c.admission = admission;
+  c.window_us = window_us;
+  return c;
+}
+
 }  // namespace
 
 TEST(CApi, DefaultOptsAreAuto) {
@@ -130,6 +167,52 @@ TEST(CApi, InvalidArgumentsReturnErrorCodes) {
   EXPECT_EQ(cfs_setpts(plan, 10, x.data(), nullptr, nullptr), CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_execute(nullptr, nullptr, nullptr), CFS_ERR_INVALID_ARG);
   cfs_destroy(plan);
+
+  // Service: NULL arguments and unknown config values fail at create.
+  cfs_service svc = nullptr;
+  EXPECT_EQ(cfs_service_create(nullptr, g.dev, nullptr), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_service_create(&svc, nullptr, nullptr), CFS_ERR_INVALID_ARG);
+  const cfs_service_config neg = service_config(-1, 0, 0);
+  EXPECT_EQ(cfs_service_create(&svc, g.dev, &neg), CFS_ERR_INVALID_ARG);
+  ASSERT_EQ(cfs_service_create(&svc, g.dev, nullptr), CFS_SUCCESS);  // defaults
+
+  // The descriptor's rejections at submit: a NULL argument, an unknown
+  // precision or priority, dim outside 1..3, and NULL nmodes on type 1/2.
+  std::vector<double> y(10, 0.0), cin(20, 0.0), fout(2 * 16 * 16);
+  const auto good = request2d(CFS_PRECISION_DOUBLE, 1, n2, +1, 1e-6, nullptr, 10,
+                              x.data(), y.data(), cin.data(), fout.data());
+  cfs_request r = 0;
+  EXPECT_EQ(cfs_service_submit(nullptr, &good, &r), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_service_submit(svc, nullptr, &r), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_service_submit(svc, &good, nullptr), CFS_ERR_INVALID_ARG);
+  auto bad = good;
+  bad.precision = 2;
+  EXPECT_EQ(cfs_service_submit(svc, &bad, &r), CFS_ERR_INVALID_ARG);
+  bad = good;
+  bad.priority = 42;
+  EXPECT_EQ(cfs_service_submit(svc, &bad, &r), CFS_ERR_INVALID_ARG);
+  bad = good;
+  bad.dim = 4;
+  EXPECT_EQ(cfs_service_submit(svc, &bad, &r), CFS_ERR_INVALID_ARG);
+  bad = good;
+  bad.nmodes = nullptr;
+  EXPECT_EQ(cfs_service_submit(svc, &bad, &r), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_service_stats(svc, nullptr), CFS_ERR_INVALID_ARG);
+
+  // Type 3 without targets passes the descriptor checks and is rejected by
+  // the service, through the wait.
+  bad = good;
+  bad.type = 3;
+  bad.nmodes = nullptr;
+  bad.s = bad.t = x.data();
+  bad.K = 0;
+  ASSERT_EQ(cfs_service_submit(svc, &bad, &r), CFS_SUCCESS);
+  EXPECT_EQ(cfs_service_wait(svc, r), CFS_ERR_INVALID_ARG);
+  struct cfs_service_stats st{};
+  ASSERT_EQ(cfs_service_stats(svc, &st), CFS_SUCCESS);
+  EXPECT_EQ(st.submitted, 1u);  // only the type-3 request reached the service
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(cfs_service_destroy(svc), CFS_SUCCESS);
 }
 
 TEST(CApi, NonFiniteCoordinatesReturnInvalidArg) {
@@ -384,34 +467,28 @@ TEST(CApi, UpsampfacLowUpsamplingPlanAndService) {
   // Service layer: two sigmas are two registry entries; same-signature
   // requests ride one cached plan and reproduce the direct plan's bits (the
   // tiled pipeline is deterministic).
+  const cfs_service_config scfg = service_config(2, 4, 4);
   cfs_service svc = nullptr;
-  ASSERT_EQ(cfs_service_create(&svc, g.dev, 2, 4, 4), CFS_SUCCESS);
+  ASSERT_EQ(cfs_service_create(&svc, g.dev, &scfg), CFS_SUCCESS);
   cfs_opts sigma2;
   cfs_default_opts(&sigma2);
   std::vector<std::complex<double>> o1(40 * 40), o2(40 * 40), o3(40 * 40);
   cfs_request r1, r2, r3;
-  ASSERT_EQ(cfs_service_submit(svc, 1, 2, n2, +1, 1e-9, &sigma2, M, x.data(),
-                               y.data(), nullptr,
-                               reinterpret_cast<const double*>(c.data()),
-                               reinterpret_cast<double*>(o1.data()), &r1),
-            CFS_SUCCESS);
-  ASSERT_EQ(cfs_service_submit(svc, 1, 2, n2, +1, 1e-9, &opts, M, x.data(),
-                               y.data(), nullptr,
-                               reinterpret_cast<const double*>(c.data()),
-                               reinterpret_cast<double*>(o2.data()), &r2),
-            CFS_SUCCESS);
-  ASSERT_EQ(cfs_service_submit(svc, 1, 2, n2, +1, 1e-9, &opts, M, x.data(),
-                               y.data(), nullptr,
-                               reinterpret_cast<const double*>(c.data()),
-                               reinterpret_cast<double*>(o3.data()), &r3),
-            CFS_SUCCESS);
+  const auto rq1 = request2d(CFS_PRECISION_DOUBLE, 1, n2, +1, 1e-9, &sigma2, M,
+                             x.data(), y.data(), c.data(), o1.data());
+  const auto rq2 = request2d(CFS_PRECISION_DOUBLE, 1, n2, +1, 1e-9, &opts, M, x.data(),
+                             y.data(), c.data(), o2.data());
+  auto rq3 = rq2;
+  rq3.output = o3.data();
+  ASSERT_EQ(cfs_service_submit(svc, &rq1, &r1), CFS_SUCCESS);
+  ASSERT_EQ(cfs_service_submit(svc, &rq2, &r2), CFS_SUCCESS);
+  ASSERT_EQ(cfs_service_submit(svc, &rq3, &r3), CFS_SUCCESS);
   EXPECT_EQ(cfs_service_wait(svc, r1), CFS_SUCCESS);
   EXPECT_EQ(cfs_service_wait(svc, r2), CFS_SUCCESS);
   EXPECT_EQ(cfs_service_wait(svc, r3), CFS_SUCCESS);
-  uint64_t misses = 0;
-  ASSERT_EQ(cfs_service_stats(svc, nullptr, nullptr, &misses, nullptr),
-            CFS_SUCCESS);
-  EXPECT_EQ(misses, 2u) << "sigma must split the plan signature, once per value";
+  struct cfs_service_stats st{};
+  ASSERT_EQ(cfs_service_stats(svc, &st), CFS_SUCCESS);
+  EXPECT_EQ(st.plan_misses, 2u) << "sigma must split the plan signature, once per value";
   for (std::size_t i = 0; i < o2.size(); ++i) {
     ASSERT_EQ(o2[i], o3[i]) << i;
     ASSERT_EQ(o2[i], f[i]) << i;
@@ -509,15 +586,14 @@ TEST(CApi, ServiceAdmissionShedAndPriority) {
 
   // Invalid admission / priority arguments are rejected up front.
   cfs_service bad = nullptr;
-  EXPECT_EQ(cfs_service_create_ex(&bad, g.dev, 1, 4, 4, 1, 99, 0),
-            CFS_ERR_INVALID_ARG);
-  EXPECT_EQ(cfs_service_create_ex(&bad, g.dev, 1, 4, 4, -1, CFS_ADMIT_SHED, 0),
-            CFS_ERR_INVALID_ARG);
+  cfs_service_config cfg = service_config(1, 4, 4, 1, 99, 0);
+  EXPECT_EQ(cfs_service_create(&bad, g.dev, &cfg), CFS_ERR_INVALID_ARG);
+  cfg = service_config(1, 4, 4, -1, CFS_ADMIT_SHED, 0);
+  EXPECT_EQ(cfs_service_create(&bad, g.dev, &cfg), CFS_ERR_INVALID_ARG);
 
   cfs_service svc = nullptr;
-  ASSERT_EQ(cfs_service_create_ex(&svc, g.dev, 1, 4, 4, /*max_outstanding=*/1,
-                                  CFS_ADMIT_SHED, /*window_us=*/0),
-            CFS_SUCCESS);
+  cfg = service_config(1, 4, 4, /*max_outstanding=*/1, CFS_ADMIT_SHED, /*window_us=*/0);
+  ASSERT_EQ(cfs_service_create(&svc, g.dev, &cfg), CFS_SUCCESS);
 
   const int64_t nmodes2[2] = {32, 24};
   Rng rng(41);
@@ -540,19 +616,18 @@ TEST(CApi, ServiceAdmissionShedAndPriority) {
   // dedicated error code until the dispatcher frees the slot.
   std::vector<float> fb(2 * ntot);
   cfs_request rb = 0;
-  ASSERT_EQ(cfs_service_submitf(svc, 1, 2, nmodes2, +1, 1e-5, nullptr, MB, xb.data(),
-                                yb.data(), nullptr, cb.data(), fb.data(), &rb),
-            CFS_SUCCESS);
+  const auto rqb = request2d(CFS_PRECISION_SINGLE, 1, nmodes2, +1, 1e-5, nullptr, MB,
+                             xb.data(), yb.data(), cb.data(), fb.data());
+  ASSERT_EQ(cfs_service_submit(svc, &rqb, &rb), CFS_SUCCESS);
   int shed = 0, served = 0;
   std::vector<std::vector<float>> fs;
   fs.reserve(4000);
   for (int i = 0; i < 4000 && shed < 3; ++i) {
     fs.emplace_back(2 * ntot);
     cfs_request r = 0;
-    ASSERT_EQ(cfs_service_submitf(svc, 1, 2, nmodes2, +1, 1e-5, nullptr, MS,
-                                  xs.data(), ys.data(), nullptr, cs.data(),
-                                  fs.back().data(), &r),
-              CFS_SUCCESS);
+    const auto rq = request2d(CFS_PRECISION_SINGLE, 1, nmodes2, +1, 1e-5, nullptr, MS,
+                              xs.data(), ys.data(), cs.data(), fs.back().data());
+    ASSERT_EQ(cfs_service_submit(svc, &rq, &r), CFS_SUCCESS);
     const int rc = cfs_service_wait(svc, r);
     if (rc == CFS_ERR_OVERLOADED)
       ++shed;
@@ -568,182 +643,116 @@ TEST(CApi, ServiceAdmissionShedAndPriority) {
   {
     std::vector<float> f0(2 * ntot);
     cfs_request r0 = 0;
-    ASSERT_EQ(cfs_service_submitf(svc, 1, 2, nmodes2, 0, 1e-5, nullptr, MS,
-                                  xs.data(), ys.data(), nullptr, cs.data(),
-                                  f0.data(), &r0),
-              CFS_SUCCESS);
+    const auto rq0 = request2d(CFS_PRECISION_SINGLE, 1, nmodes2, 0, 1e-5, nullptr, MS,
+                               xs.data(), ys.data(), cs.data(), f0.data());
+    ASSERT_EQ(cfs_service_submit(svc, &rq0, &r0), CFS_SUCCESS);
     EXPECT_EQ(cfs_service_wait(svc, r0), CFS_ERR_INVALID_ARG);
   }
 
-  uint64_t submitted = 0, completed = 0, failed = 0, shed_ctr = 0;
-  ASSERT_EQ(cfs_service_stats_ex(svc, &submitted, &completed, &failed, &shed_ctr),
-            CFS_SUCCESS);
-  EXPECT_EQ(submitted, completed + failed);  // every request waited on above
-  EXPECT_EQ(shed_ctr, static_cast<uint64_t>(shed));
-  EXPECT_GE(failed, shed_ctr + 1);  // the sheds plus the iflag rejection
-  EXPECT_EQ(completed, static_cast<uint64_t>(served) + 1);  // smalls + blocker
+  struct cfs_service_stats st{};
+  ASSERT_EQ(cfs_service_stats(svc, &st), CFS_SUCCESS);
+  EXPECT_EQ(st.submitted, st.completed + st.failed);  // every request waited on above
+  EXPECT_EQ(st.shed, static_cast<uint64_t>(shed));
+  EXPECT_GE(st.failed, st.shed + 1);  // the sheds plus the iflag rejection
+  EXPECT_EQ(st.completed, static_cast<uint64_t>(served) + 1);  // smalls + blocker
   cfs_service_destroy(svc);
 
-  // Block policy at the same cap never sheds, and the priority submits are
+  // Block policy at the same cap never sheds, and interactive requests are
   // served like any other request.
-  ASSERT_EQ(cfs_service_create_ex(&svc, g.dev, 1, 4, 4, 1, CFS_ADMIT_BLOCK, -1),
-            CFS_SUCCESS);
+  cfg = service_config(1, 4, 4, 1, CFS_ADMIT_BLOCK, -1);
+  ASSERT_EQ(cfs_service_create(&svc, g.dev, &cfg), CFS_SUCCESS);
   const int kReq = 6;
   std::vector<std::vector<float>> outs(kReq, std::vector<float>(2 * ntot));
   std::vector<cfs_request> reqs(kReq);
   for (int i = 0; i < kReq; ++i) {
-    const int pri = i % 2 == 0 ? CFS_PRIORITY_INTERACTIVE : CFS_PRIORITY_BULK;
-    ASSERT_EQ(cfs_service_submitf_pri(svc, 1, 2, nmodes2, +1, 1e-5, nullptr, MS,
-                                      xs.data(), ys.data(), nullptr, cs.data(),
-                                      outs[i].data(), pri, &reqs[i]),
-              CFS_SUCCESS);
+    auto rq = request2d(CFS_PRECISION_SINGLE, 1, nmodes2, +1, 1e-5, nullptr, MS,
+                        xs.data(), ys.data(), cs.data(), outs[i].data());
+    rq.priority = i % 2 == 0 ? CFS_PRIORITY_INTERACTIVE : CFS_PRIORITY_BULK;
+    ASSERT_EQ(cfs_service_submit(svc, &rq, &reqs[i]), CFS_SUCCESS);
   }
-  cfs_request rbad = 0;
-  EXPECT_EQ(cfs_service_submitf_pri(svc, 1, 2, nmodes2, +1, 1e-5, nullptr, MS,
-                                    xs.data(), ys.data(), nullptr, cs.data(),
-                                    outs[0].data(), 42, &rbad),
-            CFS_ERR_INVALID_ARG);
   for (int i = 0; i < kReq; ++i)
     EXPECT_EQ(cfs_service_wait(svc, reqs[i]), CFS_SUCCESS);
-  ASSERT_EQ(cfs_service_stats_ex(svc, &submitted, &completed, &failed, &shed_ctr),
-            CFS_SUCCESS);
-  EXPECT_EQ(shed_ctr, 0u);
-  EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(submitted, completed);
-  EXPECT_EQ(completed, static_cast<uint64_t>(kReq));
+  ASSERT_EQ(cfs_service_stats(svc, &st), CFS_SUCCESS);
+  EXPECT_EQ(st.shed, 0u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.submitted, st.completed);
+  EXPECT_EQ(st.completed, static_cast<uint64_t>(kReq));
   // All six shared one point set and strengths: identical outputs.
   for (int i = 1; i < kReq; ++i) EXPECT_EQ(outs[i], outs[0]);
   cfs_service_destroy(svc);
 }
 
-TEST(CApi, ShardedServiceRoundTripAndStats) {
-  cfs_sharded svc = nullptr;
-  EXPECT_EQ(cfs_sharded_create(nullptr, 2, 1, 1, 8, 4), CFS_ERR_INVALID_ARG);
-  // 2 shards, 1 device worker and 1 dispatch thread each: serial shards, so
-  // every comparison below is bitwise.
-  ASSERT_EQ(cfs_sharded_create(&svc, 2, 1, 1, 8, 4), CFS_SUCCESS);
+TEST(CApi, ServiceType3MatchesPlan3) {
+  // One device worker and one dispatcher: serial, so the comparison with the
+  // direct type-3 plan is bitwise.
+  cfs_device dev = nullptr;
+  ASSERT_EQ(cfs_device_create(&dev, 1), CFS_SUCCESS);
+  const cfs_service_config cfg = service_config(1, 8, 4);
+  cfs_service svc = nullptr;
+  ASSERT_EQ(cfs_service_create(&svc, dev, &cfg), CFS_SUCCESS);
 
-  // ---- type 1, float: one hot signature -> one shard, one plan ----
-  const int64_t nmodes[2] = {32, 24};
-  const std::size_t M = 300, ntot = 32 * 24;
   Rng rng(33);
-  std::vector<float> x(M), y(M);
+  const std::size_t M = 220, K = 160;
+  std::vector<double> x(M), y(M), s(K), t(K), c(2 * M);
   for (std::size_t j = 0; j < M; ++j) {
-    x[j] = static_cast<float>(rng.angle());
-    y[j] = static_cast<float>(rng.angle());
+    x[j] = rng.uniform(-2, 2);
+    y[j] = rng.uniform(-2, 2);
   }
-  const int kReq = 4;
-  std::vector<std::vector<float>> cin(kReq), fout(kReq, std::vector<float>(2 * ntot));
-  for (auto& ci : cin) {
-    ci.resize(2 * M);
-    for (auto& v : ci) v = static_cast<float>(rng.uniform(-1, 1));
+  for (std::size_t k = 0; k < K; ++k) {
+    s[k] = rng.uniform(-12, 12);
+    t[k] = rng.uniform(-12, 12);
   }
+  for (auto& v : c) v = rng.uniform(-1, 1);
+
+  // Type 3 needs no nmodes: the descriptor's dim alone sets the dimension.
+  cfs_service_request rq{};
+  rq.precision = CFS_PRECISION_DOUBLE;
+  rq.type = 3;
+  rq.dim = 2;
+  rq.iflag = +1;
+  rq.tol = 1e-8;
+  rq.M = M;
+  rq.x = x.data();
+  rq.y = y.data();
+  rq.K = K;
+  rq.s = s.data();
+  rq.t = t.data();
+  rq.input = c.data();
+  const int kReq = 3;
+  std::vector<std::vector<double>> f(kReq, std::vector<double>(2 * K));
   std::vector<cfs_request> reqs(kReq);
-  for (int i = 0; i < kReq; ++i)
-    ASSERT_EQ(cfs_sharded_submitf(svc, 1, 2, nmodes, +1, 1e-5, nullptr, M, x.data(),
-                                  y.data(), nullptr, cin[i].data(), fout[i].data(),
-                                  &reqs[i]),
-              CFS_SUCCESS);
-  for (int i = 0; i < kReq; ++i)
-    EXPECT_EQ(cfs_sharded_wait(svc, reqs[i]), CFS_SUCCESS);
-  EXPECT_EQ(cfs_sharded_wait(svc, 987654), CFS_ERR_INVALID_ARG);  // unknown handle
+  for (int i = 0; i < kReq; ++i) {
+    rq.output = f[i].data();
+    ASSERT_EQ(cfs_service_submit(svc, &rq, &reqs[i]), CFS_SUCCESS);
+  }
+  for (int i = 0; i < kReq; ++i) EXPECT_EQ(cfs_service_wait(svc, reqs[i]), CFS_SUCCESS);
+  EXPECT_EQ(cfs_service_wait(svc, 987654), CFS_ERR_INVALID_ARG);  // unknown handle
 
-  int nsh = 0;
-  uint64_t routed = 0, sticky = 0, migrations = 0, misses = 0, reuses = 0;
-  ASSERT_EQ(cfs_sharded_stats(svc, &nsh, &routed, &sticky, &migrations, &misses,
-                              &reuses),
-            CFS_SUCCESS);
-  EXPECT_EQ(nsh, 2);
-  EXPECT_EQ(routed, static_cast<uint64_t>(kReq));
-  EXPECT_EQ(sticky, static_cast<uint64_t>(kReq - 1));
-  EXPECT_EQ(migrations, 0u);
-  EXPECT_EQ(misses, 1u);  // sticky routing: one plan across both shards
+  struct cfs_service_stats st{};
+  ASSERT_EQ(cfs_service_stats(svc, &st), CFS_SUCCESS);
+  EXPECT_EQ(st.submitted, static_cast<uint64_t>(kReq));
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.plan_misses, 1u);    // one signature, one plan
+  EXPECT_EQ(st.setpts_builds, 1u);  // one source + target geometry
 
-  // Reference on a private serial device, with the throughput point cache a
-  // service plan runs under (batching is batch-strided, so ntransf = 1
-  // executes are bit-identical to the coalesced ones and keep the reference
-  // buffers single-vector).
-  cfs_device rdev = nullptr;
-  ASSERT_EQ(cfs_device_create(&rdev, 1), CFS_SUCCESS);
+  // Reference: the direct type-3 plan with the throughput point cache a
+  // service plan runs under.
   cfs_opts ropts;
   cfs_default_opts(&ropts);
   ropts.gpu_point_cache = 2;
-  {
-    cfs_planf plan = nullptr;
-    ASSERT_EQ(cfs_makeplanf(rdev, 1, 2, nmodes, +1, 1e-5, &ropts, &plan),
-              CFS_SUCCESS);
-    ASSERT_EQ(cfs_setptsf(plan, M, x.data(), y.data(), nullptr), CFS_SUCCESS);
-    for (int i = 0; i < kReq; ++i) {
-      std::vector<float> want(2 * ntot), c = cin[i];
-      ASSERT_EQ(cfs_executef(plan, c.data(), want.data()), CFS_SUCCESS);
-      EXPECT_EQ(fout[i], want) << "sharded type-1 req " << i;
-    }
-    cfs_destroyf(plan);
-  }
-
-  // ---- type 3, double, through the same tier ----
-  const std::size_t M3 = 220, K3 = 160;
-  std::vector<double> x3(M3), y3(M3), s3(K3), t3(K3);
-  std::vector<double> c3(2 * M3);
-  for (std::size_t j = 0; j < M3; ++j) {
-    x3[j] = rng.uniform(-2, 2);
-    y3[j] = rng.uniform(-2, 2);
-  }
-  for (std::size_t k = 0; k < K3; ++k) {
-    s3[k] = rng.uniform(-12, 12);
-    t3[k] = rng.uniform(-12, 12);
-  }
-  for (auto& v : c3) v = rng.uniform(-1, 1);
-  const int k3Req = 3;
-  std::vector<std::vector<double>> f3(k3Req, std::vector<double>(2 * K3));
-  std::vector<cfs_request> reqs3(k3Req);
-  for (int i = 0; i < k3Req; ++i)
-    ASSERT_EQ(cfs_sharded_submit3(svc, 2, +1, 1e-8, nullptr, M3, x3.data(),
-                                  y3.data(), nullptr, K3, s3.data(), t3.data(),
-                                  nullptr, c3.data(), f3[i].data(), &reqs3[i]),
-              CFS_SUCCESS);
-  for (int i = 0; i < k3Req; ++i)
-    EXPECT_EQ(cfs_sharded_wait(svc, reqs3[i]), CFS_SUCCESS);
-  {
-    cfs_plan3 plan = nullptr;
-    ASSERT_EQ(cfs_makeplan3(rdev, 2, +1, 1e-8, &ropts, &plan), CFS_SUCCESS);
-    ASSERT_EQ(cfs_setpts3(plan, M3, x3.data(), y3.data(), nullptr, K3, s3.data(),
-                          t3.data(), nullptr),
-              CFS_SUCCESS);
-    std::vector<double> want(2 * K3), c = c3;
-    ASSERT_EQ(cfs_execute3(plan, c.data(), want.data()), CFS_SUCCESS);
-    for (int i = 0; i < k3Req; ++i)
-      EXPECT_EQ(f3[i], want) << "sharded type-3 req " << i;
-    cfs_destroy3(plan);
-  }
-  cfs_device_destroy(rdev);
-
-  // ---- ledger + per-shard counters ----
-  uint64_t submitted = 0, completed = 0, failed = 0, shed = 0;
-  ASSERT_EQ(cfs_sharded_stats_ex(svc, &submitted, &completed, &failed, &shed),
+  cfs_plan3 plan = nullptr;
+  ASSERT_EQ(cfs_makeplan3(dev, 2, +1, 1e-8, &ropts, &plan), CFS_SUCCESS);
+  ASSERT_EQ(cfs_setpts3(plan, M, x.data(), y.data(), nullptr, K, s.data(), t.data(),
+                        nullptr),
             CFS_SUCCESS);
-  EXPECT_EQ(submitted, static_cast<uint64_t>(kReq + k3Req));
-  EXPECT_EQ(completed, submitted);
-  EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(shed, 0u);
+  std::vector<double> want(2 * K), cc = c;
+  ASSERT_EQ(cfs_execute3(plan, cc.data(), want.data()), CFS_SUCCESS);
+  for (int i = 0; i < kReq; ++i) EXPECT_EQ(f[i], want) << "type-3 req " << i;
+  cfs_destroy3(plan);
 
-  uint64_t sum_sub = 0;
-  for (int i = 0; i < nsh; ++i) {
-    uint64_t ssub = 0, scomp = 0, sbatches = 0, smisses = 0;
-    ASSERT_EQ(cfs_sharded_shard_stats(svc, i, &ssub, &scomp, &sbatches, &smisses),
-              CFS_SUCCESS);
-    EXPECT_EQ(ssub, scomp);
-    sum_sub += ssub;
-  }
-  EXPECT_EQ(sum_sub, submitted);  // every admitted request reached one shard
-  uint64_t dummy = 0;
-  EXPECT_EQ(cfs_sharded_shard_stats(svc, nsh, &dummy, nullptr, nullptr, nullptr),
-            CFS_ERR_INVALID_ARG);
-  EXPECT_EQ(cfs_sharded_shard_stats(svc, -1, &dummy, nullptr, nullptr, nullptr),
-            CFS_ERR_INVALID_ARG);
-
-  EXPECT_EQ(cfs_sharded_destroy(svc), CFS_SUCCESS);
-  EXPECT_EQ(cfs_sharded_destroy(nullptr), CFS_SUCCESS);  // no-op, like the others
+  EXPECT_EQ(cfs_service_destroy(svc), CFS_SUCCESS);
+  cfs_device_destroy(dev);
 }
 
 TEST(CApi, ObservabilityExportsAndErrors) {
@@ -758,7 +767,7 @@ TEST(CApi, ObservabilityExportsAndErrors) {
   EXPECT_EQ(cfs_obs_prometheus(nullptr), CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_obs_trace_export(nullptr), CFS_ERR_INVALID_ARG);
 
-  // Push a small workload through the service tier so the registry and the
+  // Push a small workload through the service so the registry and the
   // rings have content worth exporting.
   DeviceGuard g;
   const std::size_t M = 400;
@@ -771,15 +780,14 @@ TEST(CApi, ObservabilityExportsAndErrors) {
     y[j] = rng.angle();
     c[j] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   }
+  const cfs_service_config cfg = service_config(1, 4, 0);
   cfs_service svc = nullptr;
-  ASSERT_EQ(cfs_service_create(&svc, g.dev, 1, 4, 0), CFS_SUCCESS);
+  ASSERT_EQ(cfs_service_create(&svc, g.dev, &cfg), CFS_SUCCESS);
   std::vector<std::complex<double>> out(20 * 24);
   cfs_request r;
-  ASSERT_EQ(cfs_service_submit(svc, 1, 2, n2, +1, 1e-6, nullptr, M, x.data(),
-                               y.data(), nullptr,
-                               reinterpret_cast<const double*>(c.data()),
-                               reinterpret_cast<double*>(out.data()), &r),
-            CFS_SUCCESS);
+  const auto rq = request2d(CFS_PRECISION_DOUBLE, 1, n2, +1, 1e-6, nullptr, M,
+                            x.data(), y.data(), c.data(), out.data());
+  ASSERT_EQ(cfs_service_submit(svc, &rq, &r), CFS_SUCCESS);
   EXPECT_EQ(cfs_service_wait(svc, r), CFS_SUCCESS);
 
   auto slurp = [](const char* path) {

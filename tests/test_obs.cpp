@@ -1,7 +1,7 @@
 // Observability layer (src/obs):
 //  * the ledger invariant submitted == completed + failed + outstanding
-//    holds on snapshots taken DURING concurrent submit/shed storms — for
-//    both the single-service and sharded tiers — not just after a drain;
+//    holds on snapshots taken DURING concurrent submit/shed storms, not just
+//    after a drain;
 //  * log-bucketed histograms: bucket counts sum to the recorded count, the
 //    end-to-end histogram counts every fulfilled request, the batch-size
 //    histogram counts every dispatched batch, and percentiles are monotone;
@@ -29,7 +29,6 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "service/service.hpp"
-#include "service/shard_router.hpp"
 #include "vgpu/device.hpp"
 
 namespace core = cf::core;
@@ -277,6 +276,10 @@ TEST(ObsService, LedgerConsistentDuringShedStorm) {
       if (!s.consistent()) ++torn;
     }
   });
+  // The storm can finish in a few milliseconds; on a loaded host the sampler
+  // might not run before it ends, so the submitters wait for its first
+  // snapshot.
+  while (samples.load() == 0) std::this_thread::yield();
 
   const int kThreads = 4, kPerThread = 60;
   std::vector<std::thread> subs;
@@ -312,60 +315,6 @@ TEST(ObsService, LedgerConsistentDuringShedStorm) {
   const auto st = svc.stats();
   EXPECT_EQ(st.submitted, st.completed + st.failed);
   EXPECT_EQ(st.shed, fin.shed);
-}
-
-TEST(ObsSharded, FrontLedgerConsistentDuringStorm) {
-  service::ShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.device_workers = 1;
-  cfg.shard.threads = 1;
-  cfg.max_outstanding = 4;
-  cfg.admission = service::Admission::Shed;
-  service::ShardedNufftService svc(cfg);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> torn{0};
-  std::thread sampler([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!svc.metrics().ledger().snap().consistent()) ++torn;
-      // Also exercise the rolled-up stats() path concurrently.
-      const auto st = svc.stats();
-      (void)st;
-    }
-  });
-
-  const int kThreads = 4, kPerThread = 40;
-  std::vector<std::thread> subs;
-  for (int t = 0; t < kThreads; ++t)
-    subs.emplace_back([&, t] {
-      // Two signatures (different point seeds -> different fingerprints but
-      // same plan; different mode sets -> different shards).
-      Workload mine(200 + static_cast<std::uint64_t>(t));
-      std::vector<std::vector<std::complex<double>>> outs(
-          kPerThread, std::vector<std::complex<double>>(20 * 24));
-      std::vector<std::future<service::ExecReport>> futs;
-      for (int i = 0; i < kPerThread; ++i)
-        futs.push_back(svc.submit(mine.request(outs[static_cast<std::size_t>(i)])));
-      for (auto& f : futs) {
-        try {
-          f.get();
-        } catch (const service::OverloadedError&) {
-        }
-      }
-    });
-  for (auto& th : subs) th.join();
-  svc.drain();
-  stop = true;
-  sampler.join();
-
-  EXPECT_EQ(torn.load(), 0u) << "inconsistent front-ledger snapshots mid-storm";
-  const auto fin = svc.metrics().ledger().snap();
-  EXPECT_TRUE(fin.consistent());
-  EXPECT_EQ(fin.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(fin.submitted, fin.completed + fin.failed);
-  const auto st = svc.stats();
-  EXPECT_EQ(st.total.submitted, st.total.completed + st.total.failed);
-  EXPECT_EQ(st.total.shed, st.front_shed);
 }
 
 // ---- histogram / counter wiring through the service -------------------------
