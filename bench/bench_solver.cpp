@@ -49,17 +49,12 @@ struct Geometry {
   double upsampfac;
 };
 
-struct Stats {
-  double median, min, max;
-};
-
 template <typename F>
-Stats time_reps(int reps, F&& f) {
+bench::Stats time_reps(int reps, F&& f) {
   f();  // warm-up
   std::vector<double> ms;
   for (int r = 0; r < reps; ++r) ms.push_back(time_once(f) * 1e3);
-  return {percentile(ms, 50), *std::min_element(ms.begin(), ms.end()),
-          *std::max_element(ms.begin(), ms.end())};
+  return bench::summarize(ms);
 }
 
 template <typename T>
@@ -81,7 +76,7 @@ void run(const Geometry& g, const std::vector<std::vector<T>>& pts, int reps, in
   std::vector<C> yv(M), c(M);
   for (auto& v : yv) v = {T(rng.normal()), T(rng.normal())};
 
-  auto add = [&](const char* op, const Stats& s) -> bench::JsonReport::Record& {
+  auto add = [&](const char* op, const bench::Stats& s) -> bench::JsonReport::Record& {
     std::printf("  %-16s median %9.2f ms  (min %9.2f, max %9.2f)\n", op, s.median, s.min,
                 s.max);
     return json.add()

@@ -9,8 +9,15 @@
 //   - whole node (one rank per GPU): 5-12x over the CPU running the
 //     whole-node problem on its fixed thread count
 //
-// Flags: --images (default 60; paper ~1000), --ngpus (default 4), --tol.
+// A second table times one M-TIP iteration (slicing, merging, finalize and
+// two phasing sweeps) on one 2-worker device: slice, merge, phase and
+// whole-iteration rows, median and min/max over --reps iterations.
+//
+// Flags: --images (default 60; paper ~1000), --ngpus (default 4), --tol,
+//        --reps (iteration rows, default 9), --json PATH (writes the
+//        iteration rows, e.g. BENCH_mtip.json).
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -34,9 +41,56 @@ double cpu_nufft_time(ThreadPool& pool, int type, std::int64_t Naxis, double tol
   std::vector<std::complex<double>> c(M, {1.0, 0.0});
   std::vector<std::complex<double>> f(static_cast<std::size_t>(Naxis * Naxis * Naxis));
   Timer t;
-  plan.execute(c.data(), f.data());
-  if (type == 1) plan.execute(c.data(), f.data());  // merging runs two type-1s
+  plan.execute(c.data(), f.data());  // merging: one type-1 per iteration
   return t.seconds();
+}
+
+/// One rank's iterations on a 2-worker device: per-step times over `reps`
+/// iterations after one warm-up, printed and added to `json`.
+void iteration_rows(const mtip::MtipConfig& cfg, const mtip::BlobDensity& rho, int reps,
+                    JsonReport& json) {
+  const std::size_t workers = 2;
+  const int sweeps = 2;
+  vgpu::Device dev(workers);
+  mtip::MtipRank rank(dev, cfg, rho);
+  rank.setup();
+  std::vector<double> slice, merge, phase, iter;
+  for (int r = -1; r < reps; ++r) {
+    Timer t;
+    const double s = rank.slicing(), m = rank.merging();
+    rank.finalize_merge();
+    Timer tp;
+    rank.phasing(sweeps);
+    const double p = tp.seconds(), it = t.seconds();
+    if (r < 0) continue;  // warm-up
+    slice.push_back(s * 1e3);
+    merge.push_back(m * 1e3);
+    phase.push_back(p * 1e3);
+    iter.push_back(it * 1e3);
+  }
+  std::printf("\nOne M-TIP iteration (%d phasing sweeps), %zu device workers, %d reps:\n",
+              sweeps, workers, reps);
+  Table t({"step", "median (ms)", "min (ms)", "max (ms)"});
+  const std::pair<const char*, const std::vector<double>*> rows[] = {
+      {"slice", &slice}, {"merge", &merge}, {"phase", &phase}, {"iteration", &iter}};
+  for (const auto& [op, ms] : rows) {
+    const Stats st = summarize(*ms);
+    t.add_row({op, Table::fmt(st.median, 1), Table::fmt(st.min, 1), Table::fmt(st.max, 1)});
+    json.add()
+        .field("op", op)
+        .field("workers", workers)
+        .field("images", cfg.nimages)
+        .field("M", rank.npoints())
+        .field("N_slice", cfg.N_slice)
+        .field("N_merge", cfg.N_merge)
+        .field("tol", cfg.tol)
+        .field("phase_sweeps", sweeps)
+        .field("median_ms", st.median)
+        .field("min_ms", st.min)
+        .field("max_ms", st.max)
+        .field("reps", reps);
+  }
+  t.print();
 }
 
 }  // namespace
@@ -46,6 +100,8 @@ int main(int argc, char** argv) {
   const int images = static_cast<int>(cli.get_int("images", 60));
   const int ngpus = static_cast<int>(cli.get_int("ngpus", 4));
   const double tol = cli.get_double("tol", 1e-12);
+  const int reps = static_cast<int>(cli.get_int("reps", 9));
+  const std::string json_path = cli.get("json", "");
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
 
   banner("Table II — M-TIP slicing (type 2) and merging (type 1) wall-clock",
@@ -100,5 +156,12 @@ int main(int argc, char** argv) {
              Table::fmt(whole.merge_s, 3),
              Table::fmt(cpu_merge_node / whole.merge_s, 1) + "x"});
   t.print();
+
+  JsonReport json;
+  iteration_rows(cfg, rho, reps, json);
+  if (!json_path.empty()) {
+    if (!json.write(json_path)) return 1;
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return 0;
 }

@@ -184,6 +184,17 @@ Workload<T> make_clumped_workload(int dim, std::size_t M, std::size_t clumps,
 /// and the obs histograms), re-exposed under the bench namespace.
 using cf::percentile;
 
+/// Median and range of a set of timed reps (ms), as the BENCH_*.json rows
+/// report them.
+struct Stats {
+  double median, min, max;
+};
+
+inline Stats summarize(const std::vector<double>& ms) {
+  return {percentile(ms, 50), *std::min_element(ms.begin(), ms.end()),
+          *std::max_element(ms.begin(), ms.end())};
+}
+
 /// ns per nonuniform point from a seconds measurement.
 inline double ns_per_pt(double seconds, std::size_t M) {
   return seconds * 1e9 / double(M);

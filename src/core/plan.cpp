@@ -42,6 +42,14 @@ std::vector<std::size_t> fft_dims(const spread::GridSpec& g) {
   return dims;
 }
 
+// The FFT's mode band. A count below 1 is clamped here and rejected by the
+// constructor body.
+std::vector<std::size_t> band_modes(std::span<const std::int64_t> nmodes) {
+  std::vector<std::size_t> m;
+  for (auto n : nmodes) m.push_back(static_cast<std::size_t>(std::max<std::int64_t>(n, 1)));
+  return m;
+}
+
 }  // namespace
 
 template <typename T>
@@ -54,8 +62,10 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
       opts_(opts),
       kp_(spread::KernelParams<T>::from_width(
           spread::width_from_tol(tol, opts.upsampfac), opts.upsampfac)),
-      fft_(dev.pool(), fft_dims(make_grid<T>(nmodes, opts.upsampfac,
-                                             spread::width_from_tol(tol, opts.upsampfac)))) {
+      fft_(dev.pool(),
+           fft_dims(make_grid<T>(nmodes, opts.upsampfac,
+                                 spread::width_from_tol(tol, opts.upsampfac))),
+           band_modes(nmodes)) {
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("Plan: type must be 1 or 2");
   if (nmodes.empty() || nmodes.size() > 3)
     throw std::invalid_argument("Plan: dim must be 1..3");
@@ -365,6 +375,9 @@ Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
     spread_step(c, B, bd);
     bd.spread = t.seconds();
     t.reset();
+    // Mode-pruned: only the band deconvolve reads holds the full transform.
+    // The other points keep partial sums, which is safe because spread_step
+    // zero-fills fw_ before every spread.
     fft_.exec_batch(fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_);
     bd.fft = t.seconds();
     t.reset();

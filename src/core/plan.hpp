@@ -222,7 +222,7 @@ class Plan {
   spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
                                 ///< process-wide per-(w, sigma) horner_cache
 
-  fft::FftNd<T> fft_;
+  fft::FftNd<T> fft_;                     ///< band = the plan's modes
   vgpu::device_buffer<cplx> fw_;          ///< fine grid (ntransf stacked planes)
   std::array<std::vector<T>, 3> fser_;    ///< per-dim correction factors
 

@@ -15,6 +15,12 @@
 // group is padded with zero lanes. Since the engine treats every lane alike,
 // a line's bits do not depend on its group, its lane slot or the worker
 // count.
+//
+// Mode band: a NUFFT plan reads (type 1) or writes (type 2) only N of the
+// nf fine-grid points per axis, the band [0, ceil(N/2)) U [nf - floor(N/2),
+// nf). Given the mode counts, a pass skips the lines whose values the band
+// never needs (type 1) or which the band has left zero (type 2); see
+// exec_batch and exec_batch_fused. Without them the band is the whole axis.
 #pragma once
 
 #include <algorithm>
@@ -37,24 +43,35 @@ class FftNd {
   using cplx = std::complex<T>;
   static constexpr std::size_t kLanes = Fft1d<T>::kLanes;
 
-  FftNd(ThreadPool& pool, std::vector<std::size_t> dims)
+  /// `modes` (empty, or one count per axis with 1 <= modes[d] <= dims[d])
+  /// sets the mode band; empty means the whole grid.
+  FftNd(ThreadPool& pool, std::vector<std::size_t> dims, std::vector<std::size_t> modes = {})
       : pool_(&pool), dims_(std::move(dims)) {
     if (dims_.empty() || dims_.size() > 3)
       throw std::invalid_argument("FftNd: 1..3 dims supported");
+    if (modes.empty()) modes = dims_;
+    if (modes.size() != dims_.size())
+      throw std::invalid_argument("FftNd: one mode count per axis");
     total_ = 1;
-    for (std::size_t d : dims_) {
-      if (d == 0) throw std::invalid_argument("FftNd: zero dim");
-      total_ *= d;
+    for (std::size_t d = 0; d < dims_.size(); ++d) {
+      if (dims_[d] == 0) throw std::invalid_argument("FftNd: zero dim");
+      if (modes[d] == 0 || modes[d] > dims_[d])
+        throw std::invalid_argument("FftNd: mode count outside 1..dim");
+      total_ *= dims_[d];
+      std::vector<bool> in(dims_[d], false);
+      std::fill_n(in.begin(), (modes[d] + 1) / 2, true);
+      std::fill(in.end() - static_cast<std::ptrdiff_t>(modes[d] / 2), in.end(), true);
+      band_.push_back(std::move(in));
     }
     std::size_t stride = 1;
-    for (std::size_t d : dims_) {
-      plans_.emplace_back(d);
-      geoms_.push_back(make_geom(d, stride));
+    for (std::size_t a = 0; a < dims_.size(); ++a) {
+      plans_.emplace_back(dims_[a]);
+      geoms_.push_back(make_geom(a, stride));
       // Per-worker scratch: the lane group plus the engine's workspace, which
       // also stages the fused pass's rows.
       const std::size_t lanes = geoms_.back().lanes;
-      ws_ = std::max(ws_, 2 * d * lanes + plans_.back().lane_workspace(lanes));
-      stride *= d;
+      ws_ = std::max(ws_, 2 * dims_[a] * lanes + plans_.back().lane_workspace(lanes));
+      stride *= dims_[a];
     }
     scratch_.resize(pool_->size());
     for (auto& s : scratch_) s.resize(ws_ / 2 + kLanes);  // room to 64-byte align
@@ -64,11 +81,8 @@ class FftNd {
   const std::vector<std::size_t>& dims() const { return dims_; }
 
   /// In-place transform of `data` (length total()); sign = -1 forward, +1
-  /// backward, both unnormalized.
-  void exec(cplx* data, int sign) {
-    for (std::size_t axis = 0; axis < dims_.size(); ++axis)
-      exec_axis(data, 1, 0, axis, sign);
-  }
+  /// backward, both unnormalized. Same as exec_batch with one grid.
+  void exec(cplx* data, int sign) { exec_batch(data, 1, total_, sign); }
 
   /// Batched in-place transform: `nbatch` grids at data + b*batch_stride
   /// (b = 0..nbatch-1), each of length total(). Planes are transformed
@@ -77,10 +91,19 @@ class FftNd {
   /// B = 1 execute gets implicitly — instead of streaming the whole
   /// nbatch-plane stack per axis. Each per-axis launch still spreads its
   /// lane groups over the pool, so multi-worker devices stay saturated.
+  ///
+  /// With a mode band (type 1), only the points whose every coordinate lies
+  /// in the band hold the full transform afterwards: axis 0 transforms every
+  /// line, and each later axis only the lines whose lower-axis coordinates
+  /// all lie in the band (3D at sigma = 2: 1 + 1/2 + 1/4 of three passes).
+  /// Every other point holds a partial sum, so the caller must rewrite the
+  /// whole grid before the next transform. Band points match the full
+  /// transform bitwise.
   void exec_batch(cplx* data, std::size_t nbatch, std::size_t batch_stride, int sign) {
     for (std::size_t b = 0; b < nbatch; ++b)
       for (std::size_t axis = 0; axis < dims_.size(); ++axis)
-        exec_axis(data + b * batch_stride, 1, 0, axis, sign);
+        exec_axis(data + b * batch_stride, 1, 0, axis, sign, geoms_[axis].band_groups,
+                  geoms_[axis].slabs);
   }
 
   /// Fused batched transform: the first (contiguous) axis's input rows are
@@ -95,42 +118,93 @@ class FftNd {
   /// but `fill` may read line `line` of plane b of `data`: the pass writes a
   /// line only after the fills of its lane group return. `fill` may be
   /// called concurrently from pool workers.
+  ///
+  /// With a mode band (type 2), the input is zero outside it: a row whose
+  /// higher-axis coordinates leave the band is zero without a `fill` call,
+  /// and a later pass skips the slabs that are still all zero (3D: the
+  /// axis-1 pass transforms only the z-slabs in the band). The output is the
+  /// full transform, bitwise.
   template <typename RowFill>
   void exec_batch_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
                         int sign, RowFill&& fill) {
     exec_axis0_fused(data, nbatch, batch_stride, sign, fill);
     for (std::size_t axis = 1; axis < dims_.size(); ++axis)
-      exec_axis(data, nbatch, batch_stride, axis, sign);
+      exec_axis(data, nbatch, batch_stride, axis, sign, geoms_[axis].groups,
+                geoms_[axis].band_slabs);
   }
 
  private:
-  // Where an axis pass finds its lines: lane v of group g within a slab is
-  // line g*lanes + v, and element j of that line sits at
-  // slab_base + (g*lanes + v)*lane_pitch + j*elem_pitch.
-  struct AxisGeom {
-    std::size_t n, lanes, lines, groups, slabs, slab_pitch, lane_pitch, elem_pitch;
+  // One lane group: lines [first, first + cnt) of a slab, cnt <= lanes.
+  struct Group {
+    std::size_t first, cnt;
   };
 
-  // Axis of length n whose elements lie `stride` apart (stride 1: axis 0).
-  // Lines per slab are all rows on axis 0 and the inner extent otherwise;
-  // an axis with fewer lines than kLanes runs groups of that many lanes.
-  AxisGeom make_geom(std::size_t n, std::size_t stride) const {
+  // Where an axis pass finds its lines: lane v of a group sits at line
+  // first + v, and element j of that line at
+  // slab_base + (first + v)*lane_pitch + j*elem_pitch. The group and slab
+  // lists are fixed per plan, so an execute only walks them.
+  struct AxisGeom {
+    std::size_t n, lanes, slab_pitch, lane_pitch, elem_pitch;
+    std::vector<Group> groups;       // every line of a slab
+    std::vector<Group> band_groups;  // lines whose lower-axis coordinates are in the band
+    std::vector<std::size_t> slabs;       // every slab
+    std::vector<std::size_t> band_slabs;  // slabs whose higher-axis coordinates are in it
+  };
+
+  // True when every coordinate of the axes [lo, hi) of the linear index
+  // `idx` (axis lo fastest) lies in the band.
+  bool in_band(std::size_t idx, std::size_t lo, std::size_t hi) const {
+    for (std::size_t a = lo; a < hi; ++a) {
+      if (!band_[a][idx % dims_[a]]) return false;
+      idx /= dims_[a];
+    }
+    return true;
+  }
+
+  // Cuts the lines l in [0, lines) with keep(l) into lane groups, each a run
+  // of consecutive lines at most `lanes` long.
+  template <typename Keep>
+  static std::vector<Group> make_groups(std::size_t lines, std::size_t lanes, Keep&& keep) {
+    std::vector<Group> out;
+    for (std::size_t l = 0; l < lines; ++l) {
+      if (!keep(l)) continue;
+      if (!out.empty() && out.back().first + out.back().cnt == l && out.back().cnt < lanes)
+        ++out.back().cnt;
+      else
+        out.push_back({l, 1});
+    }
+    return out;
+  }
+
+  // Axis `a` of length n whose elements lie `stride` apart (stride 1: axis
+  // 0). Lines per slab are all rows on axis 0 and the inner extent (the
+  // lower axes) otherwise; slabs run over the higher axes. An axis with
+  // fewer lines than kLanes runs groups of that many lanes.
+  AxisGeom make_geom(std::size_t a, std::size_t stride) const {
     AxisGeom g{};
-    g.n = n;
+    g.n = dims_[a];
+    std::size_t lines, nslabs;
     if (stride == 1) {
-      g.lines = total_ / n;
-      g.slabs = 1;
-      g.lane_pitch = n;
+      lines = total_ / g.n;
+      nslabs = 1;
+      g.lane_pitch = g.n;
       g.elem_pitch = 1;
     } else {
-      g.lines = stride;
-      g.slabs = total_ / (stride * n);
-      g.slab_pitch = stride * n;
+      lines = stride;
+      nslabs = total_ / (stride * g.n);
+      g.slab_pitch = stride * g.n;
       g.lane_pitch = 1;
       g.elem_pitch = stride;
     }
-    g.lanes = std::min(kLanes, g.lines);
-    g.groups = (g.lines + g.lanes - 1) / g.lanes;
+    g.lanes = std::min(kLanes, lines);
+    g.groups = make_groups(lines, g.lanes, [](std::size_t) { return true; });
+    g.band_groups = stride == 1 ? g.groups : make_groups(lines, g.lanes, [&](std::size_t l) {
+      return in_band(l, 0, a);
+    });
+    for (std::size_t s = 0; s < nslabs; ++s) {
+      g.slabs.push_back(s);
+      if (stride == 1 || in_band(s, a + 1, dims_.size())) g.band_slabs.push_back(s);
+    }
     return g;
   }
 
@@ -198,13 +272,14 @@ class FftNd {
       T* work = x + 2 * g.n * g.lanes;
       cplx* rows = s + g.n * g.lanes;  // `work` staging the rows; the engine reuses it
       for (std::size_t idx = lo; idx < hi; ++idx) {
-        const std::size_t b = idx / g.groups;
-        const std::size_t first = (idx % g.groups) * g.lanes;
-        const std::size_t cnt = std::min(g.lanes, g.lines - first);
+        const std::size_t b = idx / g.groups.size();
+        const auto [first, cnt] = g.groups[idx % g.groups.size()];
         cplx* base = data + b * batch_stride + first * g.n;
         bool nz[kLanes];
         bool any = false;
-        for (std::size_t v = 0; v < cnt; ++v) any |= nz[v] = fill(rows + v * g.n, first + v, b);
+        for (std::size_t v = 0; v < cnt; ++v)
+          any |= nz[v] =
+              in_band(first + v, 1, dims_.size()) && fill(rows + v * g.n, first + v, b);
         if (!any) {
           std::memset(static_cast<void*>(base), 0, cnt * g.n * sizeof(cplx));
           continue;
@@ -217,23 +292,25 @@ class FftNd {
           if (!nz[v]) std::memset(static_cast<void*>(base + v * g.n), 0, g.n * sizeof(cplx));
       }
     };
-    pool_->parallel_chunks(0, nbatch * g.groups, pool_->size() * 4, body);
+    pool_->parallel_chunks(0, nbatch * g.groups.size(), pool_->size() * 4, body);
   }
 
+  // One pass over `axis`: the lane groups `groups` of each slab in `slabs`.
   void exec_axis(cplx* data, std::size_t nbatch, std::size_t batch_stride,
-                 std::size_t axis, int sign) {
+                 std::size_t axis, int sign, const std::vector<Group>& groups,
+                 const std::vector<std::size_t>& slabs) {
     if (dims_[axis] == 1) return;
     const AxisGeom& g = geoms_[axis];
     const Fft1d<T>& plan = plans_[axis];
-    const std::size_t per_batch = g.slabs * g.groups;
+    const std::size_t ngroups = groups.size();
+    const std::size_t per_batch = slabs.size() * ngroups;
     auto body = [&](std::size_t lo, std::size_t hi, std::size_t wid) {
       T* x = reinterpret_cast<T*>(scratch(wid));
       T* work = x + 2 * g.n * g.lanes;
       for (std::size_t idx = lo; idx < hi; ++idx) {
         const std::size_t b = idx / per_batch;
-        const std::size_t slab = (idx % per_batch) / g.groups;
-        const std::size_t first = (idx % g.groups) * g.lanes;
-        const std::size_t cnt = std::min(g.lanes, g.lines - first);
+        const std::size_t slab = slabs[(idx % per_batch) / ngroups];
+        const auto [first, cnt] = groups[idx % ngroups];
         cplx* base = data + b * batch_stride + slab * g.slab_pitch + first * g.lane_pitch;
         gather(base, g, cnt, x);
         scatter(plan.exec_lanes(x, g.lanes, sign, work), g, cnt, base);
@@ -246,6 +323,7 @@ class FftNd {
   std::vector<std::size_t> dims_;
   std::vector<Fft1d<T>> plans_;
   std::vector<AxisGeom> geoms_;
+  std::vector<std::vector<bool>> band_;  // per axis: is the point in the mode band
   std::vector<std::vector<cplx>> scratch_;
   std::size_t ws_ = 0;  // values of T each worker's scratch needs
   std::size_t total_ = 0;

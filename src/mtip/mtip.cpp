@@ -45,7 +45,7 @@ double MtipRank::setup() {
   dy_ = vgpu::device_buffer<double>(*dev_, std::span<const double>(hy_));
   dz_ = vgpu::device_buffer<double>(*dev_, std::span<const double>(hz_));
   dmeas_ = vgpu::device_buffer<cplx>(*dev_, std::span<const cplx>(hmeas_));
-  dweights_ = vgpu::device_buffer<cplx>(*dev_, std::span<const cplx>(hweights));
+  vgpu::device_buffer<cplx> dweights(*dev_, std::span<const cplx>(hweights));
   dslice_out_ = vgpu::device_buffer<cplx>(*dev_, M_);
 
   const std::int64_t ns3 = cfg_.N_slice * cfg_.N_slice * cfg_.N_slice;
@@ -64,6 +64,11 @@ double MtipRank::setup() {
                                                      cfg_.tol);
   slice_plan_->set_points(M_, dx_.data(), dy_.data(), dz_.data());
   merge_plan_->set_points(M_, dx_.data(), dy_.data(), dz_.data());
+  // The weights transform reads only the points and the weights, so it runs
+  // once per point set instead of once per merge.
+  merged_den_.resize(dmerge_grid_.size());
+  merge_plan_->execute(dweights.data(), dmerge_grid_.data());
+  dmerge_grid_.copy_to_host(merged_den_);
 
   // Initial Fourier model on the slicing grid: the merged data (zeros until
   // the first merge), seeded here with the measurements' band via the truth
@@ -81,11 +86,8 @@ double MtipRank::slicing() {
 double MtipRank::merging() {
   Timer t;
   merged_num_.resize(dmerge_grid_.size());
-  merged_den_.resize(dmerge_grid_.size());
   merge_plan_->execute(dmeas_.data(), dmerge_grid_.data());
   dmerge_grid_.copy_to_host(merged_num_);
-  merge_plan_->execute(dweights_.data(), dmerge_grid_.data());
-  dmerge_grid_.copy_to_host(merged_den_);
   return t.seconds();
 }
 
@@ -134,52 +136,78 @@ double MtipRank::phasing(int iters) {
   // estimate's transform plays the role of the measured intensities) with
   // the real-space support/realness/positivity projection.
   const std::int64_t N = cfg_.N_merge;
+  const std::size_t n = static_cast<std::size_t>(N);
+  const std::size_t plane = n * n;
   const std::size_t total = model_.size();
-  fft::FftNd<double> fftp(dev_->pool(), {static_cast<std::size_t>(N),
-                                         static_cast<std::size_t>(N),
-                                         static_cast<std::size_t>(N)});
+  if (!phase_fft_) {
+    phase_fft_ = std::make_unique<fft::FftNd<double>>(dev_->pool(), std::vector{n, n, n});
+    phase_g_.resize(total);
+    modulus_.resize(total);
+  }
+  // Every elementwise step runs one z-plane per pool task; each cell is
+  // computed alone, so the bits do not depend on the worker count.
+  auto per_plane = [&](auto&& fn) {
+    dev_->pool().parallel_for(0, n, [&](std::size_t iz, std::size_t) {
+      fn(iz, iz * plane, (iz + 1) * plane);
+    });
+  };
   const double h = 2.0 * std::numbers::pi / double(N);
   const double rad2 = truth_->support_radius() * truth_->support_radius();
+  std::vector<cplx>& g = phase_g_;
 
   // Measured moduli from the merged estimate.
-  std::vector<cplx> fhat = model_;
-  fftp.exec(fhat.data(), -1);
-  std::vector<double> modulus(total);
-  for (std::size_t i = 0; i < total; ++i) modulus[i] = std::abs(fhat[i]);
+  std::copy(model_.begin(), model_.end(), g.begin());
+  phase_fft_->exec(g.data(), -1);
+  per_plane([&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) modulus_[i] = std::abs(g[i]);
+  });
 
-  std::vector<cplx> g = model_;
+  std::copy(model_.begin(), model_.end(), g.begin());
+  std::vector<double> mass(2 * n);  // per plane: in-support, out-of-support
   double resid = 0;
   for (int it = 0; it < iters; ++it) {
     // Real-space projection; track the out-of-support mass fraction.
-    double out_of_support = 0, in_support = 0;
-    for (std::int64_t iz = 0; iz < N; ++iz) {
-      const double z = double(iz - N / 2) * h;
+    per_plane([&](std::size_t iz, std::size_t lo, std::size_t) {
+      const double z = double(std::int64_t(iz) - N / 2) * h;
+      double in = 0, out = 0;
       for (std::int64_t iy = 0; iy < N; ++iy) {
         const double y = double(iy - N / 2) * h;
         for (std::int64_t ix = 0; ix < N; ++ix) {
           const double x = double(ix - N / 2) * h;
-          const std::size_t i = static_cast<std::size_t>(ix + N * (iy + N * iz));
+          const std::size_t i = lo + static_cast<std::size_t>(ix + N * iy);
           cplx v = g[i];
           const bool inside = x * x + y * y + z * z <= rad2;
-          (inside ? in_support : out_of_support) += std::norm(v);
+          (inside ? in : out) += std::norm(v);
           g[i] = inside ? cplx(std::max(v.real(), 0.0), 0.0) : cplx(0, 0);
         }
       }
+      mass[2 * iz] = in;
+      mass[2 * iz + 1] = out;
+    });
+    // Summed in plane order, so the residual is worker-count independent.
+    double in_support = 0, out_of_support = 0;
+    for (std::size_t iz = 0; iz < n; ++iz) {
+      in_support += mass[2 * iz];
+      out_of_support += mass[2 * iz + 1];
     }
     resid = (in_support + out_of_support) > 0
                 ? std::sqrt(out_of_support / (in_support + out_of_support))
                 : 0;
     // Fourier-modulus projection.
-    fftp.exec(g.data(), -1);
-    for (std::size_t i = 0; i < total; ++i) {
-      const double a = std::abs(g[i]);
-      g[i] = a > 1e-300 ? g[i] * (modulus[i] / a) : cplx(modulus[i], 0);
-    }
-    fftp.exec(g.data(), +1);
+    phase_fft_->exec(g.data(), -1);
+    per_plane([&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const double a = std::abs(g[i]);
+        g[i] = a > 1e-300 ? g[i] * (modulus_[i] / a) : cplx(modulus_[i], 0);
+      }
+    });
+    phase_fft_->exec(g.data(), +1);
     const double scale = 1.0 / double(total);
-    for (auto& v : g) v *= scale;
+    per_plane([&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) g[i] *= scale;
+    });
   }
-  model_ = g;
+  model_.swap(g);  // g's old contents are overwritten by the next call
   return resid;
 }
 

@@ -4,8 +4,10 @@
 // and a device, and runs the NUFFT-heavy steps of an M-TIP iteration:
 //   i)   slicing  — 3D type-2 NUFFT evaluates the model's Fourier transform
 //                   on every image's Ewald slice (grid N_slice^3),
-//   iii) merging  — two 3D type-1 NUFFTs (values and unit weights) merge the
-//                   slice data back onto a uniform grid (N_merge^3),
+//   iii) merging  — a 3D type-1 NUFFT merges the slice data back onto a
+//                   uniform grid (N_merge^3); its companion, the transform
+//                   of the compensation weights, depends only on the point
+//                   set and runs once in setup(),
 //   iv)  phasing  — error-reduction iterations with a support constraint.
 // Step ii (orientation matching) is not NUFFT-bound and the orientations are
 // known here, so it is a no-op in this substrate.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/plan.hpp"
+#include "fft/fftnd.hpp"
 #include "mtip/density.hpp"
 #include "mtip/geometry.hpp"
 #include "vgpu/buffer.hpp"
@@ -45,18 +48,21 @@ class MtipRank {
   std::size_t npoints() const { return M_; }
   const MtipConfig& config() const { return cfg_; }
 
-  /// Builds geometry + data, transfers to the device, and plans/sorts both
-  /// NUFFTs. Returns elapsed seconds (the Fig. 9 "setup" time).
+  /// Builds geometry + data, transfers to the device, plans/sorts both
+  /// NUFFTs, and runs the weights transform (sum_j w_j e^{i n.x_j}) into
+  /// merged_weights(). That transform belongs to the point set: if
+  /// orientation matching ever moves the points, it must be redone with
+  /// them. Returns elapsed seconds (the Fig. 9 "setup" time).
   double setup();
 
   /// Slicing: evaluates the current model on all slices. Returns seconds
   /// (the Fig. 9/Table II type-2 "exec" time).
   double slicing();
 
-  /// Merging: two type-1 NUFFTs — the density-compensated data adjoint
-  /// (sum_j w_j y_j e^{i n.x_j}) and the weight/PSF transform (sum_j w_j
-  /// e^{i n.x_j}) — exactly the paper's "two 3D type 1 NUFFTs".
-  /// Returns seconds.
+  /// Merging: one type-1 NUFFT, the density-compensated data adjoint
+  /// (sum_j w_j y_j e^{i n.x_j}), into merged_numerator(). The paper's
+  /// second type-1, the weight/PSF transform, does not change between
+  /// iterations and is computed by setup(). Returns seconds.
   double merging();
 
   /// Normalizes the compensated adjoint into the rank's real-space model
@@ -64,7 +70,9 @@ class MtipRank {
   void finalize_merge();
 
   /// Error-reduction phasing iterations with the spherical support
-  /// constraint. Returns the final real-space support residual.
+  /// constraint, on the device's pool one z-plane per task. Returns the
+  /// final real-space support residual; the model and the residual do not
+  /// depend on the worker count.
   double phasing(int iters);
 
   /// Normalized cross-correlation of the merged real-space model against the
@@ -81,11 +89,11 @@ class MtipRank {
   const BlobDensity* truth_;
 
   // Slice geometry and measurements (host + device copies). dmeas_ holds the
-  // density-compensated data w_j*y_j; dweights_ the compensation weights.
+  // density-compensated data w_j*y_j.
   std::vector<double> hx_, hy_, hz_;
   std::vector<cplx> hmeas_;
   vgpu::device_buffer<double> dx_, dy_, dz_;
-  vgpu::device_buffer<cplx> dmeas_, dweights_, dslice_out_;
+  vgpu::device_buffer<cplx> dmeas_, dslice_out_;
   vgpu::device_buffer<cplx> dslice_grid_, dmerge_grid_;
   double wsum_ = 0;  ///< sum of compensation weights (normalization)
   std::size_t M_ = 0;
@@ -94,6 +102,13 @@ class MtipRank {
   std::unique_ptr<core::Plan<double>> merge_plan_;  // type 1, N_merge^3
 
   std::vector<cplx> merged_num_, merged_den_, model_;
+
+  // Phasing state, built by the first phasing() call: the N_merge^3 FFT and
+  // its workspaces, kept on the host so they stay out of the device's
+  // allocation count.
+  std::unique_ptr<fft::FftNd<double>> phase_fft_;
+  std::vector<cplx> phase_g_;
+  std::vector<double> modulus_;
 };
 
 /// Node model for weak scaling (paper Fig. 9): `ngpus` devices, each with

@@ -1,5 +1,6 @@
 #include "service/plan_registry.hpp"
 
+#include <cmath>
 #include <span>
 
 namespace cf::service {
@@ -21,6 +22,18 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes)
 template <typename V>
 inline std::uint64_t fnv1a_value(std::uint64_t h, const V& v) {
   return fnv1a(h, &v, sizeof(V));
+}
+
+// Hashes n coordinates (the same bytes fnv1a over the array would) and
+// reports whether all of them are finite, in the one pass over them.
+template <typename T>
+bool fnv1a_finite(std::uint64_t& h, const T* v, std::size_t n) {
+  bool finite = true;
+  for (std::size_t j = 0; j < n; ++j) {
+    h = fnv1a_value(h, v[j]);
+    finite &= std::isfinite(v[j]);
+  }
+  return finite;
 }
 
 core::Options options_from_key(const PlanKey& key, int max_batch) {
@@ -122,27 +135,32 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
 }
 
 template <typename T>
-std::uint64_t point_fingerprint(int dim, std::size_t M, const T* x, const T* y,
-                                const T* z) {
+std::optional<std::uint64_t> point_fingerprint(int dim, std::size_t M, const T* x,
+                                               const T* y, const T* z) {
   std::uint64_t h = kFnvOffset;
   h = fnv1a_value(h, dim);
   h = fnv1a_value(h, M);
-  if (x) h = fnv1a(h, x, M * sizeof(T));
-  if (dim >= 2 && y) h = fnv1a(h, y, M * sizeof(T));
-  if (dim >= 3 && z) h = fnv1a(h, z, M * sizeof(T));
+  bool finite = true;
+  if (x) finite &= fnv1a_finite(h, x, M);
+  if (dim >= 2 && y) finite &= fnv1a_finite(h, y, M);
+  if (dim >= 3 && z) finite &= fnv1a_finite(h, z, M);
+  if (!finite) return std::nullopt;
   // 0 is the "no points loaded" sentinel in PlanEntry; avoid colliding it.
   return h ? h : 1;
 }
 
 template <typename T>
-std::uint64_t point_fingerprint3(int dim, std::size_t M, const T* x, const T* y,
-                                 const T* z, std::size_t K, const T* s, const T* t,
-                                 const T* u) {
-  std::uint64_t h = point_fingerprint<T>(dim, M, x, y, z);
-  h = fnv1a_value(h, K);
-  if (s) h = fnv1a(h, s, K * sizeof(T));
-  if (dim >= 2 && t) h = fnv1a(h, t, K * sizeof(T));
-  if (dim >= 3 && u) h = fnv1a(h, u, K * sizeof(T));
+std::optional<std::uint64_t> point_fingerprint3(int dim, std::size_t M, const T* x,
+                                                const T* y, const T* z, std::size_t K,
+                                                const T* s, const T* t, const T* u) {
+  const auto src = point_fingerprint<T>(dim, M, x, y, z);
+  if (!src) return std::nullopt;
+  std::uint64_t h = fnv1a_value(*src, K);
+  bool finite = true;
+  if (s) finite &= fnv1a_finite(h, s, K);
+  if (dim >= 2 && t) finite &= fnv1a_finite(h, t, K);
+  if (dim >= 3 && u) finite &= fnv1a_finite(h, u, K);
+  if (!finite) return std::nullopt;
   return h ? h : 1;
 }
 
@@ -177,11 +195,11 @@ std::shared_ptr<PlanEntry> PlanRegistry::acquire(const PlanKey& key) {
 #define CF_INSTANTIATE(T)                                                               \
   template PlanKey make_plan_key<T>(int, int, const std::int64_t*, int, double,         \
                                     const core::Options&);                              \
-  template std::uint64_t point_fingerprint<T>(int, std::size_t, const T*, const T*,     \
-                                              const T*);                                \
-  template std::uint64_t point_fingerprint3<T>(int, std::size_t, const T*, const T*,    \
-                                               const T*, std::size_t, const T*,         \
-                                               const T*, const T*);
+  template std::optional<std::uint64_t> point_fingerprint<T>(int, std::size_t, const T*, \
+                                                             const T*, const T*);      \
+  template std::optional<std::uint64_t> point_fingerprint3<T>(                         \
+      int, std::size_t, const T*, const T*, const T*, std::size_t, const T*, const T*, \
+      const T*);
 
 CF_INSTANTIATE(float)
 CF_INSTANTIATE(double)

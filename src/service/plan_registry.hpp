@@ -20,6 +20,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <variant>
 
@@ -72,18 +73,21 @@ struct PlanKeyHash {
 /// the submitting thread. Matching fingerprints let the dispatcher reuse the
 /// plan's current set_points; the probability of a spurious 64-bit match is
 /// negligible next to hardware fault rates, mirroring content-addressed
-/// caches elsewhere.
+/// caches elsewhere. Empty when a coordinate is NaN or Inf: the same pass
+/// that reads every coordinate checks it, so the service rejects such a set
+/// at submit at no extra O(M) cost.
 template <typename T>
-std::uint64_t point_fingerprint(int dim, std::size_t M, const T* x, const T* y,
-                                const T* z);
+std::optional<std::uint64_t> point_fingerprint(int dim, std::size_t M, const T* x,
+                                               const T* y, const T* z);
 
 /// Type-3 fingerprint: hashes BOTH point sets (sources and target
 /// frequencies), since set_points binds the plan's geometry-derived fine
-/// grid, corrections, and phases to the pair.
+/// grid, corrections, and phases to the pair. Empty when either set holds a
+/// non-finite coordinate.
 template <typename T>
-std::uint64_t point_fingerprint3(int dim, std::size_t M, const T* x, const T* y,
-                                 const T* z, std::size_t K, const T* s, const T* t,
-                                 const T* u);
+std::optional<std::uint64_t> point_fingerprint3(int dim, std::size_t M, const T* x,
+                                                const T* y, const T* z, std::size_t K,
+                                                const T* s, const T* t, const T* u);
 
 /// A registry entry's plan: empty until the first dispatcher builds it, then
 /// the type-1/2 or type-3 plan of the key's precision.

@@ -16,11 +16,12 @@ int resolve_threads(int configured) {
 }
 
 // Eager rejection of structurally unusable requests (the dispatcher could
-// not even form a signature or touch the buffers); everything else — bad
-// type, bad modes, method constraints — fails in plan construction on the
-// dispatch thread and reaches the caller through the request future.
+// not even form a signature or touch the buffers) and of non-finite
+// coordinates; everything else — bad type, bad modes, method constraints —
+// fails in plan construction on the dispatch thread and reaches the caller
+// through the request future. On success fills the request's group key.
 template <typename T>
-const char* validate_request(const Request<T>& req) {
+const char* validate_request(const Request<T>& req, GroupKey& key) {
   const int dim = static_cast<int>(req.modes.size());
   if (dim < 1 || dim > 3) return "NufftService: dim must be 1..3";
   if (req.iflag == 0)
@@ -38,23 +39,19 @@ const char* validate_request(const Request<T>& req) {
     if (!req.s || (dim >= 2 && !req.t) || (dim >= 3 && !req.u))
       return "NufftService: target frequency arrays required for type 3";
   }
-  return nullptr;
-}
-
-template <typename T>
-GroupKey make_group_key(const Request<T>& req) {
-  const int dim = static_cast<int>(req.modes.size());
-  GroupKey key;
   key.plan =
       make_plan_key<T>(req.type, dim, req.modes.data(), req.iflag, req.tol, req.opts);
   // O(M) hash on the SUBMITTING thread: fingerprint work parallelizes across
-  // callers instead of serializing on the dispatchers.
-  key.fingerprint =
+  // callers instead of serializing on the dispatchers. The same pass checks
+  // that every coordinate is finite.
+  const auto fingerprint =
       req.type == 3
           ? point_fingerprint3<T>(dim, req.M, req.x, req.y, req.z, req.K, req.s,
                                   req.t, req.u)
           : point_fingerprint<T>(dim, req.M, req.x, req.y, req.z);
-  return key;
+  if (!fingerprint) return "NufftService: non-finite coordinate";
+  key.fingerprint = *fingerprint;
+  return nullptr;
 }
 
 }  // namespace
@@ -117,13 +114,12 @@ std::future<ExecReport> NufftService::submit_impl(const Request<T>& req) {
   std::promise<ExecReport> promise;
   auto fut = promise.get_future();
 
-  if (const char* bad = validate_request(req)) {
+  GroupKey key;
+  if (const char* bad = validate_request(req, key)) {
     metrics_.ledger().reject();
     promise.set_exception(std::make_exception_ptr(std::invalid_argument(bad)));
     return fut;
   }
-
-  const GroupKey key = make_group_key(req);
 
   // Admission gate: the ledger claims the slot (or sheds) as one atomic
   // transition, so a concurrent stats() snapshot can never see a submitted

@@ -1,18 +1,22 @@
 // FFT substrate tests: correctness against the direct DFT for all radix
 // mixtures and Bluestein sizes, algebraic properties, N-d plans (including
-// lane-group tails and the fused first axis), and the lane engine's
-// determinism contract.
+// lane-group tails and the fused first axis), the lane engine's
+// determinism contract, and the mode-pruned passes a NUFFT plan runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/plan.hpp"
 #include "fft/fft.hpp"
 #include "fft/fftnd.hpp"
+#include "vgpu/device.hpp"
 
 using cf::Rng;
 using cf::ThreadPool;
@@ -497,4 +501,155 @@ TEST(FftNd, FusedFirstAxisMatchesUnfused) {
                           return true;
                         });
   for (std::size_t i = 0; i < fused.size(); ++i) ASSERT_EQ(fused[i], unfused[i]) << i;
+}
+
+// ---- mode-pruned passes ------------------------------------------------------
+
+namespace {
+
+// True when every coordinate of the linear index i lies in its axis's mode
+// band [0, ceil(N/2)) U [nf - floor(N/2), nf).
+bool in_mode_band(std::size_t i, const std::vector<std::size_t>& dims,
+                  const std::vector<std::size_t>& modes) {
+  for (std::size_t a = 0; a < dims.size(); ++a) {
+    const std::size_t c = i % dims[a];
+    if (c >= (modes[a] + 1) / 2 && c < dims[a] - modes[a] / 2) return false;
+    i /= dims[a];
+  }
+  return true;
+}
+
+// A pruned plan against the full one on the same grid: the type-1 band of
+// exec_batch and the whole type-2 output of exec_batch_fused (input zero
+// outside the band) must match bitwise.
+template <typename T>
+void check_pruned_matches_full(const std::vector<std::size_t>& modes, double sigma,
+                               int sign, std::size_t nbatch) {
+  using cplx = std::complex<T>;
+  std::vector<std::size_t> dims;
+  for (std::size_t N : modes)
+    dims.push_back(fft::next235(static_cast<std::size_t>(std::ceil(sigma * double(N)))));
+  ThreadPool pool(3);
+  fft::FftNd<T> full(pool, dims), pruned(pool, dims, modes);
+  const std::size_t total = full.total();
+  const std::string where = "dims " + std::to_string(dims[0]) + " x" +
+                            std::to_string(dims.size()) + " sigma " + std::to_string(sigma) +
+                            " sign " + std::to_string(sign) + " nbatch " +
+                            std::to_string(nbatch);
+
+  // Type 1: arbitrary input everywhere, only the band is read.
+  const auto src = random_signal<T>(total * nbatch, 600 + total + nbatch);
+  auto want = src, got = src;
+  full.exec_batch(want.data(), nbatch, total, sign);
+  pruned.exec_batch(got.data(), nbatch, total, sign);
+  std::size_t band = 0;
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t i = 0; i < total; ++i)
+      if (in_mode_band(i, dims, modes)) {
+        ++band;
+        ASSERT_EQ(got[b * total + i], want[b * total + i]) << where << " type 1, point " << i;
+      }
+  std::size_t per_plane = 1;
+  for (std::size_t N : modes) per_plane *= N;
+  EXPECT_EQ(band, per_plane * nbatch) << where;
+
+  // Type 2: input zero outside the band, the full output is compared.
+  auto padded = src;
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t i = 0; i < total; ++i)
+      if (!in_mode_band(i, dims, modes)) padded[b * total + i] = cplx(0, 0);
+  want = padded;
+  full.exec_batch(want.data(), nbatch, total, sign);
+  got.assign(total * nbatch, cplx(7, 7));  // the fused pass overwrites every point
+  pruned.exec_batch_fused(got.data(), nbatch, total, sign,
+                          [&](cplx* row, std::size_t line, std::size_t b) {
+                            std::copy_n(padded.begin() + b * total + line * dims[0], dims[0],
+                                        row);
+                            return true;
+                          });
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << where << " type 2, point " << i;
+}
+
+template <typename T>
+void check_pruning_matrix() {
+  const std::vector<std::vector<std::size_t>> even = {{10}, {12, 10}, {10, 8, 6}};
+  const std::vector<std::vector<std::size_t>> odd = {{11}, {9, 13}, {7, 9, 5}};
+  for (const auto* set : {&even, &odd})
+    for (const auto& modes : *set)
+      for (double sigma : {2.0, 1.25})
+        for (int sign : {-1, +1})
+          for (std::size_t nbatch : {1u, 3u})
+            check_pruned_matches_full<T>(modes, sigma, sign, nbatch);
+}
+
+}  // namespace
+
+TEST(FftNdPruned, BandMatchesFullTransformDouble) { check_pruning_matrix<double>(); }
+
+TEST(FftNdPruned, BandMatchesFullTransformSingle) { check_pruning_matrix<float>(); }
+
+TEST(FftNdPruned, RejectsBadModeCounts) {
+  ThreadPool pool(2);
+  EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4}), std::invalid_argument);
+  EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4, 0}), std::invalid_argument);
+  EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4, 9}), std::invalid_argument);
+}
+
+namespace {
+
+// Plan type-1 modes and type-2 outputs (both on pruned passes) at one worker
+// count, 3D, default options.
+template <typename T>
+std::pair<std::vector<std::complex<T>>, std::vector<std::complex<T>>> plan_outputs(
+    std::size_t workers, const std::vector<std::int64_t>& N, double sigma, int* tiled) {
+  using cplx = std::complex<T>;
+  const std::size_t M = 3000;
+  Rng rng(700);
+  std::vector<T> x(M), y(M), z(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = static_cast<T>(rng.angle());
+    y[j] = static_cast<T>(rng.angle());
+    z[j] = static_cast<T>(rng.angle());
+  }
+  const std::size_t nm = static_cast<std::size_t>(N[0] * N[1] * N[2]);
+  const auto c = random_signal<T>(M, 701);
+  const auto modes = random_signal<T>(nm, 702);
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  cf::vgpu::Device dev(workers);
+  cf::core::Options opts;
+  opts.upsampfac = sigma;
+  cf::core::Plan<T> t1(dev, 1, N, +1, tol, opts), t2(dev, 2, N, -1, tol, opts);
+  t1.set_points(M, x.data(), y.data(), z.data());
+  t2.set_points(M, x.data(), y.data(), z.data());
+  std::vector<cplx> f(nm), out(M), cin = c, fin = modes;
+  *tiled = t1.execute(cin.data(), f.data()).tiled;
+  t2.execute(out.data(), fin.data());
+  return {f, out};
+}
+
+template <typename T>
+void check_plan_worker_parity() {
+  for (double sigma : {2.0, 1.25})
+    for (const std::vector<std::int64_t>& N :
+         {std::vector<std::int64_t>{32, 30, 28}, std::vector<std::int64_t>{33, 31, 29}}) {
+      int tiled = 0;
+      const auto ref = plan_outputs<T>(1, N, sigma, &tiled);
+      ASSERT_EQ(tiled, 1) << "the type-1 spread must run tiled to be deterministic";
+      for (std::size_t workers : {2u, 4u}) {
+        const auto got = plan_outputs<T>(workers, N, sigma, &tiled);
+        EXPECT_TRUE(got.first == ref.first) << "type 1, " << workers << " workers";
+        EXPECT_TRUE(got.second == ref.second) << "type 2, " << workers << " workers";
+      }
+    }
+}
+
+}  // namespace
+
+TEST(FftNdPruned, PlanOutputsBitwiseAcrossWorkerCountsDouble) {
+  check_plan_worker_parity<double>();
+}
+
+TEST(FftNdPruned, PlanOutputsBitwiseAcrossWorkerCountsSingle) {
+  check_plan_worker_parity<float>();
 }

@@ -1,5 +1,5 @@
-// M-TIP application substrate: geometry, synthetic density, and the
-// slicing/merging NUFFT steps.
+// M-TIP application substrate: geometry, synthetic density, the
+// slicing/merging NUFFT steps, and phasing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -203,9 +203,11 @@ TEST(WeakScaling, RunsMultiRankOneRankPerGpu) {
   EXPECT_EQ(p2.ranks_per_device, 1);
 }
 
-TEST(MtipRank, MergeIsLinearInMeasurements) {
-  // Doubling the blob amplitudes doubles the merged numerator exactly.
-  cf::vgpu::Device dev(4);
+TEST(MtipRank, MergeAndPhasingBitwiseAcrossWorkerCounts) {
+  // The merge (tiled type-1 spread, mode-pruned FFT) and the pooled phasing
+  // give the same bits at 1, 2 and 4 workers. The weights transform is
+  // filled by setup(), left alone by merging(), and equals a direct type-1
+  // execute of the weights.
   mtip::MtipConfig cfg;
   cfg.N_slice = 13;
   cfg.N_merge = 17;
@@ -213,23 +215,51 @@ TEST(MtipRank, MergeIsLinearInMeasurements) {
   cfg.det.ndet = 10;
   cfg.tol = 1e-8;
   mtip::BlobDensity rho(3, 2.0, 301);
-  mtip::MtipRank r1(dev, cfg, rho);
-  r1.setup();
-  r1.merging();
-  r1.finalize_merge();
-  auto m1 = r1.model();
+  const std::int64_t N = cfg.N_merge;
+  const std::int64_t N3[3] = {N, N, N};
 
-  // A density with doubled amplitudes (same geometry/seed scaled by hand is
-  // not constructible; instead scale the model linearity through strengths:
-  // run the same rank twice and check determinism + scaling by re-merge).
-  mtip::MtipRank r2(dev, cfg, rho);
-  r2.setup();
-  r2.merging();
-  r2.finalize_merge();
-  auto m2 = r2.model();
-  ASSERT_EQ(m1.size(), m2.size());
-  for (std::size_t i = 0; i < m1.size(); ++i)
-    EXPECT_NEAR(std::abs(m1[i] - m2[i]), 0.0, 1e-12);
+  // The rank's points and weights, regenerated with the same formulas.
+  std::vector<double> x, y, z;
+  for (const auto& R : mtip::random_rotations(std::size_t(cfg.nimages), cfg.seed))
+    mtip::ewald_slice_points(R, cfg.det, x, y, z);
+  const double s = double(N) / (2.0 * std::numbers::pi);
+  std::vector<std::complex<double>> w;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const double kx = x[j] * s, ky = y[j] * s, kz = z[j] * s;
+    w.emplace_back(std::sqrt(kx * kx + ky * ky + kz * kz) + 0.5, 0.0);
+  }
+
+  struct Out {
+    std::vector<std::complex<double>> num, den, model;
+    double resid;
+  };
+  auto run = [&](std::size_t workers) {
+    cf::vgpu::Device dev(workers);
+    mtip::MtipRank rank(dev, cfg, rho);
+    rank.setup();
+    const auto den = rank.merged_weights();
+    EXPECT_EQ(den.size(), static_cast<std::size_t>(N * N * N)) << "filled by setup()";
+    rank.merging();
+    EXPECT_TRUE(rank.merged_weights() == den) << "merging() changed the weights";
+
+    cf::core::Plan<double> direct(dev, 1, std::span(N3, 3), +1, cfg.tol);
+    direct.set_points(x.size(), x.data(), y.data(), z.data());
+    std::vector<std::complex<double>> f(den.size()), c = w;
+    direct.execute(c.data(), f.data());
+    EXPECT_TRUE(f == den) << "weights differ from a direct type-1 execute";
+
+    rank.finalize_merge();
+    const double resid = rank.phasing(2);
+    return Out{rank.merged_numerator(), den, rank.model(), resid};
+  };
+  const Out ref = run(1);
+  for (std::size_t workers : {2u, 4u}) {
+    const Out got = run(workers);
+    EXPECT_TRUE(got.num == ref.num) << workers << " workers";
+    EXPECT_TRUE(got.den == ref.den) << workers << " workers";
+    EXPECT_TRUE(got.model == ref.model) << workers << " workers";
+    EXPECT_EQ(got.resid, ref.resid) << workers << " workers";
+  }
 }
 
 TEST(MtipRank, WeightsGridHasPositiveDcTerm) {
@@ -243,7 +273,6 @@ TEST(MtipRank, WeightsGridHasPositiveDcTerm) {
   mtip::BlobDensity rho(3, 2.0, 302);
   mtip::MtipRank rank(dev, cfg, rho);
   rank.setup();
-  rank.merging();
   // The weight transform at n=0 equals sum of weights > 0.
   const auto& den = rank.merged_weights();
   const std::int64_t N = cfg.N_merge;

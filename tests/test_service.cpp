@@ -817,9 +817,8 @@ TEST(Service, StatsInvariantHoldsAcrossFailuresAndSheds) {
 // ---- a non-finite point set fails alone ---------------------------------------
 
 TEST(Service, NonFinitePointsFailWithoutPoisoningThePlan) {
-  // The rejected set_points leaves the shared plan without points; the next
-  // request on the earlier set must load it again, not be served from a
-  // plan that no longer holds it.
+  // The non-finite set fails alone: the next request on the earlier set is
+  // served with the same bits from the plan that still holds it.
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
   service::NufftService svc(dev);
   Problem<float> p(std::vector<std::int64_t>{20, 16}, 2, 500, 64);
@@ -832,6 +831,48 @@ TEST(Service, NonFinitePointsFailWithoutPoisoningThePlan) {
   EXPECT_THROW(svc.submit(bad.request(opts, out)).get(), std::invalid_argument);
   svc.submit(p.request(opts, again)).get();
   EXPECT_EQ(first, again);
+}
+
+TEST(Service, NonFiniteCoordinatesRejectedBeforeAdmission) {
+  // The fingerprint pass that reads every coordinate also rejects NaN and
+  // Inf at submit: the request fails before admission, and no plan is built
+  // or re-pointed for it.
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
+  service::NufftService svc(dev);
+  const core::Options opts = opts_for(2);
+  Problem<float> p(std::vector<std::int64_t>{20, 16}, 1, 400, 65);
+  std::vector<std::complex<float>> out(p.out_len());
+  Problem<float> nan_x = p, inf_y = p;
+  nan_x.x[7] = std::numeric_limits<float>::quiet_NaN();
+  inf_y.y[p.M - 1] = -std::numeric_limits<float>::infinity();
+  T3Problem t3(322);
+  std::vector<std::complex<double>> out3(t3.K);
+  T3Problem inf_s = t3;
+  inf_s.s[0] = std::numeric_limits<double>::infinity();
+
+  EXPECT_THROW(svc.submit(nan_x.request(opts, out)).get(), std::invalid_argument);
+  EXPECT_THROW(svc.submit(inf_y.request(opts, out)).get(), std::invalid_argument);
+  EXPECT_THROW(svc.submit(inf_s.request(opts, out3)).get(), std::invalid_argument);
+  auto st = svc.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.failed, 3u);
+  EXPECT_EQ(st.shed, 0u);
+  EXPECT_EQ(st.plan_hits + st.plan_misses, 0u);  // never reached the registry
+  EXPECT_EQ(st.setpts_builds, 0u);
+
+  // With a plan holding the good set, a rejected set leaves it loaded: the
+  // next good request reuses it without another set_points.
+  svc.submit(p.request(opts, out)).get();
+  EXPECT_THROW(svc.submit(nan_x.request(opts, out)).get(), std::invalid_argument);
+  svc.submit(p.request(opts, out)).get();
+  svc.drain();
+  st = svc.stats();
+  EXPECT_EQ(st.failed, 4u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.plan_misses, 1u);
+  EXPECT_EQ(st.plan_hits, 1u);
+  EXPECT_EQ(st.setpts_builds, 1u);
+  EXPECT_EQ(st.setpts_reuses, 1u);
 }
 
 // ---- iflag = 0 is rejected, not silently folded -----------------------------
