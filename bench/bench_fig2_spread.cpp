@@ -15,8 +15,7 @@
 // runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
 // tracked configuration), with and without the Horner kernel table; later
 // sections ablate batching, caching, sigma, the tile writeback (including the
-// M-TIP merge transform, `mtip_merge3d`), interior classification and worker
-// count. An `fft` section times the FFT substrate alone on the workload grids.
+// M-TIP merge transform, `mtip_merge3d`) and worker count. An `fft` section times the FFT substrate alone on the workload grids.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -245,7 +244,7 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
 
 /// Tracked execute-ablation problem: 3D rand at density rho ~= 1 — modes N
 /// per axis sized so the sigma = 2 fine grid holds ~M points. Shared by the
-/// batch / repeated-execute / worker-count / interior ablations so they all
+/// batch / repeated-execute / worker-count ablations so they all
 /// bench the same configuration.
 struct Tracked3d {
   std::vector<std::int64_t> N;
@@ -859,56 +858,6 @@ void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
   t.print();
 }
 
-/// Interior-fastpath ablation: 3D GM-sort type-1 execute (the method whose
-/// spread takes the wrap-around index path per tap) with the plan's
-/// interior/boundary classification on vs off. At rho ~= 1 nearly all points
-/// are interior, so this isolates the no-wrap indexing win.
-void run_interior(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
-                  bench::JsonReport& json) {
-  const double tol = 1e-6;
-  const auto& [N, ntot, wl] = t3;
-  auto c = wl.c;  // execute takes a mutable strengths pointer
-  std::vector<std::complex<float>> f(ntot);
-
-  std::printf("\n--- interior-fastpath ablation: 3D GM-sort type-1 execute, rand, "
-              "M=%zu, tol=%g, fp32 ---\n", M, tol);
-  Table t({"interior fastpath", "exec [s]", "spread [s]", "interior pts", "spdup"});
-  double base_exec = 0, base_spread = 0;
-  for (int on : {0, 1}) {
-    core::Options opts;
-    opts.method = core::Method::GMSort;
-    opts.interior_fastpath = on;
-    // Pin the atomic writeback: the tiled engine never wraps, so the
-    // interior partition only matters on the atomic path this isolates.
-    opts.tiled_spread = 0;
-    core::Plan<float> plan(dev, 1, N, +1, tol, opts);
-    plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    const auto [exec_s, spread_s] =
-        time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
-    if (!on) {
-      base_exec = exec_s;
-      base_spread = spread_s;
-    }
-    t.add_row({on ? "on" : "off", Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
-               std::to_string(plan.last_breakdown().interior_points),
-               Table::fmt(base_spread / spread_s, 2) + "x"});
-    auto& rec = json.add();
-    rec.field("bench", "interior3d")
-        .field("dist", "rand")
-        .field("dim", 3)
-        .field("M", M)
-        .field("tol", tol)
-        .field("method", "GM-sort")
-        .field("path", on ? "interior-on" : "interior-off")
-        .field("exec_s", exec_s)
-        .field("spread_s", spread_s)
-        .field("pts_per_s", double(M) / exec_s)
-        .field("spread_speedup_vs_wrap", base_spread / spread_s)
-        .field("exec_speedup_vs_wrap", base_exec / exec_s);
-  }
-  t.print();
-}
-
 /// FFT substrate alone: one FftNd transform (alternating forward/backward)
 /// of the grids the tracked workloads use — the M-TIP merge, slice and
 /// phasing grids (162^3, 90^3, 81^3 fp64) across worker counts, and the 2D
@@ -999,7 +948,6 @@ int main(int argc, char** argv) {
   run_tiled_cluster(tracked, mfast, reps, json);
   run_mtip_merge(reps, json);
   run_fft(reps, json);
-  run_interior(dev, tracked, mfast, reps, json);
   run_workers(tracked, mfast, reps, json);
 
   if (json.write(json_path))

@@ -35,11 +35,8 @@ Options to_options(const cfs_opts* opts) {
   if (opts->ntransf > 0) o.ntransf = opts->ntransf;
   o.kerevalmeth = opts->gpu_kerevalmeth == 1 ? 1 : 0;
   o.modeord = opts->modeord == 1 ? 1 : 0;
-  o.fastpath = opts->gpu_fastpath == -1 ? 0 : 1;
-  o.packed_atomics = opts->gpu_packed_atomics == 1 ? 1 : 0;
   o.point_cache =
       opts->gpu_point_cache == -1 ? 0 : opts->gpu_point_cache == 2 ? 2 : 1;
-  o.interior_fastpath = opts->gpu_interior_fastpath == -1 ? 0 : 1;
   o.tiled_spread = opts->gpu_tiled_spread == -1 ? 0 : 1;
   o.tile_chunk_cap = opts->gpu_tile_chunk_cap;  /* same encoding both sides */
   if (opts->upsampfac > 0) o.upsampfac = opts->upsampfac;
@@ -131,10 +128,7 @@ void cfs_default_opts(cfs_opts* opts) {
   opts->ntransf = 0;
   opts->gpu_kerevalmeth = 0;
   opts->modeord = 0;
-  opts->gpu_fastpath = 0;
-  opts->gpu_packed_atomics = 0;
   opts->gpu_point_cache = 0;
-  opts->gpu_interior_fastpath = 0;
   opts->gpu_tiled_spread = 0;
   opts->gpu_tile_chunk_cap = 0;
   opts->upsampfac = 0.0; /* default sigma = 2 */

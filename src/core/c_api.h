@@ -39,7 +39,9 @@ enum {
   CFS_METHOD_SM = 3       /* shared-memory subproblems (type 1 only) */
 };
 
-/* Tunable options; zero-initialize then override (cufinufft_default_opts). */
+/* Tunable options; zero-initialize then override (cufinufft_default_opts).
+ * The width-specialized kernels and the interior-first no-wrap partition of
+ * the atomic spread and interp always run; they are not options. */
 typedef struct {
   int gpu_method;        /* CFS_METHOD_* */
   int gpu_maxsubprobsize; /* Msub; 0 = 1024 */
@@ -47,16 +49,10 @@ typedef struct {
   int ntransf;            /* stacked vectors per execute; 0 = 1 */
   int gpu_kerevalmeth;    /* 0 = direct exp/sqrt, 1 = Horner table */
   int modeord;            /* 0 = CMCL (-N/2..N/2-1), 1 = FFT-style */
-  int gpu_fastpath;       /* 0 = default (width-specialized SIMD kernels),
-                             -1 = runtime-width scalar fallback */
-  int gpu_packed_atomics; /* 1 = packed 8-byte CAS for complex<float>
-                             writeback; 0 = two float atomic adds (default) */
   int gpu_point_cache;    /* 0 = default (plan-resident tap table built in
                              setpts), 2 = also cache taps for the tiled
                              GM-sort spread (throughput mode; the service
                              layer's plans use it), -1 = rebuild per execute */
-  int gpu_interior_fastpath; /* 0 = default (interior-first no-wrap partition
-                                for GM/GM-sort), -1 = always wrap */
   int gpu_tiled_spread;   /* 0 = default (tile-owned atomic-free spread
                              writeback with deterministic halo merge),
                              -1 = atomic writeback */

@@ -22,8 +22,14 @@ const char* method_name(Method m) {
 
 namespace {
 
+// The member-initializer list builds the FFT from this grid, so the mode
+// counts are validated here, before anything indexes GridSpec::nf by them.
 template <typename T>
 spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
+  if (nmodes.empty() || nmodes.size() > 3)
+    throw std::invalid_argument("Plan: dim must be 1..3");
+  for (auto n : nmodes)
+    if (n < 1) throw std::invalid_argument("Plan: modes must be >= 1");
   spread::GridSpec g;
   g.dim = static_cast<int>(nmodes.size());
   for (int d = 0; d < g.dim; ++d) {
@@ -42,12 +48,10 @@ std::vector<std::size_t> fft_dims(const spread::GridSpec& g) {
   return dims;
 }
 
-// The FFT's mode band. A count below 1 is clamped here and rejected by the
-// constructor body.
+// The FFT's mode band (make_grid, in the same initializer, rejects a count
+// below 1 before the FFT is built).
 std::vector<std::size_t> band_modes(std::span<const std::int64_t> nmodes) {
-  std::vector<std::size_t> m;
-  for (auto n : nmodes) m.push_back(static_cast<std::size_t>(std::max<std::int64_t>(n, 1)));
-  return m;
+  return std::vector<std::size_t>(nmodes.begin(), nmodes.end());
 }
 
 }  // namespace
@@ -67,18 +71,12 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
                                  spread::width_from_tol(tol, opts.upsampfac))),
            band_modes(nmodes)) {
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("Plan: type must be 1 or 2");
-  if (nmodes.empty() || nmodes.size() > 3)
-    throw std::invalid_argument("Plan: dim must be 1..3");
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("Plan: upsampfac must be 2.0 or 1.25");
-  for (auto n : nmodes)
-    if (n < 1) throw std::invalid_argument("Plan: modes must be >= 1");
 
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
   grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
 
-  kp_.fast = opts_.fastpath != 0;
-  kp_.packed = opts_.packed_atomics != 0;
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 
@@ -182,10 +180,9 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
 
   // Plan-resident PointCache: everything that depends on the points but not
   // the strengths is paid here, once, and amortized over repeated executes.
-  // The parts toggle independently: point_cache gates only the SM tap table
-  // (its 0 setting is the per-execute-rebuild ablation baseline);
-  // interior_fastpath gates only the interior-first partition; tiled_spread
-  // gates the tile-ownership set of the atomic-free writeback.
+  // point_cache gates only the SM tap table (its 0 setting is the
+  // per-execute-rebuild ablation baseline); tiled_spread gates the
+  // tile-ownership set of the atomic-free writeback.
   Timer tc;
   if (M_ > 0) {
     spread::NuPoints<T> pts{xg_.data(), dim >= 2 ? yg_.data() : nullptr,
@@ -218,7 +215,7 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
     // work, so skip it — interior_points then reads 0 for such plans. The
     // SM subproblem decomposition is gated the same way: the tile engine
     // works per bin, so subproblems only matter on the atomic fallback.
-    if (opts_.interior_fastpath && method_ != Method::SM && !cache_.tiles.usable)
+    if (method_ != Method::SM && !cache_.tiles.usable)
       spread::classify_interior(*dev_, grid_, kp_, pts, order, cache_.interior);
     if (method_ == Method::SM && !cache_.tiles.usable)
       subs_ = spread::build_subproblems(*dev_, sort_, opts_.msub);

@@ -63,7 +63,10 @@ enum class Method { Auto, GM, GMSort, SM };
 
 const char* method_name(Method m);
 
-/// Tunable options; defaults are the paper's hand-tuned values.
+/// Tunable options; defaults are the paper's hand-tuned values. What won on
+/// every workload is not an option: execute always runs the width-specialized
+/// kernels, and the atomic GM/GM-sort spread and interp always run the
+/// interior-first (no-wrap) partition.
 struct Options {
   Method method = Method::Auto;
   std::uint32_t msub = 1024;            ///< max subproblem size (paper Rmk. 1)
@@ -78,9 +81,6 @@ struct Options {
   int ntransf = 1;  ///< vectors per execute (cuFINUFFT's many-vector batching)
   int kerevalmeth = 0;  ///< 0 = direct exp/sqrt; 1 = piecewise-poly Horner
   int modeord = 0;  ///< 0 = CMCL (-N/2..N/2-1); 1 = FFT-style (0..,-N/2..-1)
-  int fastpath = 1;  ///< 1 = width-specialized SIMD kernels; 0 = runtime-w scalar
-  int packed_atomics = 0;  ///< 1 = single 8-byte CAS per complex<float> global
-                           ///< writeback (two-float atomic adds otherwise)
   int point_cache = 1;     ///< 1 = build the SM tap table once in set_points;
                            ///< 2 = ALSO cache the tap table for the tiled
                            ///< GM-sort spread (instead of re-evaluating taps
@@ -89,9 +89,6 @@ struct Options {
                            ///< service layer's batched plans run this mode.
                            ///< Bitwise-identical output in every mode.
                            ///< 0 = rebuild per execute (ablation baseline)
-  int interior_fastpath = 1;  ///< 1 = interior-first iteration partition with
-                              ///< branch-free no-wrap indexing in GM/GM-sort
-                              ///< spread and interp; 0 = always wrap
   int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread writeback in
                          ///< colour classes for SM and GM-sort type 1 (zero
                          ///< global atomics; output bitwise-identical at any

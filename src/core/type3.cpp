@@ -44,8 +44,6 @@ Type3Plan<T>::Type3Plan(vgpu::Device& dev, int dim, int iflag, double tol, Optio
   if (dim < 1 || dim > 3) throw std::invalid_argument("Type3Plan: dim must be 1..3");
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("Type3Plan: upsampfac must be 2.0 or 1.25");
-  kp_.fast = opts_.fastpath != 0;
-  kp_.packed = opts_.packed_atomics != 0;
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 }
@@ -226,16 +224,13 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   // will serve the spread the source partition would be dead work — skip it.
   src_part_ = spread::InteriorPartition{};
   trg_part_ = spread::InteriorPartition{};
-  if (opts_.interior_fastpath && method_ != Method::SM && !src_tiles_.usable)
+  if (method_ != Method::SM && !src_tiles_.usable)
     spread::classify_interior(
         *dev_, grid_, kp_, srcs,
         method_ == Method::GMSort ? src_sort_.order.data() : nullptr, src_part_);
-  if (opts_.interior_fastpath) {
-    spread::NuPoints<T> trgs{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
-                             dim_ >= 3 ? ug_.data() : nullptr, K_};
-    spread::classify_interior(*dev_, grid_, kp_, trgs, trg_sort_.order.data(),
-                              trg_part_);
-  }
+  spread::NuPoints<T> trgs{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
+                           dim_ >= 3 ? ug_.data() : nullptr, K_};
+  spread::classify_interior(*dev_, grid_, kp_, trgs, trg_sort_.order.data(), trg_part_);
 }
 
 template <typename T>
@@ -295,12 +290,8 @@ void Type3Plan<T>::execute(cplx* c, cplx* f) {
   // 3. Interpolate H at the scaled targets, then apply the target phases.
   spread::NuPoints<T> trg{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                           dim_ >= 3 ? ug_.data() : nullptr, K_};
-  const std::uint32_t* trg_order = trg_sort_.order.data();
-  if (!trg_part_.empty()) {  // interior-first partition (no-wrap fast path)
-    trg_order = trg_part_.order.data();
-    trg.n_nowrap = trg_part_.n_interior;
-  }
-  spread::interp<T>(*dev_, grid_, kp_, trg, hgrid_.data(), f, trg_order);
+  trg.n_nowrap = trg_part_.n_interior;  // interior-first partition (no-wrap fast path)
+  spread::interp<T>(*dev_, grid_, kp_, trg, hgrid_.data(), f, trg_part_.order.data());
   dev_->launch_items(K_, 256, [&](std::size_t k, vgpu::BlockCtx&) {
     f[k] *= trg_phase_[k];
   });

@@ -44,15 +44,12 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   o.ntransf = max_batch;  // batched executes up to the coalescing cap
   o.kerevalmeth = key.kerevalmeth;
   o.modeord = key.modeord;
-  o.fastpath = key.fastpath;
-  o.packed_atomics = key.packed_atomics;
   // Service plans serve repeated batched executes, so the default point
   // cache is promoted to the aggressive mode (2): the tiled GM-sort spread
   // streams a plan-resident tap table instead of re-evaluating taps every
   // execute. Output is bitwise-identical; an explicit 0 (the ablation
   // baseline) is honored.
   o.point_cache = key.point_cache ? 2 : 0;
-  o.interior_fastpath = key.interior_fastpath;
   o.tiled_spread = key.tiled_spread;
   o.tile_chunk_cap = key.tile_chunk_cap;
   o.upsampfac = key.upsampfac;
@@ -90,10 +87,7 @@ PlanKey make_plan_key(int type, int dim, const std::int64_t* nmodes, int iflag,
   k.binsize[2] = opts.binsize[2];
   k.kerevalmeth = opts.kerevalmeth;
   k.modeord = opts.modeord;
-  k.fastpath = opts.fastpath;
-  k.packed_atomics = opts.packed_atomics;
   k.point_cache = opts.point_cache;
-  k.interior_fastpath = opts.interior_fastpath;
   k.tiled_spread = opts.tiled_spread;
   k.tile_chunk_cap = opts.tile_chunk_cap;
   // Unset (<= 0) folds to the default sigma so a zero-initialized options
@@ -124,10 +118,7 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   h = fnv1a(h, k.binsize, sizeof(k.binsize));
   h = fnv1a_value(h, k.kerevalmeth);
   h = fnv1a_value(h, k.modeord);
-  h = fnv1a_value(h, k.fastpath);
-  h = fnv1a_value(h, k.packed_atomics);
   h = fnv1a_value(h, k.point_cache);
-  h = fnv1a_value(h, k.interior_fastpath);
   h = fnv1a_value(h, k.tiled_spread);
   h = fnv1a_value(h, k.tile_chunk_cap);
   h = fnv1a_value(h, k.upsampfac);

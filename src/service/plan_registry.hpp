@@ -48,10 +48,7 @@ struct PlanKey {
   std::int32_t binsize[3] = {0, 0, 0};
   std::int32_t kerevalmeth = 0;
   std::int32_t modeord = 0;
-  std::int32_t fastpath = 1;
-  std::int32_t packed_atomics = 0;
   std::int32_t point_cache = 1;
-  std::int32_t interior_fastpath = 1;
   std::int32_t tiled_spread = 1;
   std::int32_t tile_chunk_cap = 0;  ///< 0 = auto; caps change tile geometry & bits
   double upsampfac = 2.0;  ///< fine-grid sigma; changes width, grid, and bits,

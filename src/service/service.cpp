@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -29,6 +30,10 @@ const char* validate_request(const Request<T>& req, GroupKey& key) {
     // the +1 transform for a request that never chose a direction.
     return "NufftService: iflag must be +1 or -1 (0 is ambiguous)";
   if (!req.input || !req.output) return "NufftService: input/output required";
+  // The plan would throw the same from width_from_tol, but only after the
+  // request had taken an admission slot and a dispatcher had built it.
+  if (!(std::isnormal(req.tol) && req.tol > 0))
+    return "NufftService: tol must be a positive normal number";
   if (req.M > 0 && (!req.x || (dim >= 2 && !req.y) || (dim >= 3 && !req.z)))
     return "NufftService: coordinate arrays required for M > 0";
   if (req.type == 3) {

@@ -14,8 +14,10 @@
 //  * es_values_fixed<W> — compile-time-width path whose tap loops fully
 //    unroll and whose Horner evaluation runs fused multiply-adds *across
 //    taps* (degree-major coefficient layout padded to a multiple of 4), the
-//    shape that auto-vectorizes. The spreading kernels dispatch w=2..16 to
-//    the fixed-width path and fall back to es_values otherwise.
+//    shape that auto-vectorizes. The spreading kernels dispatch every width
+//    width_from_tol yields (w=2..24) to the fixed-width path; es_values runs
+//    only under KernelParams::fast = false (the tests' reference) and in the
+//    exact-fit SM scratch corner (sm_scratch_fits in spread_impl.hpp).
 #pragma once
 
 #include <algorithm>
@@ -77,11 +79,9 @@ struct KernelParams {
   int horner_degree = 0;
   int horner_wpad = 0;
   /// Allow the width-specialized kernels; false forces the runtime-w scalar
-  /// fallback (used by tests and benches to compare the two pipelines).
+  /// kernels, which tests and benches keep as the reference. Plans always
+  /// leave it true.
   bool fast = true;
-  /// Use the packed 8-byte CAS for complex<float> global writeback instead of
-  /// two float atomic adds (Options::packed_atomics). Ignored for double.
-  bool packed = false;
 
   static KernelParams from_width(int width, double sigma = 2.0) {
     // Every kernel buffer (tap values, Horner accumulators) is sized by
@@ -106,17 +106,23 @@ struct KernelParams {
 /// to [2, 16] (the original bound — w = 16 is already eps ~ 1e-15). Other
 /// sigma: w = ceil(ln(1/eps) / (pi * sqrt(1 - 1/sigma))) (the FINUFFT rule),
 /// clamped to [2, kMaxWidth] — lower upsampling needs a wider kernel for the
-/// same tolerance (sigma = 1.25 is roughly 1.6x wider).
+/// same tolerance (sigma = 1.25 is roughly 1.6x wider). Every plan derives its
+/// width here, so this rejects a tol that is not a positive normal number:
+/// for 0, NaN, Inf or a subnormal (whose 1/tol overflows) the int casts
+/// below would be undefined. The general-sigma width is clamped before its
+/// cast, since sigma just above 1 makes it arbitrarily large.
 inline int width_from_tol(double tol, double sigma = 2.0) {
+  if (!(std::isnormal(tol) && tol > 0))
+    throw std::invalid_argument("width_from_tol: tol must be a positive normal number");
   if (sigma == 2.0) {
     const int w = static_cast<int>(std::ceil(std::log10(1.0 / tol))) + 1;
     return std::clamp(w, 2, 16);
   }
   if (!(sigma > 1.0))
     throw std::invalid_argument("width_from_tol: upsampfac must be > 1");
-  const int w = static_cast<int>(std::ceil(
-      std::log(1.0 / tol) / (3.141592653589793 * std::sqrt(1.0 - 1.0 / sigma))));
-  return std::clamp(w, 2, kMaxWidth);
+  const double w = std::ceil(
+      std::log(1.0 / tol) / (3.141592653589793 * std::sqrt(1.0 - 1.0 / sigma)));
+  return static_cast<int>(std::clamp(w, 2.0, double(kMaxWidth)));
 }
 
 /// phi_beta(z) on the normalized support [-1, 1].

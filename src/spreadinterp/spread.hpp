@@ -18,12 +18,12 @@
 // B = 1 instantiations of the same kernels (identical operations in identical
 // order), so there is exactly one implementation of each stage.
 //
-// Every entry point dispatches on the kernel width: widths 2..16 (all the
+// Every entry point dispatches on the kernel width: widths 2..24 (all the
 // tolerance rule can produce) run width-specialized kernels whose tap loops
 // fully unroll and whose shared-memory accumulation is deinterleaved into
-// real/imag FMA streams; other widths — or KernelParams::fast == false —
-// take the runtime-width scalar fallback. Both paths compute the same sums,
-// so results agree to rounding.
+// real/imag FMA streams; KernelParams::fast == false (the tests' reference)
+// takes the runtime-width scalar kernels. Both compute the same sums, so
+// results agree to rounding.
 //
 // Point-dependent precomputation (point_cache.hpp) plugs in three ways:
 //  * SM/tiled spreading consumes a TapTable (per-point tap values in

@@ -39,14 +39,13 @@ void spread_gm_batch_fast(vgpu::Device& dev, const GridSpec& grid,
         std::complex<T>* fwb = fw + b * fwstride;
         if constexpr (DIM == 1) {
           for (int i0 = 0; i0 < W; ++i0)
-            accum_global(blk, kp.packed, &fwb[tab.idx[0][i0]], cj * tab.vals[0][i0]);
+            blk.atomic_add(&fwb[tab.idx[0][i0]], cj * tab.vals[0][i0]);
         } else if constexpr (DIM == 2) {
           for (int i1 = 0; i1 < W; ++i1) {
             const std::complex<T> c1 = cj * tab.vals[1][i1];
             const std::int64_t row = tab.idx[1][i1] * grid.nf[0];
             for (int i0 = 0; i0 < W; ++i0)
-              accum_global(blk, kp.packed, &fwb[row + tab.idx[0][i0]],
-                           c1 * tab.vals[0][i0]);
+              blk.atomic_add(&fwb[row + tab.idx[0][i0]], c1 * tab.vals[0][i0]);
           }
         } else {
           for (int i2 = 0; i2 < W; ++i2) {
@@ -56,8 +55,7 @@ void spread_gm_batch_fast(vgpu::Device& dev, const GridSpec& grid,
               const std::complex<T> c1 = c2 * tab.vals[1][i1];
               const std::int64_t row = (plane + tab.idx[1][i1]) * grid.nf[0];
               for (int i0 = 0; i0 < W; ++i0)
-                accum_global(blk, kp.packed, &fwb[row + tab.idx[0][i0]],
-                             c1 * tab.vals[0][i0]);
+                blk.atomic_add(&fwb[row + tab.idx[0][i0]], c1 * tab.vals[0][i0]);
             }
           }
         }
@@ -88,14 +86,13 @@ void spread_gm_batch_impl(vgpu::Device& dev, const GridSpec& grid,
         std::complex<T>* fwb = fw + b * fwstride;
         if constexpr (DIM == 1) {
           for (int i0 = 0; i0 < w; ++i0)
-            accum_global(blk, kp.packed, &fwb[tab.idx[0][i0]], cj * tab.vals[0][i0]);
+            blk.atomic_add(&fwb[tab.idx[0][i0]], cj * tab.vals[0][i0]);
         } else if constexpr (DIM == 2) {
           for (int i1 = 0; i1 < w; ++i1) {
             const std::complex<T> c1 = cj * tab.vals[1][i1];
             const std::int64_t row = tab.idx[1][i1] * grid.nf[0];
             for (int i0 = 0; i0 < w; ++i0)
-              accum_global(blk, kp.packed, &fwb[row + tab.idx[0][i0]],
-                           c1 * tab.vals[0][i0]);
+              blk.atomic_add(&fwb[row + tab.idx[0][i0]], c1 * tab.vals[0][i0]);
           }
         } else {
           for (int i2 = 0; i2 < w; ++i2) {
@@ -105,8 +102,7 @@ void spread_gm_batch_impl(vgpu::Device& dev, const GridSpec& grid,
               const std::complex<T> c1 = c2 * tab.vals[1][i1];
               const std::int64_t row = (plane + tab.idx[1][i1]) * grid.nf[0];
               for (int i0 = 0; i0 < w; ++i0)
-                accum_global(blk, kp.packed, &fwb[row + tab.idx[0][i0]],
-                             c1 * tab.vals[0][i0]);
+                blk.atomic_add(&fwb[row + tab.idx[0][i0]], c1 * tab.vals[0][i0]);
             }
           }
         }

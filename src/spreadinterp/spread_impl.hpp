@@ -46,21 +46,6 @@
 
 namespace cf::spread::detail {
 
-/// Global complex accumulate honoring KernelParams::packed: complex<float>
-/// writes collapse into one 8-byte CAS when requested; double (and the
-/// default) keeps the CUDA-style two-float atomic adds.
-template <typename T>
-inline void accum_global(vgpu::BlockCtx& blk, bool packed, std::complex<T>* p,
-                         std::complex<T> v) {
-  if constexpr (std::is_same_v<T, float>) {
-    if (packed) {
-      blk.atomic_add_packed(p, v);
-      return;
-    }
-  }
-  blk.atomic_add(p, v);
-}
-
 template <int DIM, typename T>
 inline void load_point(const NuPoints<T>& pts, std::size_t j, T* px) {
   px[0] = pts.xg[j];

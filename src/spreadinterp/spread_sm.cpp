@@ -146,7 +146,7 @@ void spread_sm_batch_fast(vgpu::Device& dev, const GridSpec& grid, const BinSpec
                 for (std::int64_t i = 0; i < run; ++i) {
                   const T re = sre[src + i], im = sim[src + i];
                   if (re != T(0) || im != T(0))
-                    accum_global(blk, kp.packed, &fwb[dst + i], std::complex<T>(re, im));
+                    blk.atomic_add(&fwb[dst + i], std::complex<T>(re, im));
                 }
               });
         }
@@ -250,8 +250,7 @@ void spread_sm_batch_impl(vgpu::Device& dev, const GridSpec& grid, const BinSpec
           for (int d = 0; d < DIM; ++d) g[d] = wrap_index(delta[d] + s[d], grid.nf[d]);
           const std::int64_t lin = g[0] + grid.nf[0] * (g[1] + grid.nf[1] * g[2]);
           for (int bb = 0; bb < nb; ++bb)
-            accum_global(blk, kp.packed, &fw[(b0 + bb) * fwstride + lin],
-                         sm[padded * bb + i]);
+            blk.atomic_add(&fw[(b0 + bb) * fwstride + lin], sm[padded * bb + i]);
         }
       });
       blk.sync_threads();

@@ -22,11 +22,9 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -107,37 +105,6 @@ class BlockCtx {
     std::atomic_ref<T>(f[0]).fetch_add(v.real(), std::memory_order_relaxed);
     std::atomic_ref<T>(f[1]).fetch_add(v.imag(), std::memory_order_relaxed);
     n_global_atomics += 2;
-  }
-
-  /// Packed complex<float> atomic add: one 8-byte CAS updates both halves at
-  /// once (the atomicCAS-on-ull trick CUDA code uses for 64-bit payloads),
-  /// halving CAS traffic under contention versus the two-float form. The
-  /// counter records what the hardware does: ONE global atomic per packed
-  /// complex write (the two-float form records 2), so the atomic-count
-  /// reduction of the toggle is visible in the counters.
-  void atomic_add_packed(std::complex<float>* p, std::complex<float> v) {
-    static_assert(sizeof(std::complex<float>) == sizeof(std::uint64_t));
-    // atomic_ref<uint64_t> needs 8-byte alignment; complex<float> only
-    // guarantees 4. Every fw target comes from a device_buffer (vector
-    // storage, >= 16-byte aligned base, 8-byte elements), so this holds —
-    // assert it rather than assume silently.
-    assert(reinterpret_cast<std::uintptr_t>(p) % alignof(std::uint64_t) == 0);
-    std::atomic_ref<std::uint64_t> a(*reinterpret_cast<std::uint64_t*>(p));
-    std::uint64_t seen = a.load(std::memory_order_relaxed);
-    for (;;) {
-      float re, im;
-      std::memcpy(&re, &seen, sizeof(float));
-      std::memcpy(&im, reinterpret_cast<const std::byte*>(&seen) + sizeof(float),
-                  sizeof(float));
-      re += v.real();
-      im += v.imag();
-      std::uint64_t want;
-      std::memcpy(&want, &re, sizeof(float));
-      std::memcpy(reinterpret_cast<std::byte*>(&want) + sizeof(float), &im,
-                  sizeof(float));
-      if (a.compare_exchange_weak(seen, want, std::memory_order_relaxed)) break;
-    }
-    n_global_atomics += 1;
   }
 
   /// Count a shared-memory accumulate (the op itself is a plain add since

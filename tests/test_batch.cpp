@@ -1,5 +1,5 @@
 // Batched (ntransf = B) execute correctness: for every dimension, precision,
-// type, method, and both kernel pipelines, a single batched execute must
+// type, and method, a single batched execute must
 // match B independent B=1 executes on the same plan and points — including
 // the M=0 zero-fill branch and the C API's ntransf plumbing.
 #include <gtest/gtest.h>
@@ -67,13 +67,11 @@ std::vector<std::int64_t> modes_for(int dim) {
 
 /// Batched execute vs B singles, both run on plans sharing the same points.
 template <typename T>
-void check_batch_matches_singles(int dim, int type, core::Method method, int B,
-                                 int fastpath) {
+void check_batch_matches_singles(int dim, int type, core::Method method, int B) {
   BatchProblem<T> p(modes_for(dim), 700, B, 100 + dim * 10 + B);
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  opts.fastpath = fastpath;
   opts.tiled_spread = cf::test::env_tiled();
 
   core::Options bopts = opts;
@@ -95,7 +93,7 @@ void check_batch_matches_singles(int dim, int type, core::Method method, int B,
                                        fbatch.begin() + (b + 1) * p.ntot);
       EXPECT_LT(cf::cpu::rel_l2_error<T>(got, fb), tol_for<T>())
           << "dim=" << dim << " method=" << core::method_name(method) << " B=" << B
-          << " fast=" << fastpath << " batch " << b;
+          << " batch " << b;
     }
   } else {
     std::vector<std::complex<T>> cbatch(B * p.M);
@@ -107,19 +105,19 @@ void check_batch_matches_singles(int dim, int type, core::Method method, int B,
                                        cbatch.begin() + (b + 1) * p.M);
       EXPECT_LT(cf::cpu::rel_l2_error<T>(got, cb), tol_for<T>())
           << "dim=" << dim << " method=" << core::method_name(method) << " B=" << B
-          << " fast=" << fastpath << " batch " << b;
+          << " batch " << b;
     }
   }
 }
 
 template <typename T>
-void sweep_batch(int fastpath) {
+void sweep_batch() {
   vgpu::Device probe(1);
   for (int dim = 1; dim <= 3; ++dim) {
     for (int B : {1, 3, 8}) {
       for (int type : {1, 2}) {
-        check_batch_matches_singles<T>(dim, type, core::Method::GM, B, fastpath);
-        check_batch_matches_singles<T>(dim, type, core::Method::GMSort, B, fastpath);
+        check_batch_matches_singles<T>(dim, type, core::Method::GM, B);
+        check_batch_matches_singles<T>(dim, type, core::Method::GMSort, B);
       }
       // SM is type-1 only; skip where the padded bin does not fit (3D double).
       core::Options sm;
@@ -130,17 +128,15 @@ void sweep_batch(int fastpath) {
       } catch (const std::invalid_argument&) {
         continue;
       }
-      check_batch_matches_singles<T>(dim, 1, core::Method::SM, B, fastpath);
+      check_batch_matches_singles<T>(dim, 1, core::Method::SM, B);
     }
   }
 }
 
 }  // namespace
 
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF64) { sweep_batch<double>(1); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF32) { sweep_batch<float>(1); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF64) { sweep_batch<double>(0); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF32) { sweep_batch<float>(0); }
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsF64) { sweep_batch<double>(); }
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsF32) { sweep_batch<float>(); }
 
 TEST(BatchExecute, BatchedAccuracyAgainstDirect) {
   // The batched pipeline must hit the requested tolerance, not just match the
@@ -151,7 +147,6 @@ TEST(BatchExecute, BatchedAccuracyAgainstDirect) {
   cf::ThreadPool pool(2);
   core::Options opts;
   opts.ntransf = B;
-  opts.fastpath = cf::test::env_fastpath();
   opts.tiled_spread = cf::test::env_tiled();
   core::Plan<double> plan(dev, 1, p.N, +1, 1e-9, opts);
   plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);

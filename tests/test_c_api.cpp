@@ -161,6 +161,17 @@ TEST(CApi, InvalidArgumentsReturnErrorCodes) {
             CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_makeplan(g.dev, 7, 2, n2, +1, 1e-6, nullptr, &plan),
             CFS_ERR_INVALID_ARG);
+  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    cfs_planf planf = nullptr;
+    cfs_plan3 plan3 = nullptr;
+    EXPECT_EQ(cfs_makeplan(g.dev, 1, 2, n2, +1, tol, nullptr, &plan), CFS_ERR_INVALID_ARG)
+        << tol;
+    EXPECT_EQ(cfs_makeplanf(g.dev, 2, 2, n2, +1, tol, nullptr, &planf), CFS_ERR_INVALID_ARG)
+        << tol;
+    EXPECT_EQ(cfs_makeplan3(g.dev, 2, +1, tol, nullptr, &plan3), CFS_ERR_INVALID_ARG)
+        << tol;
+  }
   ASSERT_EQ(cfs_makeplan(g.dev, 1, 2, n2, +1, 1e-6, nullptr, &plan), CFS_SUCCESS);
   EXPECT_EQ(cfs_setpts(plan, 10, nullptr, nullptr, nullptr), CFS_ERR_INVALID_ARG);
   std::vector<double> x(10, 0.0);
@@ -286,16 +297,15 @@ TEST(CApi, CustomBinSizeAndMsub) {
   EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-7);
 }
 
-TEST(CApi, PointCacheInteriorAndTiledOptions) {
-  // gpu_point_cache / gpu_interior_fastpath / gpu_tiled_spread follow the
-  // gpu_fastpath convention (0 = default-on, -1 = off). Every combination
-  // must run and agree with the defaults to accumulation-reassociation level
-  // (the toggles change execution strategy, not the transform).
+TEST(CApi, PointCacheAndTiledOptions) {
+  // gpu_point_cache / gpu_tiled_spread use 0 = default-on, -1 = off. Every
+  // combination must run and agree with the defaults to accumulation-
+  // reassociation level (the toggles change execution strategy, not the
+  // transform).
   DeviceGuard g;
   cfs_opts defaults;
   cfs_default_opts(&defaults);
   EXPECT_EQ(defaults.gpu_point_cache, 0);
-  EXPECT_EQ(defaults.gpu_interior_fastpath, 0);
   EXPECT_EQ(defaults.gpu_tiled_spread, 0);
 
   const int64_t nmodes[2] = {40, 36};
@@ -321,17 +331,15 @@ TEST(CApi, PointCacheInteriorAndTiledOptions) {
   std::vector<std::complex<double>> ref;
   run(defaults, ref);
   for (int pc : {0, -1})
-    for (int interior : {0, -1})
-      for (int tiled : {0, -1}) {
-        cfs_opts opts = defaults;
-        opts.gpu_point_cache = pc;
-        opts.gpu_interior_fastpath = interior;
-        opts.gpu_tiled_spread = tiled;
-        std::vector<std::complex<double>> f;
-        run(opts, f);
-        EXPECT_LT(cf::cpu::rel_l2_error<double>(f, ref), 1e-11)
-            << "pc=" << pc << " interior=" << interior << " tiled=" << tiled;
-      }
+    for (int tiled : {0, -1}) {
+      cfs_opts opts = defaults;
+      opts.gpu_point_cache = pc;
+      opts.gpu_tiled_spread = tiled;
+      std::vector<std::complex<double>> f;
+      run(opts, f);
+      EXPECT_LT(cf::cpu::rel_l2_error<double>(f, ref), 1e-11)
+          << "pc=" << pc << " tiled=" << tiled;
+    }
 }
 
 TEST(CApi, TileChunkCapAndPlanStats) {

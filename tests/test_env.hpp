@@ -1,10 +1,9 @@
 // Environment overrides for the test suites: CI re-runs ctest with
-// CF_WORKERS (device worker count), CF_FASTPATH (0 = runtime-width scalar
-// fallback), CF_TILED (0 = atomic spread writeback), CF_TILE_CHUNK (forced
-// tiled-spread chunk cap), and CF_UPSAMP (fine-grid sigma) set, so
-// multi-worker atomic contention, the fallback pipeline, the atomic
-// writeback, the chunked stealing scheduler, and the low-upsampling grid all
-// stay covered without recompiling. Unset variables keep the defaults.
+// CF_WORKERS (device worker count), CF_TILED (0 = atomic spread writeback),
+// CF_TILE_CHUNK (forced tiled-spread chunk cap), and CF_UPSAMP (fine-grid
+// sigma) set, so multi-worker atomic contention, the atomic writeback, the
+// chunked stealing scheduler, and the low-upsampling grid all stay covered
+// without recompiling. Unset variables keep the defaults.
 #pragma once
 
 #include <cerrno>
@@ -20,9 +19,6 @@ inline int env_int(const char* name, int fallback) {
 
 /// Device worker count for suites that don't sweep it themselves.
 inline int env_workers(int fallback) { return env_int("CF_WORKERS", fallback); }
-
-/// Options::fastpath override (default 1 = width-specialized kernels).
-inline int env_fastpath(int fallback = 1) { return env_int("CF_FASTPATH", fallback); }
 
 /// Options::tiled_spread override (default 1 = tile-owned atomic-free
 /// writeback; 0 = atomic writeback baseline).

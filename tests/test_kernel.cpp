@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -44,6 +45,21 @@ TEST(WidthRule, LowUpsamplingFinufftRule) {
   // sigma <= 1 has no aliasing headroom at all; the rule must refuse rather
   // than divide by zero (the plan constructors call it before validating).
   EXPECT_THROW(spread::width_from_tol(1e-5, 1.0), std::invalid_argument);
+  // sigma just above 1 asks for an unbounded width; it clamps, it does not
+  // overflow the int cast.
+  EXPECT_EQ(spread::width_from_tol(1e-5, std::nextafter(1.0, 2.0)), spread::kMaxWidth);
+}
+
+TEST(WidthRule, TolMustBeAPositiveNormalNumber) {
+  // The tol of every plan passes through here; 0, negatives, NaN, Inf and
+  // subnormals (1/tol overflows) have no width.
+  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::denorm_min()})
+    for (double sigma : {2.0, 1.25})
+      EXPECT_THROW(spread::width_from_tol(tol, sigma), std::invalid_argument) << tol;
+  EXPECT_EQ(spread::width_from_tol(std::numeric_limits<double>::min()), 16);
+  EXPECT_EQ(spread::width_from_tol(std::numeric_limits<double>::max()), 2);
 }
 
 TEST(WidthRule, BetaGeneralizesAcrossSigma) {

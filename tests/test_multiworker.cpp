@@ -1,6 +1,6 @@
 // Multi-worker parity sweep: type-1 spreading runs under real atomic
 // contention only when the vgpu Device has more than one worker. Every
-// spreading method (and the packed-atomic and batched paths) is executed at
+// spreading method (and the batched path) is executed at
 // worker counts {1, 2, hardware_concurrency, $CF_WORKERS} and compared
 // against the single-worker reference.
 #include <gtest/gtest.h>
@@ -81,7 +81,6 @@ void sweep_methods(bool cluster, double sigma = cf::test::env_upsampfac()) {
   for (core::Method m : {core::Method::GM, core::Method::GMSort, core::Method::SM}) {
     core::Options opts;
     opts.method = m;
-    opts.fastpath = cf::test::env_fastpath();
     opts.tiled_spread = cf::test::env_tiled();
     opts.upsampfac = sigma;
     const auto ref = run_type1<T>(1, p, opts);
@@ -115,34 +114,12 @@ TEST(MultiWorker, Type1ParitySigma125) {
   sweep_methods<float>(true, 1.25);
 }
 
-TEST(MultiWorker, PackedAtomicsStableUnderContention) {
-  // The packed 8-byte CAS must survive real multi-worker contention: compare
-  // every worker count against the single-worker packed reference on
-  // clustered (maximally colliding) points.
-  Problem<float> p(6000, /*cluster=*/true, 33);
-  for (core::Method m : {core::Method::GM, core::Method::GMSort}) {
-    core::Options opts;
-    opts.method = m;
-    opts.packed_atomics = 1;
-    opts.fastpath = cf::test::env_fastpath();
-    opts.tiled_spread = cf::test::env_tiled();
-    opts.upsampfac = cf::test::env_upsampfac();
-    const auto ref = run_type1<float>(1, p, opts);
-    for (std::size_t wc : worker_counts()) {
-      const auto got = run_type1<float>(wc, p, opts);
-      EXPECT_LT(cf::cpu::rel_l2_error<float>(got, ref), 1e-4)
-          << core::method_name(m) << " workers=" << wc;
-    }
-  }
-}
-
 TEST(MultiWorker, BatchedExecuteParityAcrossWorkerCounts) {
   // The batched pipeline's atomic contention profile differs from the serial
   // one (B planes live at once); sweep it too.
   Problem<float> p(3000, /*cluster=*/false, 34);
   const int B = 3;
   core::Options opts;
-  opts.fastpath = cf::test::env_fastpath();
   opts.tiled_spread = cf::test::env_tiled();
   opts.upsampfac = cf::test::env_upsampfac();
   const auto ref = run_type1<float>(1, p, opts, B);

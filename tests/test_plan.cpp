@@ -288,6 +288,23 @@ TEST(Plan, InvalidArgumentsThrow) {
                std::invalid_argument);
   EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n2, 0), +1, 1e-6),
                std::invalid_argument);
+  // Four mode counts: rejected before the grid is built from them.
+  const std::int64_t n4[4] = {8, 8, 8, 8};
+  EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n4, 4), +1, 1e-6),
+               std::invalid_argument);
+  const std::int64_t zero_mode[2] = {16, 0};
+  EXPECT_THROW(core::Plan<double>(dev, 2, std::span(zero_mode, 2), +1, 1e-6),
+               std::invalid_argument);
+  // A tol that is not finite and > 0 has no kernel width.
+  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n2, 2), +1, tol),
+                 std::invalid_argument)
+        << tol;
+    EXPECT_THROW(core::Plan<float>(dev, 2, std::span(n2, 2), +1, tol),
+                 std::invalid_argument)
+        << tol;
+  }
   core::Options bad;
   bad.upsampfac = 1.5;  // only 2.0 and 1.25 are supported
   EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n2, 2), +1, 1e-6, bad),
@@ -307,6 +324,41 @@ TEST(Plan, InvalidArgumentsThrow) {
   // ... but fits in single precision.
   core::Plan<float> ok(dev, 1, std::span(n3, 3), +1, 1e-5, sm);
   EXPECT_EQ(ok.resolved_method(), core::Method::SM);
+}
+
+TEST(Plan, CollidingPointsF32MatchDirectSum) {
+  // Every point folds into [-pi, -pi + 0.012)^2, so all taps collide in one
+  // bin neighbourhood: the worst case for the atomic writeback of GM and
+  // GM-sort, and for the SM block writeback. fp32 against the exact NUDFT.
+  Rng rng(13);
+  const std::size_t M = 1500;
+  const std::vector<std::int64_t> N{24, 24};
+  std::vector<float> x(M), y(M);
+  std::vector<std::complex<float>> c(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = static_cast<float>(rng.uniform(-3.14159265, -3.13));
+    y[j] = static_cast<float>(rng.uniform(-3.14159265, -3.13));
+    c[j] = {static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1))};
+  }
+  ThreadPool pool(2);
+  std::vector<std::complex<double>> want(24 * 24);
+  cf::cpu::direct_type1<double>(pool, std::vector<double>(x.begin(), x.end()),
+                                std::vector<double>(y.begin(), y.end()), {},
+                                std::vector<std::complex<double>>(c.begin(), c.end()), +1,
+                                N, want);
+  for (core::Method m : {core::Method::GM, core::Method::GMSort, core::Method::SM}) {
+    vgpu::Device dev(4);
+    core::Options opts;
+    opts.method = m;
+    core::Plan<float> plan(dev, 1, N, +1, 1e-5, opts);
+    plan.set_points(M, x.data(), y.data(), nullptr);
+    std::vector<std::complex<float>> f(24 * 24);
+    plan.execute(c.data(), f.data());
+    EXPECT_LT(cf::cpu::rel_l2_error<double>(
+                  std::vector<std::complex<double>>(f.begin(), f.end()), want),
+              3e-4)
+        << core::method_name(m);
+  }
 }
 
 namespace {
@@ -702,9 +754,9 @@ TEST(Plan, Sigma125CutsFineGridBytesBelow40Percent) {
   EXPECT_LE(double(bytes125), 0.4 * double(bytes2));
 }
 
-TEST(Plan, Sigma125WideWidthRunsThroughRuntimeFallback) {
-  // tol = 1e-12 at sigma = 1.25 needs w = 20 > 16, beyond the compile-time
-  // width dispatch: the runtime-width path must carry the transform.
+TEST(Plan, Sigma125WideWidthMeetsTolerance) {
+  // tol = 1e-12 at sigma = 1.25 needs w = 20, wider than any sigma = 2 plan
+  // (the width dispatch covers it, up to kMaxWidth = 24).
   vgpu::Device dev(4);
   ThreadPool pool(4);
   Problem<double> p({20, 20}, 800, false, 76);

@@ -6,14 +6,16 @@
 //  * the interior/boundary classification is exercised with an all-boundary
 //    point set (everything within w/2 of the grid edge) and an all-interior
 //    one, across dims x methods x precisions;
-//  * the interior no-wrap fast path is bitwise-identical to the forced-wrap
-//    path at one worker, and the per-execute-rebuild baseline
-//    (Options::point_cache = 0) is bitwise-identical to the cached pipeline.
+//  * the spread and interp kernels give identical bits with and without the
+//    no-wrap split of an interior-first order, and the per-execute-rebuild
+//    baseline (Options::point_cache = 0) is bitwise-identical to the cached
+//    pipeline.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -126,7 +128,6 @@ static void check_repeat(int dim, int type, core::Method method) {
   vgpu::Device dev(1);  // one worker => deterministic accumulation order
   core::Options opts;
   opts.method = method;
-  opts.fastpath = cf::test::env_fastpath();
   opts.tiled_spread = cf::test::env_tiled();
   core::Plan<T> plan(dev, type, modes_for(dim), +1, tol, opts);
 
@@ -198,8 +199,7 @@ TEST(PointCache, ReSetPointsInvalidatesAndRebuildsOnce) {
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
     core::Options opts;
     opts.method = core::Method::SM;
-    opts.fastpath = cf::test::env_fastpath();
-    opts.tiled_spread = cf::test::env_tiled();
+      opts.tiled_spread = cf::test::env_tiled();
     core::Plan<double> plan(dev, 1, modes_for(dim), +1, 1e-9, opts);
 
     Problem<double> p1(modes_for(dim), 500, plan.fine_grid().nf, plan.kernel_width(),
@@ -234,7 +234,6 @@ static void check_classification(int dim, core::Method method, Placement place,
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  opts.fastpath = cf::test::env_fastpath();
   // Pin the atomic writeback: the tiled engine skips classification (its
   // accumulation never wraps), and this test targets the classification.
   opts.tiled_spread = 0;
@@ -276,57 +275,78 @@ TEST(PointCache, AllInteriorClassificationAllDimsMethodsPrecisions) {
     }
 }
 
-// ---- interior toggle is numerically transparent ------------------------------
+// ---- the no-wrap split is bitwise transparent -------------------------------
 //
 // The no-wrap indices of interior points equal the wrapped ones bit for bit,
-// so for GATHER stages (type-2 interp, where each point's output is an
-// independent sum) the toggle is a bitwise no-op. For the type-1 ATOMIC
-// scatter the interior-first partition intentionally reorders the per-point
-// accumulation (that is what makes the hot loops branch-free), so the two
-// settings agree to float-reassociation level there; on the TILED writeback
-// the accumulation order is per-bin and independent of the partition, so
-// type 1 is bitwise again whenever the tile engine is active.
+// so running one partitioned iteration order with n_nowrap = n_interior or
+// with n_nowrap = 0 (every point wraps) must give identical bits: on one
+// worker the points accumulate (spread) or gather (interp) in the same order
+// either way. Checked at the kernel level, for both the width-specialized
+// and the runtime-width kernels, over user order (GM) and bin-sort order
+// (GM-sort).
 
-TEST(PointCache, InteriorFastpathToggleIsNumericallyTransparent) {
-  for (int dim = 1; dim <= 3; ++dim) {
-    for (int type : {1, 2}) {
-      vgpu::Device dev(1);
-      core::Options on, off;
-      on.method = off.method = core::Method::GMSort;
-      on.fastpath = off.fastpath = cf::test::env_fastpath();
-      on.tiled_spread = off.tiled_spread = cf::test::env_tiled();
-      off.interior_fastpath = 0;
-      core::Plan<double> pa(dev, type, modes_for(dim), +1, 1e-8, on);
-      core::Plan<double> pb(dev, type, modes_for(dim), +1, 1e-8, off);
-      Problem<double> p(modes_for(dim), 800, pa.fine_grid().nf, pa.kernel_width(),
-                        Placement::Anywhere, 61 + dim);
-      pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
-      pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-      EXPECT_GT(pa.last_breakdown().interior_points, 0u);  // fast path exercised
-      if (type == 1) {
-        std::vector<std::complex<double>> fa(static_cast<std::size_t>(p.ntot)),
-            fb(fa.size());
-        pa.execute(p.c.data(), fa.data());
-        pb.execute(p.c.data(), fb.data());
-        if (pa.last_breakdown().tiled) {
-          // Tile-owned writeback: accumulation order ignores the partition.
-          for (std::size_t i = 0; i < fa.size(); ++i)
-            ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " i=" << i;
-        } else {
-          EXPECT_LT(cf::cpu::rel_l2_error<double>(fa, fb), 1e-12) << "dim=" << dim;
-        }
-      } else {
-        Rng rng(71);
-        std::vector<std::complex<double>> f(static_cast<std::size_t>(p.ntot));
-        for (auto& v : f) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        std::vector<std::complex<double>> ca(p.M), cb(p.M);
-        pa.execute(ca.data(), f.data());
-        pb.execute(cb.data(), f.data());
-        for (std::size_t i = 0; i < ca.size(); ++i)
-          ASSERT_EQ(ca[i], cb[i]) << "dim=" << dim << " i=" << i;
+template <typename T>
+void check_nowrap_split(int dim, bool fast, bool sorted) {
+  namespace spread = cf::spread;
+  SCOPED_TRACE(::testing::Message() << "dim=" << dim << " fast=" << fast
+                                    << " sorted=" << sorted);
+  spread::GridSpec grid;
+  grid.dim = dim;
+  if (dim == 1) grid.nf = {96, 1, 1};
+  if (dim == 2) grid.nf = {40, 44, 1};
+  if (dim == 3) grid.nf = {24, 24, 20};
+  auto kp = spread::KernelParams<T>::from_width(std::is_same_v<T, double> ? 9 : 6);
+  kp.fast = fast;
+  const std::size_t M = 700;
+  const int B = 2;
+  Rng rng(91 + dim);
+  std::vector<T> xg(M), yg(dim >= 2 ? M : 0), zg(dim >= 3 ? M : 0);
+  T* axes[3] = {xg.data(), yg.data(), zg.data()};
+  for (std::size_t j = 0; j < M; ++j)
+    for (int d = 0; d < dim; ++d)
+      axes[d][j] = static_cast<T>(rng.uniform(0, double(grid.nf[d])));
+  std::vector<std::complex<T>> c(B * M), fw(B * static_cast<std::size_t>(grid.total()));
+  for (auto& v : c) v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  for (auto& v : fw) v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+
+  vgpu::Device dev(1);
+  spread::NuPoints<T> pts{xg.data(), dim >= 2 ? yg.data() : nullptr,
+                          dim >= 3 ? zg.data() : nullptr, M};
+  spread::DeviceSort sort;
+  if (sorted)
+    spread::bin_sort(dev, grid, spread::BinSpec::make(grid, spread::BinSpec::default_size(dim)),
+                     pts.xg, pts.yg, pts.zg, M, sort);
+  spread::InteriorPartition part;
+  spread::classify_interior(dev, grid, kp, pts, sorted ? sort.order.data() : nullptr, part);
+  ASSERT_GT(part.n_interior, 0u);
+  ASSERT_GT(part.n_boundary, 0u);
+
+  const std::size_t fwstride = static_cast<std::size_t>(grid.total());
+  auto run = [&](std::size_t n_nowrap) {
+    spread::NuPoints<T> p = pts;
+    p.n_nowrap = n_nowrap;
+    std::vector<std::complex<T>> spread_out(fw.size()), interp_out(M), batch_out(B * M);
+    spread::spread_gm_batch<T>(dev, grid, kp, p, c.data(), spread_out.data(),
+                               part.order.data(), B, M, fwstride);
+    spread::interp<T>(dev, grid, kp, p, fw.data(), interp_out.data(), part.order.data());
+    spread::interp_batch<T>(dev, grid, kp, p, fw.data(), batch_out.data(),
+                            part.order.data(), B, M, fwstride);
+    return std::tuple(spread_out, interp_out, batch_out);
+  };
+  const auto [sa, ia, ba] = run(part.n_interior);
+  const auto [sb, ib, bb] = run(0);
+  for (std::size_t i = 0; i < sa.size(); ++i) ASSERT_EQ(sa[i], sb[i]) << "spread cell " << i;
+  for (std::size_t j = 0; j < ia.size(); ++j) ASSERT_EQ(ia[j], ib[j]) << "interp pt " << j;
+  for (std::size_t j = 0; j < ba.size(); ++j) ASSERT_EQ(ba[j], bb[j]) << "interp_batch " << j;
+}
+
+TEST(PointCache, NoWrapSplitIsBitwiseTransparent) {
+  for (int dim = 1; dim <= 3; ++dim)
+    for (bool fast : {true, false})
+      for (bool sorted : {false, true}) {
+        check_nowrap_split<float>(dim, fast, sorted);
+        check_nowrap_split<double>(dim, fast, sorted);
       }
-    }
-  }
 }
 
 TEST(PointCache, CachedPipelineBitwiseMatchesPerExecuteRebuildOneWorker) {
@@ -335,7 +355,6 @@ TEST(PointCache, CachedPipelineBitwiseMatchesPerExecuteRebuildOneWorker) {
     vgpu::Device dev(1);
     core::Options cached, rebuild;
     cached.method = rebuild.method = core::Method::SM;
-    cached.fastpath = rebuild.fastpath = cf::test::env_fastpath();
     cached.tiled_spread = rebuild.tiled_spread = cf::test::env_tiled();
     rebuild.point_cache = 0;
     core::Plan<float> pa(dev, 1, modes_for(dim), +1, 1e-6, cached);
@@ -373,7 +392,6 @@ TEST(PointCache, GmSortTiledCachedTapsBitwiseAndBuiltOnce) {
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
     core::Options inline_taps, cached_taps;
     inline_taps.method = cached_taps.method = core::Method::GMSort;
-    inline_taps.fastpath = cached_taps.fastpath = cf::test::env_fastpath();
     inline_taps.tiled_spread = cached_taps.tiled_spread = 1;
     cached_taps.point_cache = 2;
     core::Plan<float> pa(dev, 1, modes, +1, 1e-5, inline_taps);

@@ -166,7 +166,6 @@ struct Problem {
 
 core::Options env_opts() {
   core::Options o;
-  o.fastpath = cf::test::env_fastpath();
   o.tiled_spread = cf::test::env_tiled();
   o.upsampfac = cf::test::env_upsampfac();
   return o;
@@ -875,6 +874,33 @@ TEST(Service, NonFiniteCoordinatesRejectedBeforeAdmission) {
   EXPECT_EQ(st.setpts_reuses, 1u);
 }
 
+TEST(Service, BadTolRejectedBeforeAdmission) {
+  // A tol that is not finite and > 0 fails at submit, like a non-finite
+  // coordinate: no admission slot, no plan.
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
+  service::NufftService svc(dev);
+  const core::Options opts = opts_for(2);
+  Problem<float> p(std::vector<std::int64_t>{20, 16}, 1, 300, 66);
+  T3Problem t3(323);
+  std::vector<std::complex<float>> out(p.out_len());
+  std::vector<std::complex<double>> out3(t3.K);
+  const double bads[4] = {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()};
+  for (const double tol : bads) {
+    auto req = p.request(opts, out);
+    req.tol = tol;
+    EXPECT_THROW(svc.submit(req).get(), std::invalid_argument) << tol;
+    auto req3 = t3.request(opts, out3);
+    req3.tol = tol;
+    EXPECT_THROW(svc.submit(req3).get(), std::invalid_argument) << tol;
+  }
+  const auto st = svc.stats();
+  EXPECT_EQ(st.submitted, 8u);
+  EXPECT_EQ(st.failed, 8u);
+  EXPECT_EQ(st.plan_hits + st.plan_misses, 0u);  // never reached the registry
+  EXPECT_EQ(st.setpts_builds, 0u);
+}
+
 // ---- iflag = 0 is rejected, not silently folded -----------------------------
 
 TEST(Service, IflagZeroRejectedInsteadOfSilentlyFoldedToPlusOne) {
@@ -1219,7 +1245,6 @@ TEST(Service, CApiServiceCoalescesAndMatchesPlan) {
 
   cfs_opts opts;
   cfs_default_opts(&opts);
-  opts.gpu_fastpath = cf::test::env_fastpath() ? 0 : -1;
   opts.gpu_tiled_spread = cf::test::env_tiled() ? 0 : -1;
 
   cfs_service_request rq{};

@@ -58,7 +58,6 @@ core::Options base_opts(int dim, core::Method method, int tiled, int B = 1) {
   core::Options o;
   o.method = method;
   o.tiled_spread = tiled;
-  o.fastpath = cf::test::env_fastpath();
   o.upsampfac = cf::test::env_upsampfac();
   o.ntransf = B;
   if (dim == 1) o.binsize = {32, 1, 1};
@@ -432,7 +431,6 @@ TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
   // decline (Breakdown::tiled == 0) and the atomic path must still be exact.
   core::Options opts;
   opts.method = core::Method::GMSort;
-  opts.fastpath = cf::test::env_fastpath();
   std::vector<std::int64_t> N{10, 12};
   vgpu::Device dev(2);
   core::Plan<double> plan(dev, 1, N, +1, 1e-9, opts);

@@ -249,19 +249,6 @@ TEST(Type3, HornerKernelAgrees) {
   EXPECT_LT(e_horner, 10 * std::max(e_direct, 1e-9));
 }
 
-TEST(Type3, ScalarFallbackAgrees) {
-  // fastpath=0 must route the type-3 pipeline through the runtime-width
-  // scalar kernels and agree with the width-specialized default.
-  T3Problem p(2, 700, 600, 2.5, 12.0, 17);
-  core::Options scalar;
-  scalar.fastpath = 0;
-  const double e_fast = run_type3<double>(2, p, +1, 1e-8);
-  const double e_scalar = run_type3<double>(2, p, +1, 1e-8, scalar);
-  EXPECT_LT(e_fast, 1e-6);
-  EXPECT_LT(e_scalar, 1e-6);
-  EXPECT_NEAR(e_fast, e_scalar, 1e-7);
-}
-
 TEST(Type3, GmMethodAlsoWorks) {
   T3Problem p(2, 700, 600, 2.5, 12.0, 16);
   core::Options gm;
@@ -273,6 +260,11 @@ TEST(Type3, InvalidUseThrows) {
   cf::vgpu::Device dev(1);
   EXPECT_THROW(core::Type3Plan<double>(dev, 0, +1, 1e-6), std::invalid_argument);
   EXPECT_THROW(core::Type3Plan<double>(dev, 4, +1, 1e-6), std::invalid_argument);
+  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(core::Type3Plan<double>(dev, 2, +1, tol), std::invalid_argument) << tol;
+    EXPECT_THROW(core::Type3Plan<float>(dev, 2, +1, tol), std::invalid_argument) << tol;
+  }
   core::Type3Plan<double> plan(dev, 2, +1, 1e-6);
   std::vector<double> x(5, 0.0);
   EXPECT_THROW(plan.set_points(5, x.data(), nullptr, nullptr, 5, x.data(), x.data(),
