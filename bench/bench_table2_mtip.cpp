@@ -9,13 +9,15 @@
 //   - whole node (one rank per GPU): 5-12x over the CPU running the
 //     whole-node problem on its fixed thread count
 //
-// A second table times one M-TIP iteration (slicing, merging, finalize and
-// two phasing sweeps) on one 2-worker device: slice, merge, phase and
-// whole-iteration rows, median and min/max over --reps iterations.
+// The CPU column is the median of --reps executes after a warm-up, on a
+// pool of all cores; its rows (cpu_slice, cpu_merge) carry median and
+// min/max. A second table times one M-TIP iteration (slicing, merging,
+// finalize and two phasing sweeps) on one 2-worker device: slice, merge,
+// phase and whole-iteration rows, median and min/max over --reps iterations.
 //
 // Flags: --images (default 60; paper ~1000), --ngpus (default 4), --tol,
-//        --reps (iteration rows, default 9), --json PATH (writes the
-//        iteration rows, e.g. BENCH_mtip.json).
+//        --reps (CPU and iteration rows, default 9), --json PATH (writes the
+//        CPU and iteration rows, e.g. BENCH_mtip.json).
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -30,19 +32,25 @@ using namespace cf::bench;
 
 namespace {
 
-/// CPU reference: the same NUFFT workload through the FINUFFT-like library.
-double cpu_nufft_time(ThreadPool& pool, int type, std::int64_t Naxis, double tol,
-                      const std::vector<double>& x, const std::vector<double>& y,
-                      const std::vector<double>& z) {
+/// CPU reference: the same NUFFT workload through the FINUFFT-like library,
+/// one execute per rep (ms) after a warm-up execute.
+std::vector<double> cpu_nufft_ms(ThreadPool& pool, int type, std::int64_t Naxis, double tol,
+                                 const std::vector<double>& x, const std::vector<double>& y,
+                                 const std::vector<double>& z, int reps) {
   const std::size_t M = x.size();
   std::vector<std::int64_t> N(3, Naxis);
   cpu::CpuPlan<double> plan(pool, type, N, type == 1 ? +1 : -1, tol);
   plan.set_points(M, x.data(), y.data(), z.data());
   std::vector<std::complex<double>> c(M, {1.0, 0.0});
-  std::vector<std::complex<double>> f(static_cast<std::size_t>(Naxis * Naxis * Naxis));
-  Timer t;
-  plan.execute(c.data(), f.data());  // merging: one type-1 per iteration
-  return t.seconds();
+  std::vector<std::complex<double>> f(static_cast<std::size_t>(Naxis * Naxis * Naxis),
+                                      {1.0, 0.0});
+  std::vector<double> ms;
+  for (int r = -1; r < reps; ++r) {
+    Timer t;
+    plan.execute(c.data(), f.data());
+    if (r >= 0) ms.push_back(t.seconds() * 1e3);
+  }
+  return ms;
 }
 
 /// One rank's iterations on a 2-worker device: per-step times over `reps`
@@ -126,9 +134,28 @@ int main(int argc, char** argv) {
               images, double(M), (long long)cfg.N_slice, (long long)cfg.N_merge, tol);
 
   // CPU reference with all cores (the paper's 40-thread Skylake analogue).
+  JsonReport json;
   ThreadPool pool(cores);
-  const double cpu_slice = cpu_nufft_time(pool, 2, cfg.N_slice, tol, x, y, z);
-  const double cpu_merge = cpu_nufft_time(pool, 1, cfg.N_merge, tol, x, y, z);
+  const std::pair<const char*, int> cpu_ops[] = {{"cpu_slice", 2}, {"cpu_merge", 1}};
+  Stats cpu_st[2];
+  for (int i = 0; i < 2; ++i) {
+    const auto [op, type] = cpu_ops[i];
+    cpu_st[i] = summarize(
+        cpu_nufft_ms(pool, type, type == 2 ? cfg.N_slice : cfg.N_merge, tol, x, y, z, reps));
+    json.add()
+        .field("op", op)
+        .field("workers", cores)
+        .field("images", images)
+        .field("M", M)
+        .field("N_slice", cfg.N_slice)
+        .field("N_merge", cfg.N_merge)
+        .field("tol", tol)
+        .field("median_ms", cpu_st[i].median)
+        .field("min_ms", cpu_st[i].min)
+        .field("max_ms", cpu_st[i].max)
+        .field("reps", reps);
+  }
+  const double cpu_slice = cpu_st[0].median * 1e-3, cpu_merge = cpu_st[1].median * 1e-3;
 
   // Single rank on one device (all cores: a lone rank owns the GPU).
   mtip::NodeSpec node;
@@ -156,8 +183,9 @@ int main(int argc, char** argv) {
              Table::fmt(whole.merge_s, 3),
              Table::fmt(cpu_merge_node / whole.merge_s, 1) + "x"});
   t.print();
+  std::printf("CPU time: median of %d executes on %zu threads (min/max in the JSON rows)\n",
+              reps, cores);
 
-  JsonReport json;
   iteration_rows(cfg, rho, reps, json);
   if (!json_path.empty()) {
     if (!json.write(json_path)) return 1;

@@ -22,34 +22,14 @@ const char* method_name(Method m) {
 
 namespace {
 
-// The member-initializer list builds the FFT from this grid, so the mode
-// counts are validated here, before anything indexes GridSpec::nf by them.
-template <typename T>
-spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
-  if (nmodes.empty() || nmodes.size() > 3)
-    throw std::invalid_argument("Plan: dim must be 1..3");
-  for (auto n : nmodes)
-    if (n < 1) throw std::invalid_argument("Plan: modes must be >= 1");
-  spread::GridSpec g;
-  g.dim = static_cast<int>(nmodes.size());
-  for (int d = 0; d < g.dim; ++d) {
-    // ceil: a non-integral sigma * N (possible at sigma = 1.25) must round up
-    // so the fine grid never under-samples. No-op at sigma = 2.
-    const auto lower = static_cast<std::int64_t>(std::ceil(upsampfac * double(nmodes[d])));
-    g.nf[d] = static_cast<std::int64_t>(
-        fft::next235(static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
-  }
-  return g;
-}
-
 std::vector<std::size_t> fft_dims(const spread::GridSpec& g) {
   std::vector<std::size_t> dims;
   for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.nf[d]));
   return dims;
 }
 
-// The FFT's mode band (make_grid, in the same initializer, rejects a count
-// below 1 before the FFT is built).
+// The FFT's mode band (spread::make_grid, in the same initializer, rejects a
+// count below 1 before the FFT is built).
 std::vector<std::size_t> band_modes(std::span<const std::int64_t> nmodes) {
   return std::vector<std::size_t>(nmodes.begin(), nmodes.end());
 }
@@ -67,15 +47,15 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
       kp_(spread::KernelParams<T>::from_width(
           spread::width_from_tol(tol, opts.upsampfac), opts.upsampfac)),
       fft_(dev.pool(),
-           fft_dims(make_grid<T>(nmodes, opts.upsampfac,
-                                 spread::width_from_tol(tol, opts.upsampfac))),
+           fft_dims(spread::make_grid(nmodes, opts.upsampfac,
+                                      spread::width_from_tol(tol, opts.upsampfac))),
            band_modes(nmodes)) {
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("Plan: type must be 1 or 2");
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("Plan: upsampfac must be 2.0 or 1.25");
 
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
+  grid_ = spread::make_grid(nmodes, opts_.upsampfac, kp_.w);
 
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);

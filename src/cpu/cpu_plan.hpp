@@ -2,19 +2,18 @@
 //
 // Same ES kernel, width rule, upsampled fine grid (sigma = 2 or 1.25), and
 // deconvolution as the device library, but organized the way the parallel
-// CPU code is: bin-sorted
-// points are spread in subproblems into thread-local padded-bin buffers that
-// are merged into the fine grid — by default with the same colour-scheduled
-// atomic-free tile writeback as the device library (deterministic at any
-// pool size), with FINUFFT's atomic padded-bin merge as the
-// Options::tiled_spread = 0 fallback; interpolation is a plain parallel
-// gather over sorted points; the FFT runs on the host pool.
+// CPU code is (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019,
+// Sec. 3.1): the bin-sorted points are cut into a few subproblems, each
+// spread into a worker-local grid sized to the bounding box of its points
+// and then added into the fine grid with atomics; interpolation is a plain
+// parallel gather over sorted points; the FFT runs on the host pool. None of
+// the device library's spread engine is shared, so changes to that engine
+// leave this comparator's timings alone.
 //
-// Mirrors the device library's stage-pipeline shape: every stage is
-// batch-strided (ntransf = B stacked vectors, weights evaluated once per
-// point) with B = 1 as the plain single-vector case, the spread point loops
-// get the same compile-time width dispatch as the device kernels, and
-// type-2's amplify is fused into the FFT's first-axis gather.
+// Every stage is batch-strided (ntransf = B stacked vectors, weights
+// evaluated once per point) with B = 1 as the plain single-vector case, the
+// spread point loops get the same compile-time width dispatch as the device
+// kernels, and type-2's amplify is fused into the FFT's first-axis gather.
 #pragma once
 
 #include <array>
@@ -50,22 +49,13 @@ class CpuPlan {
   using cplx = std::complex<T>;
 
   struct Options {
-    std::uint32_t msub = 16384;           ///< CPU subproblem cap (larger caches)
-    std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults (tile_size for a
-                                          ///< tiled spread, as in core::Plan)
-    double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 or 1.25
-    int ntransf = 1;                      ///< stacked vectors per execute
-    int modeord = 0;                      ///< 0 = CMCL (-N/2..), 1 = FFT-style
-    int kerevalmeth = 0;                  ///< 0 = exp/sqrt; 1 = Horner table
-    int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread merge (same
-                           ///< scheme as the device library: colour rounds of
-                           ///< disjoint padded-box writes, bitwise-
-                           ///< deterministic at any pool size); 0 = atomic
-                           ///< padded-bin merge (FINUFFT's strategy)
-    int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item),
-                             ///< same encoding as the device library: 0 = auto
-                             ///< (CF_TILE_CHUNK env override), > 0 = explicit,
-                             ///< < 0 = never split a tile
+    std::uint32_t msub = 16384;  ///< max points per spread subproblem: one
+                                 ///< per pool worker, more if one would
+                                 ///< exceed msub (FINUFFT's max_subproblem_size)
+    double upsampfac = 2.0;      ///< fine-grid sigma: 2.0 or 1.25
+    int ntransf = 1;             ///< stacked vectors per execute
+    int modeord = 0;             ///< 0 = CMCL (-N/2..), 1 = FFT-style
+    int kerevalmeth = 0;         ///< 0 = exp/sqrt; 1 = Horner table
   };
 
   CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nmodes, int iflag,
@@ -83,7 +73,9 @@ class CpuPlan {
     return bd_;
   }
 
-  /// Registers M points (host pointers; y/z null below dim 2/3) and bin-sorts.
+  /// Registers M points (host pointers; y/z null below dim 2/3), bin-sorts
+  /// them and, for type 1, sets up the spread subproblems. Throws
+  /// std::invalid_argument on a NaN/Inf coordinate, leaving no points set.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Type 1: reads c (length M), writes f (modes). Type 2: reads f, writes c.
@@ -98,9 +90,7 @@ class CpuPlan {
  private:
   // Batch-strided stages; B = 1 is the single-vector case. The fused type-2
   // amplify row producer is the shared spread::amplify_fine_row.
-  void spread_sorted(const cplx* c, int B);
-  void spread_tiled(const cplx* c, int B);
-  void build_tile_cache();
+  void spread_subproblems(const cplx* c, int B);
   void interp_sorted(cplx* c, int B);
   void deconvolve_type1(cplx* f, int B);
 
@@ -111,7 +101,7 @@ class CpuPlan {
 
   std::array<std::int64_t, 3> N_{1, 1, 1};
   spread::GridSpec grid_;
-  spread::BinSpec bins_;
+  spread::BinSpec bins_;  ///< the paper's default_size bins (sort only)
   spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
                                 ///< process-wide per-(w, sigma) horner_cache
   std::unique_ptr<fft::FftNd<T>> fft_;
@@ -121,33 +111,20 @@ class CpuPlan {
 
   std::vector<T> xg_, yg_, zg_;
   std::size_t M_ = 0;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> bin_start_;  // size nbins+1
+  std::vector<std::uint32_t> order_;  ///< bin-sorted point indices
 
-  // Tile cache for the atomic-free spread, built in set_points (mirrors the
-  // device library's build_tile_set): geometry gate, active bins grouped by
-  // tile colour, and the per-worker padded scratch reused by every execute.
-  bool tile_ok_ = false;
-  int tile_nb_ = 1;  ///< batch planes per scratch / chunk plane (like device)
-  std::vector<std::uint32_t> tile_active_;   ///< slot -> bin, grouped by colour
-  std::vector<std::uint32_t> color_chunk0_;  ///< colour -> first chunk (+1 end)
-  std::vector<std::uint32_t> color_split0_;  ///< colour -> first split_tile_
-                                             ///< entry (+1 end)
-  std::vector<cplx> tile_scratch_;           ///< pool size * tile_nb_ planes
-
-  // Canonical (tile, chunk) split mirroring the device TileSet: overfull bins
-  // are cut into balanced point-chunks (pure function of the points, never of
-  // the pool size), claimed largest-first within each colour from a shared
-  // counter; split tiles reduce their chunk planes in fixed
-  // chunk order before the writeback, so the spread stays
-  // bitwise-deterministic.
-  std::uint32_t chunk_cap_ = 0;  ///< applied cap (UINT32_MAX = no splitting)
-  std::vector<std::uint32_t> tile_chunk0_;  ///< slot -> first chunk (size +1)
-  std::vector<std::uint32_t> chunk_tile_, chunk_off_, chunk_cnt_, chunk_plane_;
-  std::vector<std::uint32_t> chunk_sched_;  ///< chunk ids largest-first per colour
-  std::vector<std::uint32_t> split_tile_;   ///< slots with > 1 chunk
-  std::vector<cplx> chunk_arena_;  ///< split-chunk planes (plane-major)
-  std::vector<spread::TileBox> chunk_box_;  ///< chunk plane -> its footprint
+  /// A spread subproblem: the sorted points [first, last) and the box of
+  /// fine-grid cells their taps reach, origin `off` (unwrapped, may be
+  /// negative) and extent `size` per axis (1 on unused axes). Built in
+  /// set_points for type 1.
+  struct Subproblem {
+    std::size_t first = 0, last = 0;
+    std::int64_t off[3] = {0, 0, 0};
+    std::int64_t size[3] = {1, 1, 1};
+  };
+  std::vector<Subproblem> subprobs_;
+  std::vector<std::vector<cplx>> box_;  ///< per-worker box buffers (B planes),
+                                        ///< all zero between subproblems
 
   mutable std::mutex mu_;  ///< serializes set_points/execute; guards bd_
   CpuBreakdown bd_;

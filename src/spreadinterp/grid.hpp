@@ -6,7 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <span>
 #include <stdexcept>
+
+#include "fft/fft.hpp"
 
 namespace cf::spread {
 
@@ -18,6 +21,25 @@ struct GridSpec {
 
   std::int64_t total() const { return nf[0] * nf[1] * nf[2]; }
 };
+
+/// The fine grid for `nmodes` at sigma = `upsampfac` and kernel width `w`:
+/// per axis the next 2,3,5-smooth size >= max(ceil(sigma * N), 2w). Checks
+/// dim and modes first, since every caller indexes GridSpec::nf by them.
+inline GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
+  if (nmodes.empty() || nmodes.size() > 3) throw std::invalid_argument("dim must be 1..3");
+  for (auto n : nmodes)
+    if (n < 1) throw std::invalid_argument("modes must be >= 1");
+  GridSpec g;
+  g.dim = static_cast<int>(nmodes.size());
+  for (int d = 0; d < g.dim; ++d) {
+    // ceil: a non-integral sigma * N (possible at sigma = 1.25) must round up
+    // so the fine grid never under-samples. No-op at sigma = 2.
+    const auto lower = static_cast<std::int64_t>(std::ceil(upsampfac * double(nmodes[d])));
+    g.nf[d] = static_cast<std::int64_t>(
+        fft::next235(static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
+  }
+  return g;
+}
 
 /// Cartesian bins covering the fine grid (paper Sec. III-A). Bins are ordered
 /// x-fastest, echoing the fine-grid ordering; edge bins may be smaller.

@@ -1,7 +1,9 @@
 // CPU comparator library (FINUFFT-like) and the direct NUDFT reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -264,6 +266,77 @@ TEST(CpuPlan, InvalidArgumentsThrow) {
                std::invalid_argument);
   cpu::CpuPlan<double> plan(pool, 1, std::span(n, 2), +1, 1e-6);
   EXPECT_THROW(plan.set_points(10, nullptr, nullptr, nullptr), std::invalid_argument);
+  // The fine grid checks the mode counts before anything is sized by them.
+  for (std::int64_t bad : {std::int64_t{0}, std::int64_t{-4}}) {
+    const std::int64_t m[2] = {16, bad};
+    EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(m, 2), +1, 1e-6),
+                 std::invalid_argument)
+        << "mode " << bad;
+  }
+  const std::int64_t four[4] = {4, 4, 4, 4};
+  EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(four, 4), +1, 1e-6),
+               std::invalid_argument);
+  cpu::CpuPlan<double>::Options o;
+  o.msub = 0;
+  EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(n, 2), +1, 1e-6, o),
+               std::invalid_argument);
+}
+
+TEST(CpuPlan, NonFiniteCoordinatesThrow) {
+  // A NaN or Inf coordinate is rejected before the sort, and the plan keeps
+  // no points: a later execute returns zeros rather than garbage.
+  ThreadPool pool(2);
+  const std::int64_t n[2] = {16, 16};
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (int type : {1, 2}) {
+    cpu::CpuPlan<double> plan(pool, type, std::span(n, 2), +1, 1e-6);
+    for (int axis = 0; axis < 2; ++axis) {
+      for (double v : bad) {
+        std::vector<double> x(8, 0.5), y(8, -0.5);
+        (axis == 0 ? x : y)[3] = v;
+        EXPECT_THROW(plan.set_points(x.size(), x.data(), y.data(), nullptr),
+                     std::invalid_argument)
+            << "type " << type << " axis " << axis << " value " << v;
+      }
+    }
+    if (type == 1) {
+      std::vector<std::complex<double>> c(8, {1, 0}), f(256, {7, 7});
+      plan.execute(c.data(), f.data());
+      for (const auto& v : f) EXPECT_EQ(v, std::complex<double>(0, 0));
+    }
+  }
+}
+
+TEST(CpuPlan, WrappedSubproblemBoxesMatchDirect) {
+  // N = 8 gives nf = 27 at tol 1e-12 (w = 13): a default subproblem over
+  // points spanning the domain has a box wider than nf on every axis, and at
+  // msub = 1 each box is one point's w-wide footprint, wrapping at the edges.
+  const double tol = 1e-12;
+  for (int dim = 1; dim <= 3; ++dim) {
+    Problem<double> p(std::vector<std::int64_t>(static_cast<std::size_t>(dim), 8), 300,
+                      71 + dim);
+    p.x[0] = -3.14159;  // pin both domain ends
+    p.x[1] = 3.14159;
+    for (std::size_t threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      std::vector<std::complex<double>> want(p.f.size());
+      cpu::direct_type1<double>(pool, p.x, p.y, p.z, p.c, +1, p.N, want);
+      for (std::uint32_t msub : {1u, 16384u}) {
+        cpu::CpuPlan<double>::Options o;
+        o.msub = msub;
+        cpu::CpuPlan<double> plan(pool, 1, p.N, +1, tol, o);
+        ASSERT_EQ(plan.fine_grid().nf[0], 27);
+        plan.set_points(p.M, p.x.data(), dim >= 2 ? p.y.data() : nullptr,
+                        dim >= 3 ? p.z.data() : nullptr);
+        std::vector<std::complex<double>> got(p.f.size());
+        auto c = p.c;
+        plan.execute(c.data(), got.data());
+        EXPECT_LT(cpu::rel_l2_error<double>(got, want), 10 * tol)
+            << dim << "D, " << threads << " threads, msub " << msub;
+      }
+    }
+  }
 }
 
 TEST(CpuPlan, MsubDoesNotChangeResult) {

@@ -169,8 +169,9 @@ static void check_repeat(int dim, int type, core::Method method) {
   EXPECT_EQ(plan.last_breakdown().tap_builds, builds_after_setpts)
       << "dim=" << dim << " method=" << core::method_name(method);
   EXPECT_GE(plan.last_breakdown().cache_hits, 4u);
-  if (method == core::Method::SM)
+  if (method == core::Method::SM) {
     EXPECT_EQ(builds_after_setpts, 1u);  // exactly one build, in set_points
+  }
 }
 
 TEST(PointCache, RepeatedExecuteBitwiseStableZeroTapBuildsF64) {
