@@ -13,7 +13,7 @@
 //
 // A final section benchmarks the width-specialized SIMD fast path against the
 // runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
-// tracked configuration), with and without the Horner kernel table; later
+// tracked configuration), both on the Horner kernel table; later
 // sections ablate batching, caching, sigma, the tile writeback (including the
 // M-TIP merge transform, `mtip_merge3d`) and worker count. An `fft` section times the FFT substrate alone on the workload grids.
 //
@@ -168,7 +168,7 @@ void run_sweep(vgpu::Device& dev, int dim, const std::vector<std::int64_t>& size
 /// Fast-path ablation at the tracked configuration: 3D SM spread, rand,
 /// tol = 1e-6 (w = 7), single precision. Compares the runtime-width scalar
 /// fallback (the pre-fast-path pipeline) against the width-specialized SIMD
-/// kernels, with direct exp/sqrt and with the padded Horner table.
+/// kernels, both evaluating the padded Horner table.
 void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport& json) {
   const double tol = 1e-6;
   const int w = spread::width_from_tol(tol);
@@ -208,19 +208,14 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
     }, reps);
   };
 
-  auto kp_scalar = spread::KernelParams<float>::from_width(w);
+  const auto kp_fast = spread::KernelParams<float>::from_width(w);
+  auto kp_scalar = kp_fast;
   kp_scalar.fast = false;
-  auto kp_fast = spread::KernelParams<float>::from_width(w);
-  auto kp_horner = spread::KernelParams<float>::from_width(w);
-  spread::HornerTable<float> horner(kp_horner);
-  horner.attach(kp_horner);
 
   struct Cfg {
     const char* name;
     double secs;
-  } cfgs[] = {{"scalar", run(kp_scalar)},
-              {"fast-direct", run(kp_fast)},
-              {"fast-horner", run(kp_horner)}};
+  } cfgs[] = {{"scalar", run(kp_scalar)}, {"fast-horner", run(kp_fast)}};
 
   Table t({"path", "spread [s]", "Mpts/s", "speedup vs scalar"});
   for (const auto& cfg : cfgs) {

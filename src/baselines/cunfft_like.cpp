@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fft/fft.hpp"
 #include "spreadinterp/kernel_ft.hpp"
 #include "vgpu/primitives.hpp"
 
@@ -63,13 +62,9 @@ CunfftPlan<T>::CunfftPlan(vgpu::Device& dev, int type, std::span<const std::int6
       a_(gauss_exponent<T>(gaussian_width_from_tol(tol))) {
   if (type_ != 1 && type_ != 2)
     throw std::invalid_argument("CunfftPlan: type must be 1 or 2");
-  if (nmodes.empty() || nmodes.size() > 3)
-    throw std::invalid_argument("CunfftPlan: dim must be 1..3");
+  // The library's sigma = 2 fine grid, which also rejects a bad dim or mode.
+  grid_ = spread::make_grid(nmodes, 2.0, w_);
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  grid_.dim = static_cast<int>(nmodes.size());
-  for (int d = 0; d < grid_.dim; ++d)
-    grid_.nf[d] = static_cast<std::int64_t>(fft::next235(
-        static_cast<std::size_t>(std::max<std::int64_t>(2 * N_[d], 2 * w_))));
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < grid_.dim; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));

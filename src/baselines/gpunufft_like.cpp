@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fft/fft.hpp"
 #include "spreadinterp/kernel_ft.hpp"
 #include "vgpu/primitives.hpp"
 
@@ -53,11 +52,9 @@ GpunufftPlan<T>::GpunufftPlan(vgpu::Device& dev, int type,
     throw std::invalid_argument("GpunufftPlan: type must be 1 or 2");
   if (nmodes.size() < 2 || nmodes.size() > 3)
     throw std::invalid_argument("GpunufftPlan: dims 2..3 (as the real library)");
+  // The library's sigma = 2 fine grid, which also rejects a bad mode.
+  grid_ = spread::make_grid(nmodes, 2.0, w_);
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  grid_.dim = static_cast<int>(nmodes.size());
-  for (int d = 0; d < grid_.dim; ++d)
-    grid_.nf[d] = static_cast<std::int64_t>(fft::next235(
-        static_cast<std::size_t>(std::max<std::int64_t>(2 * N_[d], 2 * w_))));
   sectors_ = spread::BinSpec::make(grid_, {kSectorWidth, kSectorWidth, kSectorWidth});
 
   std::vector<std::size_t> dims;

@@ -33,7 +33,6 @@ Options to_options(const cfs_opts* opts) {
     o.binsize = {opts->gpu_binsizex, opts->gpu_binsizey > 0 ? opts->gpu_binsizey : 1,
                  opts->gpu_binsizez > 0 ? opts->gpu_binsizez : 1};
   if (opts->ntransf > 0) o.ntransf = opts->ntransf;
-  o.kerevalmeth = opts->gpu_kerevalmeth == 1 ? 1 : 0;
   o.modeord = opts->modeord == 1 ? 1 : 0;
   o.point_cache =
       opts->gpu_point_cache == -1 ? 0 : opts->gpu_point_cache == 2 ? 2 : 1;
@@ -126,7 +125,6 @@ void cfs_default_opts(cfs_opts* opts) {
   opts->gpu_maxsubprobsize = 0;
   opts->gpu_binsizex = opts->gpu_binsizey = opts->gpu_binsizez = 0;
   opts->ntransf = 0;
-  opts->gpu_kerevalmeth = 0;
   opts->modeord = 0;
   opts->gpu_point_cache = 0;
   opts->gpu_tiled_spread = 0;

@@ -40,14 +40,15 @@ enum {
 };
 
 /* Tunable options; zero-initialize then override (cufinufft_default_opts).
- * The width-specialized kernels and the interior-first no-wrap partition of
- * the atomic spread and interp always run; they are not options. */
+ * The width-specialized kernels, the Horner-table kernel evaluation
+ * (cufinufft's Horner option; there is no exp/sqrt path) and the
+ * interior-first no-wrap partition of the atomic spread and interp always
+ * run; they are not options. */
 typedef struct {
   int gpu_method;        /* CFS_METHOD_* */
   int gpu_maxsubprobsize; /* Msub; 0 = 1024 */
   int gpu_binsizex, gpu_binsizey, gpu_binsizez; /* 0 = paper defaults */
   int ntransf;            /* stacked vectors per execute; 0 = 1 */
-  int gpu_kerevalmeth;    /* 0 = direct exp/sqrt, 1 = Horner table */
   int modeord;            /* 0 = CMCL (-N/2..N/2-1), 1 = FFT-style */
   int gpu_point_cache;    /* 0 = default (plan-resident tap table built in
                              setpts), 2 = also cache taps for the tiled

@@ -50,15 +50,11 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
            fft_dims(spread::make_grid(nmodes, opts.upsampfac,
                                       spread::width_from_tol(tol, opts.upsampfac))),
            band_modes(nmodes)) {
+  // from_width, above, has rejected any upsampfac but 2.0 and 1.25.
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("Plan: type must be 1 or 2");
-  if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
-    throw std::invalid_argument("Plan: upsampfac must be 2.0 or 1.25");
 
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
   grid_ = spread::make_grid(nmodes, opts_.upsampfac, kp_.w);
-
-  if (opts_.kerevalmeth == 1)
-    spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 
   bins_ = spread::spread_bins(grid_, opts_.binsize, false, kp_.w);
 
@@ -127,6 +123,7 @@ const std::uint32_t* Plan<T>::iter_order(std::size_t& n_nowrap) const {
 
 template <typename T>
 void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
+  spread::check_point_count(M);
   if (grid_.dim >= 2 && !y) throw std::invalid_argument("set_points: y required");
   if (grid_.dim >= 3 && !z) throw std::invalid_argument("set_points: z required");
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait

@@ -65,8 +65,9 @@ const char* method_name(Method m);
 
 /// Tunable options; defaults are the paper's hand-tuned values. What won on
 /// every workload is not an option: execute always runs the width-specialized
-/// kernels, and the atomic GM/GM-sort spread and interp always run the
-/// interior-first (no-wrap) partition.
+/// kernels, every tap comes from the kernel's Horner table (es_kernel.hpp),
+/// and the atomic GM/GM-sort spread and interp always run the interior-first
+/// (no-wrap) partition.
 struct Options {
   Method method = Method::Auto;
   std::uint32_t msub = 1024;            ///< max subproblem size (paper Rmk. 1)
@@ -79,7 +80,6 @@ struct Options {
                                         ///< (low-upsampling: ~2x 3D volume
                                         ///< instead of 8x, wider kernel)
   int ntransf = 1;  ///< vectors per execute (cuFINUFFT's many-vector batching)
-  int kerevalmeth = 0;  ///< 0 = direct exp/sqrt; 1 = piecewise-poly Horner
   int modeord = 0;  ///< 0 = CMCL (-N/2..N/2-1); 1 = FFT-style (0..,-N/2..-1)
   int point_cache = 1;     ///< 1 = build the SM tap table once in set_points;
                            ///< 2 = ALSO cache the tap table for the tiled
@@ -179,7 +179,8 @@ class Plan {
   /// (SM tap table, interior classification) whose cost is amortized over
   /// repeated execute() calls. Invalidates any previous PointCache. Throws
   /// std::invalid_argument on a NaN or Inf coordinate, before any sort; the
-  /// plan then holds no points until the next successful set_points.
+  /// plan then holds no points until the next successful set_points. M >=
+  /// 2^32 throws std::invalid_argument before anything is touched.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Runs the transform: type 1 reads c (length M) and writes f (modes);
@@ -216,8 +217,8 @@ class Plan {
   std::array<std::int64_t, 3> N_{1, 1, 1};
   spread::GridSpec grid_;
   spread::BinSpec bins_;
-  spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
-                                ///< process-wide per-(w, sigma) horner_cache
+  spread::KernelParams<T> kp_;  ///< its Horner table lives in the process-wide
+                                ///< per-(w, sigma) horner_cache
 
   fft::FftNd<T> fft_;                     ///< band = the plan's modes
   vgpu::device_buffer<cplx> fw_;          ///< fine grid (ntransf stacked planes)

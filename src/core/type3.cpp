@@ -41,16 +41,15 @@ Type3Plan<T>::Type3Plan(vgpu::Device& dev, int dim, int iflag, double tol, Optio
       opts_(opts),
       kp_(spread::KernelParams<T>::from_width(
           spread::width_from_tol(tol, opts.upsampfac), opts.upsampfac)) {
+  // from_width, above, has rejected any upsampfac but 2.0 and 1.25.
   if (dim < 1 || dim > 3) throw std::invalid_argument("Type3Plan: dim must be 1..3");
-  if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
-    throw std::invalid_argument("Type3Plan: upsampfac must be 2.0 or 1.25");
-  if (opts_.kerevalmeth == 1)
-    spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 }
 
 template <typename T>
 void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
                               std::size_t K, const T* s, const T* t, const T* u) {
+  spread::check_point_count(M);
+  spread::check_point_count(K);
   const T* xs[3] = {x, y, z};
   const T* ss[3] = {s, t, u};
   for (int d = 0; d < dim_; ++d)

@@ -56,8 +56,8 @@ class Type3Plan {
   /// Registers M source points (x/y/z, device pointers, unused = null) and
   /// K target frequencies (s/t/u). Computes the geometry-dependent fine
   /// grid, precomputes per-point corrections and phases, and bin-sorts both
-  /// point sets. Throws std::invalid_argument on a NaN or Inf coordinate,
-  /// leaving the previous point sets in place.
+  /// point sets. Throws std::invalid_argument on a NaN or Inf coordinate or
+  /// on M or K >= 2^32, leaving the previous point sets in place.
   void set_points(std::size_t M, const T* x, const T* y, const T* z, std::size_t K,
                   const T* s, const T* t, const T* u);
 
@@ -70,8 +70,8 @@ class Type3Plan {
   int iflag_;
   double tol_;
   Options opts_;
-  spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
-                                ///< process-wide per-(w, sigma) horner_cache
+  spread::KernelParams<T> kp_;  ///< its Horner table lives in the process-wide
+                                ///< per-(w, sigma) horner_cache
 
   // Geometry (per dim): centers, half-widths, scale gamma.
   std::array<double, 3> xc_{0, 0, 0}, sc_{0, 0, 0}, gam_{1, 1, 1};

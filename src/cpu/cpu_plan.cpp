@@ -31,14 +31,11 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
       opts_(opts),
       kp_(spread::KernelParams<T>::from_width(
           spread::width_from_tol(tol, opts.upsampfac), opts.upsampfac)) {
+  // from_width, above, has rejected any upsampfac but 2.0 and 1.25.
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("CpuPlan: type must be 1 or 2");
-  if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
-    throw std::invalid_argument("CpuPlan: upsampfac must be 2.0 or 1.25");
   if (opts_.msub == 0) throw std::invalid_argument("CpuPlan: msub must be positive");
   grid_ = spread::make_grid(nmodes, opts_.upsampfac, kp_.w);
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  if (opts_.kerevalmeth == 1)
-    spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
   bins_ = spread::BinSpec::make(grid_, spread::BinSpec::default_size(grid_.dim));
   box_.resize(pool_->size());
 
@@ -61,6 +58,7 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
 
 template <typename T>
 void CpuPlan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
+  spread::check_point_count(M);
   if (grid_.dim >= 2 && !y) throw std::invalid_argument("set_points: y required");
   if (grid_.dim >= 3 && !z) throw std::invalid_argument("set_points: z required");
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait

@@ -1,7 +1,8 @@
 // FINUFFT-like multithreaded CPU NUFFT — the paper's CPU comparator.
 //
-// Same ES kernel, width rule, upsampled fine grid (sigma = 2 or 1.25), and
-// deconvolution as the device library, but organized the way the parallel
+// Same ES kernel (evaluated from the same Horner tables, FINUFFT's default),
+// width rule, upsampled fine grid (sigma = 2 or 1.25), and deconvolution as
+// the device library, but organized the way the parallel
 // CPU code is (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 2019,
 // Sec. 3.1): the bin-sorted points are cut into a few subproblems, each
 // spread into a worker-local grid sized to the bounding box of its points
@@ -55,7 +56,6 @@ class CpuPlan {
     double upsampfac = 2.0;      ///< fine-grid sigma: 2.0 or 1.25
     int ntransf = 1;             ///< stacked vectors per execute
     int modeord = 0;             ///< 0 = CMCL (-N/2..), 1 = FFT-style
-    int kerevalmeth = 0;         ///< 0 = exp/sqrt; 1 = Horner table
   };
 
   CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nmodes, int iflag,
@@ -75,7 +75,8 @@ class CpuPlan {
 
   /// Registers M points (host pointers; y/z null below dim 2/3), bin-sorts
   /// them and, for type 1, sets up the spread subproblems. Throws
-  /// std::invalid_argument on a NaN/Inf coordinate, leaving no points set.
+  /// std::invalid_argument on a NaN/Inf coordinate, leaving no points set,
+  /// and on M >= 2^32 before anything is touched.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Type 1: reads c (length M), writes f (modes). Type 2: reads f, writes c.
@@ -102,8 +103,8 @@ class CpuPlan {
   std::array<std::int64_t, 3> N_{1, 1, 1};
   spread::GridSpec grid_;
   spread::BinSpec bins_;  ///< the paper's default_size bins (sort only)
-  spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
-                                ///< process-wide per-(w, sigma) horner_cache
+  spread::KernelParams<T> kp_;  ///< its Horner table lives in the process-wide
+                                ///< per-(w, sigma) horner_cache
   std::unique_ptr<fft::FftNd<T>> fft_;
 
   std::vector<cplx> fw_;  ///< fine grid (ntransf stacked planes)

@@ -42,7 +42,6 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   if (key.msub > 0) o.msub = static_cast<std::uint32_t>(key.msub);
   o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
   o.ntransf = max_batch;  // batched executes up to the coalescing cap
-  o.kerevalmeth = key.kerevalmeth;
   o.modeord = key.modeord;
   // Service plans serve repeated batched executes, so the default point
   // cache is promoted to the aggressive mode (2): the tiled GM-sort spread
@@ -85,7 +84,6 @@ PlanKey make_plan_key(int type, int dim, const std::int64_t* nmodes, int iflag,
   k.binsize[0] = opts.binsize[0];
   k.binsize[1] = opts.binsize[1];
   k.binsize[2] = opts.binsize[2];
-  k.kerevalmeth = opts.kerevalmeth;
   k.modeord = opts.modeord;
   k.point_cache = opts.point_cache;
   k.tiled_spread = opts.tiled_spread;
@@ -116,7 +114,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   h = fnv1a_value(h, k.method);
   h = fnv1a_value(h, k.msub);
   h = fnv1a(h, k.binsize, sizeof(k.binsize));
-  h = fnv1a_value(h, k.kerevalmeth);
   h = fnv1a_value(h, k.modeord);
   h = fnv1a_value(h, k.point_cache);
   h = fnv1a_value(h, k.tiled_spread);

@@ -46,7 +46,6 @@ struct PlanKey {
   std::int32_t method = 0;  ///< core::Method as int
   std::int32_t msub = 0;
   std::int32_t binsize[3] = {0, 0, 0};
-  std::int32_t kerevalmeth = 0;
   std::int32_t modeord = 0;
   std::int32_t point_cache = 1;
   std::int32_t tiled_spread = 1;

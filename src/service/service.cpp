@@ -30,6 +30,10 @@ const char* validate_request(const Request<T>& req, GroupKey& key) {
     // the +1 transform for a request that never chose a direction.
     return "NufftService: iflag must be +1 or -1 (0 is ambiguous)";
   if (!req.input || !req.output) return "NufftService: input/output required";
+  // The sort's 32-bit indices bound M and K; checked before the fingerprint
+  // pass reads a coordinate.
+  if (req.M > spread::kMaxPoints || req.K > spread::kMaxPoints)
+    return "NufftService: point count must be < 2^32";
   // The plan would throw the same from width_from_tol, but only after the
   // request had taken an admission slot and a dispatcher had built it.
   if (!(std::isnormal(req.tol) && req.tol > 0))

@@ -41,6 +41,16 @@ inline GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac
   return g;
 }
 
+/// Point sets index into 32-bit sort permutations and bin counts (binsort,
+/// SubprobSetup), so M (or a type-3 target count K) must stay below 2^32.
+/// Every set_points and the service's submit check the count first, before
+/// any allocation or coordinate read.
+inline constexpr std::size_t kMaxPoints = 0xFFFFFFFFu;
+
+inline void check_point_count(std::size_t n) {
+  if (n > kMaxPoints) throw std::invalid_argument("point count must be < 2^32");
+}
+
 /// Cartesian bins covering the fine grid (paper Sec. III-A). Bins are ordered
 /// x-fastest, echoing the fine-grid ordering; edge bins may be smaller.
 struct BinSpec {

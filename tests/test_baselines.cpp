@@ -170,6 +170,28 @@ TEST(GpunufftLike, Rejects1d) {
                std::invalid_argument);
 }
 
+TEST(Baselines, BadModesAndDimsThrow) {
+  // Both baselines size their fine grids through spread::make_grid, so a
+  // zero or negative mode count is rejected instead of reaching an allocation.
+  cf::vgpu::Device dev(1);
+  for (const std::int64_t bad : {0, -4}) {
+    const std::int64_t n[2] = {16, bad};
+    EXPECT_THROW(baselines::CunfftPlan<double>(dev, 1, std::span(n, 2), +1, 1e-3),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(baselines::GpunufftPlan<double>(dev, 1, std::span(n, 2), +1, 1e-3),
+                 std::invalid_argument)
+        << bad;
+  }
+  const std::int64_t n4[4] = {8, 8, 8, 8};
+  EXPECT_THROW(baselines::CunfftPlan<double>(dev, 1, std::span(n4, 0), +1, 1e-3),
+               std::invalid_argument);
+  EXPECT_THROW(baselines::CunfftPlan<double>(dev, 1, std::span(n4, 4), +1, 1e-3),
+               std::invalid_argument);
+  EXPECT_THROW(baselines::GpunufftPlan<double>(dev, 1, std::span(n4, 4), +1, 1e-3),
+               std::invalid_argument);
+}
+
 TEST(Baselines, ClusteredStillCorrect) {
   // Load-imbalance hurts speed, never correctness.
   cf::vgpu::Device dev(4);

@@ -265,6 +265,33 @@ TEST(CApi, NonFiniteCoordinatesReturnInvalidArg) {
   cfs_destroy3(plan3);
 }
 
+TEST(CApi, PointCountOf2To32ReturnsInvalidArg) {
+  // M (or type-3 K) >= 2^32 is rejected on the count alone; the 4-point
+  // arrays are never read.
+  DeviceGuard g;
+  const int64_t n2[2] = {8, 8};
+  std::vector<double> x(4, 0.1);
+  std::vector<float> xf(4, 0.1f);
+  const size_t big = size_t{1} << 32;
+  cfs_plan plan = nullptr;
+  cfs_planf planf = nullptr;
+  cfs_plan3 plan3 = nullptr;
+  ASSERT_EQ(cfs_makeplan(g.dev, 1, 2, n2, +1, 1e-6, nullptr, &plan), CFS_SUCCESS);
+  ASSERT_EQ(cfs_makeplanf(g.dev, 2, 2, n2, +1, 1e-5, nullptr, &planf), CFS_SUCCESS);
+  ASSERT_EQ(cfs_makeplan3(g.dev, 1, +1, 1e-6, nullptr, &plan3), CFS_SUCCESS);
+  EXPECT_EQ(cfs_setpts(plan, big, x.data(), x.data(), nullptr), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_setptsf(planf, big, xf.data(), xf.data(), nullptr), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_setpts3(plan3, big, x.data(), nullptr, nullptr, 4, x.data(), nullptr,
+                        nullptr),
+            CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_setpts3(plan3, 4, x.data(), nullptr, nullptr, big, x.data(), nullptr,
+                        nullptr),
+            CFS_ERR_INVALID_ARG);
+  cfs_destroy(plan);
+  cfs_destroyf(planf);
+  cfs_destroy3(plan3);
+}
+
 TEST(CApi, CustomBinSizeAndMsub) {
   DeviceGuard g;
   cfs_opts opts;
@@ -554,10 +581,8 @@ TEST(CApi, NtransfAndModeordOptions) {
   cfs_opts opts;
   cfs_default_opts(&opts);
   EXPECT_EQ(opts.ntransf, 0);
-  EXPECT_EQ(opts.gpu_kerevalmeth, 0);
   EXPECT_EQ(opts.modeord, 0);
   opts.ntransf = 2;
-  opts.gpu_kerevalmeth = 1;
   const int64_t nmodes[2] = {12, 12};
   Rng rng(31);
   const std::size_t M = 300;

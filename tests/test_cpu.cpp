@@ -282,6 +282,20 @@ TEST(CpuPlan, InvalidArgumentsThrow) {
                std::invalid_argument);
 }
 
+TEST(CpuPlan, PointCountOf2To32IsRejected) {
+  // M >= 2^32 is rejected on M alone, before any allocation or coordinate
+  // read (the arrays here hold 8 points).
+  ThreadPool pool(1);
+  const std::int64_t n[2] = {16, 16};
+  std::vector<double> x(8, 0.5), y(8, -0.5);
+  for (int type : {1, 2}) {
+    cpu::CpuPlan<double> plan(pool, type, std::span(n, 2), +1, 1e-6);
+    EXPECT_THROW(plan.set_points(std::size_t{1} << 32, x.data(), y.data(), nullptr),
+                 std::invalid_argument)
+        << "type " << type;
+  }
+}
+
 TEST(CpuPlan, NonFiniteCoordinatesThrow) {
   // A NaN or Inf coordinate is rejected before the sort, and the plan keeps
   // no points: a later execute returns zeros rather than garbage.
@@ -356,48 +370,6 @@ TEST(CpuPlan, MsubDoesNotChangeResult) {
     else
       EXPECT_LT(cpu::rel_l2_error<double>(f, base), 1e-12) << "msub=" << msub;
   }
-}
-
-TEST(CpuPlan, HornerKerevalMatchesDirect) {
-  // kerevalmeth=1 (padded Horner table) must agree with the default exp/sqrt
-  // evaluation to below the aliasing error of the requested tolerance, in
-  // both precisions and for both transform types.
-  ThreadPool pool(4);
-  Problem<double> p({48, 48}, 4000, 43);
-  for (int type : {1, 2}) {
-    cpu::CpuPlan<double>::Options direct;
-    cpu::CpuPlan<double>::Options horner;
-    horner.kerevalmeth = 1;
-    cpu::CpuPlan<double> pd(pool, type, p.N, +1, 1e-9, direct);
-    cpu::CpuPlan<double> ph(pool, type, p.N, +1, 1e-9, horner);
-    pd.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-    ph.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-    std::vector<std::complex<double>> fd(p.f.size()), fh(p.f.size());
-    auto cd = p.c, ch = p.c;
-    if (type == 1) {
-      pd.execute(cd.data(), fd.data());
-      ph.execute(ch.data(), fh.data());
-      EXPECT_LT(cpu::rel_l2_error<double>(fh, fd), 1e-9) << "type 1";
-    } else {
-      fd = p.f;
-      fh = p.f;
-      pd.execute(cd.data(), fd.data());
-      ph.execute(ch.data(), fh.data());
-      EXPECT_LT(cpu::rel_l2_error<double>(ch, cd), 1e-9) << "type 2";
-    }
-  }
-  Problem<float> pf({48, 48}, 4000, 44);
-  cpu::CpuPlan<float>::Options horner;
-  horner.kerevalmeth = 1;
-  cpu::CpuPlan<float> pd(pool, 1, pf.N, +1, 1e-5);
-  cpu::CpuPlan<float> ph(pool, 1, pf.N, +1, 1e-5, horner);
-  pd.set_points(pf.M, pf.x.data(), pf.y.data(), nullptr);
-  ph.set_points(pf.M, pf.x.data(), pf.y.data(), nullptr);
-  std::vector<std::complex<float>> fd(pf.f.size()), fh(pf.f.size());
-  auto cd = pf.c, ch = pf.c;
-  pd.execute(cd.data(), fd.data());
-  ph.execute(ch.data(), fh.data());
-  EXPECT_LT(cpu::rel_l2_error<float>(fh, fd), 1e-5);
 }
 
 TEST(CpuPlan, AdjointPairProperty) {

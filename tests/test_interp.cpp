@@ -152,8 +152,11 @@ TEST(Interp, WrapAroundGather) {
   vgpu::Device dev(1);
   spread::NuPoints<double> pts{xg.data(), nullptr, nullptr, 1};
   spread::interp<double>(dev, grid, kp, pts, fw.data(), c.data(), nullptr);
-  // Weight of index 31 at distance 1.5h: phi((31-32.5)*2/w).
-  const double want = spread::es_eval((31.0 - 32.5) * kp.inv_half_w, kp.beta);
+  // Weight of index 31 (= -1 wrapped; taps start at l0 = -2) at distance
+  // 1.5h: phi((31-32.5)*2/w) as the kernel evaluates it.
+  double vals[spread::kMaxWidth];
+  ASSERT_EQ(spread::es_values(kp, 0.5, vals), -2);
+  const double want = vals[1];
   EXPECT_NEAR(c[0].real(), want, 1e-13);
   EXPECT_NEAR(c[0].imag(), 0.0, 1e-13);
 }
@@ -245,16 +248,13 @@ TEST(InterpFastPath, SmEveryDimMatchesFallback) {
   }
 }
 
-TEST(InterpFastPath, HornerWithinTolOfScalarDirect) {
+TEST(InterpFastPath, FloatWithinTolOfScalar) {
   InterpFixture<float> f(2, 128, 7, 3000, 950);
   vgpu::Device dev(4);
   auto kp_scalar = f.kp;
   kp_scalar.fast = false;
-  auto kp_horner = f.kp;
-  spread::HornerTable<float> horner(f.kp);
-  horner.attach(kp_horner);
   std::vector<std::complex<float>> c_fast(f.xg.size()), c_scalar(f.xg.size());
-  spread::interp<float>(dev, f.grid, kp_horner, f.pts(), f.fw.data(), c_fast.data(),
+  spread::interp<float>(dev, f.grid, f.kp, f.pts(), f.fw.data(), c_fast.data(),
                         nullptr);
   spread::interp<float>(dev, f.grid, kp_scalar, f.pts(), f.fw.data(), c_scalar.data(),
                         nullptr);

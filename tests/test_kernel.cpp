@@ -216,31 +216,30 @@ TEST(CorrectionFactors, SymmetricAndPositive) {
   EXPECT_GT(p[0], p[N / 2]);
 }
 
-// ---- Horner-vs-direct parity across every dispatchable width ----------------
+// ---- Horner table vs the exact kernel across every dispatchable width -------
 
 template <typename T>
 void check_horner_parity_all_widths(double sigma = 2.0) {
   for (int w = 2; w <= spread::kMaxWidth; ++w) {
-    auto kp = spread::KernelParams<T>::from_width(w, sigma);
-    auto kph = kp;
-    spread::HornerTable<T> horner(kp);
-    horner.attach(kph);
+    const auto kp = spread::KernelParams<T>::from_width(w, sigma);
     // The polynomial only needs to sit below the width-w aliasing error:
     // ~10^{-(w-1)} at sigma = 2, exp(-pi w sqrt(1 - 1/sigma)) in general; the
     // sqrt cusp at |z|=1 caps what it can do for tiny widths, and the working
-    // precision floors the achievable error (float exp/sqrt rounding scales
-    // like beta * eps_f32 ~ 4e-6 at the widest taps).
+    // precision floors the achievable error.
     const double floor = sizeof(T) == 4 ? 4e-6 : 2e-11;
-    const double bound =
-        sigma == 2.0 ? std::max(floor, 5e-2 * std::pow(10.0, -(w - 1)))
-                     : std::max(floor, 0.2 * spread::kernel_alias_eps(w, sigma));
-    T vd[spread::kMaxWidth], vh[spread::kMaxWidth];
+    const double bound = sigma == 2.0
+                             ? std::max(floor, 5e-2 * std::pow(10.0, -(w - 1)))
+                             : std::max(floor, 0.2 * spread::width_tol(w, sigma));
+    T vh[spread::kMaxWidth];
     for (double x = 10.0; x < 90.0; x += 0.377) {
-      const auto l0d = spread::es_values(kp, static_cast<T>(x), vd);
-      const auto l0h = spread::es_values(kph, static_cast<T>(x), vh);
-      ASSERT_EQ(l0d, l0h) << "w=" << w << " x=" << x;
-      for (int i = 0; i < w; ++i)
-        EXPECT_NEAR(double(vh[i]), double(vd[i]), bound) << "w=" << w << " i=" << i;
+      const T xt = static_cast<T>(x);
+      const auto l0 = spread::es_values(kp, xt, vh);
+      ASSERT_EQ(l0, static_cast<std::int64_t>(std::ceil(xt - kp.half_w)));
+      for (int i = 0; i < w; ++i) {
+        const double exact = spread::es_eval((double(l0 + i) - double(xt)) * 2.0 / w,
+                                             double(kp.beta));
+        EXPECT_NEAR(double(vh[i]), exact, bound) << "w=" << w << " i=" << i;
+      }
     }
   }
 }
@@ -264,39 +263,58 @@ TEST(HornerCache, OneTablePerWidthSigmaPrecision) {
   EXPECT_NE(&a, &c);
   const auto& d = spread::horner_cache<double>(9, 1.25);
   EXPECT_NE(static_cast<const void*>(&a), static_cast<const void*>(&d));
-  // The cached fit meets the residual target the cache itself enforces.
-  const auto base = spread::KernelParams<double>::from_width(9, 1.25);
-  EXPECT_LE(d.max_residual(base),
-            std::max(1e-13, 0.05 * spread::kernel_alias_eps(9, 1.25)));
+  // Every KernelParams carries its cached table.
+  const auto kp = spread::KernelParams<double>::from_width(9, 1.25);
+  spread::KernelParams<double> want{};
+  d.attach(want);
+  EXPECT_EQ(kp.horner, want.horner);
+  EXPECT_EQ(kp.horner_degree, want.horner_degree);
+}
+
+template <typename T>
+void check_every_fit_meets_target() {
+  for (double sigma : {2.0, 1.25})
+    for (int w = 2; w <= spread::kMaxWidth; ++w) {
+      const spread::HornerTable<T>* fit = nullptr;
+      ASSERT_NO_THROW(fit = &spread::horner_cache<T>(w, sigma))
+          << "w=" << w << " sigma=" << sigma;
+      EXPECT_LE(fit->max_residual(), spread::horner_target<T>(w, sigma))
+          << "w=" << w << " sigma=" << sigma;
+    }
+}
+
+// Every plan evaluates its taps from these fits, so each (w, sigma,
+// precision) a plan can request must meet the target the cache enforces.
+TEST(HornerCache, EveryFitMeetsTargetDouble) { check_every_fit_meets_target<double>(); }
+TEST(HornerCache, EveryFitMeetsTargetFloat) { check_every_fit_meets_target<float>(); }
+
+TEST(HornerCache, RejectsUnsupportedWidthAndSigma) {
+  for (int w : {0, 1, spread::kMaxWidth + 1})
+    EXPECT_THROW(spread::horner_cache<double>(w, 2.0), std::invalid_argument) << w;
+  for (double sigma : {1.0, 1.5, 3.0})
+    EXPECT_THROW(spread::KernelParams<float>::from_width(6, sigma), std::invalid_argument)
+        << sigma;
 }
 
 // ---- fixed-width evaluation matches the runtime-width path ------------------
 
 template <int W, typename T>
 void check_fixed_width_once() {
-  auto kp = spread::KernelParams<T>::from_width(W);
-  spread::HornerTable<T> horner(kp);
-  auto kph = kp;
-  horner.attach(kph);
+  const auto kp = spread::KernelParams<T>::from_width(W);
   T vr[spread::kMaxWidth], vf[spread::kMaxWidth];
-  // Direct exp/sqrt and Horner: es_values_fixed computes the same expressions
-  // as es_values with unrolled/padded loops; agreement is to rounding.
+  // es_values_fixed runs the same Horner recurrence as es_values over the
+  // padded row with unrolled loops; agreement is to rounding.
   const double tol = sizeof(T) == 4 ? 1e-6 : 1e-14;
   for (double x = 5.0; x < 60.0; x += 0.731) {
     const auto l0r = spread::es_values(kp, static_cast<T>(x), vr);
     const auto l0f = spread::es_values_fixed<W>(kp, static_cast<T>(x), vf);
     ASSERT_EQ(l0r, l0f) << "W=" << W;
     for (int i = 0; i < W; ++i)
-      EXPECT_NEAR(double(vf[i]), double(vr[i]), tol) << "direct W=" << W << " i=" << i;
-    const auto l0rh = spread::es_values(kph, static_cast<T>(x), vr);
-    const auto l0fh = spread::es_values_fixed<W>(kph, static_cast<T>(x), vf);
-    ASSERT_EQ(l0rh, l0fh) << "W=" << W;
-    for (int i = 0; i < W; ++i)
-      EXPECT_NEAR(double(vf[i]), double(vr[i]), tol) << "horner W=" << W << " i=" << i;
+      EXPECT_NEAR(double(vf[i]), double(vr[i]), tol) << "W=" << W << " i=" << i;
     // The padded variant appends exact zeros.
     T vp[spread::kMaxWidth + spread::kTapPad];
-    const auto l0p = spread::es_values_padded<W>(kph, static_cast<T>(x), vp);
-    ASSERT_EQ(l0p, l0fh);
+    const auto l0p = spread::es_values_padded<W>(kp, static_cast<T>(x), vp);
+    ASSERT_EQ(l0p, l0f);
     for (int i = W; i < spread::pad_width(W); ++i) EXPECT_EQ(vp[i], T(0));
   }
 }

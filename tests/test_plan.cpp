@@ -400,6 +400,29 @@ TEST(Plan, NonFiniteCoordinatesAreRejected) {
   check_non_finite_rejected<float>();
 }
 
+TEST(Plan, PointCountOf2To32IsRejected) {
+  // The sort's indices are 32-bit: M >= 2^32 is rejected on M alone, before
+  // any allocation or coordinate read (the arrays here hold 4 points), and
+  // the plan keeps its previous points.
+  vgpu::Device dev(1);
+  Problem<double> p({12, 10}, 400, false, 62);
+  const std::size_t big = std::size_t{1} << 32;
+  for (int type : {1, 2}) {
+    core::Plan<double> plan(dev, type, p.N, +1, 1e-6), fresh(dev, type, p.N, +1, 1e-6);
+    plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
+    fresh.set_points(p.M, p.x.data(), p.y.data(), nullptr);
+    for (std::size_t M : {big, big + 1, std::numeric_limits<std::size_t>::max()})
+      EXPECT_THROW(plan.set_points(M, p.x.data(), p.y.data(), nullptr),
+                   std::invalid_argument)
+          << "type " << type << " M " << M;
+    std::vector<std::complex<double>> c1 = p.c, f1 = p.f, c2 = p.c, f2 = p.f;
+    plan.execute(c1.data(), f1.data());
+    fresh.execute(c2.data(), f2.data());
+    EXPECT_EQ(c1, c2) << "type " << type;
+    EXPECT_EQ(f1, f2) << "type " << type;
+  }
+}
+
 TEST(Plan, AutoMethodResolution) {
   vgpu::Device dev(1);
   const std::int64_t n3[3] = {32, 32, 32};
@@ -552,33 +575,12 @@ TEST(Plan, FftStyleModeOrderingType2RoundTripsWithType1) {
   EXPECT_NEAR(std::abs(lhs - rhs), 0.0, 1e-8 * std::abs(lhs));
 }
 
-TEST(Plan, HornerKernelMatchesDirectEvaluation) {
-  // kerevalmeth=1 must agree with the exp/sqrt path to near the tolerance.
-  for (int tole : {3, 6, 9}) {
-    const double tol = std::pow(10.0, -tole);
-    Problem<double> p({26, 28}, 1500, false, 16);
-    vgpu::Device dev(4);
-    core::Plan<double> direct(dev, 1, p.N, +1, tol);
-    core::Options horner;
-    horner.kerevalmeth = 1;
-    core::Plan<double> fast(dev, 1, p.N, +1, tol, horner);
-    direct.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-    fast.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-    std::vector<std::complex<double>> fd(p.f.size()), fh(p.f.size());
-    direct.execute(p.c.data(), fd.data());
-    fast.execute(p.c.data(), fh.data());
-    EXPECT_LT(cf::cpu::rel_l2_error<double>(fh, fd), tol) << "tol=1e-" << tole;
-  }
-}
-
 TEST(Plan, HornerKernelMeetsToleranceEndToEnd) {
   Problem<float> p({30, 30}, 2000, false, 17);
   vgpu::Device dev(4);
   ThreadPool pool(4);
-  core::Options horner;
-  horner.kerevalmeth = 1;
-  EXPECT_LT(run_type1_error<float>(dev, pool, p, +1, 1e-5, horner), 3e-5);
-  EXPECT_LT(run_type2_error<float>(dev, pool, p, +1, 1e-5, horner), 3e-5);
+  EXPECT_LT(run_type1_error<float>(dev, pool, p, +1, 1e-5), 3e-5);
+  EXPECT_LT(run_type2_error<float>(dev, pool, p, +1, 1e-5), 3e-5);
 }
 
 TEST(Plan, HornerWorksWithSmAndAllWidths) {
@@ -587,7 +589,6 @@ TEST(Plan, HornerWorksWithSmAndAllWidths) {
   for (int tole : {2, 5, 9, 12}) {
     Problem<double> p({24, 24}, 1000, false, 18);
     core::Options o;
-    o.kerevalmeth = 1;
     o.method = core::Method::SM;
     const double tol = std::pow(10.0, -tole);
     EXPECT_LT(run_type1_error<double>(dev, pool, p, +1, tol, o), 10 * tol)

@@ -874,6 +874,33 @@ TEST(Service, NonFiniteCoordinatesRejectedBeforeAdmission) {
   EXPECT_EQ(st.setpts_reuses, 1u);
 }
 
+TEST(Service, PointCountOf2To32RejectedBeforeAdmission) {
+  // M or K >= 2^32 fails at submit on the count alone: the fingerprint pass
+  // never reads the (4-point) arrays, and no admission slot or plan is taken.
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
+  service::NufftService svc(dev);
+  const core::Options opts = opts_for(2);
+  Problem<float> p(std::vector<std::int64_t>{20, 16}, 1, 4, 67);
+  T3Problem t3(324);
+  std::vector<std::complex<float>> out(p.out_len());
+  std::vector<std::complex<double>> out3(t3.K);
+  const std::size_t big = std::size_t{1} << 32;
+  auto req = p.request(opts, out);
+  req.M = big;
+  EXPECT_THROW(svc.submit(req).get(), std::invalid_argument);
+  auto req3 = t3.request(opts, out3);
+  req3.M = big;
+  EXPECT_THROW(svc.submit(req3).get(), std::invalid_argument);
+  req3 = t3.request(opts, out3);
+  req3.K = big;
+  EXPECT_THROW(svc.submit(req3).get(), std::invalid_argument);
+  const auto st = svc.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.failed, 3u);
+  EXPECT_EQ(st.plan_hits + st.plan_misses, 0u);  // never reached the registry
+  EXPECT_EQ(st.setpts_builds, 0u);
+}
+
 TEST(Service, BadTolRejectedBeforeAdmission) {
   // A tol that is not finite and > 0 fails at submit, like a non-finite
   // coordinate: no admission slot, no plan.

@@ -200,15 +200,14 @@ TEST(InverseNufft, MisuseThrows) {
 }
 
 TEST(InverseNufft, PlanOptionsPropagate) {
-  // kerevalmeth/method preferences flow into the type-1 plan (and through it
-  // into the Toeplitz kernel); the result matches the default-path solve.
+  // Method preferences flow into the type-1 plan (and through it into the
+  // Toeplitz kernel); the result matches the default-path solve.
   cf::vgpu::Device dev(4);
   InvProblem<double> p({20, 20}, 3000, dev, 18);
   solver::InverseOptions base;
   base.max_iters = 30;
   base.tol = 1e-10;
   solver::InverseOptions tuned = base;
-  tuned.plan_opts.kerevalmeth = 1;
   tuned.plan_opts.method = cf::core::Method::SM;
   solver::InverseNufft<double> a(dev, p.N, +1, base), b(dev, p.N, +1, tuned);
   a.set_points(p.M, p.x.data(), p.y.data(), nullptr);

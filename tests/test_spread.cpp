@@ -360,29 +360,6 @@ TEST(Spread, MirroredPointsGiveMirroredGrid) {
     EXPECT_NEAR(std::abs(fb[(64 - l) % 64] - fa[l]), 0.0, 1e-12) << l;
 }
 
-TEST(Spread, HornerTableMatchesDirectEvaluationPointwise) {
-  for (int w : {2, 4, 6, 8, 10, 13, 16}) {
-    auto kp = spread::KernelParams<double>::from_width(w);
-    auto horner = spread::HornerTable<double>(kp);
-    auto kph = kp;
-    horner.attach(kph);
-    // The approximation only needs to sit below the width-w aliasing error
-    // ~10^{-(w-1)}; the sqrt cusp at |z|=1 caps what a polynomial can do for
-    // tiny widths (w=2 serves tol 1e-1).
-    const double bound = std::max(2e-11, 5e-2 * std::pow(10.0, -(w - 1)));
-    Rng rng(23 + w);
-    double vd[spread::kMaxWidth], vh[spread::kMaxWidth];
-    for (int trial = 0; trial < 200; ++trial) {
-      const double x = rng.uniform(10.0, 90.0);
-      const auto l0d = spread::es_values(kp, x, vd);
-      const auto l0h = spread::es_values(kph, x, vh);
-      ASSERT_EQ(l0d, l0h);
-      for (int i = 0; i < w; ++i)
-        EXPECT_NEAR(vh[i], vd[i], bound) << "w=" << w << " i=" << i;
-    }
-  }
-}
-
 // ---- width-specialized fast path vs runtime-width fallback ------------------
 
 template <typename T>
@@ -411,8 +388,8 @@ std::vector<std::complex<T>> run_with_params(vgpu::Device& dev, const Workload<T
 
 TEST(SpreadFastPath, EveryWidthMatchesFallback) {
   // The width-dispatched kernels must reproduce the runtime-w scalar path at
-  // every dispatchable width, for all three methods (direct exp/sqrt
-  // evaluation, so the per-tap values are identical up to FMA contraction).
+  // every dispatchable width, for all three methods (one Horner table, so the
+  // per-tap values are identical up to FMA contraction).
   for (int w = 2; w <= spread::kMaxWidth; ++w) {
     Workload<double> wl(2, 96, w, 1500, Dist::Rand, 40 + w);
     vgpu::Device dev(4);
@@ -450,21 +427,18 @@ TEST(SpreadFastPath, AllDimsMatchFallback) {
   }
 }
 
-TEST(SpreadFastPath, HornerFastPathWithinTolOfScalarDirect) {
-  // The full fast path (width dispatch + padded Horner table) must match the
-  // scalar direct-evaluation path to <= 1e-5 relative error — the accuracy
-  // contract of the kerevalmeth=1 pipeline at the benchmark tolerance.
+TEST(SpreadFastPath, FloatFastPathWithinTolOfScalar) {
+  // The full fast path (width dispatch + padded Horner rows) must match the
+  // scalar runtime-width path to <= 1e-5 relative error in single precision
+  // at the benchmark tolerance.
   Workload<float> wl(3, 36, 7, 4000, Dist::Rand, 71);  // w=7 <=> tol 1e-6
   vgpu::Device dev(4);
   auto kp_scalar = wl.kp;
   kp_scalar.fast = false;
-  auto kp_horner = wl.kp;
-  spread::HornerTable<float> horner(wl.kp);
-  horner.attach(kp_horner);
   for (auto m : {cf::core::Method::GMSort, cf::core::Method::SM}) {
     if (m == cf::core::Method::SM && !spread::sm_fits<float>(dev, wl.grid, wl.bins, 7))
       continue;
-    auto got = run_with_params<float>(dev, wl, kp_horner, m);
+    auto got = run_with_params<float>(dev, wl, wl.kp, m);
     auto want = run_with_params<float>(dev, wl, kp_scalar, m);
     EXPECT_LT(grid_rel_err(got, want), 1e-5) << "method=" << int(m);
   }

@@ -240,15 +240,6 @@ TEST(Type3, RepeatedExecuteAfterOneSetpts) {
   EXPECT_LT(cf::cpu::rel_l2_error<double>(f1, f2), 1e-13);
 }
 
-TEST(Type3, HornerKernelAgrees) {
-  T3Problem p(2, 700, 600, 2.5, 12.0, 15);
-  core::Options horner;
-  horner.kerevalmeth = 1;
-  const double e_direct = run_type3<double>(2, p, +1, 1e-8);
-  const double e_horner = run_type3<double>(2, p, +1, 1e-8, horner);
-  EXPECT_LT(e_horner, 10 * std::max(e_direct, 1e-9));
-}
-
 TEST(Type3, GmMethodAlsoWorks) {
   T3Problem p(2, 700, 600, 2.5, 12.0, 16);
   core::Options gm;
@@ -272,6 +263,22 @@ TEST(Type3, InvalidUseThrows) {
                std::invalid_argument);  // missing y
   std::vector<std::complex<double>> c(5), f(5);
   EXPECT_THROW(plan.execute(c.data(), f.data()), std::logic_error);  // no setpts
+}
+
+TEST(Type3, PointCountOf2To32IsRejected) {
+  // M or K >= 2^32 is rejected on the count alone, before any allocation or
+  // coordinate read (the arrays here hold 5 points).
+  cf::vgpu::Device dev(1);
+  core::Type3Plan<double> plan(dev, 1, +1, 1e-6);
+  std::vector<double> x(5, 0.0);
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW(plan.set_points(big, x.data(), nullptr, nullptr, 5, x.data(), nullptr,
+                               nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(plan.set_points(5, x.data(), nullptr, nullptr, big, x.data(), nullptr,
+                               nullptr),
+               std::invalid_argument);
+  EXPECT_EQ(plan.nsources(), 0u);
 }
 
 TEST(Type3, NonFiniteCoordinatesAreRejected) {
