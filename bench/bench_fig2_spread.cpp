@@ -2,8 +2,9 @@
 //
 // Execution time per nonuniform point vs fine-grid size, for "rand" and
 // "cluster" distributions, 2D and 3D, density rho = 1, eps = 1e-5 (w = 6),
-// single precision. "total" includes the bin-sort/subproblem precomputation;
-// "spread" excludes it. Annotations report speedup over the GM baseline.
+// single precision. "total" includes the bin-sort (and, for SM, tile-set and
+// tap-table) precomputation; "spread" excludes it. SM is the tile engine
+// streaming a tap table, as Plan runs it. Annotations report speedup over the GM baseline.
 //
 // Paper shape to reproduce:
 //   - rand, large grids: GM-sort beats GM (3.9x in 2D, 7.6x in 3D at the top)
@@ -15,7 +16,8 @@
 // runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
 // tracked configuration), both on the Horner kernel table; later
 // sections ablate batching, caching, sigma, the tile writeback (including the
-// M-TIP merge transform, `mtip_merge3d`) and worker count. An `fft` section times the FFT substrate alone on the workload grids.
+// M-TIP merge transform, `mtip_merge3d`, and small clamped grids,
+// `smallgrid`) and worker count. An `fft` section times the FFT substrate alone on the workload grids.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -58,7 +60,7 @@ std::string tile_dims(const core::Plan<T>& plan) {
 }
 
 struct Row {
-  double spread_gm, total_sort, spread_sort, total_sm, spread_sm;
+  double spread_gm, total_sort, spread_sort, sm_total, sm_spread;
 };
 
 Row run_case(vgpu::Device& dev, int dim, std::int64_t nf, Dist dist, int reps) {
@@ -103,20 +105,27 @@ Row run_case(vgpu::Device& dev, int dim, std::int64_t nf, Dist dist, int reps) {
   }, reps);
   r.total_sort = sort_time + r.spread_sort;
 
-  // SM: sort + subproblem setup precomputation + shared-memory spread.
+  // SM as Plan runs it (where the paper's bin fits shared memory, the rule
+  // plans resolve SM by): sort into the clamped halo-proportioned tiles,
+  // build the tile set and the tap table, then the tile-owned spread.
   if (spread::sm_fits<float>(dev, grid, bins, kp.w)) {
-    spread::SubprobSetup subs;
+    const auto tbins = spread::spread_bins(grid, {0, 0, 0}, true, kp.w);
+    spread::DeviceSort tsort;
+    spread::TileSet<float> tiles;
+    spread::TapTable<float> taps;
     const double setup_time = time_best([&] {
-      subs = spread::build_subproblems(dev, sort, 1024);
+      spread::bin_sort<float>(dev, grid, tbins, xg.data(), pts.yg, pts.zg, M, tsort);
+      spread::build_tile_set(dev, grid, tbins, kp.w, tsort, 1, tiles);
+      spread::build_tap_table(dev, dim, kp, pts, tsort.order.data(), taps);
     }, reps);
-    r.spread_sm = time_best([&] {
+    r.sm_spread = time_best([&] {
       zero();
-      spread::spread_sm<float>(dev, grid, bins, kp, pts, wl.c.data(), fw.data(), sort,
-                               subs, 1024);
+      spread::spread_tiled_batch<float>(dev, grid, tbins, kp, pts, wl.c.data(), fw.data(),
+                                        tsort, tiles, &taps, 1, 0, 0);
     }, reps);
-    r.total_sm = sort_time + setup_time + r.spread_sm;
+    r.sm_total = setup_time + r.sm_spread;
   } else {
-    r.spread_sm = r.total_sm = -1;
+    r.sm_spread = r.sm_total = -1;
   }
   return r;
 }
@@ -151,16 +160,16 @@ void run_sweep(vgpu::Device& dev, int dim, const std::vector<std::int64_t>& size
     t.add_row({std::to_string(nf), Table::fmt_sci(double(M), 1),
                bench::fmt_ns(r.spread_gm, M), bench::fmt_ns(r.spread_sort, M),
                bench::fmt_ns(r.total_sort, M),
-               r.spread_sm < 0 ? "n/a" : bench::fmt_ns(r.spread_sm, M),
-               r.total_sm < 0 ? "n/a" : bench::fmt_ns(r.total_sm, M),
+               r.sm_spread < 0 ? "n/a" : bench::fmt_ns(r.sm_spread, M),
+               r.sm_total < 0 ? "n/a" : bench::fmt_ns(r.sm_total, M),
                Table::fmt(r.spread_gm / r.spread_sort, 1) + "x",
-               r.spread_sm < 0 ? "n/a" : Table::fmt(r.spread_gm / r.spread_sm, 1) + "x"});
+               r.sm_spread < 0 ? "n/a" : Table::fmt(r.spread_gm / r.sm_spread, 1) + "x"});
     json_row(json, "fig2", dist, dim, nf, M, 1e-5, "GM", "fast", r.spread_gm, -1);
     json_row(json, "fig2", dist, dim, nf, M, 1e-5, "GM-sort", "fast", r.spread_sort,
              r.total_sort);
-    if (r.spread_sm >= 0)
-      json_row(json, "fig2", dist, dim, nf, M, 1e-5, "SM", "fast", r.spread_sm,
-               r.total_sm);
+    if (r.sm_spread >= 0)
+      json_row(json, "fig2", dist, dim, nf, M, 1e-5, "SM", "fast", r.sm_spread,
+               r.sm_total);
   }
   t.print();
 }
@@ -178,11 +187,12 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
   std::int64_t nf = 2;
   while (nf * nf * nf < static_cast<std::int64_t>(M)) ++nf;
   grid.nf = {nf, nf, nf};
-  const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(3));
+  const auto bins = spread::spread_bins(grid, {0, 0, 0}, true, w);
 
   std::printf("\n--- fast-path ablation: 3D SM spread, rand, M=%zu, tol=%g, fp32 ---\n",
               M, tol);
-  if (!spread::sm_fits<float>(dev, grid, bins, w)) {
+  if (!spread::sm_fits<float>(
+          dev, grid, spread::BinSpec::make(grid, spread::BinSpec::default_size(3)), w)) {
     std::printf("SM does not fit shared memory at w=%d; skipping.\n", w);
     return;
   }
@@ -198,13 +208,18 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
   vgpu::device_buffer<std::complex<float>> fw(dev, static_cast<std::size_t>(grid.total()));
   spread::DeviceSort sort;
   spread::bin_sort<float>(dev, grid, bins, xg.data(), yg.data(), zg.data(), M, sort);
-  auto subs = spread::build_subproblems(dev, sort, 1024);
+  spread::TileSet<float> tiles;
+  spread::build_tile_set(dev, grid, bins, w, sort, 1, tiles);
 
+  // The tap table is built by the same path (scalar or width-specialized)
+  // as the spread it feeds, as in a plan.
   auto run = [&](const spread::KernelParams<float>& kp) {
+    spread::TapTable<float> taps;
+    spread::build_tap_table(dev, 3, kp, pts, sort.order.data(), taps);
     return time_best([&] {
       vgpu::fill(dev, fw.span(), std::complex<float>(0, 0));
-      spread::spread_sm<float>(dev, grid, bins, kp, pts, wl.c.data(), fw.data(), sort,
-                               subs, 1024);
+      spread::spread_tiled_batch<float>(dev, grid, bins, kp, pts, wl.c.data(), fw.data(),
+                                        sort, tiles, &taps, 1, 0, 0);
     }, reps);
   };
 
@@ -463,111 +478,82 @@ void run_workers(const Tracked3d& t3, std::size_t M, int reps,
   t.print();
 }
 
-/// Tiled-writeback ablation at the tracked configuration: 3D type-1 execute,
-/// rand, tol = 1e-6, fp32, SM and GM-sort, tile-owned atomic-free writeback
-/// (Options::tiled_spread, the default) against the atomic writeback
-/// baseline. Records per-execute global atomics (zero on the tiled path; the
-/// halo-add counter shows the plain adds that replaced them), the
-/// set_points/cache-build cost the tile ownership adds, and whether the tiled
-/// output is bitwise-identical across worker counts {1, 2}.
+/// Tiled-writeback rows at the tracked configuration: 3D type-1 execute,
+/// rand, tol = 1e-6, fp32, SM and GM-sort, both on the tile-owned atomic-free
+/// writeback every sorted type-1 spread runs. Records per-execute global
+/// atomics (zero; the halo-add counter shows the plain adds that replace
+/// them), the set_points/cache-build cost of the tile ownership, and whether
+/// the output is bitwise-identical across worker counts {1, 2}.
 void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& json) {
   const double tol = 1e-6;
   const auto& [N, ntot, wl] = t3;
   auto c = wl.c;  // execute takes a mutable strengths pointer
   std::vector<std::complex<float>> f(ntot);
 
-  std::printf("\n--- tiled-writeback ablation: 3D type-1 execute, rand, M=%zu, tol=%g, "
-              "fp32, tile-owned vs atomic writeback ---\n", M, tol);
-  Table t({"method", "writeback", "exec [s]", "spread [s]", "atomics/pt", "merge/pt",
-           "setpts [s]", "cache [s]", "spread spdup"});
+  std::printf("\n--- tiled writeback: 3D type-1 execute, rand, M=%zu, tol=%g, "
+              "fp32 ---\n", M, tol);
+  Table t({"method", "exec [s]", "spread [s]", "atomics/pt", "merge/pt", "setpts [s]",
+           "cache [s]"});
   for (core::Method method : {core::Method::SM, core::Method::GMSort}) {
-    double base_exec = 0, base_spread = 0;
-    for (int tiled : {0, 1}) {
-      vgpu::Device dev;
-      core::Options opts;
-      opts.method = method;
-      opts.tiled_spread = tiled;
-      double setpts_s, exec_s, spread_s;
-      int tiled_ran = 0;
-      std::uint64_t atomics = 0, merges = 0;
-      std::size_t tiles_active = 0;
-      try {
-        core::Plan<float> plan(dev, 1, N, +1, tol, opts);
-        Timer ts;
-        plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-        setpts_s = ts.seconds();
-        std::tie(exec_s, spread_s) =
-            time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
-        dev.counters.reset();
-        plan.execute(c.data(), f.data());
-        atomics = dev.counters.global_atomics.load();
-        merges = dev.counters.tile_merge_ops.load();
-        tiled_ran = plan.last_breakdown().tiled;
-        tiles_active = plan.last_breakdown().tiles_active;
-        if (!tiled) {
-          base_exec = exec_s;
-          base_spread = spread_s;
-        }
-        const auto& bd = plan.last_breakdown();
-        t.add_row({core::method_name(method), tiled ? "tiled" : "atomic",
-                   Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
-                   Table::fmt(double(atomics) / double(M), 1),
-                   Table::fmt(double(merges) / double(M), 1),
-                   Table::fmt(setpts_s, 3), Table::fmt(bd.cache_build, 3),
-                   Table::fmt(base_spread / spread_s, 2) + "x"});
-        // Determinism: the tiled pipeline must be bitwise-identical across
-        // worker counts (the atomic baseline is not — float atomics
-        // reassociate with scheduling). Compared at explicit worker counts
-        // 1 vs 2 so the check is meaningful regardless of the host's core
-        // count (the timing device above uses all cores).
-        bool bitwise = true;
-        if (tiled) {
-          std::vector<std::complex<float>> f1(ntot), f2(ntot);
-          for (auto [wks, fp] : {std::pair<std::size_t, std::complex<float>*>{1, f1.data()},
-                                 {2, f2.data()}}) {
-            vgpu::Device devw(wks);
-            core::Plan<float> planw(devw, 1, N, +1, tol, opts);
-            planw.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-            planw.execute(c.data(), fp);
-            // The claim is about the tile engine; a silent atomic fallback
-            // must not be recorded as a tiled-determinism result.
-            bitwise = bitwise && planw.last_breakdown().tiled == 1;
-          }
-          for (std::size_t i = 0; i < ntot && bitwise; ++i)
-            bitwise = f1[i] == f2[i];
-        }
-        auto& rec = json.add();
-        rec.field("bench", "tiled3d")
-            .field("dist", "rand")
-            .field("dim", 3)
-            .field("M", M)
-            .field("tol", tol)
-            .field("method", core::method_name(method))
-            .field("path", tiled ? "tiled" : "atomic")
-            .field("tiled_active", static_cast<std::int64_t>(tiled_ran))
-            .field("tile_dims", tile_dims(plan))
-            .field("tiles", tiles_active)
-            .field("exec_s", exec_s)
-            .field("spread_s", spread_s)
-            .field("setpts_s", setpts_s)
-            .field("cache_build_s", bd.cache_build)
-            .field("sort_s", bd.sort)
-            .field("pts_per_s", double(M) / exec_s)
-            .field("global_atomics", atomics)
-            .field("atomics_per_pt", double(atomics) / double(M))
-            .field("tile_merge_ops", merges)
-            .field("spread_speedup_vs_atomic", base_spread / spread_s)
-            .field("exec_speedup_vs_atomic", base_exec / exec_s);
-        if (tiled)
-          rec.field("tile_chunks", bd.tile_chunks)
-              .field("max_tile_points", bd.max_tile_points)
-              .field("chunk_steals", bd.chunk_steals)
-              .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
-      } catch (const std::invalid_argument& e) {
-        std::printf("%s unavailable (%s); skipping.\n", core::method_name(method),
-                    e.what());
-        break;
+    vgpu::Device dev;
+    core::Options opts;
+    opts.method = method;
+    try {
+      core::Plan<float> plan(dev, 1, N, +1, tol, opts);
+      Timer ts;
+      plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
+      const double setpts_s = ts.seconds();
+      const auto [exec_s, spread_s] =
+          time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
+      dev.counters.reset();
+      plan.execute(c.data(), f.data());
+      const std::uint64_t atomics = dev.counters.global_atomics.load();
+      const std::uint64_t merges = dev.counters.tile_merge_ops.load();
+      const auto bd = plan.last_breakdown();
+      t.add_row({core::method_name(method), Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
+                 Table::fmt(double(atomics) / double(M), 1),
+                 Table::fmt(double(merges) / double(M), 1), Table::fmt(setpts_s, 3),
+                 Table::fmt(bd.cache_build, 3)});
+      // Determinism: compared at explicit worker counts 1 vs 2 so the check
+      // is meaningful regardless of the host's core count (the timing device
+      // above uses all cores).
+      bool bitwise = true;
+      std::vector<std::complex<float>> f1(ntot), f2(ntot);
+      for (auto [wks, fp] : {std::pair<std::size_t, std::complex<float>*>{1, f1.data()},
+                             {2, f2.data()}}) {
+        vgpu::Device devw(wks);
+        core::Plan<float> planw(devw, 1, N, +1, tol, opts);
+        planw.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
+        planw.execute(c.data(), fp);
+        bitwise = bitwise && planw.last_breakdown().tiled == 1;
       }
+      bitwise = bitwise && f1 == f2;
+      json.add()
+          .field("bench", "tiled3d")
+          .field("dist", "rand")
+          .field("dim", 3)
+          .field("M", M)
+          .field("tol", tol)
+          .field("method", core::method_name(method))
+          .field("path", "tiled")
+          .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
+          .field("tile_dims", tile_dims(plan))
+          .field("tiles", bd.tiles_active)
+          .field("exec_s", exec_s)
+          .field("spread_s", spread_s)
+          .field("setpts_s", setpts_s)
+          .field("cache_build_s", bd.cache_build)
+          .field("sort_s", bd.sort)
+          .field("pts_per_s", double(M) / exec_s)
+          .field("global_atomics", atomics)
+          .field("atomics_per_pt", double(atomics) / double(M))
+          .field("tile_merge_ops", merges)
+          .field("tile_chunks", bd.tile_chunks)
+          .field("max_tile_points", bd.max_tile_points)
+          .field("chunk_steals", bd.chunk_steals)
+          .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
+    } catch (const std::invalid_argument& e) {
+      std::printf("%s unavailable (%s); skipping.\n", core::method_name(method), e.what());
     }
   }
   t.print();
@@ -577,8 +563,8 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
 /// — 3D type 1 at fp64 tol 1e-12, N = 81, on 40 Ewald slices of 32^2
 /// detector pixels (default GM-sort, w = 13) — with the colour-scheduled
 /// tile writeback on its default halo-proportioned 16^3 tiles and pinned to
-/// the paper's 16x16x2 bins, against the atomic writeback (tiled_spread = 0,
-/// paper bins). Rows record the bin dims, the execute, spread and FFT times
+/// the paper's 16x16x2 bins. Rows record the bin dims, the execute, spread
+/// and FFT times
 /// (median and range over the reps), global atomics and halo adds per point,
 /// the tile scratch bytes, the colour classes, and whether the tiled output
 /// is bitwise-identical across worker counts {1, 2}.
@@ -594,23 +580,18 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
   for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
 
   std::printf("\n--- M-TIP merge ablation: 3D type-1 execute, 40 Ewald slices x 32^2 "
-              "(M=%zu), N=81, tol=%g, fp64, colour-scheduled tiles vs atomic ---\n",
+              "(M=%zu), N=81, tol=%g, fp64, colour-scheduled tiles ---\n",
               M, tol);
   Table t({"writeback", "bins", "exec [s]", "spread [s]", "fft [s]", "atomics/pt",
-           "halo adds/pt", "arena [MB]", "colours", "spread spdup"});
+           "halo adds/pt", "arena [MB]", "colours"});
   struct Cfg {
     const char* path;
-    int tiled;
     std::array<int, 3> binsize;
   };
-  double base_exec = 0, base_spread = 0;
-  for (const Cfg& cfg : {Cfg{"atomic", 0, {0, 0, 0}}, Cfg{"tiled-paper-bins", 1, {16, 16, 2}},
-                         Cfg{"tiled", 1, {0, 0, 0}}}) {
-    const int tiled = cfg.tiled;
+  for (const Cfg& cfg : {Cfg{"tiled-paper-bins", {16, 16, 2}}, Cfg{"tiled", {0, 0, 0}}}) {
     vgpu::Device dev;
     core::Options opts;
     opts.method = core::Method::GMSort;  // what Auto resolves to here (Rmk. 2)
-    opts.tiled_spread = tiled;
     opts.binsize = cfg.binsize;
     core::Plan<double> plan(dev, 1, N, +1, tol, opts);
     Timer ts;
@@ -635,29 +616,22 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
     const auto bd = plan.last_breakdown();
     const std::uint64_t atomics = dev.counters.global_atomics.load();
     const std::uint64_t merges = dev.counters.tile_merge_ops.load();
-    if (!tiled) {
-      base_exec = exec_s;
-      base_spread = spread_s;
-    }
     bool bitwise = true;
-    if (tiled) {
-      std::vector<std::complex<double>> f1(ntot), f2(ntot);
-      for (auto [wks, fp] : {std::pair<std::size_t, std::complex<double>*>{1, f1.data()},
-                             {2, f2.data()}}) {
-        vgpu::Device devw(wks);
-        core::Plan<double> planw(devw, 1, N, +1, tol, opts);
-        planw.set_points(M, x.data(), y.data(), z.data());
-        planw.execute(c.data(), fp);
-        bitwise = bitwise && planw.last_breakdown().tiled == 1;
-      }
-      bitwise = bitwise && f1 == f2;
+    std::vector<std::complex<double>> f1(ntot), f2(ntot);
+    for (auto [wks, fp] : {std::pair<std::size_t, std::complex<double>*>{1, f1.data()},
+                           {2, f2.data()}}) {
+      vgpu::Device devw(wks);
+      core::Plan<double> planw(devw, 1, N, +1, tol, opts);
+      planw.set_points(M, x.data(), y.data(), z.data());
+      planw.execute(c.data(), fp);
+      bitwise = bitwise && planw.last_breakdown().tiled == 1;
     }
+    bitwise = bitwise && f1 == f2;
     t.add_row({cfg.path, tile_dims(plan), Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
                Table::fmt(ff[ff.size() / 2], 3), Table::fmt(double(atomics) / double(M), 1),
                Table::fmt(double(merges) / double(M), 1),
                Table::fmt(double(bd.arena_bytes) / 1e6, 2),
-               std::to_string(bd.tile_colors),
-               Table::fmt(base_spread / spread_s, 2) + "x"});
+               std::to_string(bd.tile_colors)});
     auto& rec = json.add();
     rec.field("bench", "mtip_merge3d")
         .field("dim", 3)
@@ -685,9 +659,7 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
         .field("global_atomics", atomics)
         .field("atomics_per_pt", double(atomics) / double(M))
         .field("tile_merge_ops", merges)
-        .field("spread_speedup_vs_atomic", base_spread / spread_s)
-        .field("exec_speedup_vs_atomic", base_exec / exec_s);
-    if (tiled) rec.field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
+        .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
   }
   t.print();
 }
@@ -695,12 +667,10 @@ void run_mtip_merge(int reps, bench::JsonReport& json) {
 /// Chunked-scheduler ablation on a clustered distribution: the tracked 3D
 /// configuration with every point in a handful of Gaussian clumps, so a few
 /// tiles own nearly all points and an unsplit per-tile schedule serializes
-/// behind them. Tiled SM and GM-sort run with the chunk split disabled
-/// (tile_chunk_cap = -1, the one-item-per-tile schedule), the auto cap, and
-/// an explicit small cap; rows record the (tile, chunk) work-item count, the
-/// heaviest tile, the items stolen at 2 workers, and the spread speedup over
-/// the unsplit schedule. The determinism contract is re-checked per cap: at
-/// a fixed cap the output must stay bitwise-identical across worker counts.
+/// behind them. Tiled SM and GM-sort run at the fixed chunk cap
+/// (spread::kTileChunkCap); rows record the (tile, chunk) work-item count,
+/// the heaviest tile and the items stolen at 2 workers, and re-check that
+/// the output stays bitwise-identical across worker counts.
 void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
                        bench::JsonReport& json) {
   const double tol = 1e-6;
@@ -715,20 +685,13 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
 
   std::printf("\n--- chunked-scheduler ablation: 3D type-1 execute, cluster (4 gaussian "
               "clumps), M=%zu, tol=%g, fp32, tiled writeback ---\n", M, tol);
-  Table t({"method", "chunk cap", "exec [s]", "spread [s]", "chunks", "tiles",
-           "max tile pts", "steals@2w", "spread spdup"});
-  struct CapCfg {
-    const char* name;
-    int cap;
-  };
+  Table t({"method", "exec [s]", "spread [s]", "chunks", "tiles", "max tile pts",
+           "steals@2w"});
   for (core::Method method : {core::Method::SM, core::Method::GMSort}) {
-    double base_exec = 0, base_spread = 0;
-    for (const CapCfg& cc :
-         {CapCfg{"nochunk", -1}, CapCfg{"auto", 0}, CapCfg{"cap2048", 2048}}) {
+    {
       vgpu::Device dev;
       core::Options opts;
       opts.method = method;
-      opts.tile_chunk_cap = cc.cap;
       try {
         core::Plan<float> plan(dev, 1, N, +1, tol, opts);
         plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
@@ -738,10 +701,6 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
         plan.execute(c.data(), f.data());
         const std::uint64_t merges = dev.counters.tile_merge_ops.load();
         const auto bd = plan.last_breakdown();
-        if (cc.cap < 0) {
-          base_exec = exec_s;
-          base_spread = spread_s;
-        }
         // Re-run at explicit worker counts 1 and 2: the 2-worker run is where
         // stealing can actually happen (the timing device above uses every
         // host core, which may be one), and the pair doubles as the per-cap
@@ -760,10 +719,10 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
           if (wks == 2) steals2 = planw.last_breakdown().chunk_steals;
         }
         for (std::size_t i = 0; i < ntot && bitwise; ++i) bitwise = f1[i] == f2[i];
-        t.add_row({core::method_name(method), cc.name, Table::fmt(exec_s, 3),
+        t.add_row({core::method_name(method), Table::fmt(exec_s, 3),
                    Table::fmt(spread_s, 3), std::to_string(bd.tile_chunks),
                    std::to_string(bd.tiles_active), std::to_string(bd.max_tile_points),
-                   std::to_string(steals2), Table::fmt(base_spread / spread_s, 2) + "x"});
+                   std::to_string(steals2)});
         json.add()
             .field("bench", "tiled3d")
             .field("dist", "cluster")
@@ -771,8 +730,8 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
             .field("M", M)
             .field("tol", tol)
             .field("method", core::method_name(method))
-            .field("path", std::string("tiled-") + cc.name)
-            .field("chunk_cap", cc.cap)
+            .field("path", "tiled")
+            .field("chunk_cap", static_cast<std::int64_t>(spread::kTileChunkCap))
             .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
             .field("tile_dims", tile_dims(plan))
             .field("tiles", bd.tiles_active)
@@ -783,16 +742,92 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
             .field("exec_s", exec_s)
             .field("spread_s", spread_s)
             .field("pts_per_s", double(M) / exec_s)
-            .field("spread_speedup_vs_nochunk", base_spread / spread_s)
-            .field("exec_speedup_vs_nochunk", base_exec / exec_s)
             .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
       } catch (const std::invalid_argument& e) {
         std::printf("%s unavailable (%s); skipping.\n", core::method_name(method),
                     e.what());
-        break;
       }
     }
   }
+  t.print();
+}
+
+/// Small-grid rows: type-1 executes on grids where the tiles clamp to the
+/// fine grid (1D N in {8..64}, 2D N <= 16, 3D N <= 12), SM and GM-sort, fp32
+/// at tol 1e-5 and fp64 at tol 1e-9, on 1 and 4 workers, M = 1000 uniform
+/// points. Each rep times a burst of executes (these take microseconds);
+/// rows carry the per-execute median and range over the reps and confirm the
+/// spread ran tiled.
+template <typename T>
+void smallgrid_rows(int reps, bench::JsonReport& json, Table& t) {
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  const std::size_t M = 1000;
+  const int burst = 20;
+  const std::vector<std::vector<std::int64_t>> shapes = {
+      {8}, {16}, {32}, {64}, {8, 8}, {16, 16}, {8, 8, 8}, {12, 12, 12}};
+  for (const auto& N : shapes) {
+    const int dim = static_cast<int>(N.size());
+    std::int64_t ntot = 1;
+    for (auto n : N) ntot *= n;
+    Rng rng(29 + ntot);
+    std::vector<T> x(M), y(dim >= 2 ? M : 0), z(dim >= 3 ? M : 0);
+    std::vector<std::complex<T>> c(M), f(static_cast<std::size_t>(ntot));
+    for (auto& v : x) v = static_cast<T>(rng.angle());
+    for (auto& v : y) v = static_cast<T>(rng.angle());
+    for (auto& v : z) v = static_cast<T>(rng.angle());
+    for (auto& v : c) v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+    std::string shape;
+    for (int d = 0; d < dim; ++d) shape += (d ? "x" : "") + std::to_string(N[d]);
+    for (core::Method method : {core::Method::SM, core::Method::GMSort})
+      for (std::size_t workers : {1, 4}) {
+        vgpu::Device dev(workers);
+        core::Options opts;
+        opts.method = method;
+        try {
+          core::Plan<T> plan(dev, 1, N, +1, tol, opts);
+          plan.set_points(M, x.data(), dim >= 2 ? y.data() : nullptr,
+                          dim >= 3 ? z.data() : nullptr);
+          plan.execute(c.data(), f.data());  // warm-up
+          std::vector<double> ex;
+          for (int r = 0; r < std::max(5, reps); ++r) {
+            Timer te;
+            for (int k = 0; k < burst; ++k) plan.execute(c.data(), f.data());
+            ex.push_back(te.seconds() / burst);
+          }
+          std::sort(ex.begin(), ex.end());
+          const auto bd = plan.last_breakdown();
+          t.add_row({shape, std::is_same_v<T, double> ? "fp64" : "fp32",
+                     core::method_name(method), std::to_string(workers),
+                     tile_dims(plan), std::to_string(bd.tiled),
+                     Table::fmt(ex[ex.size() / 2] * 1e6, 1)});
+          json.add()
+              .field("bench", "smallgrid")
+              .field("dim", dim)
+              .field("N", shape)
+              .field("nf", static_cast<std::int64_t>(plan.fine_grid().nf[0]))
+              .field("M", M)
+              .field("tol", tol)
+              .field("precision", std::is_same_v<T, double> ? "fp64" : "fp32")
+              .field("method", core::method_name(method))
+              .field("workers", static_cast<std::int64_t>(workers))
+              .field("tiled_active", static_cast<std::int64_t>(bd.tiled))
+              .field("tile_dims", tile_dims(plan))
+              .field("reps", static_cast<std::int64_t>(ex.size()))
+              .field("exec_s", ex[ex.size() / 2])
+              .field("exec_min_s", ex.front())
+              .field("exec_max_s", ex.back());
+        } catch (const std::invalid_argument&) {
+          // SM beyond shared memory (3D fp64, paper Rmk. 2): no row.
+        }
+      }
+  }
+}
+
+void run_smallgrid(int reps, bench::JsonReport& json) {
+  std::printf("\n--- small grids: type-1 execute on clamped tiles, M=1000 ---\n");
+  Table t({"N", "prec", "method", "workers", "tiles", "tiled", "exec [us]"});
+  smallgrid_rows<float>(reps, json, t);
+  smallgrid_rows<double>(reps, json, t);
   t.print();
 }
 
@@ -942,14 +977,15 @@ int main(int argc, char** argv) {
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);
   run_mtip_merge(reps, json);
+  run_smallgrid(reps, json);
   run_fft(reps, json);
   run_workers(tracked, mfast, reps, json);
 
   if (json.write(json_path))
     std::printf("\nWrote machine-readable results to %s\n", json_path.c_str());
 
-  std::printf("\nCounters note: rerun with a profiler or see bench_ablation_binsize for\n"
-              "global-atomic counts; SM's reduction in global atomics is tested in\n"
-              "tests/test_spread.cpp (CountersShowSmUsesFewerGlobalAtomics).\n");
+  std::printf("\nCounters note: the tiled3d and mtip_merge3d rows carry global-atomic\n"
+              "counts; SM's zero global atomics is tested in tests/test_spread.cpp\n"
+              "(CountersShowSmUsesNoGlobalAtomics).\n");
   return 0;
 }

@@ -27,8 +27,6 @@ Options to_options(const cfs_opts* opts) {
     case CFS_METHOD_SM: o.method = Method::SM; break;
     default: o.method = Method::Auto; break;
   }
-  if (opts->gpu_maxsubprobsize > 0)
-    o.msub = static_cast<std::uint32_t>(opts->gpu_maxsubprobsize);
   if (opts->gpu_binsizex > 0)
     o.binsize = {opts->gpu_binsizex, opts->gpu_binsizey > 0 ? opts->gpu_binsizey : 1,
                  opts->gpu_binsizez > 0 ? opts->gpu_binsizez : 1};
@@ -36,8 +34,6 @@ Options to_options(const cfs_opts* opts) {
   o.modeord = opts->modeord == 1 ? 1 : 0;
   o.point_cache =
       opts->gpu_point_cache == -1 ? 0 : opts->gpu_point_cache == 2 ? 2 : 1;
-  o.tiled_spread = opts->gpu_tiled_spread == -1 ? 0 : 1;
-  o.tile_chunk_cap = opts->gpu_tile_chunk_cap;  /* same encoding both sides */
   if (opts->upsampfac > 0) o.upsampfac = opts->upsampfac;
   return o;
 }
@@ -122,13 +118,10 @@ extern "C" {
 void cfs_default_opts(cfs_opts* opts) {
   if (!opts) return;
   opts->gpu_method = CFS_METHOD_AUTO;
-  opts->gpu_maxsubprobsize = 0;
   opts->gpu_binsizex = opts->gpu_binsizey = opts->gpu_binsizez = 0;
   opts->ntransf = 0;
   opts->modeord = 0;
   opts->gpu_point_cache = 0;
-  opts->gpu_tiled_spread = 0;
-  opts->gpu_tile_chunk_cap = 0;
   opts->upsampfac = 0.0; /* default sigma = 2 */
 }
 

@@ -36,17 +36,19 @@ enum {
   CFS_METHOD_AUTO = 0,
   CFS_METHOD_GM = 1,      /* input-driven, unsorted (baseline) */
   CFS_METHOD_GMSORT = 2,  /* bin-sorted global-memory */
-  CFS_METHOD_SM = 3       /* shared-memory subproblems (type 1 only) */
+  CFS_METHOD_SM = 3       /* load-balanced blocked spread with a cached tap
+                             table (type 1 only) */
 };
 
 /* Tunable options; zero-initialize then override (cufinufft_default_opts).
  * The width-specialized kernels, the Horner-table kernel evaluation
- * (cufinufft's Horner option; there is no exp/sqrt path) and the
- * interior-first no-wrap partition of the atomic spread and interp always
- * run; they are not options. */
+ * (cufinufft's Horner option; there is no exp/sqrt path), the interior-first
+ * no-wrap partition of the atomic spread and interp, and the tile-owned
+ * atomic-free writeback of every SM and GM-sort type-1 spread (with its fixed
+ * chunk cap) always run; they are not options. SM and GM-sort type-1 output
+ * is bitwise-identical at any worker count; GM's atomic spread is not. */
 typedef struct {
   int gpu_method;        /* CFS_METHOD_* */
-  int gpu_maxsubprobsize; /* Msub; 0 = 1024 */
   int gpu_binsizex, gpu_binsizey, gpu_binsizez; /* 0 = paper defaults */
   int ntransf;            /* stacked vectors per execute; 0 = 1 */
   int modeord;            /* 0 = CMCL (-N/2..N/2-1), 1 = FFT-style */
@@ -54,13 +56,6 @@ typedef struct {
                              setpts), 2 = also cache taps for the tiled
                              GM-sort spread (throughput mode; the service
                              layer's plans use it), -1 = rebuild per execute */
-  int gpu_tiled_spread;   /* 0 = default (tile-owned atomic-free spread
-                             writeback with deterministic halo merge),
-                             -1 = atomic writeback */
-  int gpu_tile_chunk_cap; /* tiled-spread chunk cap (points per work item):
-                             0 = auto (points-per-worker heuristic; the
-                             CF_TILE_CHUNK env var overrides the auto value),
-                             > 0 = explicit cap, -1 = never split a tile */
   double upsampfac;       /* fine-grid sigma: 0 = default (2.0); 1.25 = the
                              low-upsampling mode (~2x 3D fine-grid volume
                              instead of 8x, wider kernel). Other values are

@@ -75,13 +75,11 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
           "(paper Rmk. 2); use GM-sort");
   }
   need_sort_ = (method_ == Method::GMSort || method_ == Method::SM);
-  // A type-1 spread on the tile engine keeps its scratch in global memory,
-  // not the shared memory the paper's bins are sized for, so it takes
-  // halo-proportioned tiles unless the caller chose bins. The method above
-  // (and the atomic fallback, which the tile gate alone triggers) stays on
-  // the paper bins.
-  bins_ = spread::spread_bins(grid_, opts_.binsize,
-                              opts_.tiled_spread && type_ == 1 && need_sort_, kp_.w);
+  // Every sorted type-1 spread runs on the tile engine, whose scratch lives
+  // in global memory, not the shared memory the paper's bins are sized for:
+  // it takes halo-proportioned tiles unless the caller chose bins, clamped
+  // to the fine grid (spread_bins). The method above stays on the paper bins.
+  bins_ = spread::spread_bins(grid_, opts_.binsize, on_tile_engine(), kp_.w);
 
   // One fine-grid plane per stacked vector, so a batched execute spreads,
   // transforms, and deconvolves the whole ntransf stack without reusing (and
@@ -129,7 +127,6 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait
   M_ = 0;  // no usable points until the new ones pass the finiteness check
   cache_.invalidate();  // previous points' caches are stale from here on
-  subs_ = spread::SubprobSetup{};  // ...as is the subproblem decomposition
   Timer t;
   xg_ = vgpu::device_buffer<T>(*dev_, M);
   if (grid_.dim >= 2) yg_ = vgpu::device_buffer<T>(*dev_, M);
@@ -158,23 +155,15 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   // Plan-resident PointCache: everything that depends on the points but not
   // the strengths is paid here, once, and amortized over repeated executes.
   // point_cache gates only the SM tap table (its 0 setting is the
-  // per-execute-rebuild ablation baseline); tiled_spread gates the
-  // tile-ownership set of the atomic-free writeback.
+  // per-execute-rebuild ablation baseline).
   Timer tc;
   if (M_ > 0) {
     spread::NuPoints<T> pts{xg_.data(), dim >= 2 ? yg_.data() : nullptr,
                             dim >= 3 ? zg_.data() : nullptr, M_};
     const std::uint32_t* order = need_sort_ ? sort_.order.data() : nullptr;
-    if (opts_.tiled_spread && type_ == 1 &&
-        (method_ == Method::SM || method_ == Method::GMSort)) {
-      // Chunk cap: explicit option wins; at the 0 (auto) setting the
-      // CF_TILE_CHUNK env var can force a cap (CI runs the suite with
-      // CF_TILE_CHUNK=1 to exercise maximal splitting everywhere).
-      int chunk_cap = opts_.tile_chunk_cap;
-      if (chunk_cap == 0) chunk_cap = spread::env_tile_chunk_cap();
+    if (on_tile_engine())
       spread::build_tile_set(*dev_, grid_, bins_, kp_.w, sort_,
-                             std::max(1, opts_.ntransf), cache_.tiles, chunk_cap);
-    }
+                             std::max(1, opts_.ntransf), cache_.tiles);
     // SM always consumes a tap table, so point_cache >= 1 persists it. The
     // tiled GM-sort engine can stream the same table instead of evaluating
     // taps inline (bitwise-identical either way — see spread_tiled.cpp);
@@ -182,20 +171,15 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
     // (the service layer's batched plans), closing the per-execute
     // evaluation cost that batching otherwise only amortizes per chunk.
     if ((opts_.point_cache && method_ == Method::SM) ||
-        (opts_.point_cache > 1 && method_ == Method::GMSort && type_ == 1 &&
-         cache_.tiles.usable)) {
+        (opts_.point_cache > 1 && method_ == Method::GMSort && type_ == 1)) {
       spread::build_tap_table(*dev_, grid_.dim, kp_, pts, order, cache_.taps);
       ++tap_builds_;
     }
-    // The partition only feeds the atomic GM/GM-sort kernels and interp;
-    // when the tile engine will serve the (type-1) spread it would be dead
-    // work, so skip it — interior_points then reads 0 for such plans. The
-    // SM subproblem decomposition is gated the same way: the tile engine
-    // works per bin, so subproblems only matter on the atomic fallback.
-    if (method_ != Method::SM && !cache_.tiles.usable)
+    // The partition only feeds the atomic GM spread and interp; the tile
+    // engine would not read it, so tiled plans skip it — interior_points
+    // then reads 0 for them.
+    if (!on_tile_engine())
       spread::classify_interior(*dev_, grid_, kp_, pts, order, cache_.interior);
-    if (method_ == Method::SM && !cache_.tiles.usable)
-      subs_ = spread::build_subproblems(*dev_, sort_, opts_.msub);
     // Valid only when something was actually built — cache_hits must mean
     // "an execute consumed plan-resident data".
     cache_.valid =
@@ -208,9 +192,9 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   bd_.boundary_points = cache_.interior.n_boundary;
   bd_.tiles_active = cache_.tiles.n_active;
   bd_.tile_colors = cache_.tiles.n_colors;
-  bd_.arena_bytes = cache_.tiles.usable ? cache_.tiles.arena_bytes : 0;
-  bd_.tile_chunks = cache_.tiles.usable ? cache_.tiles.n_chunks : 0;
-  bd_.max_tile_points = cache_.tiles.usable ? cache_.tiles.max_tile_points : 0;
+  bd_.arena_bytes = cache_.tiles.arena_bytes;
+  bd_.tile_chunks = cache_.tiles.n_chunks;
+  bd_.max_tile_points = cache_.tiles.max_tile_points;
 }
 
 template <typename T>
@@ -222,8 +206,9 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
   bd.tiled = 0;
   switch (method_) {
     case Method::GM: {
-      // GM stays on the atomic path by definition (the unsorted baseline);
-      // it still benefits from the interior-first partition.
+      // GM stays on the atomic path by definition (the unsorted baseline and
+      // the determinism contract's one exception); it still benefits from
+      // the interior-first partition.
       std::size_t nowrap = 0;
       const std::uint32_t* order = iter_order(nowrap);
       pts.n_nowrap = nowrap;
@@ -232,43 +217,24 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
       break;
     }
     case Method::GMSort:
-      if (cache_.tiles.usable) {
-        // Tile-owned writeback; taps evaluated inline (same values as the
-        // table, see spread_tiled.cpp) so GM-sort keeps its memory profile,
-        // unless point_cache = 2 persisted the table in set_points.
-        bd.chunk_steals = spread::spread_tiled_batch<T>(
-            *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles,
-            cache_.taps.empty() ? nullptr : &cache_.taps, B, M_, fwstride);
-        bd.tiled = 1;
-      } else {
-        std::size_t nowrap = 0;
-        const std::uint32_t* order = iter_order(nowrap);
-        pts.n_nowrap = nowrap;
-        spread::spread_gm_batch<T>(*dev_, grid_, kp_, pts, c, fw_.data(), order, B, M_,
-                                   fwstride);
-      }
-      break;
     case Method::SM: {
-      // SM always consumes a tap table; the per-execute rebuild is the
-      // Options::point_cache == 0 ablation baseline (the pre-cache
-      // pipeline's cost model), bitwise-identical to the cached table.
+      // Tile-owned writeback. SM streams the tap table; GM-sort evaluates
+      // taps inline (same values, see spread_tiled.cpp), keeping its memory
+      // profile, unless point_cache = 2 persisted the table in set_points.
+      // SM's per-execute table rebuild is the Options::point_cache == 0
+      // ablation baseline, bitwise-identical to the cached table.
       spread::TapTable<T> transient;
-      const spread::TapTable<T>* taps = &cache_.taps;
-      if (cache_.taps.empty()) {
+      const spread::TapTable<T>* taps = cache_.taps.empty() ? nullptr : &cache_.taps;
+      if (method_ == Method::SM && !taps) {
         spread::build_tap_table(*dev_, grid_.dim, kp_, pts, sort_.order.data(),
                                 transient);
         ++tap_builds_;
         taps = &transient;
       }
-      if (cache_.tiles.usable) {
-        bd.chunk_steals = spread::spread_tiled_batch<T>(
-            *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles, taps, B,
-            M_, fwstride);
-        bd.tiled = 1;
-      } else {
-        spread::spread_sm_batch<T>(*dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_,
-                                   subs_, opts_.msub, *taps, B, M_, fwstride);
-      }
+      bd.chunk_steals = spread::spread_tiled_batch<T>(*dev_, grid_, bins_, kp_, pts, c,
+                                                      fw_.data(), sort_, cache_.tiles,
+                                                      taps, B, M_, fwstride);
+      bd.tiled = 1;
       break;
     }
     default:
@@ -322,6 +288,13 @@ template <typename T>
 Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
   std::lock_guard lk(mu_);  // shared plans serialize; each caller snapshots
   if (B <= 0) B = std::max(1, opts_.ntransf);
+  // The B-plane fine-grid stack (which bounds the B-plane mode stack) must
+  // be addressable before anything is sized or indexed by it.
+  const std::size_t fwstride = static_cast<std::size_t>(grid_.total());
+  std::size_t stack;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(B), fwstride, &stack) ||
+      stack > static_cast<std::size_t>(INT64_MAX))
+    throw std::invalid_argument("execute: B * fine-grid size overflows");
   if (M_ == 0) {
     // No points set: type 1 yields zero output; type 2 writes nothing.
     if (type_ == 1)
@@ -337,9 +310,7 @@ Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
   if (cache_.valid) cache_hits_.fetch_add(1, std::memory_order_relaxed);
   // A coalesced batch larger than the constructed ntransf grows the fine-grid
   // stack once; the batch-strided stages take B as a plain parameter.
-  const std::size_t fwstride = static_cast<std::size_t>(grid_.total());
-  if (static_cast<std::size_t>(B) * fwstride > fw_.size())
-    fw_ = vgpu::device_buffer<cplx>(*dev_, static_cast<std::size_t>(B) * fwstride);
+  if (stack > fw_.size()) fw_ = vgpu::device_buffer<cplx>(*dev_, stack);
   // One stage pipeline for every batch size: batch-strided spread/interp,
   // one batched FFT launch over the B planes, one deconvolve launch (type-2's
   // amplify is fused into the FFT's first-axis pass). B = 1 runs the same

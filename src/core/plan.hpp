@@ -19,15 +19,14 @@
 // bin-sort, the SM tap table, the interior-first iteration partition, and
 // the tile-ownership set of the atomic-free spread writeback — lives in a
 // plan-resident PointCache built by set_points and reused by every execute
-// (the paper's setpts amortization argument). With the default
-// Options::tiled_spread, type-1 SM and GM-sort spreading performs ZERO
-// global atomics and the whole execute is bitwise-deterministic at any
-// worker count. That holds only while the spread actually runs tiled
-// (Breakdown::tiled == 1): the GM method, and any fine grid too small for
-// the tile gate (some padded tile extent exceeds nf — e.g. 12x10x8 modes in
-// fp64 at tol 1e-5), fall back to the atomic writeback, whose output can
-// differ between executes on more than one worker. Type 2 (interp only) is
-// always deterministic.
+// (the paper's setpts amortization argument).
+//
+// Determinism contract: every sorted type-1 spread (SM and GM-sort) runs on
+// the tile engine, on every grid (Breakdown::tiled == 1): it performs ZERO
+// global atomics, and the whole execute is bitwise-identical at any worker
+// count. The one exception is the GM method, the unsorted atomic baseline,
+// whose output can differ between executes on more than one worker. Type 2
+// (interp only) is always deterministic.
 //
 // Usage:
 //   vgpu::Device dev;
@@ -56,9 +55,11 @@
 namespace cf::core {
 
 /// Spreading method selection (paper Sec. III-A). Auto picks SM for type 1
-/// when the padded bin fits shared memory (it does not for 3D double
+/// when the paper's padded bin fits shared memory (it does not for 3D double
 /// precision with default bins — paper Rmk. 2), else GM-sort; interpolation
-/// always uses GM-sort under Auto (paper Sec. III-B).
+/// always uses GM-sort under Auto (paper Sec. III-B). SM and GM-sort type 1
+/// both spread on the tile engine (SM streams a cached tap table, GM-sort
+/// evaluates taps inline; same bits); GM is the atomic, unsorted baseline.
 enum class Method { Auto, GM, GMSort, SM };
 
 const char* method_name(Method m);
@@ -66,16 +67,19 @@ const char* method_name(Method m);
 /// Tunable options; defaults are the paper's hand-tuned values. What won on
 /// every workload is not an option: execute always runs the width-specialized
 /// kernels, every tap comes from the kernel's Horner table (es_kernel.hpp),
-/// and the atomic GM/GM-sort spread and interp always run the interior-first
-/// (no-wrap) partition.
+/// every sorted type-1 spread runs on the tile engine with the fixed chunk
+/// cap spread::kTileChunkCap, and the atomic GM spread and interp always run
+/// the interior-first (no-wrap) partition.
 struct Options {
   Method method = Method::Auto;
-  std::uint32_t msub = 1024;            ///< max subproblem size (paper Rmk. 1)
   std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults: the paper's bins
-                                        ///< (32x32 / 16x16x2) for SM and the
-                                        ///< atomic paths, halo-proportioned
-                                        ///< tiles (BinSpec::tile_size) for a
-                                        ///< tiled spread; > 0 overrides both
+                                        ///< (32x32 / 16x16x2) for method
+                                        ///< resolution and interp,
+                                        ///< halo-proportioned tiles
+                                        ///< (BinSpec::tile_size) for a type-1
+                                        ///< spread; > 0 overrides both. Tiles
+                                        ///< are clamped to the fine grid
+                                        ///< (spread::spread_bins)
   double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 (paper) or 1.25
                                         ///< (low-upsampling: ~2x 3D volume
                                         ///< instead of 8x, wider kernel)
@@ -89,22 +93,6 @@ struct Options {
                            ///< service layer's batched plans run this mode.
                            ///< Bitwise-identical output in every mode.
                            ///< 0 = rebuild per execute (ablation baseline)
-  int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread writeback in
-                         ///< colour classes for SM and GM-sort type 1 (zero
-                         ///< global atomics; output bitwise-identical at any
-                         ///< worker count); 0 = atomic writeback (ablation
-                         ///< baseline). Falls back to atomics automatically
-                         ///< when the tile geometry gate fails.
-  int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item):
-                           ///< 0 = auto (points-per-worker heuristic; the
-                           ///< CF_TILE_CHUNK env var overrides the auto value),
-                           ///< > 0 = explicit cap, < 0 = never split (one
-                           ///< chunk per tile — PR-5's per-tile schedule).
-                           ///< The applied cap is a pure function of the
-                           ///< points, never of the worker count, so output
-                           ///< stays bitwise-identical at any worker count for
-                           ///< a FIXED cap (different caps re-associate the
-                           ///< per-tile sums and agree to rounding).
 };
 
 /// Stage timings (seconds) and PointCache statistics. execute() returns a
@@ -116,8 +104,8 @@ struct Options {
 /// re-set_points rebuilds exactly once.
 struct Breakdown {
   double sort = 0;        ///< bin-sort (in set_points)
-  double cache_build = 0; ///< PointCache build incl. tile set / subproblem
-                          ///< setup where needed (in set_points)
+  double cache_build = 0; ///< PointCache build incl. the tile set where
+                          ///< needed (in set_points)
   double spread = 0;      ///< type-1 step 1
   double fft = 0;         ///< step 2 (for type 2 includes the fused amplify)
   double deconvolve = 0;  ///< type-1 step 3 (type-2 amplify is fused into fft)
@@ -127,12 +115,13 @@ struct Breakdown {
   std::size_t interior_points = 0;  ///< no-wrap-classified points (last set_points)
   std::size_t boundary_points = 0;  ///< wrap-path points (last set_points)
   int tiled = 0;  ///< last execute's spread used the tile-owned writeback
+                  ///< (every sorted type-1 spread; 0 for GM and type 2)
   std::size_t tiles_active = 0;  ///< tiles holding points (last set_points)
   std::size_t tile_colors = 0;   ///< tile colour classes the tiled spread
                                  ///< writes back in order (last set_points)
   std::size_t arena_bytes = 0;   ///< tiled-spread allocation: per-worker padded
                                  ///< scratch + split-chunk planes
-                                 ///< (last set_points; 0 on atomic fallback)
+                                 ///< (last set_points; 0 off the tile engine)
   std::size_t tile_chunks = 0;   ///< (tile, chunk) work items in the tiled
                                  ///< spread schedule (last set_points;
                                  ///< == tiles_active when nothing split)
@@ -186,7 +175,9 @@ class Plan {
   /// Runs the transform: type 1 reads c (length M) and writes f (modes);
   /// type 2 reads f and writes c. Both are device pointers. Callable
   /// repeatedly after one set_points (the paper's "exec" timing) — repeated
-  /// calls perform no point-dependent precomputation.
+  /// calls perform no point-dependent precomputation. A batch whose B-plane
+  /// fine-grid stack overflows std::int64_t throws std::invalid_argument
+  /// before anything is touched.
   ///
   /// With batch size B > 1, c holds B stacked strength vectors (length B*M)
   /// and f B stacked mode grids (length B*modes_total()); the whole stack
@@ -227,8 +218,9 @@ class Plan {
   vgpu::device_buffer<T> xg_, yg_, zg_;   ///< fold-rescaled coords
   std::size_t M_ = 0;
   spread::DeviceSort sort_;
-  spread::SubprobSetup subs_;
   bool need_sort_ = false;
+  /// The spread runs on the tile engine: every sorted type-1 plan.
+  bool on_tile_engine() const { return type_ == 1 && need_sort_; }
 
   spread::PointCache<T> cache_;  ///< built in set_points, reused by execute
   std::atomic<std::uint64_t> tap_builds_{0};  ///< plan-lifetime totals: atomic

@@ -95,11 +95,10 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     method_ = spread::sm_fits<T>(*dev_, grid_, bins_, w) ? Method::SM : Method::GMSort;
   if (method_ == Method::SM && !spread::sm_fits<T>(*dev_, grid_, bins_, w))
     throw std::invalid_argument("Type3Plan: SM padded bin exceeds shared memory");
-  // The source spread on the tile engine takes halo-proportioned tiles (see
-  // Plan); the target sort shares them, which only reorders the interp.
-  bins_ = spread::spread_bins(
-      grid_, opts_.binsize,
-      opts_.tiled_spread && (method_ == Method::SM || method_ == Method::GMSort), w);
+  // The sorted source spread runs on the tile engine and takes clamped
+  // halo-proportioned tiles (see Plan); the target sort shares them, which
+  // only reorders the interp.
+  bins_ = spread::spread_bins(grid_, opts_.binsize, method_ != Method::GM, w);
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < dim_; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));
@@ -199,34 +198,22 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
                            dim_ >= 3 ? zg_.data() : nullptr, M_};
   // Tile-ownership set for the atomic-free source spread (SM and GM-sort).
   src_tiles_ = spread::TileSet<T>{};
-  if (opts_.tiled_spread && (method_ == Method::SM || method_ == Method::GMSort))
+  if (method_ != Method::GM)
     spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1, src_tiles_);
-  subs_ = spread::SubprobSetup{};
-  if (method_ == Method::SM) {
-    // Subproblems only matter on the atomic fallback (the tile engine works
-    // per bin); the source tap table feeds both writebacks. Paid once here
-    // and reused by every execute (Options::point_cache = 0 keeps the
-    // per-execute-rebuild baseline, same contract as Plan).
-    if (!src_tiles_.usable)
-      subs_ = spread::build_subproblems(*dev_, src_sort_, opts_.msub);
-    src_taps_ = spread::TapTable<T>{};
-    if (opts_.point_cache)
-      spread::build_tap_table(*dev_, dim_, kp_, srcs, src_sort_.order.data(),
-                              src_taps_);
-  }
+  // SM's source tap table, paid once here and reused by every execute
+  // (Options::point_cache = 0 evaluates the taps inline instead).
+  src_taps_ = spread::TapTable<T>{};
+  if (method_ == Method::SM && opts_.point_cache)
+    spread::build_tap_table(*dev_, dim_, kp_, srcs, src_sort_.order.data(), src_taps_);
   spread::bin_sort(*dev_, grid_, bins_, sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                    dim_ >= 3 ? ug_.data() : nullptr, K, trg_sort_);
   // Interior-first partitions for the no-wrap fast path (sources feed the
-  // inner spread when the tile engine is unavailable; targets the interp).
-  // GM partitions USER order (the unsorted baseline must stay unsorted, as
-  // in Plan); GM-sort partitions the bin-sort order. When the tile engine
-  // will serve the spread the source partition would be dead work — skip it.
+  // GM method's atomic inner spread; targets the interp). GM partitions USER
+  // order: the unsorted baseline must stay unsorted, as in Plan.
   src_part_ = spread::InteriorPartition{};
   trg_part_ = spread::InteriorPartition{};
-  if (method_ != Method::SM && !src_tiles_.usable)
-    spread::classify_interior(
-        *dev_, grid_, kp_, srcs,
-        method_ == Method::GMSort ? src_sort_.order.data() : nullptr, src_part_);
+  if (method_ == Method::GM)
+    spread::classify_interior(*dev_, grid_, kp_, srcs, nullptr, src_part_);
   spread::NuPoints<T> trgs{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                            dim_ >= 3 ? ug_.data() : nullptr, K_};
   spread::classify_interior(*dev_, grid_, kp_, trgs, trg_sort_.order.data(), trg_part_);
@@ -244,28 +231,17 @@ void Type3Plan<T>::execute(cplx* c, cplx* f) {
   spread::NuPoints<T> pts{xg_.data(), dim_ >= 2 ? yg_.data() : nullptr,
                           dim_ >= 3 ? zg_.data() : nullptr, M_};
   vgpu::fill(*dev_, fw_.span(), cplx(0, 0));
-  if (src_tiles_.usable && (method_ == Method::SM || method_ == Method::GMSort)) {
+  if (method_ != Method::GM) {
     // Tile-owned atomic-free writeback; SM streams its cached taps, GM-sort
     // evaluates inline (bitwise-identical values either way).
     spread::spread_tiled_batch<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(),
                                   fw_.data(), src_sort_, src_tiles_,
                                   src_taps_.empty() ? nullptr : &src_taps_, 1, 0, 0);
-  } else if (method_ == Method::SM) {
-    if (src_taps_.empty())  // point_cache = 0: transient table per execute
-      spread::spread_sm<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(), fw_.data(),
-                           src_sort_, subs_, opts_.msub);
-    else
-      spread::spread_sm<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(), fw_.data(),
-                           src_sort_, subs_, opts_.msub, src_taps_);
   } else {
-    const std::uint32_t* order = method_ == Method::GMSort
-                                     ? src_sort_.order.data()
-                                     : nullptr;
-    if (!src_part_.empty()) {  // interior-first partition (no-wrap fast path)
-      order = src_part_.order.data();
-      pts.n_nowrap = src_part_.n_interior;
-    }
-    spread::spread_gm<T>(*dev_, grid_, kp_, pts, chat_.data(), fw_.data(), order);
+    // The GM baseline: atomic, user order, interior-first partition.
+    pts.n_nowrap = src_part_.n_interior;
+    spread::spread_gm<T>(*dev_, grid_, kp_, pts, chat_.data(), fw_.data(),
+                         src_part_.order.data());
   }
   fft_->exec(fw_.data(), iflag_);
 

@@ -91,14 +91,13 @@ class Type3Plan {
   vgpu::device_buffer<cplx> trg_phase_;     ///< e^{i iflag s_k.x_c}, per target
   vgpu::device_buffer<cplx> chat_;          ///< corrected strengths workspace
   spread::DeviceSort src_sort_, trg_sort_;
-  spread::SubprobSetup subs_;
   spread::TapTable<T> src_taps_;  ///< SM tap table, built once per set_points
   /// Interior-first partitions for the GM-sort no-wrap fast path: sources
   /// feed the inner type-1 spread, targets the final interpolation (the
   /// ROADMAP "wire NuPoints interior through type 3" follow-up).
   spread::InteriorPartition src_part_, trg_part_;
-  /// Tile-ownership set for the atomic-free source spread (same gates and
-  /// semantics as Plan's Options::tiled_spread).
+  /// Tile-ownership set for the atomic-free source spread (SM and GM-sort,
+  /// as in Plan).
   spread::TileSet<T> src_tiles_;
 };
 

@@ -39,7 +39,6 @@ bool fnv1a_finite(std::uint64_t& h, const T* v, std::size_t n) {
 core::Options options_from_key(const PlanKey& key, int max_batch) {
   core::Options o;
   o.method = static_cast<core::Method>(key.method);
-  if (key.msub > 0) o.msub = static_cast<std::uint32_t>(key.msub);
   o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
   o.ntransf = max_batch;  // batched executes up to the coalescing cap
   o.modeord = key.modeord;
@@ -49,8 +48,6 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   // execute. Output is bitwise-identical; an explicit 0 (the ablation
   // baseline) is honored.
   o.point_cache = key.point_cache ? 2 : 0;
-  o.tiled_spread = key.tiled_spread;
-  o.tile_chunk_cap = key.tile_chunk_cap;
   o.upsampfac = key.upsampfac;
   return o;
 }
@@ -80,14 +77,11 @@ PlanKey make_plan_key(int type, int dim, const std::int64_t* nmodes, int iflag,
   for (int d = 0; d < dim && d < 3; ++d) k.N[d] = nmodes[d];
   k.tol = tol;
   k.method = static_cast<std::int32_t>(opts.method);
-  k.msub = static_cast<std::int32_t>(opts.msub);
   k.binsize[0] = opts.binsize[0];
   k.binsize[1] = opts.binsize[1];
   k.binsize[2] = opts.binsize[2];
   k.modeord = opts.modeord;
   k.point_cache = opts.point_cache;
-  k.tiled_spread = opts.tiled_spread;
-  k.tile_chunk_cap = opts.tile_chunk_cap;
   // Unset (<= 0) folds to the default sigma so a zero-initialized options
   // struct lands on the same plan as an explicit 2.0.
   k.upsampfac = opts.upsampfac > 0 ? opts.upsampfac : 2.0;
@@ -112,12 +106,9 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   h = fnv1a(h, k.N, sizeof(k.N));
   h = fnv1a_value(h, k.tol);
   h = fnv1a_value(h, k.method);
-  h = fnv1a_value(h, k.msub);
   h = fnv1a(h, k.binsize, sizeof(k.binsize));
   h = fnv1a_value(h, k.modeord);
   h = fnv1a_value(h, k.point_cache);
-  h = fnv1a_value(h, k.tiled_spread);
-  h = fnv1a_value(h, k.tile_chunk_cap);
   h = fnv1a_value(h, k.upsampfac);
   return static_cast<std::size_t>(h);
 }

@@ -44,12 +44,9 @@ struct PlanKey {
   std::int64_t N[3] = {1, 1, 1};
   double tol = 1e-6;
   std::int32_t method = 0;  ///< core::Method as int
-  std::int32_t msub = 0;
   std::int32_t binsize[3] = {0, 0, 0};
   std::int32_t modeord = 0;
   std::int32_t point_cache = 1;
-  std::int32_t tiled_spread = 1;
-  std::int32_t tile_chunk_cap = 0;  ///< 0 = auto; caps change tile geometry & bits
   double upsampfac = 2.0;  ///< fine-grid sigma; changes width, grid, and bits,
                            ///< so two sigma values are two plans
 

@@ -12,15 +12,14 @@
 // and point-set fingerprinting reuses set_points (the expensive bin-sort /
 // tap-table / tile-set precomputation) across requests and batches.
 //
-// Determinism: when the spread runs tiled (ExecReport::breakdown.tiled == 1
-// for type 1; type 2 only interpolates) the batched execute is
-// bitwise-deterministic and treats every plane independently, so a response
-// is bitwise-identical whether it ran alone, in any batch composition, at
-// any position, and at any dispatch or device worker count. A spread that
-// falls back to atomics — the GM method, tiled_spread off, or a fine grid
-// too small for the tile gate (e.g. type 1 on 12x10x8 modes in fp64 at tol
-// 1e-5) — sums in a timing-dependent order on more than one device worker,
-// so its output can differ between executes.
+// Determinism: every SM and GM-sort type-1 spread runs tiled, on every grid
+// (ExecReport::breakdown.tiled == 1; type 2 only interpolates), so the
+// batched execute is bitwise-deterministic and treats every plane
+// independently: a response is bitwise-identical whether it ran alone, in
+// any batch composition, at any position, and at any dispatch or device
+// worker count. The one exception is the GM method's atomic spread, which
+// sums in a timing-dependent order on more than one device worker, so its
+// output can differ between executes.
 //
 // Threading: dispatch workers only gather/scatter and block in
 // Plan::execute; the actual kernels run on the device's worker pool, whose

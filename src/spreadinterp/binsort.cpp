@@ -83,31 +83,6 @@ void bin_sort(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, cons
   });
 }
 
-SubprobSetup build_subproblems(vgpu::Device& dev, const DeviceSort& sort,
-                               std::uint32_t msub) {
-  const std::size_t nbins = sort.bin_counts.size();
-  vgpu::device_buffer<std::uint32_t> nsub_per_bin(dev, nbins);
-  dev.launch_items(nbins, 256, [&](std::size_t i, vgpu::BlockCtx&) {
-    nsub_per_bin[i] = (sort.bin_counts[i] + msub - 1) / msub;
-  });
-  vgpu::device_buffer<std::uint32_t> sub_start(dev, nbins);
-  const std::uint64_t total = vgpu::exclusive_scan(dev, nsub_per_bin.span(), sub_start.span());
-
-  SubprobSetup out;
-  out.nsubprob = static_cast<std::uint32_t>(total);
-  out.subprob_bin = vgpu::device_buffer<std::uint32_t>(dev, total);
-  out.subprob_offset = vgpu::device_buffer<std::uint32_t>(dev, total);
-  dev.launch_items(nbins, 256, [&](std::size_t i, vgpu::BlockCtx&) {
-    const std::uint32_t base = sub_start[i];
-    const std::uint32_t n = nsub_per_bin[i];
-    for (std::uint32_t s = 0; s < n; ++s) {
-      out.subprob_bin[base + s] = static_cast<std::uint32_t>(i);
-      out.subprob_offset[base + s] = s * msub;
-    }
-  });
-  return out;
-}
-
 template void compute_bin_index<float>(vgpu::Device&, const GridSpec&, const BinSpec&,
                                        const float*, const float*, const float*,
                                        std::size_t, std::uint32_t*);

@@ -1,5 +1,4 @@
-// Device-side bin sorting of nonuniform points (paper Sec. III-A) and the
-// subproblem decomposition used by the SM spreading method.
+// Device-side bin sorting of nonuniform points (paper Sec. III-A).
 //
 // The sort is a counting sort in the deterministic chunked formulation
 // (per-chunk histograms -> per-bin serial combine -> exclusively owned chunk
@@ -26,14 +25,6 @@ struct DeviceSort {
   vgpu::device_buffer<std::uint32_t> order;       ///< permutation t (size M)
 };
 
-/// SM subproblem decomposition: bin i contributes ceil(counts[i]/msub)
-/// subproblems, each covering at most msub consecutive sorted points.
-struct SubprobSetup {
-  vgpu::device_buffer<std::uint32_t> subprob_bin;     ///< owning bin id
-  vgpu::device_buffer<std::uint32_t> subprob_offset;  ///< start offset inside the bin
-  std::uint32_t nsubprob = 0;
-};
-
 /// Computes each point's bin index from fine-grid coordinates xg/yg/zg
 /// (already fold-rescaled into [0, nf)); unused axes pass nullptr.
 template <typename T>
@@ -45,9 +36,5 @@ void compute_bin_index(vgpu::Device& dev, const GridSpec& grid, const BinSpec& b
 template <typename T>
 void bin_sort(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, const T* xg,
               const T* yg, const T* zg, std::size_t M, DeviceSort& out);
-
-/// Builds the SM subproblem list from bin counts (paper Fig. 1, Step 1).
-SubprobSetup build_subproblems(vgpu::Device& dev, const DeviceSort& sort,
-                               std::uint32_t msub);
 
 }  // namespace cf::spread

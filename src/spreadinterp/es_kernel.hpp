@@ -21,8 +21,7 @@
 //    taps* (degree-major coefficient layout padded to a multiple of 4), the
 //    shape that auto-vectorizes. The spreading kernels dispatch every width
 //    width_from_tol yields (w=2..24) to the fixed-width path; es_values runs
-//    only under KernelParams::fast = false (the tests' reference) and in the
-//    exact-fit SM scratch corner (sm_scratch_fits in spread_impl.hpp).
+//    only under KernelParams::fast = false (the tests' reference).
 #pragma once
 
 #include <algorithm>

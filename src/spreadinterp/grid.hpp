@@ -8,6 +8,7 @@
 #include <numbers>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "fft/fft.hpp"
 
@@ -22,27 +23,43 @@ struct GridSpec {
   std::int64_t total() const { return nf[0] * nf[1] * nf[2]; }
 };
 
+/// a * b, or std::invalid_argument naming `what` when the product overflows
+/// std::int64_t (operands are positive).
+inline std::int64_t checked_mul(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r;
+  if (__builtin_mul_overflow(a, b, &r))
+    throw std::invalid_argument(std::string(what) + " overflows int64");
+  return r;
+}
+
 /// The fine grid for `nmodes` at sigma = `upsampfac` and kernel width `w`:
 /// per axis the next 2,3,5-smooth size >= max(ceil(sigma * N), 2w). Checks
-/// dim and modes first, since every caller indexes GridSpec::nf by them.
+/// dim and modes first, since every caller indexes GridSpec::nf by them, and
+/// rejects a mode count or fine-grid cell count that overflows std::int64_t
+/// before anything sized by them is allocated.
 inline GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
   if (nmodes.empty() || nmodes.size() > 3) throw std::invalid_argument("dim must be 1..3");
-  for (auto n : nmodes)
+  std::int64_t modes = 1;
+  for (auto n : nmodes) {
     if (n < 1) throw std::invalid_argument("modes must be >= 1");
+    modes = checked_mul(modes, n, "mode product");
+  }
   GridSpec g;
   g.dim = static_cast<int>(nmodes.size());
+  std::int64_t cells = 1;
   for (int d = 0; d < g.dim; ++d) {
     // ceil: a non-integral sigma * N (possible at sigma = 1.25) must round up
     // so the fine grid never under-samples. No-op at sigma = 2.
     const auto lower = static_cast<std::int64_t>(std::ceil(upsampfac * double(nmodes[d])));
     g.nf[d] = static_cast<std::int64_t>(
         fft::next235(static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
+    cells = checked_mul(cells, g.nf[d], "fine-grid cell product");
   }
   return g;
 }
 
 /// Point sets index into 32-bit sort permutations and bin counts (binsort,
-/// SubprobSetup), so M (or a type-3 target count K) must stay below 2^32.
+/// TileSet), so M (or a type-3 target count K) must stay below 2^32.
 /// Every set_points and the service's submit check the count first, before
 /// any allocation or coordinate read.
 inline constexpr std::size_t kMaxPoints = 0xFFFFFFFFu;
@@ -71,10 +88,9 @@ struct BinSpec {
 
   /// The paper's bins (Rmk. 1): 32x32 in 2D, 16x16x2 in 3D, sized so an fp32
   /// padded bin fits the SM shared-memory budget (Rmk. 2); 1D (our
-  /// future-work extension) uses 1024. SM vs GM-sort and the atomic
-  /// fallback resolve on these. A spread on the tile engine, whose scratch
-  /// lives in global memory, uses tile_size instead; an explicit
-  /// Options::binsize overrides both.
+  /// future-work extension) uses 1024. SM vs GM-sort resolves on these. A
+  /// spread on the tile engine, whose scratch lives in global memory, uses
+  /// tile_size instead; an explicit Options::binsize overrides both.
   static std::array<int, 3> default_size(int dim) {
     if (dim == 1) return {1024, 1, 1};
     if (dim == 2) return {32, 32, 1};
@@ -114,10 +130,10 @@ struct TileBox {
   }
 };
 
-/// The tile geometry gate: every padded tile extent m + 2*pad (pad =
-/// ceil(w/2)) must fit the fine grid, so a tile's writeback covers each cell
-/// at most once (see spread_impl.hpp). Fails e.g. for a single bin spanning
-/// an axis; such plans keep the atomic writeback.
+/// The tile geometry invariant: every padded tile extent m + 2*pad (pad =
+/// ceil(w/2)) fits the fine grid, so a tile's writeback covers each cell at
+/// most once (see spread_impl.hpp). spread_bins guarantees it for every
+/// tiled spread; build_tile_set checks it.
 inline bool tile_fits(const GridSpec& grid, const BinSpec& bins, int w) {
   const int pad = (w + 1) / 2;
   for (int d = 0; d < grid.dim; ++d)
@@ -125,17 +141,22 @@ inline bool tile_fits(const GridSpec& grid, const BinSpec& bins, int w) {
   return true;
 }
 
-/// A plan's bins: an explicit `binsize` (m[0] > 0) wins; otherwise the
-/// paper's default_size, unless `tile_engine` (the plan's spread will run on
-/// the tile engine) and the halo-proportioned tile_size passes the tile
-/// gate. Plans resolve SM vs GM-sort with `tile_engine` false.
+/// A plan's bins. Off the tile engine (SM vs GM-sort resolution, interp):
+/// an explicit `binsize` (m[0] > 0), else the paper's default_size. On the
+/// tile engine (`tile_engine`: every sorted type-1 spread): the explicit
+/// binsize or the halo-proportioned tile_size, clamped per axis to
+/// nf - 2*pad so the padded tile fits the grid. make_grid's nf >= 2w leaves
+/// every axis at least w - 1 >= 1 cells, so the clamp never empties a tile.
 inline BinSpec spread_bins(const GridSpec& grid, const std::array<int, 3>& binsize,
                            bool tile_engine, int w) {
-  if (binsize[0] > 0) return BinSpec::make(grid, binsize);
-  const BinSpec paper = BinSpec::make(grid, BinSpec::default_size(grid.dim));
-  if (!tile_engine) return paper;
-  const BinSpec t = BinSpec::make(grid, BinSpec::tile_size(grid.dim, w));
-  return tile_fits(grid, t, w) ? t : paper;
+  std::array<int, 3> m = binsize[0] > 0 ? binsize : BinSpec::default_size(grid.dim);
+  if (tile_engine) {
+    if (binsize[0] <= 0) m = BinSpec::tile_size(grid.dim, w);
+    const int pad = (w + 1) / 2;
+    for (int d = 0; d < grid.dim; ++d)
+      m[d] = static_cast<int>(std::min<std::int64_t>(m[d], grid.nf[d] - 2 * pad));
+  }
+  return BinSpec::make(grid, m);
 }
 
 /// Maps a nonuniform coordinate (any real; typically [-pi, pi)) to its

@@ -1,8 +1,7 @@
 // Interpolation (paper Sec. III-B): the type-2 gather of fine-grid values at
-// the nonuniform points, plus the SM-staged variant kept to measure the
-// paper's claim that shared-memory staging buys little for reads. The
-// batch-strided kernels are the only implementation of the GM/GM-sort
-// gather; the single-vector entry point is their B = 1 instantiation.
+// the nonuniform points. The batch-strided kernels are the only
+// implementation of the GM/GM-sort gather; the single-vector entry point is
+// their B = 1 instantiation.
 #include "spreadinterp/spread.hpp"
 #include "spreadinterp/spread_impl.hpp"
 
@@ -142,195 +141,6 @@ void interp_batch_any(vgpu::Device& dev, const GridSpec& grid, const KernelParam
   interp_batch_impl<DIM>(dev, grid, kp, pts, fw, c, order, B, cstride, fwstride);
 }
 
-// ---- SM-staged interpolation ------------------------------------------------
-
-template <int DIM, typename T>
-void interp_sm_impl(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-                    const KernelParams<T>& kp, const NuPoints<T>& pts,
-                    const std::complex<T>* fw, std::complex<T>* c,
-                    const DeviceSort& sort, const SubprobSetup& subs,
-                    std::uint32_t msub) {
-  const int w = kp.w;
-  const int pad = (w + 1) / 2;
-  std::int64_t p[3] = {1, 1, 1};
-  for (int d = 0; d < DIM; ++d) p[d] = bins.m[d] + 2 * pad;
-  const std::size_t padded = static_cast<std::size_t>(p[0] * p[1] * p[2]);
-
-  dev.launch(subs.nsubprob, 128, [&, w, pad, padded](vgpu::BlockCtx& blk) {
-    const std::uint32_t k = blk.block_id;
-    const std::uint32_t b = subs.subprob_bin[k];
-    const std::uint32_t off = subs.subprob_offset[k];
-    const std::uint32_t cnt = std::min(msub, sort.bin_counts[b] - off);
-    std::int64_t delta[3];
-    subprob_delta(bins, b, DIM, pad, delta);
-
-    // Stage the padded bin of the fine grid into shared memory.
-    auto sm = blk.shared<std::complex<T>>(padded);
-    blk.for_each_thread([&](unsigned t) {
-      for (std::size_t i = t; i < padded; i += blk.nthreads) {
-        std::int64_t s[3];
-        std::int64_t r = static_cast<std::int64_t>(i);
-        s[0] = r % p[0];
-        r /= p[0];
-        s[1] = r % p[1];
-        s[2] = r / p[1];
-        std::int64_t g[3] = {0, 0, 0};
-        for (int d = 0; d < DIM; ++d) g[d] = wrap_index(delta[d] + s[d], grid.nf[d]);
-        sm[i] = fw[g[0] + grid.nf[0] * (g[1] + grid.nf[1] * g[2])];
-      }
-    });
-    blk.sync_threads();
-
-    // Gather each point from the staged copy (local coords, no wrap).
-    const std::uint32_t start = sort.bin_start[b] + off;
-    blk.for_each_thread([&](unsigned t) {
-      for (std::uint32_t i = t; i < cnt; i += blk.nthreads) {
-        const std::size_t j = sort.order[start + i];
-        T px[3];
-        load_point<DIM>(pts, j, px);
-        T vals[DIM][kMaxWidth];
-        std::int64_t li0[DIM];
-        for (int d = 0; d < DIM; ++d)
-          li0[d] = es_values(kp, px[d], vals[d]) - delta[d];
-        std::complex<T> acc(0, 0);
-        if constexpr (DIM == 1) {
-          for (int i0 = 0; i0 < w; ++i0) acc += sm[li0[0] + i0] * vals[0][i0];
-        } else if constexpr (DIM == 2) {
-          for (int i1 = 0; i1 < w; ++i1) {
-            const std::int64_t row = (li0[1] + i1) * p[0];
-            std::complex<T> rowacc(0, 0);
-            for (int i0 = 0; i0 < w; ++i0) rowacc += sm[row + li0[0] + i0] * vals[0][i0];
-            acc += rowacc * vals[1][i1];
-          }
-        } else {
-          for (int i2 = 0; i2 < w; ++i2) {
-            std::complex<T> planeacc(0, 0);
-            for (int i1 = 0; i1 < w; ++i1) {
-              const std::int64_t row = ((li0[2] + i2) * p[1] + li0[1] + i1) * p[0];
-              std::complex<T> rowacc(0, 0);
-              for (int i0 = 0; i0 < w; ++i0)
-                rowacc += sm[row + li0[0] + i0] * vals[0][i0];
-              planeacc += rowacc * vals[1][i1];
-            }
-            acc += planeacc * vals[2][i2];
-          }
-        }
-        c[j] = acc;
-      }
-    });
-  });
-}
-
-template <int DIM, int W, typename T>
-void interp_sm_fast(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-                    const KernelParams<T>& kp, const NuPoints<T>& pts,
-                    const std::complex<T>* fw, std::complex<T>* c,
-                    const DeviceSort& sort, const SubprobSetup& subs,
-                    std::uint32_t msub) {
-  constexpr int pad = (W + 1) / 2;
-  constexpr int WP = pad_width(W);
-  constexpr std::size_t slack = WP - W;
-  std::int64_t p[3] = {1, 1, 1};
-  for (int d = 0; d < DIM; ++d) p[d] = bins.m[d] + 2 * pad;
-  const std::size_t padded = static_cast<std::size_t>(p[0] * p[1] * p[2]);
-
-  dev.launch(subs.nsubprob, 128, [&, padded](vgpu::BlockCtx& blk) {
-    const std::uint32_t k = blk.block_id;
-    const std::uint32_t b = subs.subprob_bin[k];
-    const std::uint32_t off = subs.subprob_offset[k];
-    const std::uint32_t cnt = std::min(msub, sort.bin_counts[b] - off);
-    std::int64_t delta[3];
-    subprob_delta(bins, b, DIM, pad, delta);
-
-    // Stage the padded bin of fw deinterleaved, so gathers are contiguous
-    // real/imag FMA streams; the copy-in itself runs over contiguous
-    // wrap-resolved row segments. The slack lanes after the last row are
-    // zeroed because the padded gathers below read (and zero-weight) them.
-    auto smre = blk.shared<T>(padded + slack);
-    auto smim = blk.shared<T>(padded + slack);
-    for (std::size_t i = padded; i < padded + slack; ++i) smre[i] = smim[i] = T(0);
-    const std::size_t nrows = padded / static_cast<std::size_t>(p[0]);
-    blk.for_each_thread([&](unsigned t) {
-      const auto [lo, hi] = thread_chunk(nrows, t, blk.nthreads);
-      for_padded_rows<DIM, T>(grid, p, delta, lo, hi,
-                              [&](std::size_t dst, std::int64_t src, std::int64_t run) {
-                                for (std::int64_t i = 0; i < run; ++i) {
-                                  const std::complex<T> v = fw[src + i];
-                                  smre[dst + i] = v.real();
-                                  smim[dst + i] = v.imag();
-                                }
-                              });
-    });
-    blk.sync_threads();
-
-    const std::uint32_t start = sort.bin_start[b] + off;
-    blk.for_each_thread([&](unsigned t) {
-      const auto [lo, hi] = thread_chunk(cnt, t, blk.nthreads);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t j = sort.order[start + i];
-        if (i + kPointPrefetch < cnt)
-          prefetch_point<DIM>(pts, static_cast<const std::complex<T>*>(nullptr),
-                              sort.order[start + i + kPointPrefetch]);
-        T px[3];
-        load_point<DIM>(pts, j, px);
-        T v0[WP], v1[DIM > 1 ? W : 1], v2[DIM > 2 ? W : 1];
-        std::int64_t li0[DIM];
-        li0[0] = es_values_padded<W>(kp, px[0], v0) - delta[0];
-        if constexpr (DIM > 1) li0[1] = es_values_fixed<W>(kp, px[1], v1) - delta[1];
-        if constexpr (DIM > 2) li0[2] = es_values_fixed<W>(kp, px[2], v2) - delta[2];
-        // Lane-wise accumulation over rows (vector FMA streams on the staged
-        // contiguous copies), then one contraction against the x weights.
-        T accre[WP] = {}, accim[WP] = {};
-        if constexpr (DIM == 1) {
-          const T* CF_RESTRICT rre = &smre[li0[0]];
-          const T* CF_RESTRICT rim = &smim[li0[0]];
-          for (int i0 = 0; i0 < WP; ++i0) accre[i0] = rre[i0];
-          for (int i0 = 0; i0 < WP; ++i0) accim[i0] = rim[i0];
-        } else if constexpr (DIM == 2) {
-          for (int i1 = 0; i1 < W; ++i1) {
-            const std::int64_t row = (li0[1] + i1) * p[0] + li0[0];
-            const T* CF_RESTRICT rre = &smre[row];
-            const T* CF_RESTRICT rim = &smim[row];
-            const T s = v1[i1];
-            for (int i0 = 0; i0 < WP; ++i0) accre[i0] += rre[i0] * s;
-            for (int i0 = 0; i0 < WP; ++i0) accim[i0] += rim[i0] * s;
-          }
-        } else {
-          for (int i2 = 0; i2 < W; ++i2) {
-            const std::int64_t plane = (li0[2] + i2) * p[1];
-            for (int i1 = 0; i1 < W; ++i1) {
-              const std::int64_t row = (plane + li0[1] + i1) * p[0] + li0[0];
-              const T* CF_RESTRICT rre = &smre[row];
-              const T* CF_RESTRICT rim = &smim[row];
-              const T s = v2[i2] * v1[i1];
-              for (int i0 = 0; i0 < WP; ++i0) accre[i0] += rre[i0] * s;
-              for (int i0 = 0; i0 < WP; ++i0) accim[i0] += rim[i0] * s;
-            }
-          }
-        }
-        T re(0), im(0);
-        for (int i0 = 0; i0 < WP; ++i0) re += accre[i0] * v0[i0];
-        for (int i0 = 0; i0 < WP; ++i0) im += accim[i0] * v0[i0];
-        c[j] = std::complex<T>(re, im);
-      }
-    });
-  });
-}
-
-template <int DIM, typename T>
-void interp_sm_any(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-                   const KernelParams<T>& kp, const NuPoints<T>& pts,
-                   const std::complex<T>* fw, std::complex<T>* c, const DeviceSort& sort,
-                   const SubprobSetup& subs, std::uint32_t msub) {
-  if (kp.fast && sm_scratch_fits<T>(dev, grid, bins, kp.w) &&
-      dispatch_width(kp.w, [&](auto W) {
-        interp_sm_fast<DIM, decltype(W)::value>(dev, grid, bins, kp, pts, fw, c, sort,
-                                                subs, msub);
-      }))
-    return;
-  interp_sm_impl<DIM>(dev, grid, bins, kp, pts, fw, c, sort, subs, msub);
-}
-
 }  // namespace
 
 template <typename T>
@@ -353,20 +163,6 @@ void interp(vgpu::Device& dev, const GridSpec& grid, const KernelParams<T>& kp,
   interp_batch<T>(dev, grid, kp, pts, fw, c, order, 1, 0, 0);
 }
 
-template <typename T>
-void interp_sm(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-               const KernelParams<T>& kp, const NuPoints<T>& pts,
-               const std::complex<T>* fw, std::complex<T>* c, const DeviceSort& sort,
-               const SubprobSetup& subs, std::uint32_t msub) {
-  if (!sm_fits<T>(dev, grid, bins, kp.w))
-    throw std::runtime_error("interp_sm: padded bin exceeds shared memory");
-  detail::dispatch_dim(
-      grid.dim,
-      [&] { interp_sm_any<1>(dev, grid, bins, kp, pts, fw, c, sort, subs, msub); },
-      [&] { interp_sm_any<2>(dev, grid, bins, kp, pts, fw, c, sort, subs, msub); },
-      [&] { interp_sm_any<3>(dev, grid, bins, kp, pts, fw, c, sort, subs, msub); });
-}
-
 #define CF_INSTANTIATE(T)                                                                \
   template void interp<T>(vgpu::Device&, const GridSpec&, const KernelParams<T>&,       \
                           const NuPoints<T>&, const std::complex<T>*, std::complex<T>*, \
@@ -374,11 +170,7 @@ void interp_sm(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
   template void interp_batch<T>(vgpu::Device&, const GridSpec&, const KernelParams<T>&, \
                                 const NuPoints<T>&, const std::complex<T>*,             \
                                 std::complex<T>*, const std::uint32_t*, int,            \
-                                std::size_t, std::size_t);                              \
-  template void interp_sm<T>(vgpu::Device&, const GridSpec&, const BinSpec&,            \
-                             const KernelParams<T>&, const NuPoints<T>&,                \
-                             const std::complex<T>*, std::complex<T>*,                  \
-                             const DeviceSort&, const SubprobSetup&, std::uint32_t);
+                                std::size_t, std::size_t);
 
 CF_INSTANTIATE(float)
 CF_INSTANTIATE(double)

@@ -5,7 +5,7 @@
 // writeback.
 #include "spreadinterp/point_cache.hpp"
 
-#include <thread>
+#include <stdexcept>
 
 #include "spreadinterp/spread.hpp"
 #include "spreadinterp/spread_impl.hpp"
@@ -114,10 +114,11 @@ void classify_interior(vgpu::Device& dev, const GridSpec& grid,
 }
 
 template <typename T>
-bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
+void build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
                     const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap) {
   out = TileSet<T>{};
-  if (!tile_fits(grid, bins, w)) return false;
+  if (!tile_fits(grid, bins, w))
+    throw std::logic_error("build_tile_set: padded tile exceeds the fine grid");
   const int pad = (w + 1) / 2;
   out.pad = pad;
   out.padded = 1;
@@ -153,21 +154,12 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   B = std::max(1, B);
   if (out.n_active > 0) {
     // -- canonical chunk split ----------------------------------------------
-    // Resolve the cap, count chunks at that cap, and double the cap until the
-    // split tiles' chunk planes fit kTileChunkArenaMaxBytes. The budget test
-    // excludes the per-worker scratch on purpose: the applied cap must be a
-    // pure function of the points, so the summation split (and with it the
-    // spread output) is bitwise-identical at every worker count.
-    std::uint64_t cap;
-    if (chunk_cap > 0) {
-      cap = static_cast<std::uint64_t>(chunk_cap);
-    } else if (chunk_cap < 0) {
-      cap = UINT32_MAX;
-    } else {
-      const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
-      const std::uint64_t M = sort.order.size();
-      cap = std::max<std::uint64_t>(kTileChunkMin, (M + 4 * hw - 1) / (4 * hw));
-    }
+    // Count chunks at the cap, and double the cap until the split tiles'
+    // chunk planes fit kTileChunkArenaMaxBytes. The budget test excludes the
+    // per-worker scratch on purpose: the applied cap must be a pure function
+    // of the points, so the summation split (and with it the spread output)
+    // is bitwise-identical at every worker count.
+    std::uint64_t cap = chunk_cap > 0 ? static_cast<std::uint64_t>(chunk_cap) : UINT32_MAX;
     std::uint32_t maxpts = 0;
     for (std::uint32_t s = 0; s < out.n_active; ++s)
       maxpts = std::max(maxpts, sort.bin_counts[out.tile_bin[s]]);
@@ -253,7 +245,6 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
     out.arena_bytes = (out.scratch_re.bytes() + out.chunk_re.bytes()) * 2;
   }
   out.usable = true;
-  return true;
 }
 
 #define CF_INSTANTIATE(T)                                                               \
@@ -263,7 +254,7 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   template void classify_interior<T>(vgpu::Device&, const GridSpec&,                    \
                                      const KernelParams<T>&, const NuPoints<T>&,        \
                                      const std::uint32_t*, InteriorPartition&);         \
-  template bool build_tile_set<T>(vgpu::Device&, const GridSpec&, const BinSpec&, int,  \
+  template void build_tile_set<T>(vgpu::Device&, const GridSpec&, const BinSpec&, int,  \
                                   const DeviceSort&, int, TileSet<T>&, int);
 
 CF_INSTANTIATE(float)

@@ -6,10 +6,9 @@
 // Three caches:
 //  * TapTable   — per-point kernel tap values and leftmost grid indices, laid
 //                 out in ITERATION order (bin-sorted position when a sort
-//                 permutation is in use) so the SM/tiled subproblem loops
-//                 stream it contiguously. Closes the per-execute tap rebuild
-//                 of the batched SM path and removes per-execute exp/sqrt
-//                 work from the single-vector SM path.
+//                 permutation is in use) so the tile engine streams it
+//                 contiguously. Removes per-execute tap evaluation from SM
+//                 (and, at point_cache = 2, GM-sort) spreads.
 //  * InteriorPartition — the iteration order stably partitioned into an
 //                 interior-first prefix (every tap of every axis in [0, nf))
 //                 and a boundary suffix. GM/GM-sort spread and interp run the
@@ -27,10 +26,8 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
-#include "common/env.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/es_kernel.hpp"
 #include "spreadinterp/grid.hpp"
@@ -75,10 +72,10 @@ struct InteriorPartition {
   bool empty() const { return order.empty(); }
 };
 
-/// Tile-ownership precomputation for the atomic-free spread writeback
-/// (Options::tiled_spread). `usable` is false when the geometry gate fails
-/// (some padded tile extent exceeds nf — e.g. a single bin spanning an axis);
-/// callers then keep the atomic writeback.
+/// Tile-ownership precomputation for the atomic-free spread writeback that
+/// every sorted type-1 spread runs. `usable` is true once build_tile_set has
+/// filled the set for the current sort (false only for an empty, invalidated
+/// cache).
 ///
 /// Colour classes: every tile carries the canonical colour of spread_impl.hpp
 /// (tile_axis_colors), and the active tiles are stored grouped by colour —
@@ -151,19 +148,11 @@ struct TileSet {
   bool usable = false;
 };
 
-/// Smallest auto chunk cap: splitting finer than this buys no balance (a
-/// chunk this size is cheap next to a launch) but costs chunk-plane zero +
-/// reduce traffic.
-inline constexpr std::uint32_t kTileChunkMin = 1024;
-
-/// The CF_TILE_CHUNK override of the auto chunk cap (plans whose
-/// tile_chunk_cap option is 0 consult it): any integer, same encoding as the
-/// option; unset, or not a whole integer, means 0 = auto (the latter with a
-/// one-line warning).
-inline int env_tile_chunk_cap() {
-  return env_int_strict("CF_TILE_CHUNK", 0, std::numeric_limits<int>::min(),
-                        std::numeric_limits<int>::max());
-}
+/// The chunk cap every plan applies: a bin holding more points than this is
+/// split into work items. A constant, so the summation split (and with it
+/// the output bits) depends on nothing but the points; 2048 beat both no
+/// splitting and the finer caps on every clustered tiled3d row.
+inline constexpr std::uint32_t kTileChunkCap = 2048;
 
 /// Budget for the per-chunk scratch planes of split tiles; the chunk cap is
 /// doubled until one batch plane of them fits. Deliberately worker-count
@@ -173,16 +162,17 @@ inline int env_tile_chunk_cap() {
 /// budget over worker scratch plus chunk planes.
 inline constexpr std::size_t kTileChunkArenaMaxBytes = std::size_t(64) << 20;
 
-/// Builds the TileSet for the current bin sort: geometry gate, tile colours,
-/// active tiles grouped by colour, the canonical chunk split, and the worker
-/// scratch + chunk planes sized for ntransf = B (chunked to `nb` planes).
-/// `chunk_cap` is the per-chunk point cap: 0 = auto (max(kTileChunkMin,
-/// ceil(M / (4 * hardware threads))) — a points-per-worker heuristic that is
-/// deliberately independent of the device's worker count), > 0 = explicit,
-/// < 0 = never split (one chunk per tile). Returns out.usable.
+/// Builds the TileSet for the current bin sort: tile colours, active tiles
+/// grouped by colour, the canonical chunk split, and the worker scratch +
+/// chunk planes sized for ntransf = B (chunked to `nb` planes). The bins must
+/// satisfy tile_fits (spread_bins guarantees it for tiled spreads); anything
+/// else throws std::logic_error. `chunk_cap` is the per-chunk point cap
+/// (> 0; <= 0 = never split, one chunk per tile). Plans always run the
+/// kTileChunkCap default; other caps are for tests of the split itself.
 template <typename T>
-bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
-                    const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap = 0);
+void build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
+                    const DeviceSort& sort, int B, TileSet<T>& out,
+                    int chunk_cap = static_cast<int>(kTileChunkCap));
 
 /// The plan-resident cache; any part may be empty when the owning plan's
 /// method does not use it.

@@ -5,9 +5,14 @@
 //               atomic adds (the CUNFFT-style baseline).
 //  * GM-sort  — GM but with points visited in bin-sorted order, which
 //               localizes the grid region touched by nearby threads.
-//  * SM       — one thread block per subproblem (<= msub bin-sorted points);
-//               spread into a padded-bin copy in shared memory, then a single
-//               pass of global atomic adds writes the padded bin back.
+//  * SM       — the paper's load-balanced blocked spread: per-bin work items
+//               of capped size accumulate into a padded-bin scratch that is
+//               written back without atomics. Here that is the tile engine
+//               (spread_tiled_batch), reading the plan's cached tap table.
+//
+// A type-1 plan runs every sorted spread — SM and GM-sort alike — on the
+// tile engine; GM-sort differs only in evaluating taps inline. The atomic
+// spread_gm kernels remain for the GM method (and as the tests' reference).
 //
 // All functions take fine-grid coordinates (already fold-rescaled to
 // [0, nf)) and accumulate into `fw` without zeroing it first.
@@ -20,17 +25,16 @@
 //
 // Every entry point dispatches on the kernel width: widths 2..24 (all the
 // tolerance rule can produce) run width-specialized kernels whose tap loops
-// fully unroll and whose shared-memory accumulation is deinterleaved into
+// fully unroll and whose scratch accumulation is deinterleaved into
 // real/imag FMA streams; KernelParams::fast == false (the tests' reference)
 // takes the runtime-width scalar kernels. Both compute the same sums, so
 // results agree to rounding.
 //
 // Point-dependent precomputation (point_cache.hpp) plugs in three ways:
-//  * SM/tiled spreading consumes a TapTable (per-point tap values in
-//    bin-sorted order). The plan builds it once in set_points; the table-less
-//    overload builds a transient one for benches/tests.
+//  * Tiled spreading can consume a TapTable (per-point tap values in
+//    bin-sorted order). SM plans build it once in set_points.
 //  * The interior-first iteration partition (InteriorPartition) drives the
-//    branch-free no-wrap path of GM/GM-sort spread and interp: the caller
+//    branch-free no-wrap path of GM spread and interp: the caller
 //    passes the partitioned order plus NuPoints::n_nowrap, and the kernels
 //    run the two segments as separate launches (no per-point flag test).
 //  * The TileSet drives the tile-owned atomic-free spread writeback
@@ -85,40 +89,19 @@ void spread_gm_batch(vgpu::Device& dev, const GridSpec& grid, const KernelParams
                      std::size_t cstride, std::size_t fwstride);
 
 /// True if the SM padded bin fits the device's per-block shared memory
-/// (paper Rmk. 2: 16*(m1+w)(m2+w)(m3+w) <= 49000 in their fp32 terms).
+/// (paper Rmk. 2: 16*(m1+w)(m2+w)(m3+w) <= 49000 in their fp32 terms). Plans
+/// resolve Auto to SM, and accept an explicit SM, on the paper's bins only
+/// where this holds; the spread itself then runs on the tile engine.
 template <typename T>
-bool sm_fits(const vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w);
+bool sm_fits(const vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w) {
+  const int pad = (w + 1) / 2;
+  std::size_t padded = 1;
+  for (int d = 0; d < grid.dim; ++d)
+    padded *= static_cast<std::size_t>(bins.m[d] + 2 * pad);
+  return padded * sizeof(std::complex<T>) <= dev.props.shared_mem_per_block;
+}
 
-/// SM spreading over prebuilt subproblems (paper Fig. 1, Steps 2-3), reading
-/// per-point tap values from `taps` (built against the same kp and sort
-/// order — the plan's cached table, see point_cache.hpp).
-template <typename T>
-void spread_sm(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-               const KernelParams<T>& kp, const NuPoints<T>& pts,
-               const std::complex<T>* c, std::complex<T>* fw, const DeviceSort& sort,
-               const SubprobSetup& subs, std::uint32_t msub, const TapTable<T>& taps);
-
-/// Convenience overload for benches/tests: builds a transient tap table for
-/// this one call. The plan path uses the cached-table overload.
-template <typename T>
-void spread_sm(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-               const KernelParams<T>& kp, const NuPoints<T>& pts,
-               const std::complex<T>* c, std::complex<T>* fw, const DeviceSort& sort,
-               const SubprobSetup& subs, std::uint32_t msub);
-
-/// Batch-strided SM spreading: the batch is processed in chunks of as many
-/// padded-bin planes as fit the shared-memory arena, reusing the sort,
-/// subproblem, and tap-table data unchanged.
-template <typename T>
-void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-                     const KernelParams<T>& kp, const NuPoints<T>& pts,
-                     const std::complex<T>* c, std::complex<T>* fw,
-                     const DeviceSort& sort, const SubprobSetup& subs, std::uint32_t msub,
-                     const TapTable<T>& taps, int B, std::size_t cstride,
-                     std::size_t fwstride);
-
-/// Tile-owned atomic-free spread writeback (Options::tiled_spread) in tile
-/// colour classes (TileSet): persistent blocks claim the (tile, chunk) work
+/// Tile-owned atomic-free spread writeback in tile colour classes (TileSet): persistent blocks claim the (tile, chunk) work
 /// items colour by colour, largest-first within a colour, and accumulate a
 /// canonical chunk of the bin's sorted points into a deinterleaved padded
 /// scratch (taps from `taps` when non-null — the SM cached table — or
@@ -132,7 +115,7 @@ void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bin
 /// bitwise-identical at every worker count (given the deterministic
 /// bin_sort) because the colour order, the summation split and every
 /// reduction order are pure functions of the bins and points, never of the
-/// schedule. Requires tiles.usable (see build_tile_set); the batch runs in
+/// schedule. Requires tiles built by build_tile_set; the batch runs in
 /// chunks of tiles.nb planes. Returns the number of work items that ran off
 /// their round-robin home worker (item index mod workers) — the rebalancing
 /// the dynamic schedule did; 0 on single-worker devices.
@@ -159,16 +142,5 @@ void interp_batch(vgpu::Device& dev, const GridSpec& grid, const KernelParams<T>
                   const NuPoints<T>& pts, const std::complex<T>* fw, std::complex<T>* c,
                   const std::uint32_t* order, int B, std::size_t cstride,
                   std::size_t fwstride);
-
-/// SM-style interpolation: stages each subproblem's padded bin of fw into
-/// shared memory before gathering. Implemented to *measure* the paper's
-/// Sec. III-B claim that "the benefit of applying an idea like SM to
-/// interpolation would be limited" (reads have no conflicts to avoid); see
-/// bench_ablation_interp_sm.
-template <typename T>
-void interp_sm(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins,
-               const KernelParams<T>& kp, const NuPoints<T>& pts,
-               const std::complex<T>* fw, std::complex<T>* c, const DeviceSort& sort,
-               const SubprobSetup& subs, std::uint32_t msub);
 
 }  // namespace cf::spread

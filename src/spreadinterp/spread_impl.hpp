@@ -1,6 +1,6 @@
 // Shared machinery for the spread/interp translation units (spread_gm.cpp,
-// spread_sm.cpp, interp.cpp, point_cache.cpp) and the CPU comparator: the
-// width-dispatch switch, per-point tabulation, subproblem geometry, and the
+// spread_tiled.cpp, interp.cpp, point_cache.cpp) and the CPU comparator: the
+// width-dispatch switch, per-point tabulation, tile geometry, and the
 // small loop helpers the kernels are built from. This header is the single
 // home of the dispatch machinery — kernels in any TU get identical
 // specialization behavior by construction.
@@ -127,7 +127,7 @@ inline void bin_coords(const BinSpec& bins, std::uint32_t b, std::int64_t bc[3])
   }
 }
 
-/// Decodes subproblem bin `b` into the padded-bin offset Delta (paper Fig. 1).
+/// Decodes tile bin `b` into the padded-bin offset Delta (paper Fig. 1).
 inline void subprob_delta(const BinSpec& bins, std::uint32_t b, int dim, int pad,
                           std::int64_t delta[3]) {
   std::int64_t bc[3];
@@ -152,10 +152,9 @@ inline void subprob_delta(const BinSpec& bins, std::uint32_t b, int dim, int pad
 // a pure function of the bins and points, never of the worker schedule
 // (zero global atomics, bitwise-deterministic spreading).
 //
-// Requires p = m + 2*pad <= nf on every axis (the geometry gate): a padded
-// extent then covers each cell at most once, so a tile's own writeback never
-// hits a cell twice. Axes violating this (e.g. a single bin spanning the axis)
-// take the atomic fallback.
+// Requires p = m + 2*pad <= nf on every axis (tile_fits): a padded extent
+// then covers each cell at most once, so a tile's own writeback never hits a
+// cell twice. spread_bins clamps every tiled spread's bins to satisfy it.
 
 /// In-range core of bin `bc` on one axis: cells [c0, c0 + ce).
 inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
@@ -366,21 +365,6 @@ void dispatch_dim(int dim, F1&& f1, F2&& f2, F3&& f3) {
     case 3: f3(); break;
     default: throw std::invalid_argument("spread: dim must be 1..3");
   }
-}
-
-/// True if the deinterleaved fast-path scratch — padded bin plus the tap-pad
-/// slack its overhanging x-loops write — fits the per-block arena. Same byte
-/// budget as sm_fits except for the few slack lanes, so this can only veto
-/// the fast path in exact-fit corner cases (the scalar fallback still runs).
-template <typename T>
-inline bool sm_scratch_fits(const vgpu::Device& dev, const GridSpec& grid,
-                            const BinSpec& bins, int w) {
-  const int pad = (w + 1) / 2;
-  std::size_t padded = 1;
-  for (int d = 0; d < grid.dim; ++d)
-    padded *= static_cast<std::size_t>(bins.m[d] + 2 * pad);
-  const std::size_t slack = static_cast<std::size_t>(pad_width(w) - w);
-  return 2 * (padded + slack) * sizeof(T) <= dev.props.shared_mem_per_block;
 }
 
 }  // namespace cf::spread::detail

@@ -1,9 +1,10 @@
-// Tile-owned atomic-free spread writeback (Options::tiled_spread).
+// Tile-owned atomic-free spread writeback: the engine behind every sorted
+// type-1 spread (SM and GM-sort in Plan, the source spread in Type3Plan).
 //
-// The atomic schemes (spread_gm.cpp, spread_sm.cpp) funnel every subproblem's
-// output through global atomic adds — on this vgpu, real locked RMW
-// instructions whose cost dominates the writeback and whose float summation
-// order varies with worker scheduling. Colour classes remove both problems:
+// Atomic spreading (spread_gm.cpp, and the paper's SM kernel) funnels every
+// point's or subproblem's output through global atomic adds — on this vgpu,
+// real locked RMW instructions whose cost dominates the writeback and whose
+// float summation order varies with worker scheduling. Colour classes remove both problems:
 // tiles of one colour (TileSet, spread_impl.hpp's tile_axis_colors) have
 // pairwise disjoint padded boxes, so within a colour every fine-grid cell has
 // at most one writer. The colours are written back in ascending order; one
@@ -23,7 +24,7 @@
 //    cleared. Tiles whose bin exceeds the chunk cap (TileSet::chunk_cap) are
 //    split into canonical point-chunks that accumulate into dedicated chunk
 //    planes, so a Gaussian clump that lands in one bin is carved across
-//    workers instead of serializing behind one block — the msub-capped
+//    workers instead of serializing behind one block — the Msub-capped
 //    load-balancing idea of the paper's SM scheme, applied to the tile
 //    engine.
 //
@@ -43,7 +44,9 @@
 // 3D) are the SM shared-memory choice. Here scratch is global, so a plan
 // whose spread runs on this engine takes halo-proportioned tiles
 // (BinSpec::tile_size: 16x16x16 at w = 13, where a 2-deep bin would carry a
-// 14-deep halo); an explicit Options::binsize overrides both (spread_bins).
+// 14-deep halo); an explicit Options::binsize overrides both, and either is
+// clamped per axis to nf - 2*pad so the padded tile fits the grid
+// (spread_bins) — small grids run here too, with smaller tiles.
 //
 // Each cell therefore sums its contributions in colour order, each one a
 // per-tile sum in the canonical split — pure functions of the bins and the
@@ -429,7 +432,7 @@ std::uint64_t spread_tiled_batch(vgpu::Device& dev, const GridSpec& grid,
                                  TileSet<T>& tiles, const TapTable<T>* taps, int B,
                                  std::size_t cstride, std::size_t fwstride) {
   if (!tiles.usable)
-    throw std::invalid_argument("spread_tiled: TileSet not usable (atomic fallback)");
+    throw std::invalid_argument("spread_tiled: TileSet not built for these points");
   if (pts.M == 0 || tiles.n_active == 0) return 0;
   B = std::max(1, B);
   std::uint64_t steals = 0;

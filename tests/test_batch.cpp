@@ -72,7 +72,6 @@ void check_batch_matches_singles(int dim, int type, core::Method method, int B) 
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  opts.tiled_spread = cf::test::env_tiled();
 
   core::Options bopts = opts;
   bopts.ntransf = B;
@@ -147,7 +146,6 @@ TEST(BatchExecute, BatchedAccuracyAgainstDirect) {
   cf::ThreadPool pool(2);
   core::Options opts;
   opts.ntransf = B;
-  opts.tiled_spread = cf::test::env_tiled();
   core::Plan<double> plan(dev, 1, p.N, +1, 1e-9, opts);
   plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
   std::vector<std::complex<double>> fbatch(p.f.size());

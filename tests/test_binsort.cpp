@@ -1,4 +1,4 @@
-// Bin-sort pipeline and SM subproblem decomposition invariants.
+// Bin-sort pipeline and tile chunk-split invariants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "spreadinterp/binsort.hpp"
+#include "spreadinterp/point_cache.hpp"
 #include "vgpu/device.hpp"
 
 namespace spread = cf::spread;
@@ -106,38 +107,46 @@ TEST(BinSort, EdgeCoordinatesClampToLastBin) {
   EXPECT_EQ(sort.bin_counts[0], 1u);
 }
 
-TEST(Subproblems, CapRespectedAndCoverComplete) {
+// The tile engine's chunk split: each bin's sorted run is carved into
+// balanced work items of at most `cap` points (paper Rmk. 1's Msub cap).
+namespace {
+spread::TileSet<float> tiles_of(SortFixture& f, int cap) {
+  spread::TileSet<float> ts;
+  spread::build_tile_set(f.dev, f.grid, f.bins, 6, f.sort, 1, ts, cap);
+  return ts;
+}
+}  // namespace
+
+TEST(TileChunks, CapRespectedAndCoverComplete) {
   SortFixture f(256, 30000, true);  // clustered: forces splitting
-  const std::uint32_t msub = 1024;
-  auto subs = spread::build_subproblems(f.dev, f.sort, msub);
-  ASSERT_GT(subs.nsubprob, 0u);
-  // Reconstruct per-bin coverage from the subproblem list.
+  const std::uint32_t cap = 1024;
+  const auto ts = tiles_of(f, cap);
+  ASSERT_GT(ts.n_split, 0u);
+  // Reconstruct per-bin coverage from the chunk list.
   std::vector<std::uint64_t> covered(f.sort.bin_counts.size(), 0);
-  for (std::uint32_t k = 0; k < subs.nsubprob; ++k) {
-    const auto b = subs.subprob_bin[k];
-    const auto off = subs.subprob_offset[k];
-    const auto cnt = std::min(msub, f.sort.bin_counts[b] - off);
-    EXPECT_LE(cnt, msub);
-    EXPECT_EQ(off % msub, 0u);
-    covered[b] += cnt;
+  for (std::uint32_t k = 0; k < ts.n_chunks; ++k) {
+    const auto b = ts.tile_bin[ts.chunk_tile[k]];
+    EXPECT_LE(ts.chunk_cnt[k], cap);
+    EXPECT_LE(ts.chunk_off[k] + ts.chunk_cnt[k], f.sort.bin_counts[b]);
+    covered[b] += ts.chunk_cnt[k];
   }
   for (std::size_t b = 0; b < covered.size(); ++b)
     EXPECT_EQ(covered[b], f.sort.bin_counts[b]);
 }
 
-TEST(Subproblems, UniformSmallBinsGiveOneSubproblemPerNonemptyBin) {
+TEST(TileChunks, UniformSmallBinsGiveOneChunkPerNonemptyBin) {
   SortFixture f(512, 2000, false);
-  auto subs = spread::build_subproblems(f.dev, f.sort, 1024);
+  const auto ts = tiles_of(f, 1024);
   std::size_t nonempty = 0;
   for (std::size_t b = 0; b < f.sort.bin_counts.size(); ++b)
     if (f.sort.bin_counts[b] > 0) ++nonempty;
-  EXPECT_EQ(subs.nsubprob, nonempty);
+  EXPECT_EQ(ts.n_active, nonempty);
+  EXPECT_EQ(ts.n_chunks, nonempty);
 }
 
-TEST(Subproblems, MsubOneGivesOneSubproblemPerPoint) {
+TEST(TileChunks, CapOneGivesOneChunkPerPoint) {
   SortFixture f(64, 500, false);
-  auto subs = spread::build_subproblems(f.dev, f.sort, 1);
-  EXPECT_EQ(subs.nsubprob, 500u);
+  EXPECT_EQ(tiles_of(f, 1).n_chunks, 500u);
 }
 
 TEST(BinSpec, EdgeBinsMayBeSmaller) {

@@ -13,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "core/c_api.h"
 #include "cpu/direct.hpp"
+#include "spreadinterp/point_cache.hpp"
 
 using cf::Rng;
 
@@ -67,7 +68,6 @@ TEST(CApi, DefaultOptsAreAuto) {
   cfs_opts opts;
   cfs_default_opts(&opts);
   EXPECT_EQ(opts.gpu_method, CFS_METHOD_AUTO);
-  EXPECT_EQ(opts.gpu_maxsubprobsize, 0);
   EXPECT_EQ(opts.gpu_binsizex, 0);
 }
 
@@ -292,14 +292,13 @@ TEST(CApi, PointCountOf2To32ReturnsInvalidArg) {
   cfs_destroy3(plan3);
 }
 
-TEST(CApi, CustomBinSizeAndMsub) {
+TEST(CApi, CustomBinSize) {
   DeviceGuard g;
   cfs_opts opts;
   cfs_default_opts(&opts);
   opts.gpu_method = CFS_METHOD_SM;
   opts.gpu_binsizex = 16;
   opts.gpu_binsizey = 16;
-  opts.gpu_maxsubprobsize = 256;
   const int64_t n2[2] = {32, 32};
   Rng rng(9);
   const std::size_t M = 2000;
@@ -324,16 +323,14 @@ TEST(CApi, CustomBinSizeAndMsub) {
   EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-7);
 }
 
-TEST(CApi, PointCacheAndTiledOptions) {
-  // gpu_point_cache / gpu_tiled_spread use 0 = default-on, -1 = off. Every
-  // combination must run and agree with the defaults to accumulation-
-  // reassociation level (the toggles change execution strategy, not the
-  // transform).
+TEST(CApi, PointCacheOptions) {
+  // gpu_point_cache uses 0 = default (SM tap table), 2 = also cache taps for
+  // GM-sort, -1 = rebuild per execute. It changes where the taps come from,
+  // never their values, so every setting gives the default's bits.
   DeviceGuard g;
   cfs_opts defaults;
   cfs_default_opts(&defaults);
   EXPECT_EQ(defaults.gpu_point_cache, 0);
-  EXPECT_EQ(defaults.gpu_tiled_spread, 0);
 
   const int64_t nmodes[2] = {40, 36};
   Rng rng(17);
@@ -355,55 +352,55 @@ TEST(CApi, PointCacheAndTiledOptions) {
               CFS_SUCCESS);
     EXPECT_EQ(cfs_destroy(plan), CFS_SUCCESS);
   };
-  std::vector<std::complex<double>> ref;
-  run(defaults, ref);
-  for (int pc : {0, -1})
-    for (int tiled : {0, -1}) {
-      cfs_opts opts = defaults;
+  for (int method : {CFS_METHOD_SM, CFS_METHOD_GMSORT}) {
+    cfs_opts base = defaults;
+    base.gpu_method = method;
+    std::vector<std::complex<double>> ref;
+    run(base, ref);
+    for (int pc : {2, -1}) {
+      cfs_opts opts = base;
       opts.gpu_point_cache = pc;
-      opts.gpu_tiled_spread = tiled;
       std::vector<std::complex<double>> f;
       run(opts, f);
-      EXPECT_LT(cf::cpu::rel_l2_error<double>(f, ref), 1e-11)
-          << "pc=" << pc << " tiled=" << tiled;
+      EXPECT_TRUE(f == ref) << "method=" << method << " pc=" << pc;
     }
+  }
 }
 
-TEST(CApi, TileChunkCapAndPlanStats) {
-  // gpu_tile_chunk_cap mirrors Options::tile_chunk_cap (0 = auto, > 0 =
-  // explicit, -1 = never split); cfs_plan_stats exposes the chunked
-  // scheduler's counters. A small explicit cap must split uniform bins into
-  // more work items than tiles, -1 must reproduce the unsplit schedule, and
-  // every cap agrees with the defaults to reassociation level.
+TEST(CApi, PlanStats) {
+  // cfs_plan_stats exposes the tiled spread's schedule counters. Uniform
+  // points leave every bin under the fixed chunk cap (one work item per
+  // tile); a clump of 6000 points in one bin exceeds it and is split.
   DeviceGuard g;
   cfs_opts defaults;
   cfs_default_opts(&defaults);
-  EXPECT_EQ(defaults.gpu_tile_chunk_cap, 0);
+  defaults.gpu_method = CFS_METHOD_GMSORT;
   EXPECT_EQ(cfs_plan_stats(nullptr, nullptr, nullptr, nullptr, nullptr, nullptr),
             CFS_ERR_INVALID_ARG);
 
   const int64_t nmodes[2] = {40, 36};
   Rng rng(43);
-  const std::size_t M = 1500;
-  std::vector<double> x(M), y(M);
+  const std::size_t M = 6000;
+  std::vector<double> x(M), y(M), xc(M), yc(M);
   std::vector<std::complex<double>> c(M);
   for (std::size_t j = 0; j < M; ++j) {
     x[j] = rng.angle();
     y[j] = rng.angle();
+    xc[j] = 0.5 + 0.05 * rng.uniform(0, 1);
+    yc[j] = 0.5 + 0.05 * rng.uniform(0, 1);
     c[j] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   }
   struct Stats {
     uint64_t chunks = 0, steals = 0, maxpts = 0, tiles = 0;
     int tiled = -1;
   };
-  auto run = [&](int cap, std::vector<std::complex<double>>& f, Stats& st) {
-    cfs_opts opts = defaults;
-    opts.gpu_method = CFS_METHOD_GMSORT;
-    opts.gpu_tile_chunk_cap = cap;
+  auto run = [&](const std::vector<double>& px, const std::vector<double>& py,
+                 Stats& st) {
     cfs_plan plan = nullptr;
-    ASSERT_EQ(cfs_makeplan(g.dev, 1, 2, nmodes, +1, 1e-9, &opts, &plan), CFS_SUCCESS);
-    ASSERT_EQ(cfs_setpts(plan, M, x.data(), y.data(), nullptr), CFS_SUCCESS);
-    f.assign(40 * 36, {0, 0});
+    ASSERT_EQ(cfs_makeplan(g.dev, 1, 2, nmodes, +1, 1e-9, &defaults, &plan),
+              CFS_SUCCESS);
+    ASSERT_EQ(cfs_setpts(plan, M, px.data(), py.data(), nullptr), CFS_SUCCESS);
+    std::vector<std::complex<double>> f(40 * 36);
     ASSERT_EQ(cfs_execute(plan, reinterpret_cast<double*>(c.data()),
                           reinterpret_cast<double*>(f.data())),
               CFS_SUCCESS);
@@ -415,34 +412,28 @@ TEST(CApi, TileChunkCapAndPlanStats) {
               CFS_SUCCESS);
     EXPECT_EQ(cfs_destroy(plan), CFS_SUCCESS);
   };
-  std::vector<std::complex<double>> ref, f;
-  Stats st_nosplit, st_split;
-  run(-1, ref, st_nosplit);
-  ASSERT_EQ(st_nosplit.tiled, 1);
-  EXPECT_GT(st_nosplit.tiles, 0u);
-  EXPECT_EQ(st_nosplit.chunks, st_nosplit.tiles);
-  EXPECT_GT(st_nosplit.maxpts, 0u);
-  run(16, f, st_split);
-  ASSERT_EQ(st_split.tiled, 1);
-  EXPECT_GT(st_split.chunks, st_split.tiles) << "explicit cap did not split";
-  EXPECT_LT(cf::cpu::rel_l2_error<double>(f, ref), 1e-11);
-  Stats st_auto;
-  run(0, f, st_auto);
-  EXPECT_GE(st_auto.chunks, st_auto.tiles);
-  EXPECT_LT(cf::cpu::rel_l2_error<double>(f, ref), 1e-11);
+  Stats st_uniform, st_clump;
+  run(x, y, st_uniform);
+  ASSERT_EQ(st_uniform.tiled, 1);
+  EXPECT_GT(st_uniform.tiles, 0u);
+  EXPECT_EQ(st_uniform.chunks, st_uniform.tiles);
+  EXPECT_GT(st_uniform.maxpts, 0u);
+  EXPECT_LE(st_uniform.maxpts, cf::spread::kTileChunkCap);
+  run(xc, yc, st_clump);
+  ASSERT_EQ(st_clump.tiled, 1);
+  EXPECT_GT(st_clump.maxpts, cf::spread::kTileChunkCap);
+  EXPECT_GT(st_clump.chunks, st_clump.tiles) << "the clump was not split";
 
   // Single-precision mirror.
   EXPECT_EQ(cfs_plan_statsf(nullptr, nullptr, nullptr, nullptr, nullptr, nullptr),
             CFS_ERR_INVALID_ARG);
-  std::vector<float> xf(x.begin(), x.end()), yf(y.begin(), y.end());
+  std::vector<float> xf(xc.begin(), xc.end()), yf(yc.begin(), yc.end());
   std::vector<std::complex<float>> cfl(M), ff(40 * 36);
   for (std::size_t j = 0; j < M; ++j)
     cfl[j] = {static_cast<float>(c[j].real()), static_cast<float>(c[j].imag())};
-  cfs_opts fopts = defaults;
-  fopts.gpu_method = CFS_METHOD_GMSORT;
-  fopts.gpu_tile_chunk_cap = 16;
   cfs_planf planf = nullptr;
-  ASSERT_EQ(cfs_makeplanf(g.dev, 1, 2, nmodes, +1, 1e-5, &fopts, &planf), CFS_SUCCESS);
+  ASSERT_EQ(cfs_makeplanf(g.dev, 1, 2, nmodes, +1, 1e-5, &defaults, &planf),
+            CFS_SUCCESS);
   ASSERT_EQ(cfs_setptsf(planf, M, xf.data(), yf.data(), nullptr), CFS_SUCCESS);
   ASSERT_EQ(cfs_executef(planf, reinterpret_cast<float*>(cfl.data()),
                          reinterpret_cast<float*>(ff.data())),
@@ -454,6 +445,23 @@ TEST(CApi, TileChunkCapAndPlanStats) {
   EXPECT_EQ(stf.tiled, 1);
   EXPECT_GT(stf.chunks, stf.tiles);
   EXPECT_EQ(cfs_destroyf(planf), CFS_SUCCESS);
+}
+
+TEST(CApi, ModeProductOverflowIsRejectedBeforeAllocation) {
+  // 2^66 modes overflow std::int64_t: CFS_ERR_INVALID_ARG, with no device
+  // memory allocated on the way.
+  DeviceGuard g;
+  const int64_t n22 = int64_t{1} << 22;
+  const int64_t n3[3] = {n22, n22, n22};
+  cfs_plan plan = nullptr;
+  cfs_planf planf = nullptr;
+  for (int type : {1, 2}) {
+    EXPECT_EQ(cfs_makeplan(g.dev, type, 3, n3, +1, 1e-6, nullptr, &plan),
+              CFS_ERR_INVALID_ARG);
+    EXPECT_EQ(cfs_makeplanf(g.dev, type, 3, n3, +1, 1e-5, nullptr, &planf),
+              CFS_ERR_INVALID_ARG);
+    EXPECT_EQ(cfs_device_bytes_in_use(g.dev), 0u);
+  }
 }
 
 TEST(CApi, UpsampfacLowUpsamplingPlanAndService) {

@@ -282,6 +282,18 @@ TEST(CpuPlan, InvalidArgumentsThrow) {
                std::invalid_argument);
 }
 
+TEST(CpuPlan, ModeProductOverflowIsRejectedBeforeAllocation) {
+  // 2^66 modes overflow std::int64_t: an invalid argument from the grid
+  // check, not a bad_alloc or length_error from sizing the fine grid.
+  ThreadPool pool(1);
+  const std::int64_t n22 = std::int64_t{1} << 22;
+  const std::int64_t n[3] = {n22, n22, n22};
+  for (int type : {1, 2})
+    EXPECT_THROW(cpu::CpuPlan<float>(pool, type, std::span(n, 3), +1, 1e-5),
+                 std::invalid_argument)
+        << "type " << type;
+}
+
 TEST(CpuPlan, PointCountOf2To32IsRejected) {
   // M >= 2^32 is rejected on M alone, before any allocation or coordinate
   // read (the arrays here hold 8 points).

@@ -181,28 +181,6 @@ TEST(Interp, ConstantGridGivesKernelSum) {
   }
 }
 
-TEST(Interp, SmVariantMatchesGmSort) {
-  // interp_sm (shared-memory staging) must agree exactly in result with the
-  // plain sorted gather, across dims and distributions.
-  for (int dim : {1, 2, 3}) {
-    InterpFixture<double> f(dim, dim == 3 ? 32 : 128, 6, 3000, 500 + dim);
-    vgpu::Device dev(4);
-    spread::DeviceSort sort;
-    spread::bin_sort<double>(dev, f.grid, f.bins, f.xg.data(),
-                             dim >= 2 ? f.yg.data() : nullptr,
-                             dim >= 3 ? f.zg.data() : nullptr, f.xg.size(), sort);
-    auto subs = spread::build_subproblems(dev, sort, 1024);
-    std::vector<std::complex<double>> c_ref(f.xg.size()), c_sm(f.xg.size());
-    spread::interp<double>(dev, f.grid, f.kp, f.pts(), f.fw.data(), c_ref.data(),
-                           sort.order.data());
-    if (!spread::sm_fits<double>(dev, f.grid, f.bins, f.kp.w)) continue;
-    spread::interp_sm<double>(dev, f.grid, f.bins, f.kp, f.pts(), f.fw.data(),
-                              c_sm.data(), sort, subs, 1024);
-    for (std::size_t j = 0; j < c_ref.size(); ++j)
-      EXPECT_NEAR(std::abs(c_sm[j] - c_ref[j]), 0.0, 1e-13) << "dim=" << dim << " " << j;
-  }
-}
-
 TEST(InterpFastPath, EveryWidthMatchesFallback) {
   // Width-dispatched gather vs runtime-w scalar gather, every width. Both
   // paths sum identical tap values; ordering/contraction differences stay at
@@ -224,30 +202,6 @@ TEST(InterpFastPath, EveryWidthMatchesFallback) {
   }
 }
 
-TEST(InterpFastPath, SmEveryDimMatchesFallback) {
-  for (int dim : {1, 2, 3}) {
-    InterpFixture<double> f(dim, dim == 3 ? 32 : 128, 6, 2000, 900 + dim);
-    vgpu::Device dev(4);
-    if (!spread::sm_fits<double>(dev, f.grid, f.bins, f.kp.w)) continue;
-    spread::DeviceSort sort;
-    spread::bin_sort<double>(dev, f.grid, f.bins, f.xg.data(),
-                             dim >= 2 ? f.yg.data() : nullptr,
-                             dim >= 3 ? f.zg.data() : nullptr, f.xg.size(), sort);
-    auto subs = spread::build_subproblems(dev, sort, 1024);
-    auto kp_scalar = f.kp;
-    kp_scalar.fast = false;
-    std::vector<std::complex<double>> c_fast(f.xg.size()), c_scalar(f.xg.size());
-    spread::interp_sm<double>(dev, f.grid, f.bins, f.kp, f.pts(), f.fw.data(),
-                              c_fast.data(), sort, subs, 1024);
-    spread::interp_sm<double>(dev, f.grid, f.bins, kp_scalar, f.pts(), f.fw.data(),
-                              c_scalar.data(), sort, subs, 1024);
-    for (std::size_t j = 0; j < c_fast.size(); ++j)
-      EXPECT_NEAR(std::abs(c_fast[j] - c_scalar[j]), 0.0,
-                  1e-12 * (1 + std::abs(c_scalar[j])))
-          << "dim=" << dim << " j=" << j;
-  }
-}
-
 TEST(InterpFastPath, FloatWithinTolOfScalar) {
   InterpFixture<float> f(2, 128, 7, 3000, 950);
   vgpu::Device dev(4);
@@ -264,42 +218,4 @@ TEST(InterpFastPath, FloatWithinTolOfScalar) {
     den += std::norm(std::complex<double>(c_scalar[j]));
   }
   EXPECT_LT(std::sqrt(num / den), 1e-5);
-}
-
-TEST(Interp, SmVariantThrowsWhenSharedExceeded) {
-  InterpFixture<double> f(3, 32, 9, 10, 600);
-  vgpu::Device dev(2);
-  ASSERT_FALSE(spread::sm_fits<double>(dev, f.grid, f.bins, f.kp.w));
-  spread::DeviceSort sort;
-  spread::bin_sort<double>(dev, f.grid, f.bins, f.xg.data(), f.yg.data(), f.zg.data(),
-                           f.xg.size(), sort);
-  auto subs = spread::build_subproblems(dev, sort, 1024);
-  std::vector<std::complex<double>> c(f.xg.size());
-  EXPECT_THROW(spread::interp_sm<double>(dev, f.grid, f.bins, f.kp, f.pts(), f.fw.data(),
-                                         c.data(), sort, subs, 1024),
-               std::runtime_error);
-}
-
-TEST(Interp, SmVariantWithTinyMsub) {
-  InterpFixture<float> f(2, 96, 5, 2000, 700);
-  vgpu::Device dev(4);
-  spread::DeviceSort sort;
-  spread::bin_sort<float>(dev, f.grid, f.bins, f.xg.data(), f.yg.data(), nullptr,
-                          f.xg.size(), sort);
-  std::vector<std::complex<float>> c_ref(f.xg.size());
-  spread::interp<float>(dev, f.grid, f.kp, f.pts(), f.fw.data(), c_ref.data(),
-                        sort.order.data());
-  for (std::uint32_t msub : {1u, 16u, 100000u}) {
-    auto subs = spread::build_subproblems(dev, sort, msub);
-    std::vector<std::complex<float>> c_sm(f.xg.size());
-    spread::interp_sm<float>(dev, f.grid, f.bins, f.kp, f.pts(), f.fw.data(), c_sm.data(),
-                             sort, subs, msub);
-    // The staged and unstaged gathers sum identical values, but the two
-    // width-specialized kernels may contract FMAs differently — agreement is
-    // to rounding, not bitwise.
-    for (std::size_t j = 0; j < c_ref.size(); ++j)
-      EXPECT_NEAR(std::abs(c_sm[j] - c_ref[j]), 0.0f,
-                  2e-6f * (1 + std::abs(c_ref[j])))
-          << "msub=" << msub << " j=" << j;
-  }
 }

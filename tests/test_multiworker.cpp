@@ -81,7 +81,6 @@ void sweep_methods(bool cluster, double sigma = cf::test::env_upsampfac()) {
   for (core::Method m : {core::Method::GM, core::Method::GMSort, core::Method::SM}) {
     core::Options opts;
     opts.method = m;
-    opts.tiled_spread = cf::test::env_tiled();
     opts.upsampfac = sigma;
     const auto ref = run_type1<T>(1, p, opts);
     for (std::size_t wc : worker_counts()) {
@@ -120,7 +119,6 @@ TEST(MultiWorker, BatchedExecuteParityAcrossWorkerCounts) {
   Problem<float> p(3000, /*cluster=*/false, 34);
   const int B = 3;
   core::Options opts;
-  opts.tiled_spread = cf::test::env_tiled();
   opts.upsampfac = cf::test::env_upsampfac();
   const auto ref = run_type1<float>(1, p, opts, B);
   for (std::size_t wc : worker_counts()) {

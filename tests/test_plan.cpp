@@ -368,7 +368,10 @@ namespace {
 // (one worker, so a type-1 spread on the atomic fallback adds in one order).
 template <typename T>
 void check_non_finite_rejected() {
-  vgpu::Device dev(1);
+  // Four workers: the 12x10x8 type-1 spread runs on the tile engine (its
+  // tiles clamped to the small fine grid), so the re-pointed plan and a
+  // fresh one must agree bitwise even with a multi-worker schedule.
+  vgpu::Device dev(4);
   Problem<T> p({12, 10, 8}, 600, false, 61);
   const T bads[2] = {std::numeric_limits<T>::quiet_NaN(), std::numeric_limits<T>::infinity()};
   for (int type : {1, 2}) {
@@ -398,6 +401,25 @@ void check_non_finite_rejected() {
 TEST(Plan, NonFiniteCoordinatesAreRejected) {
   check_non_finite_rejected<double>();
   check_non_finite_rejected<float>();
+}
+
+TEST(Plan, GridSizeOverflowIsRejectedBeforeAllocation) {
+  // A mode product (2^66) or a fine-grid cell product (2^63 for 2^20 modes
+  // per axis at sigma = 2) past std::int64_t is an invalid argument, raised
+  // before the plan allocates any device memory.
+  const std::int64_t n22 = std::int64_t{1} << 22, n20 = std::int64_t{1} << 20;
+  vgpu::Device dev(1);
+  for (const auto& N : {std::vector<std::int64_t>{n22, n22, n22},
+                        std::vector<std::int64_t>{n20, n20, n20}})
+    for (int type : {1, 2}) {
+      EXPECT_THROW(core::Plan<float>(dev, type, N, +1, 1e-5), std::invalid_argument)
+          << "type " << type << " N0 " << N[0];
+      EXPECT_EQ(dev.bytes_in_use(), 0u);
+      EXPECT_EQ(dev.peak_bytes(), 0u);
+    }
+  EXPECT_THROW(cf::spread::make_grid(std::vector<std::int64_t>{n20, n20, n20}, 2.0, 4),
+               std::invalid_argument);
+  EXPECT_NO_THROW(cf::spread::make_grid(std::vector<std::int64_t>{n20, n20, n20 / 2}, 2.0, 4));
 }
 
 TEST(Plan, PointCountOf2To32IsRejected) {

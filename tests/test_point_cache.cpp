@@ -128,7 +128,6 @@ static void check_repeat(int dim, int type, core::Method method) {
   vgpu::Device dev(1);  // one worker => deterministic accumulation order
   core::Options opts;
   opts.method = method;
-  opts.tiled_spread = cf::test::env_tiled();
   core::Plan<T> plan(dev, type, modes_for(dim), +1, tol, opts);
 
   Problem<T> p(modes_for(dim), 600, plan.fine_grid().nf, plan.kernel_width(),
@@ -200,7 +199,6 @@ TEST(PointCache, ReSetPointsInvalidatesAndRebuildsOnce) {
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
     core::Options opts;
     opts.method = core::Method::SM;
-      opts.tiled_spread = cf::test::env_tiled();
     core::Plan<double> plan(dev, 1, modes_for(dim), +1, 1e-9, opts);
 
     Problem<double> p1(modes_for(dim), 500, plan.fine_grid().nf, plan.kernel_width(),
@@ -235,10 +233,12 @@ static void check_classification(int dim, core::Method method, Placement place,
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  // Pin the atomic writeback: the tiled engine skips classification (its
-  // accumulation never wraps), and this test targets the classification.
-  opts.tiled_spread = 0;
-  core::Plan<T> plan(dev, 1, modes_for(dim), +1, tol, opts);
+  // The partition feeds the GM spread and the interp: a sorted type-1 plan
+  // spreads on the tile engine (whose accumulation never wraps) and skips
+  // it, so GM-sort is checked on a type-2 plan, GM on a type-1 plan whose
+  // output is also checked against the direct sum.
+  const int type = method == core::Method::GM ? 1 : 2;
+  core::Plan<T> plan(dev, type, modes_for(dim), +1, tol, opts);
   Problem<T> p(modes_for(dim), 400, plan.fine_grid().nf, plan.kernel_width(), place,
                seed);
   plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
@@ -253,6 +253,7 @@ static void check_classification(int dim, core::Method method, Placement place,
         << "dim=" << dim << " method=" << core::method_name(method);
   }
 
+  if (type != 1) return;
   std::vector<std::complex<T>> f(static_cast<std::size_t>(p.ntot));
   plan.execute(p.c.data(), f.data());
   EXPECT_LT(accuracy_vs_direct(p, f), (std::is_same_v<T, double> ? 1e-5 : 3e-4))
@@ -356,7 +357,6 @@ TEST(PointCache, CachedPipelineBitwiseMatchesPerExecuteRebuildOneWorker) {
     vgpu::Device dev(1);
     core::Options cached, rebuild;
     cached.method = rebuild.method = core::Method::SM;
-    cached.tiled_spread = rebuild.tiled_spread = cf::test::env_tiled();
     rebuild.point_cache = 0;
     core::Plan<float> pa(dev, 1, modes_for(dim), +1, 1e-6, cached);
     core::Plan<float> pb(dev, 1, modes_for(dim), +1, 1e-6, rebuild);
@@ -393,7 +393,6 @@ TEST(PointCache, GmSortTiledCachedTapsBitwiseAndBuiltOnce) {
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
     core::Options inline_taps, cached_taps;
     inline_taps.method = cached_taps.method = core::Method::GMSort;
-    inline_taps.tiled_spread = cached_taps.tiled_spread = 1;
     cached_taps.point_cache = 2;
     core::Plan<float> pa(dev, 1, modes, +1, 1e-5, inline_taps);
     core::Plan<float> pb(dev, 1, modes, +1, 1e-5, cached_taps);

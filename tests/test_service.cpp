@@ -51,9 +51,9 @@ namespace {
 
 /// Whether service outputs must be bitwise equal to serial references: type-2
 /// pipelines (gather interp, no atomics) and one-worker devices always are;
-/// type 1 is when the deterministic tiled spread actually ran (`ref_tiled` —
-/// the geometry gate or CF_TILED=0 can leave a plan on the atomic fallback,
-/// whose float summation order varies with worker scheduling).
+/// type 1 is when the deterministic tiled spread ran (`ref_tiled` — only the
+/// GM method spreads with atomics, whose float summation order varies with
+/// worker scheduling).
 bool expect_bitwise(std::size_t workers, int type, int ref_tiled) {
   return workers <= 1 || type == 2 || ref_tiled == 1;
 }
@@ -166,22 +166,21 @@ struct Problem {
 
 core::Options env_opts() {
   core::Options o;
-  o.tiled_spread = cf::test::env_tiled();
   o.upsampfac = cf::test::env_upsampfac();
   return o;
 }
 
-/// Per-dim request options: 1D needs an explicit bin size (the 1024-point
-/// default bin always fails the tile-geometry gate on test-sized grids).
+/// Per-dim request options: 1D takes an explicit bin size, so test-sized 1D
+/// grids hold several tiles.
 core::Options opts_for(int dim) {
   core::Options o = env_opts();
   if (dim == 1) o.binsize = {32, 1, 1};
   return o;
 }
 
-/// 2D/3D type-1 shapes sized so the tile-geometry gate passes — sigma = 1.25
-/// kernels are wider, so the low-upsampling run (CF_UPSAMP=1.25) needs larger
-/// modes for the padded bin to fit the fine grid (as in test_tiled_spread).
+/// 2D/3D type-1 shapes holding several tiles per axis — sigma = 1.25 kernels
+/// are wider, so the low-upsampling run (CF_UPSAMP=1.25) takes larger modes
+/// (as in test_tiled_spread).
 std::vector<std::int64_t> modes_2d() {
   return cf::test::env_upsampfac() != 2.0 ? std::vector<std::int64_t>{40, 40}
                                           : std::vector<std::int64_t>{20, 24};
@@ -205,7 +204,9 @@ void expect_same(const std::vector<std::complex<T>>& got,
                                        std::complex<double>(want[i])));
     }
   }
-  if (!bitwise) EXPECT_LT(worst, 1e-3) << what;
+  if (!bitwise) {
+    EXPECT_LT(worst, 1e-3) << what;
+  }
 }
 
 /// 2D type-3 problem: arbitrary source coordinates and target frequencies
@@ -267,8 +268,8 @@ TEST(Service, MixedSignaturesFromManyThreadsMatchSerial) {
   vgpu::Device dev(workers);
   service::NufftService svc(dev);  // threads from CF_SERVICE_THREADS (else 2)
 
-  // Mixed signatures: every dim, both types, both precisions (3D modes sized
-  // so the tile-geometry gate passes, as in test_tiled_spread).
+  // Mixed signatures: every dim, both types, both precisions (3D modes as in
+  // test_tiled_spread).
   std::vector<Problem<float>> pf;
   std::vector<Problem<double>> pd;
   pf.emplace_back(std::vector<std::int64_t>{64}, 1, 500, 11);
@@ -355,8 +356,8 @@ TEST(Service, MixedSignaturesFromManyThreadsMatchSerial) {
 TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
   const auto workers = static_cast<std::size_t>(cf::test::env_workers(2));
   const core::Options opts = env_opts();
-  // Modes sized so the tile-geometry gate passes (test_tiled_spread's 3D
-  // shape): the coalescing guarantee under test is the bitwise one.
+  // test_tiled_spread's 3D shape: the coalescing guarantee under test is the
+  // bitwise one.
   Problem<float> p(modes_3d(), 1, 900, 42);
 
   // 8 distinct strength vectors over one point set / signature.
@@ -373,9 +374,7 @@ TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
   std::vector<std::vector<std::complex<float>>> ref(kReq);
   int ref_tiled = 0;
   for (int i = 0; i < kReq; ++i) ref[i] = reqs[i].reference(workers, opts, &ref_tiled);
-  if (cf::test::env_tiled()) {
-    ASSERT_EQ(ref_tiled, 1);  // the shape above must exercise the tiled path
-  }
+  ASSERT_EQ(ref_tiled, 1);  // the shape above must exercise the tiled path
 
   // Service shapes that force different batch compositions: one dispatcher
   // with a window (full 8-batch), several dispatchers with max_batch 3
@@ -544,7 +543,9 @@ TEST(Service, ShutdownUnderLoadFulfillsEveryFutureUnderBothPolicies) {
       }
     }
     EXPECT_EQ(ok + shed, kThreads * kPer);
-    if (adm == service::Admission::Block) EXPECT_EQ(shed, 0);
+    if (adm == service::Admission::Block) {
+      EXPECT_EQ(shed, 0);
+    }
   }
 }
 
@@ -646,8 +647,11 @@ TEST(Service, InteractiveRequestsJumpTheBulkQueue) {
   fi.get();
   EXPECT_EQ(bfut[4].wait_for(std::chrono::seconds(0)), std::future_status::timeout);
 
-  for (std::size_t i = 0; i < bulk.size(); ++i)
-    if (i != 3) EXPECT_NO_THROW(bfut[i].wait());
+  for (std::size_t i = 0; i < bulk.size(); ++i) {
+    if (i != 3) {
+      EXPECT_NO_THROW(bfut[i].wait());
+    }
+  }
   EXPECT_NO_THROW(fwarm.get());
   const auto st = svc.stats();
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(bulk.size()) + 3);
@@ -951,15 +955,14 @@ TEST(Service, IflagZeroRejectedInsteadOfSilentlyFoldedToPlusOne) {
   EXPECT_EQ(svc.stats().plan_misses, 2u);
 }
 
-// ---- coalescing on the atomic SM fallback ----------------------------------
+// ---- coalescing on a small-grid SM spread ----------------------------------
 
-TEST(Service, CoalescedBatchOnTheAtomicSmSpread) {
-  // A 1D grid with the default 1024-point bin fails the tile gate, so a
-  // type-1 SM plan spreads with the atomic SM kernel, whose per-plane
-  // strength loop GCC 12 can vectorize into loads past the last plane of the
-  // coalesced staging buffer (see CF_SCALAR_LOOP). M is large enough that
-  // the staging buffer gets its own mapping, so an overread faults instead
-  // of reading a neighbour.
+TEST(Service, CoalescedBatchOnASmallGridSmSpread) {
+  // A 1D grid smaller than the default 1024-point bin: the SM plan spreads
+  // on one clamped tile, whose per-plane strength loops GCC 12 can vectorize
+  // into loads past the last plane of the coalesced staging buffer (see
+  // CF_SCALAR_LOOP). M is large enough that the staging buffer gets its own
+  // mapping, so an overread faults instead of reading a neighbour.
   const auto workers = static_cast<std::size_t>(cf::test::env_workers(2));
   core::Options opts = env_opts();
   opts.method = core::Method::SM;
@@ -973,6 +976,7 @@ TEST(Service, CoalescedBatchOnTheAtomicSmSpread) {
   int ref_tiled = 0;
   std::vector<std::vector<std::complex<float>>> ref(kReq);
   for (int i = 0; i < kReq; ++i) ref[i] = reqs[i].reference(workers, opts, &ref_tiled);
+  ASSERT_EQ(ref_tiled, 1);  // clamped, not an atomic fallback
 
   // One dispatcher holding a fixed window: the 8 requests coalesce.
   vgpu::Device dev(workers);
@@ -997,41 +1001,6 @@ TEST(Service, CoalescedBatchOnTheAtomicSmSpread) {
   EXPECT_EQ(svc.stats().completed, static_cast<std::uint64_t>(kRounds * kReq));
 }
 
-// ---- plan key: tile_chunk_cap is result-affecting ---------------------------
-
-TEST(Service, TileChunkCapIsPartOfThePlanKey) {
-  // The chunk cap decides the tiled spread's summation split, which decides
-  // the output BITS. Before the fix it was missing from PlanKey: a request
-  // with an explicit cap could be served by a cached auto-cap plan and get
-  // bits that its own serial plan would never produce.
-  const auto workers = static_cast<std::size_t>(cf::test::env_workers(2));
-  vgpu::Device dev(workers);
-  service::ServiceConfig cfg;
-  cfg.threads = 1;
-  service::NufftService svc(dev, cfg);
-
-  Problem<float> p(modes_3d(), 1, 900, 97);
-  core::Options auto_cap = opts_for(3);
-  core::Options capped = auto_cap;
-  capped.tile_chunk_cap = 4;  // force maximal splitting
-
-  int tiled_auto = 0, tiled_capped = 0;
-  const auto ref_auto = p.reference(workers, auto_cap, &tiled_auto);
-  const auto ref_capped = p.reference(workers, capped, &tiled_capped);
-
-  std::vector<std::complex<float>> out_auto(p.out_len()), out_capped(p.out_len());
-  EXPECT_NO_THROW(svc.submit(p.request(auto_cap, out_auto)).get());
-  EXPECT_NO_THROW(svc.submit(p.request(capped, out_capped)).get());
-
-  // Distinct plans (the cap is signature), each bitwise-faithful to the
-  // serial plan built with ITS cap.
-  EXPECT_EQ(svc.stats().plan_misses, 2u);
-  expect_same(out_auto, ref_auto, expect_bitwise(workers, 1, tiled_auto),
-              "auto chunk cap");
-  expect_same(out_capped, ref_capped, expect_bitwise(workers, 1, tiled_capped),
-              "explicit chunk cap");
-}
-
 // ---- plan key: upsampfac is part of the signature ---------------------------
 
 TEST(Service, UpsampfacIsPartOfThePlanKey) {
@@ -1053,8 +1022,8 @@ TEST(Service, UpsampfacIsPartOfThePlanKey) {
   service::ServiceConfig cfg;
   cfg.threads = 1;
   service::NufftService svc(dev, cfg);
-  // {40, 40} passes the tile-geometry gate at both sigmas, so both round
-  // trips below get the bitwise (tiled, atomic-free) comparison.
+  // Both round trips below spread tiled, so both get the bitwise
+  // (atomic-free) comparison.
   Problem<float> p(std::vector<std::int64_t>{40, 40}, 1, 700, 98);
 
   int tiled_two = 0, tiled_low = 0;
@@ -1272,7 +1241,6 @@ TEST(Service, CApiServiceCoalescesAndMatchesPlan) {
 
   cfs_opts opts;
   cfs_default_opts(&opts);
-  opts.gpu_tiled_spread = cf::test::env_tiled() ? 0 : -1;
 
   cfs_service_request rq{};
   rq.precision = CFS_PRECISION_SINGLE;
@@ -1310,17 +1278,12 @@ TEST(Service, CApiServiceCoalescesAndMatchesPlan) {
   cfs_planf plan = nullptr;
   ASSERT_EQ(cfs_makeplanf(dev, 1, 2, nmodes, +1, 1e-5, &opts, &plan), CFS_SUCCESS);
   ASSERT_EQ(cfs_setptsf(plan, M, x.data(), y.data(), nullptr), CFS_SUCCESS);
-  const bool bitwise = cf::test::env_tiled() != 0;
   for (int i = 0; i < kReq; ++i) {
     std::vector<float> want(2 * ntot);
     std::vector<float> c = cin[i];
     ASSERT_EQ(cfs_executef(plan, c.data(), want.data()), CFS_SUCCESS);
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      if (bitwise)
-        ASSERT_EQ(fout[i][k], want[k]) << "req " << i << " k=" << k;
-      else
-        ASSERT_NEAR(fout[i][k], want[k], 1e-3) << "req " << i << " k=" << k;
-    }
+    for (std::size_t k = 0; k < want.size(); ++k)
+      ASSERT_EQ(fout[i][k], want[k]) << "req " << i << " k=" << k;
   }
   cfs_destroyf(plan);
   cfs_service_destroy(svc);

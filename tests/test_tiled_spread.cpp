@@ -1,4 +1,5 @@
-// Tile-owned atomic-free spread writeback (Options::tiled_spread):
+// Tile-owned atomic-free spread writeback, the engine of every SM and
+// GM-sort type-1 spread:
 //  * bitwise-identical execute output across worker counts {1, 2, hw,
 //    $CF_WORKERS} on the tiled path (the whole pipeline is atomic-free and
 //    every fine-grid cell has a single owner with a fixed merge order);
@@ -9,10 +10,11 @@
 //    colours and outputs are identical at every worker count;
 //  * the M-TIP merge geometry (3D fp64 at 1e-12) runs tiled in bounded
 //    memory;
-//  * parity against the atomic writeback at one worker across dims x methods
-//    x precisions x B in {1, 3};
-//  * graceful fallback: geometries failing the tile gate (padded extent
-//    exceeding nf) silently keep the atomic path and stay correct.
+//  * parity against the atomic spread_gm_batch kernel in sort order at one
+//    worker across dims x methods x precisions x B in {1, 3};
+//  * small grids: tiles clamped to the fine grid keep every plan on the tile
+//    engine, bitwise across worker counts and accurate against the direct
+//    sum (no atomic fallback exists).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 
 #include "common/rng.hpp"
 #include "core/plan.hpp"
+#include "core/type3.hpp"
 #include "cpu/direct.hpp"
 #include "mtip/geometry.hpp"
 #include "test_env.hpp"
@@ -39,12 +42,11 @@ using cf::Rng;
 
 namespace {
 
-/// Modes sized so the fine grid passes the tile-geometry gate (padded bin
-/// extent <= nf per axis) at the suite's tolerances. 1D gets an explicit bin
-/// size: the 1024-point default bin always fails the gate on test-sized
-/// grids. The low-upsampling grid needs larger modes: sigma = 1.25 shrinks
-/// nf while widening the kernel (w = 15 at double 1e-9), so the sigma = 2
-/// shapes would fail the gate and silently skip the tiled path.
+/// Modes whose fine grids hold several unclamped tiles per axis at the
+/// suite's tolerances. 1D gets an explicit bin size: the 1024-point default
+/// bin would clamp to one tile on test-sized grids. The low-upsampling grid
+/// takes larger modes: sigma = 1.25 shrinks nf while widening the kernel
+/// (w = 15 at double 1e-9).
 std::vector<std::int64_t> modes_for(int dim,
                                     double sigma = cf::test::env_upsampfac()) {
   if (dim == 1) return {64};
@@ -54,10 +56,9 @@ std::vector<std::int64_t> modes_for(int dim,
   return {16, 16, 12};
 }
 
-core::Options base_opts(int dim, core::Method method, int tiled, int B = 1) {
+core::Options base_opts(int dim, core::Method method, int B = 1) {
   core::Options o;
   o.method = method;
-  o.tiled_spread = tiled;
   o.upsampfac = cf::test::env_upsampfac();
   o.ntransf = B;
   if (dim == 1) o.binsize = {32, 1, 1};
@@ -174,7 +175,7 @@ template <typename T>
 static void check_bitwise_across_workers(int dim, core::Method method, int B,
                                          double sigma = cf::test::env_upsampfac()) {
   const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
-  auto opts = base_opts(dim, method, /*tiled=*/1, B);
+  auto opts = base_opts(dim, method, B);
   opts.upsampfac = sigma;
   const auto modes = modes_for(dim, sigma);
   if (!method_available<T>(modes, tol, opts)) return;
@@ -226,7 +227,7 @@ TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
   // 1.25 halos go through the same colour-round writeback, never through
   // atomics.
   for (int dim = 2; dim <= 3; ++dim) {
-    auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
+    auto opts = base_opts(dim, core::Method::GMSort);
     opts.upsampfac = 1.25;
     const auto modes = modes_for(dim, 1.25);
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
@@ -250,19 +251,18 @@ TEST(TiledSpread, ArenaBytesIndependentOfActiveTileCount) {
   // Colour rounds persist nothing per tile: Breakdown::arena_bytes is the
   // per-worker padded scratch plus split-chunk planes, so a point set that
   // lights up every tile costs exactly what one confined to a few tiles does.
-  // Chunk splitting is pinned off (a forced split, e.g. the CI
-  // CF_TILE_CHUNK=1 pass, would add point-dependent chunk planes). Sigma is
-  // pinned to 2: the sigma = 1.25 test grids hold too few bins to tell a
-  // handful of active tiles from all of them.
+  // 2000 points stay under the chunk cap even in one bin, so no split adds
+  // point-dependent chunk planes (asserted). Sigma is pinned to 2: the
+  // sigma = 1.25 test grids hold too few bins to tell a handful of active
+  // tiles from all of them.
   for (int dim = 2; dim <= 3; ++dim) {
-    auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
-    opts.tile_chunk_cap = -1;
+    auto opts = base_opts(dim, core::Method::GMSort);
     opts.upsampfac = 2.0;
     const auto modes = modes_for(dim, 2.0);
     vgpu::Device dev(2);
     core::Plan<float> plan(dev, 1, modes, +1, 1e-5, opts);
     const auto& nf = plan.fine_grid().nf;
-    Problem<float> spread_out(modes, 4000, 1, nf, 0, 77 + dim);
+    Problem<float> spread_out(modes, 2000, 1, nf, 0, 77 + dim);
     // Same strengths, coordinates squeezed into a 4-cell box near the origin.
     Problem<float> few = spread_out;
     auto squeeze = [](std::vector<float>& v, std::int64_t n) {
@@ -277,6 +277,7 @@ TEST(TiledSpread, ArenaBytesIndependentOfActiveTileCount) {
     for (const auto* p : {&few, &spread_out}) {
       plan.set_points(p->M, p->x.data(), p->yp(), p->zp());
       bd[k] = plan.last_breakdown();
+      EXPECT_EQ(bd[k].tile_chunks, bd[k].tiles_active) << "dim=" << dim;
       std::vector<std::complex<float>> f(static_cast<std::size_t>(p->ntot));
       auto c = p->c;
       dev.counters.reset();
@@ -302,7 +303,7 @@ TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
   for (int dim = 2; dim <= 3; ++dim) {
     for (auto method : {core::Method::GMSort, core::Method::SM}) {
       for (int band : {0, 8}) {
-        const auto opts = base_opts(dim, method, 1);
+        const auto opts = base_opts(dim, method);
         // SM can't fit the padded bin everywhere (3D float at sigma = 1.25
         // exceeds shared memory); skip before the trial plan would throw.
         if (!method_available<float>(modes_for(dim), 1e-5, opts)) continue;
@@ -332,10 +333,10 @@ TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
   }
 }
 
-TEST(TiledSpread, AtomicBaselineStillCountsAtomics) {
-  // Sanity check of the ablation axis: the same problem with tiled_spread = 0
-  // goes back to atomic writeback and the counter sees it.
-  const auto opts = base_opts(2, core::Method::GMSort, /*tiled=*/0);
+TEST(TiledSpread, GmMethodStillCountsAtomics) {
+  // Sanity check of the counter: the GM method, the contract's one atomic
+  // exception, spreads with global atomics and reports tiled == 0.
+  const auto opts = base_opts(2, core::Method::GM);
   vgpu::Device probe(1);
   core::Plan<float> trial(probe, 1, modes_for(2), +1, 1e-5, opts);
   Problem<float> p(modes_for(2), 1500, 1, trial.fine_grid().nf, 0, 31);
@@ -348,8 +349,12 @@ TEST(TiledSpread, AtomicBaselineStillCountsAtomics) {
 
 // ---- parity vs the atomic writeback ------------------------------------------
 
+/// The plan's tiled fine grid against the atomic spread_gm_batch kernel run
+/// in the same sort order on one worker: both at the kernel level, on the
+/// plan's grid, bins and kernel (SM streams a tap table, as its plans do).
 template <typename T>
 static void check_parity(int dim, core::Method method, int B) {
+  namespace sp = cf::spread;
   const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
   // The double parity floor widens off the sigma = 2 grid: the w = 15 kernel
   // sums ~2x more taps per point, so summation-order noise between the tiled
@@ -357,17 +362,35 @@ static void check_parity(int dim, core::Method method, int B) {
   const double lim = std::is_same_v<T, double>
                          ? (cf::test::env_upsampfac() == 2.0 ? 1e-11 : 1e-9)
                          : 1e-4;
-  auto topts = base_opts(dim, method, 1, B);
-  auto aopts = base_opts(dim, method, 0, B);
-  if (!method_available<T>(modes_for(dim), tol, topts)) return;
-  vgpu::Device probe(1);
-  core::Plan<T> trial(probe, 1, modes_for(dim), +1, tol, topts);
-  Problem<T> p(modes_for(dim), 2200, B, trial.fine_grid().nf, 0, 41 + dim + B);
-  int tiled = 0;
-  const auto got = run_type1<T>(1, p, topts, tol, &tiled);
-  ASSERT_EQ(tiled, 1) << "dim=" << dim << " method=" << core::method_name(method);
-  const auto want = run_type1<T>(1, p, aopts, tol, &tiled);
-  ASSERT_EQ(tiled, 0);
+  const auto opts = base_opts(dim, method, B);
+  if (!method_available<T>(modes_for(dim), tol, opts)) return;
+  vgpu::Device dev(1);
+  core::Plan<T> plan(dev, 1, modes_for(dim), +1, tol, opts);
+  const auto grid = plan.fine_grid();
+  const auto bins = plan.bins();
+  Problem<T> p(modes_for(dim), 2200, B, grid.nf, 0, 41 + dim + B);
+  std::vector<T> xg(p.M), yg(p.y.size()), zg(p.z.size());
+  for (std::size_t j = 0; j < p.M; ++j) {
+    xg[j] = sp::fold_rescale(p.x[j], grid.nf[0]);
+    if (!yg.empty()) yg[j] = sp::fold_rescale(p.y[j], grid.nf[1]);
+    if (!zg.empty()) zg[j] = sp::fold_rescale(p.z[j], grid.nf[2]);
+  }
+  const sp::NuPoints<T> pts{xg.data(), yg.empty() ? nullptr : yg.data(),
+                            zg.empty() ? nullptr : zg.data(), p.M};
+  sp::DeviceSort sort;
+  sp::bin_sort(dev, grid, bins, pts.xg, pts.yg, pts.zg, p.M, sort);
+  const auto kp = sp::KernelParams<T>::from_width(plan.kernel_width(), opts.upsampfac);
+  sp::TileSet<T> tiles;
+  sp::build_tile_set(dev, grid, bins, kp.w, sort, B, tiles);
+  sp::TapTable<T> taps;
+  if (method == core::Method::SM)
+    sp::build_tap_table(dev, dim, kp, pts, sort.order.data(), taps);
+  const std::size_t total = static_cast<std::size_t>(grid.total());
+  std::vector<std::complex<T>> got(B * total), want(B * total);
+  sp::spread_tiled_batch<T>(dev, grid, bins, kp, pts, p.c.data(), got.data(), sort, tiles,
+                            taps.empty() ? nullptr : &taps, B, p.M, total);
+  sp::spread_gm_batch<T>(dev, grid, kp, pts, p.c.data(), want.data(), sort.order.data(),
+                         B, p.M, total);
   EXPECT_LT(cf::cpu::rel_l2_error<T>(got, want), lim)
       << "dim=" << dim << " method=" << core::method_name(method) << " B=" << B;
 }
@@ -385,7 +408,7 @@ TEST(TiledSpread, ParityVsAtomicWritebackOneWorker) {
 
 TEST(TiledSpread, TiledExecuteMatchesDirect) {
   for (int dim = 2; dim <= 3; ++dim) {
-    const auto opts = base_opts(dim, core::Method::GMSort, 1);
+    const auto opts = base_opts(dim, core::Method::GMSort);
     vgpu::Device probe(1);
     core::Plan<double> trial(probe, 1, modes_for(dim), +1, 1e-9, opts);
     Problem<double> p(modes_for(dim), 1200, 1, trial.fine_grid().nf, 0, 51 + dim);
@@ -403,11 +426,11 @@ TEST(TiledSpread, TiledExecuteMatchesDirect) {
 
 TEST(TiledSpread, ReSetPointsToZeroIsClean) {
   // A used plan re-pointed at an empty set must not retain the previous
-  // subproblem/tile decomposition; execute must produce zeros, on both
-  // writebacks.
-  for (int tiled : {0, 1}) {
-    for (auto method : {core::Method::GMSort, core::Method::SM}) {
-      const auto opts = base_opts(2, method, tiled);
+  // tile decomposition or partition; execute must produce zeros, tiled and
+  // atomic (GM) alike.
+  {
+    for (auto method : {core::Method::GMSort, core::Method::SM, core::Method::GM}) {
+      const auto opts = base_opts(2, method);
       vgpu::Device dev(2);
       core::Plan<float> plan(dev, 1, modes_for(2), +1, 1e-5, opts);
       Problem<float> p(modes_for(2), 2000, 1, plan.fine_grid().nf, 0, 71);
@@ -418,39 +441,105 @@ TEST(TiledSpread, ReSetPointsToZeroIsClean) {
       plan.set_points(0, p.x.data(), p.yp(), p.zp());
       plan.execute(c.data(), f.data());
       for (const auto& v : f)
-        ASSERT_EQ(v, std::complex<float>(0, 0))
-            << core::method_name(method) << " tiled=" << tiled;
+        ASSERT_EQ(v, std::complex<float>(0, 0)) << core::method_name(method);
     }
   }
 }
 
-// ---- fallback on gate failure ------------------------------------------------
+// ---- small grids: clamped tiles, no fallback --------------------------------
 
-TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
-  // Tiny grid: the padded bin extent exceeds nf, so the tile engine must
-  // decline (Breakdown::tiled == 0) and the atomic path must still be exact.
+namespace {
+
+/// One small-grid type-1 case: tiles clamp to the fine grid (as few as w - 1
+/// cells per axis), and the plan must still spread tiled, give the same bits
+/// at 1, 2 and 4 workers, and match the direct sum.
+template <typename T>
+void check_small_grid(const std::vector<std::int64_t>& N, core::Method method) {
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  // The bound of the suite's other direct-sum checks: 10x the tolerance.
+  const double lim = 10 * tol;
   core::Options opts;
-  opts.method = core::Method::GMSort;
-  std::vector<std::int64_t> N{10, 12};
-  vgpu::Device dev(2);
-  core::Plan<double> plan(dev, 1, N, +1, 1e-9, opts);
-  Rng rng(61);
-  const std::size_t M = 500;
-  std::vector<double> x(M), y(M);
-  std::vector<std::complex<double>> c(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    x[j] = rng.angle();
-    y[j] = rng.angle();
-    c[j] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  opts.method = method;
+  opts.upsampfac = cf::test::env_upsampfac();
+  if (!method_available<T>(N, tol, opts)) return;  // SM beyond shared memory
+  SCOPED_TRACE(::testing::Message()
+               << "N0=" << N[0] << " dim=" << N.size() << " method="
+               << core::method_name(method) << " double=" << (std::is_same_v<T, double>));
+  vgpu::Device probe(1);
+  core::Plan<T> trial(probe, 1, N, +1, tol, opts);
+  Problem<T> p(N, 500, 1, trial.fine_grid().nf, 0, 61 + N[0] + N.size());
+  int tiled = 0;
+  std::uint64_t atomics = ~std::uint64_t(0);
+  const auto ref = run_type1<T>(1, p, opts, tol, &tiled, &atomics);
+  ASSERT_EQ(tiled, 1);
+  EXPECT_EQ(atomics, 0u);
+  for (std::size_t wc : {2, 4}) {
+    const auto got = run_type1<T>(wc, p, opts, tol, &tiled);
+    ASSERT_EQ(tiled, 1) << "workers=" << wc;
+    ASSERT_TRUE(got == ref) << "workers=" << wc;
   }
-  plan.set_points(M, x.data(), y.data(), nullptr);
-  std::vector<std::complex<double>> f(10 * 12);
-  plan.execute(c.data(), f.data());
-  EXPECT_EQ(plan.last_breakdown().tiled, 0);
   cf::ThreadPool pool(2);
-  std::vector<std::complex<double>> want(10 * 12);
-  cf::cpu::direct_type1<double>(pool, x, y, {}, c, +1, N, want);
-  EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-8);
+  std::vector<double> x(p.x.begin(), p.x.end()), y(p.y.begin(), p.y.end()),
+      z(p.z.begin(), p.z.end());
+  std::vector<std::complex<double>> c(p.c.begin(), p.c.end()),
+      got(ref.begin(), ref.end()), want(static_cast<std::size_t>(p.ntot));
+  cf::cpu::direct_type1<double>(pool, x, y, z, c, +1, p.N, want);
+  EXPECT_LT(cf::cpu::rel_l2_error<double>(got, want), lim);
+}
+
+template <typename T>
+void check_small_grids() {
+  const std::vector<std::vector<std::int64_t>> shapes = {
+      {8}, {16}, {32}, {64}, {8, 8}, {10, 12}, {16, 16}, {6, 6, 6}, {12, 10, 8}, {12, 12, 12}};
+  for (const auto& N : shapes)
+    for (auto m : {core::Method::Auto, core::Method::GMSort, core::Method::SM})
+      check_small_grid<T>(N, m);
+}
+
+}  // namespace
+
+TEST(TiledSpread, SmallGridsRunTiledBitwiseAndAccurateF32) { check_small_grids<float>(); }
+
+TEST(TiledSpread, SmallGridsRunTiledBitwiseAndAccurateF64) {
+  // Includes {10, 12} at fp64 1e-9, where the paper bins and the halo tiles
+  // both exceed the fine grid on every axis and are clamped.
+  check_small_grids<double>();
+}
+
+TEST(TiledSpread, SmallGridType3SpreadsWithoutAtomics) {
+  // Type 3's source spread runs on the same engine: on a small geometry-
+  // derived grid its whole execute performs no global atomics and gives the
+  // same bits at 1, 2 and 4 workers.
+  Rng rng(67);
+  const std::size_t M = 300, K = 200;
+  std::vector<double> x(M), y(M), s(K), t(K);
+  std::vector<std::complex<double>> c(M);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  for (auto& v : y) v = rng.uniform(-1, 1);
+  for (auto& v : s) v = rng.uniform(-3, 3);
+  for (auto& v : t) v = rng.uniform(-3, 3);
+  for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  for (auto m : {core::Method::GMSort, core::Method::SM}) {
+    core::Options opts;
+    opts.method = m;
+    std::vector<std::complex<double>> ref;
+    for (std::size_t wc : {1, 2, 4}) {
+      vgpu::Device dev(wc);
+      core::Type3Plan<double> plan(dev, 2, +1, 1e-9, opts);
+      plan.set_points(M, x.data(), y.data(), nullptr, K, s.data(), t.data(), nullptr);
+      ASSERT_LT(plan.fine_grid().nf[0], 64) << "not a small grid";
+      std::vector<std::complex<double>> f(K);
+      auto cc = c;
+      dev.counters.reset();
+      plan.execute(cc.data(), f.data());
+      EXPECT_EQ(dev.counters.global_atomics.load(), 0u)
+          << core::method_name(m) << " workers=" << wc;
+      if (wc == 1)
+        ref = f;
+      else
+        ASSERT_TRUE(f == ref) << core::method_name(m) << " workers=" << wc;
+    }
+  }
 }
 
 // ---- adversarial clustered distributions (chunked scheduler) -----------------
@@ -487,54 +576,40 @@ Problem<T> cluster_problem(int dim, int kind, std::size_t M,
   return p;
 }
 
-/// For every chunk cap in {1 (max splitting, budget-clamped), 0 (auto), -1
-/// (never split — PR-5's per-tile schedule)}: still tiled, still zero global
-/// atomics, output bitwise-identical at every worker count; at cap = 1 the
-/// split must actually engage (more work items than tiles). Different caps
-/// re-associate the per-tile sums, so across caps only tolerance-level
-/// agreement is required.
+/// At the fixed chunk cap: still tiled, still zero global atomics, output
+/// bitwise-identical at every worker count. 6000 points put bins past the
+/// cap, so the split must engage where a bin holds them all (kind 0); other
+/// caps are checked against the reference sum in test_spread.
 template <typename T>
 void check_cluster(int dim, int kind) {
   const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
-  const auto opts0 = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
-  if (!method_available<T>(modes_for(dim), tol, opts0)) return;
+  const auto opts = base_opts(dim, core::Method::GMSort);
+  if (!method_available<T>(modes_for(dim), tol, opts)) return;
   vgpu::Device probe(1);
-  core::Plan<T> trial(probe, 1, modes_for(dim), +1, tol, opts0);
+  core::Plan<T> trial(probe, 1, modes_for(dim), +1, tol, opts);
   const auto p =
-      cluster_problem<T>(dim, kind, 2000, trial.fine_grid().nf, 91 + dim * 7 + kind);
+      cluster_problem<T>(dim, kind, 6000, trial.fine_grid().nf, 91 + dim * 7 + kind);
 
-  std::vector<std::vector<std::complex<T>>> per_cap;
-  for (int cap : {1, 0, -1}) {
-    auto opts = opts0;
-    opts.tile_chunk_cap = cap;
-    int tiled = 0;
-    std::uint64_t atomics = ~std::uint64_t(0);
-    core::Breakdown bd{};
-    const auto ref = run_type1<T>(1, p, opts, tol, &tiled, &atomics, &bd);
-    ASSERT_EQ(tiled, 1) << "dim=" << dim << " kind=" << kind << " cap=" << cap;
-    EXPECT_EQ(atomics, 0u) << "dim=" << dim << " kind=" << kind << " cap=" << cap;
-    ASSERT_GT(bd.tiles_active, 0u);
-    EXPECT_GT(bd.max_tile_points, 0u);
-    // cap = 1 requests maximal splitting; the chunk-plane budget may clamp the
-    // applied cap upward, but clustered bins must still split into more work
-    // items than tiles. cap = -1 must reproduce the unsplit schedule exactly.
-    if (cap == 1)
-      EXPECT_GT(bd.tile_chunks, bd.tiles_active)
-          << "split did not engage at dim=" << dim << " kind=" << kind;
-    if (cap == -1) EXPECT_EQ(bd.tile_chunks, bd.tiles_active);
-    for (std::size_t wc : worker_counts()) {
-      const auto got = run_type1<T>(wc, p, opts, tol);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], ref[i]) << "dim=" << dim << " kind=" << kind
-                                  << " cap=" << cap << " workers=" << wc << " i=" << i;
-    }
-    per_cap.push_back(ref);
+  int tiled = 0;
+  std::uint64_t atomics = ~std::uint64_t(0);
+  core::Breakdown bd{};
+  const auto ref = run_type1<T>(1, p, opts, tol, &tiled, &atomics, &bd);
+  ASSERT_EQ(tiled, 1) << "dim=" << dim << " kind=" << kind;
+  EXPECT_EQ(atomics, 0u) << "dim=" << dim << " kind=" << kind;
+  ASSERT_GT(bd.tiles_active, 0u);
+  EXPECT_GT(bd.max_tile_points, 0u);
+  if (kind == 0) {
+    EXPECT_GT(bd.max_tile_points, cf::spread::kTileChunkCap);
+    EXPECT_GT(bd.tile_chunks, bd.tiles_active)
+        << "split did not engage at dim=" << dim << " kind=" << kind;
   }
-  EXPECT_LT(cf::cpu::rel_l2_error<T>(per_cap[0], per_cap[2]), 100 * tol)
-      << "caps disagree beyond rounding at dim=" << dim << " kind=" << kind;
-  EXPECT_LT(cf::cpu::rel_l2_error<T>(per_cap[1], per_cap[2]), 100 * tol)
-      << "caps disagree beyond rounding at dim=" << dim << " kind=" << kind;
+  for (std::size_t wc : worker_counts()) {
+    const auto got = run_type1<T>(wc, p, opts, tol);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], ref[i]) << "dim=" << dim << " kind=" << kind
+                                << " workers=" << wc << " i=" << i;
+  }
 }
 
 }  // namespace
@@ -587,7 +662,7 @@ TileSchedule check_coloring(const ColorCase& cc, const cf::spread::GridSpec& gri
   sp::bin_sort(dev, grid, bins, xg.data(), yg.empty() ? nullptr : yg.data(),
                zg.empty() ? nullptr : zg.data(), p.M, sort);
   sp::TileSet<double> ts;
-  EXPECT_TRUE(sp::build_tile_set(dev, grid, bins, cc.want_w, sort, 1, ts, cap)) << cc.name;
+  sp::build_tile_set(dev, grid, bins, cc.want_w, sort, 1, ts, cap);
   EXPECT_GT(ts.n_active, 0u) << cc.name;
   EXPECT_EQ(ts.color_tile0.size(), ts.n_colors + 1u) << cc.name;
 
@@ -645,26 +720,28 @@ TEST(TiledSpread, ColoringDisjointAndWorkerIndependent) {
     ASSERT_EQ(trial.kernel_width(), cc.want_w) << cc.name;
     const auto grid = trial.fine_grid();
     Problem<double> p(cc.N, 3000, 1, grid.nf, 0, 500 + dim);
-    for (int cap : {0, 1}) {
-      opts.tile_chunk_cap = cap;
-      std::vector<std::complex<double>> ref;
+    for (int cap : {static_cast<int>(cf::spread::kTileChunkCap), 1}) {
       TileSchedule ref_sched;
       for (std::size_t wc : {1, 2, 4}) {
         const auto sched = check_coloring(cc, grid, p, wc, cap);
-        int tiled = 0;
-        const auto got = run_type1<double>(wc, p, opts, cc.tol, &tiled);
-        ASSERT_EQ(tiled, 1) << cc.name;
-        if (wc == 1) {
-          ref = got;
+        if (wc == 1)
           ref_sched = sched;
-          continue;
-        }
-        EXPECT_TRUE(sched == ref_sched) << cc.name << " cap=" << cap << " workers=" << wc;
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-          ASSERT_EQ(got[i], ref[i]) << cc.name << " cap=" << cap << " workers=" << wc
-                                    << " i=" << i;
+        else
+          EXPECT_TRUE(sched == ref_sched) << cc.name << " cap=" << cap << " workers=" << wc;
       }
+    }
+    std::vector<std::complex<double>> ref;
+    for (std::size_t wc : {1, 2, 4}) {
+      int tiled = 0;
+      const auto got = run_type1<double>(wc, p, opts, cc.tol, &tiled);
+      ASSERT_EQ(tiled, 1) << cc.name;
+      if (wc == 1) {
+        ref = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], ref[i]) << cc.name << " workers=" << wc << " i=" << i;
     }
   }
 }
@@ -727,17 +804,16 @@ MtipMergeRun run_mtip_merge(const core::Options& opts) {
 TEST(TiledSpread, MtipMergePlanRunsTiledInBoundedMemory) {
   // Pinned to the paper's 16x16x2 bins, where w = 13 reaches 7 cells past a
   // 2-cell-deep bin: thousands of active tiles must run on the tile engine —
-  // no atomic fallback — in memory that does not scale with them. Chunk
-  // splitting is pinned off so a forced CI cap cannot add chunk planes; the
-  // auto cap splits nothing here anyway, since no bin reaches kTileChunkMin
-  // points (asserted).
+  // in memory that does not scale with them. The chunk cap splits nothing
+  // here, since no bin reaches kTileChunkCap points (asserted), so no chunk
+  // planes are allocated.
   core::Options opts;
   opts.method = core::Method::GMSort;
-  opts.tile_chunk_cap = -1;
   opts.binsize = {16, 16, 2};
   const auto r = run_mtip_merge(opts);
   EXPECT_GT(r.bd.tiles_active, 1000u);
-  EXPECT_LT(r.bd.max_tile_points, cf::spread::kTileChunkMin);
+  EXPECT_LT(r.bd.max_tile_points, cf::spread::kTileChunkCap);
+  EXPECT_EQ(r.bd.tile_chunks, r.bd.tiles_active);
   EXPECT_LT(r.bd.arena_bytes, std::size_t(2) << 20);
 }
 
@@ -747,7 +823,6 @@ TEST(TiledSpread, MtipMergePlanDefaultsToHaloProportionedTiles) {
   // scratch, at the same accuracy.
   core::Options opts;
   opts.method = core::Method::GMSort;
-  opts.tile_chunk_cap = -1;
   const auto r = run_mtip_merge(opts);
   EXPECT_EQ(r.bins, (std::array<int, 3>{16, 16, 16}));
   EXPECT_GT(r.bd.tiles_active, 0u);
@@ -780,8 +855,8 @@ TEST(TiledSpread, MethodResolvesOnPaperBinsTilesOnHaloBins) {
   // fp32 3D type 1 at tol 1e-6 (w = 7): the paper's 16x16x2 bin fits shared
   // memory, so Auto resolves to SM; the tile engine then runs 16x16x8
   // tiles. An explicit binsize wins over both, and plans off the tile engine
-  // keep the paper bins. A plan whose tiles fail the tile gate keeps the
-  // paper bins too.
+  // (type 2) keep the paper bins. Tiles that would not fit the fine grid are
+  // clamped to it, axis by axis.
   const std::vector<std::int64_t> N = {32, 32, 32};
   vgpu::Device dev(1);
   auto bins_of = [&](int type, core::Options o) {
@@ -795,21 +870,18 @@ TEST(TiledSpread, MethodResolvesOnPaperBinsTilesOnHaloBins) {
   core::Options o;
   EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{16, 16, 8}));
   EXPECT_EQ(bins_of(2, o), (std::array<int, 3>{16, 16, 2}));
-  o.tiled_spread = 0;
-  EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{16, 16, 2}));
-  o.tiled_spread = 1;
   o.binsize = {8, 8, 4};
   EXPECT_EQ(bins_of(1, o), (std::array<int, 3>{8, 8, 4}));
 
-  // Fallback: fp64 at tol 1e-12 (w = 13, pad 7) on modes {81, 81, 8} gives
-  // nf_z = 27. A 16-deep tile needs 16 + 14 = 30 cells on z and fails the
-  // tile gate, the paper's 2-deep bin needs 16 and passes, so the plan keeps
-  // 16x16x2 and still spreads tiled, with no global atomics.
+  // Clamp: fp64 at tol 1e-12 (w = 13, pad 7) on modes {81, 81, 8} gives
+  // nf_z = 27. A 16-deep tile would need 16 + 14 = 30 cells on z, so that
+  // axis clamps to 27 - 14 = 13 while x and y keep 16, and the plan spreads
+  // tiled with no global atomics.
   const std::vector<std::int64_t> Na = {81, 81, 8};
   core::Plan<double> plan(dev, 1, Na, +1, 1e-12);
   EXPECT_EQ(plan.kernel_width(), 13);
   EXPECT_EQ(plan.fine_grid().nf[2], 27);
-  EXPECT_EQ(plan.bins().m, (std::array<int, 3>{16, 16, 2}));
+  EXPECT_EQ(plan.bins().m, (std::array<int, 3>{16, 16, 13}));
   const std::size_t M = 2000;
   Rng rng(44);
   std::vector<double> x(M), y(M), z(M);
@@ -859,10 +931,9 @@ Problem<double> sparse_problem(int kind, std::size_t M, int B,
   return p;
 }
 
-core::Options sparse_opts(int cap, int B = 1) {
+core::Options sparse_opts(int B = 1) {
   core::Options o;
   o.method = core::Method::GMSort;
-  o.tile_chunk_cap = cap;
   o.ntransf = B;
   return o;
 }
@@ -873,25 +944,27 @@ TEST(TiledSpread, SparseFootprintsBitwiseAcrossWorkersAndAccurate) {
   const double tol = 1e-9;
   vgpu::Device probe(1);
   core::Plan<double> trial(probe, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol,
-                           sparse_opts(-1));
+                           sparse_opts());
   const auto nf = trial.fine_grid().nf;
   ASSERT_EQ(nf[0], 162);
   ASSERT_EQ(trial.bins().m, (std::array<int, 3>{16, 16, 16}));
   cf::ThreadPool pool(2);
+  // 3000 points: kind 1's single bin exceeds the chunk cap and is split.
   for (int kind = 0; kind <= 2; ++kind) {
-    const auto p = sparse_problem(kind, 1500, 1, nf);
+    const auto p = sparse_problem(kind, 3000, 1, nf);
     std::vector<std::complex<double>> want(static_cast<std::size_t>(p.ntot));
     cf::cpu::direct_type1<double>(pool, p.x, p.y, p.z, p.c, +1, p.N, want);
-    for (int cap : {-1, 1}) {
-      int tiled = 0;
-      const auto ref = run_type1<double>(1, p, sparse_opts(cap), tol, &tiled);
-      ASSERT_EQ(tiled, 1) << "kind=" << kind;
-      EXPECT_LT(cf::cpu::rel_l2_error<double>(ref, want), 10 * tol)
-          << "kind=" << kind << " cap=" << cap;
-      for (std::size_t wc : {2, 4}) {
-        const auto got = run_type1<double>(wc, p, sparse_opts(cap), tol);
-        ASSERT_TRUE(got == ref) << "kind=" << kind << " cap=" << cap << " workers=" << wc;
-      }
+    int tiled = 0;
+    core::Breakdown bd{};
+    const auto ref = run_type1<double>(1, p, sparse_opts(), tol, &tiled, nullptr, &bd);
+    ASSERT_EQ(tiled, 1) << "kind=" << kind;
+    if (kind == 1) {
+      EXPECT_GT(bd.tile_chunks, bd.tiles_active);
+    }
+    EXPECT_LT(cf::cpu::rel_l2_error<double>(ref, want), 10 * tol) << "kind=" << kind;
+    for (std::size_t wc : {2, 4}) {
+      const auto got = run_type1<double>(wc, p, sparse_opts(), tol);
+      ASSERT_TRUE(got == ref) << "kind=" << kind << " workers=" << wc;
     }
   }
 }
@@ -908,7 +981,7 @@ TEST(TiledSpread, ScratchAndChunkPlanesAreCleanAfterSpread) {
       for (int B : {1, 3}) {
         vgpu::Device dev(3);
         core::Plan<double> plan(dev, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol,
-                                sparse_opts(cap, B));
+                                sparse_opts(B));
         const auto grid = plan.fine_grid();
         const auto bins = plan.bins();
         const auto p = sparse_problem(kind, 1500, B, grid.nf);
@@ -921,8 +994,7 @@ TEST(TiledSpread, ScratchAndChunkPlanesAreCleanAfterSpread) {
         sp::DeviceSort sort;
         sp::bin_sort(dev, grid, bins, xg.data(), yg.data(), zg.data(), p.M, sort);
         sp::TileSet<double> ts;
-        ASSERT_TRUE(sp::build_tile_set(dev, grid, bins, plan.kernel_width(), sort, B, ts,
-                                       cap));
+        sp::build_tile_set(dev, grid, bins, plan.kernel_width(), sort, B, ts, cap);
         if (cap == 1) {
           EXPECT_GT(ts.n_split, 0u) << "kind=" << kind;
         }
@@ -950,13 +1022,14 @@ TEST(TiledSpread, ScratchAndChunkPlanesAreCleanAfterSpread) {
 TEST(TiledSpread, NonFiniteStrengthDoesNotPoisonLaterExecutes) {
   // A NaN (or Inf) strength writes NaN into the zero-tap overhang lanes of
   // the fast path, which can spill past a row's end; clearing must cover
-  // them, or the next execute on the same plan inherits the NaNs.
+  // them, or the next execute on the same plan inherits the NaNs. Kind 1's
+  // 3000 points in one bin also run the split-tile path.
   const double tol = 1e-9;
-  for (int cap : {-1, 1}) {
+  for (int kind : {1, 2}) {
     vgpu::Device dev(2);
-    const auto opts = sparse_opts(cap);
+    const auto opts = sparse_opts();
     core::Plan<double> plan(dev, 1, std::vector<std::int64_t>{81, 24, 16}, +1, tol, opts);
-    const auto p = sparse_problem(2, 1500, 1, plan.fine_grid().nf);
+    const auto p = sparse_problem(kind, 3000, 1, plan.fine_grid().nf);
     plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
     std::vector<std::complex<double>> f(static_cast<std::size_t>(p.ntot));
     auto bad = p.c;
@@ -968,42 +1041,6 @@ TEST(TiledSpread, NonFiniteStrengthDoesNotPoisonLaterExecutes) {
     auto c = p.c;
     plan.execute(c.data(), f.data());
     const auto fresh = run_type1<double>(2, p, opts, tol);
-    ASSERT_TRUE(f == fresh) << "cap=" << cap;
+    ASSERT_TRUE(f == fresh) << "kind=" << kind;
   }
-}
-
-// ---- CF_TILE_CHUNK parsing ---------------------------------------------------
-
-TEST(TiledSpread, InvalidTileChunkEnvWarnsAndFallsBackToAuto) {
-  // A malformed CF_TILE_CHUNK must not silently mean "auto" (nor an
-  // out-of-range value undefined behaviour): the plan warns once on stderr
-  // and uses the auto cap, i.e. the exact schedule of an unset variable.
-  const char* prev = std::getenv("CF_TILE_CHUNK");
-  const std::string saved = prev ? prev : "";
-  const auto opts = base_opts(2, core::Method::GMSort, /*tiled=*/1);
-  vgpu::Device dev(2);
-  core::Plan<float> plan(dev, 1, modes_for(2), +1, 1e-5, opts);
-  const auto p = cluster_problem<float>(2, 0, 6000, plan.fine_grid().nf, 17);
-  auto breakdown_with = [&](const char* value) {
-    if (value)
-      setenv("CF_TILE_CHUNK", value, 1);
-    else
-      unsetenv("CF_TILE_CHUNK");
-    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    return plan.last_breakdown();
-  };
-  const auto auto_bd = breakdown_with(nullptr);
-  const auto forced_bd = breakdown_with("1");
-  ASSERT_GT(forced_bd.tile_chunks, auto_bd.tile_chunks);  // the knob is live
-  for (const char* bad : {"abc", "12x", "99999999999999999999"}) {
-    testing::internal::CaptureStderr();
-    const auto bd = breakdown_with(bad);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("CF_TILE_CHUNK"), std::string::npos) << bad;
-    EXPECT_EQ(bd.tile_chunks, auto_bd.tile_chunks) << bad;
-  }
-  if (prev)
-    setenv("CF_TILE_CHUNK", saved.c_str(), 1);
-  else
-    unsetenv("CF_TILE_CHUNK");
 }
