@@ -15,7 +15,7 @@
 // A final section benchmarks the width-specialized SIMD fast path against the
 // runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
 // tracked configuration), both on the Horner kernel table; later
-// sections ablate batching, caching, sigma, the tile writeback (including the
+// sections ablate batching, sigma, the tile writeback (including the
 // M-TIP merge transform, `mtip_merge3d`, and small clamped grids,
 // `smallgrid`) and worker count. An `fft` section times the FFT substrate alone on the workload grids.
 //
@@ -254,8 +254,8 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
 
 /// Tracked execute-ablation problem: 3D rand at density rho ~= 1 — modes N
 /// per axis sized so the sigma = 2 fine grid holds ~M points. Shared by the
-/// batch / repeated-execute / worker-count ablations so they all
-/// bench the same configuration.
+/// batch / sigma / tile / worker-count ablations so they all bench the same
+/// configuration.
 struct Tracked3d {
   std::vector<std::int64_t> N;
   std::size_t ntot;
@@ -353,70 +353,6 @@ void run_batch(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
         .field("exec_s", cfg.secs)
         .field("pts_per_s", double(B) * double(M) / cfg.secs)
         .field("speedup_vs_serial", serial_s / cfg.secs);
-  }
-  t.print();
-}
-
-/// Repeated-execute ablation at the tracked configuration (3D SM type-1,
-/// rand, M = mfast, tol = 1e-6, fp32): one set_points, many executes, with
-/// the plan-resident PointCache (tap table built once in set_points) against
-/// the per-execute-rebuild baseline (Options::point_cache = 0 — the pre-cache
-/// pipeline's cost model). Reports both whole-execute and spread-stage time.
-void run_repeat(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
-                bench::JsonReport& json) {
-  const double tol = 1e-6;
-  const auto& [N, ntot, wl] = t3;
-
-  std::printf("\n--- repeated-execute ablation: 3D SM type-1, rand, M=%zu, tol=%g, fp32, "
-              "plan-resident tap cache vs per-execute rebuild ---\n", M, tol);
-
-  auto c = wl.c;  // execute takes a mutable strengths pointer
-  std::vector<std::complex<float>> f(ntot);
-
-  core::Options copts;
-  copts.method = core::Method::SM;
-  core::Options ropts = copts;
-  ropts.point_cache = 0;
-
-  struct Cfg {
-    const char* name;
-    double exec_s, spread_s;
-  } cfgs[2];
-  try {
-    core::Plan<float> cached(dev, 1, N, +1, tol, copts);
-    cached.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    cfgs[1] = {"cached", 0, 0};
-    std::tie(cfgs[1].exec_s, cfgs[1].spread_s) =
-        time_exec_best(cached, [&] { cached.execute(c.data(), f.data()); }, reps);
-
-    core::Plan<float> rebuild(dev, 1, N, +1, tol, ropts);
-    rebuild.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    cfgs[0] = {"rebuild", 0, 0};
-    std::tie(cfgs[0].exec_s, cfgs[0].spread_s) =
-        time_exec_best(rebuild, [&] { rebuild.execute(c.data(), f.data()); }, reps);
-  } catch (const std::invalid_argument& e) {
-    std::printf("SM unavailable at this configuration (%s); skipping.\n", e.what());
-    return;
-  }
-
-  Table t({"path", "exec [s]", "spread [s]", "exec spdup", "spread spdup"});
-  for (const auto& cfg : cfgs) {
-    t.add_row({cfg.name, Table::fmt(cfg.exec_s, 3), Table::fmt(cfg.spread_s, 3),
-               Table::fmt(cfgs[0].exec_s / cfg.exec_s, 2) + "x",
-               Table::fmt(cfgs[0].spread_s / cfg.spread_s, 2) + "x"});
-    auto& rec = json.add();
-    rec.field("bench", "repeat3d")
-        .field("dist", "rand")
-        .field("dim", 3)
-        .field("M", M)
-        .field("tol", tol)
-        .field("method", "SM")
-        .field("path", cfg.name)
-        .field("exec_s", cfg.exec_s)
-        .field("spread_s", cfg.spread_s)
-        .field("pts_per_s", double(M) / cfg.exec_s)
-        .field("speedup_vs_rebuild", cfgs[0].exec_s / cfg.exec_s)
-        .field("spread_speedup_vs_rebuild", cfgs[0].spread_s / cfg.spread_s);
   }
   t.print();
 }
@@ -972,7 +908,6 @@ int main(int argc, char** argv) {
   // bench the same points.
   const Tracked3d tracked = make_tracked3d(mfast);
   run_batch(dev, tracked, mfast, reps, json);
-  run_repeat(dev, tracked, mfast, reps, json);
   run_sigma(dev, tracked, mfast, reps, json);
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);

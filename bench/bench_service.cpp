@@ -12,26 +12,19 @@
 //                        back (what 8 independent callers pay without the
 //                        service);
 //   service-8x           8 requests submitted concurrently to a NufftService
-//                        and coalesced into batched executes under the FIXED
-//                        20 ms window (steady state: the plan and point
-//                        fingerprint are already resident, and the service
-//                        plan runs point_cache = 2 — the plan-resident
-//                        GM-sort tap table — with bitwise-identical output).
-//                        Fixed window keeps this tracked metric comparable
-//                        across PRs;
-//   service-8x-adaptive  the same round under the adaptive window (closes
-//                        early on batch-full / idle).
+//                        and coalesced into batched executes under a 20 ms
+//                        window, which closes early once the batch is full
+//                        or the service is idle (steady state: the plan and
+//                        point fingerprint are already resident; the GM-sort
+//                        plan evaluates taps inline, as a direct plan does).
 //
 // The open-loop sweep (--open-m points per request) drives a fresh service
 // with Poisson arrivals at a rate swept against the measured single-request
-// service rate mu, for both window modes, under the Shed admission policy
-// (max_outstanding = 32). Closed-loop benches can never overload a server —
-// each client waits for its response — so shed rate, tail latency, and the
-// batching that emerges from queueing are only visible open-loop. Emitted
-// per (rate, mode): p50/p95/p99 latency, throughput, shed rate, mean batch,
-// and the batch-size histogram. At rates past mu the adaptive window must
-// match or beat the fixed window on throughput: under sustained load its
-// early-close conditions (batch full / idle) only ever REMOVE dead waiting.
+// service rate mu, under the Shed admission policy (max_outstanding = 32).
+// Closed-loop benches can never overload a server — each client waits for
+// its response — so shed rate, tail latency, and the batching that emerges
+// from queueing are only visible open-loop. Emitted per rate: p50/p95/p99
+// latency, throughput, shed rate, mean batch, and the batch-size histogram.
 //
 // Also verified and recorded: every completed response (closed- and
 // open-loop) is bitwise-identical to its serial counterpart (the tiled
@@ -92,7 +85,7 @@ core::Options plan_opts() {
 /// futures in submission order, stamping per-request latency at its own
 /// future's resolution (in-order consumption can defer a stamp behind an
 /// earlier in-flight request; within a coalesced group completions are
-/// simultaneous, so the bias is small and identical across modes).
+/// simultaneous, so the bias is small).
 struct OpenResult {
   int submitted = 0, completed = 0, shed = 0;
   double wall_s = 0, p50_ms = 0, p95_ms = 0, p99_ms = 0;
@@ -103,14 +96,13 @@ struct OpenResult {
 };
 
 OpenResult run_open_loop(vgpu::Device& dev, const Config& cfg, std::size_t M,
-                         int nreq, double rate, bool adaptive,
+                         int nreq, double rate,
                          const std::vector<std::complex<float>>& ref,
                          std::uint64_t seed) {
   service::ServiceConfig scfg;
   scfg.threads = 2;
   scfg.max_batch = 8;
   scfg.coalesce_window = std::chrono::milliseconds(3);
-  scfg.adaptive_window = adaptive;
   scfg.max_outstanding = 32;
   scfg.admission = service::Admission::Shed;
   service::NufftService svc(dev, scfg);
@@ -255,16 +247,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- service: 8 concurrent submitters, coalesced executes ----------------
-  // Runs once with the FIXED 20 ms window (the tracked service-8x metric,
-  // comparable across PRs) and once with the adaptive window.
   bool bitwise = true;
-  auto run_closed = [&](bool adaptive, double& best_s, int& max_batch,
-                        service::ServiceStats& stats) {
+  auto run_closed = [&](double& best_s, int& max_batch, service::ServiceStats& stats) {
     service::ServiceConfig scfg;
     scfg.threads = threads;
     scfg.max_batch = B;
     scfg.coalesce_window = std::chrono::milliseconds(20);
-    scfg.adaptive_window = adaptive;
     service::NufftService svc(dev, scfg);
 
     auto round = [&] {
@@ -313,11 +301,10 @@ int main(int argc, char** argv) {
         }
   };
 
-  double service_s = 1e300, adaptive_s = 1e300;
-  int max_batch = 0, max_batch_ad = 0;
-  service::ServiceStats st{}, st_ad{};
-  run_closed(/*adaptive=*/false, service_s, max_batch, st);
-  run_closed(/*adaptive=*/true, adaptive_s, max_batch_ad, st_ad);
+  double service_s = 1e300;
+  int max_batch = 0;
+  service::ServiceStats st{};
+  run_closed(service_s, max_batch, st);
 
   const double speedup = serial_s / service_s;
   Table t({"path", "8 req [s]", "Mpts/s (x8)", "speedup", "bitwise"});
@@ -326,20 +313,16 @@ int main(int argc, char** argv) {
   t.add_row({"service-8x", Table::fmt(service_s, 3),
              Table::fmt(double(B) * double(M) / service_s / 1e6, 2),
              Table::fmt(speedup, 2) + "x", bitwise ? "yes" : "NO"});
-  t.add_row({"service-8x-adaptive", Table::fmt(adaptive_s, 3),
-             Table::fmt(double(B) * double(M) / adaptive_s / 1e6, 2),
-             Table::fmt(serial_s / adaptive_s, 2) + "x", bitwise ? "yes" : "NO"});
   t.print();
-  std::printf("\nmax coalesced batch: %d (fixed) / %d (adaptive); "
-              "setpts reuses: %llu; plan misses: %llu\n",
-              max_batch, max_batch_ad,
+  std::printf("\nmax coalesced batch: %d; setpts reuses: %llu; plan misses: %llu\n",
+              max_batch,
               static_cast<unsigned long long>(st.setpts_reuses),
               static_cast<unsigned long long>(st.plan_misses));
 
   JsonReport json;
-  for (int pass = 0; pass < 3; ++pass) {
+  for (int pass = 0; pass < 2; ++pass) {
     auto& rec = json.add();
-    const double secs = pass == 0 ? serial_s : pass == 1 ? service_s : adaptive_s;
+    const double secs = pass == 0 ? serial_s : service_s;
     rec.field("bench", "service3d")
         .field("dist", "rand")
         .field("dim", 3)
@@ -348,9 +331,7 @@ int main(int argc, char** argv) {
         .field("tol", cfg.tol)
         .field("method", "GM-sort")
         .field("service_threads", threads)
-        .field("path", pass == 0   ? "serial-8x"
-                       : pass == 1 ? "service-8x"
-                                   : "service-8x-adaptive")
+        .field("path", pass == 0 ? "serial-8x" : "service-8x")
         .field("exec_s", secs)
         .field("pts_per_s", double(B) * double(M) / secs)
         .field("speedup_vs_serial", pass == 0 ? 1.0 : serial_s / secs);
@@ -360,14 +341,13 @@ int main(int argc, char** argv) {
           .field("setpts_reuses", st.setpts_reuses)
           .field("plan_misses", st.plan_misses);
     }
-    if (pass == 2) rec.field("max_batch", max_batch_ad);
   }
 
   // ---- observability overhead: the tracked row, tracing ON ----------------
   // Tracing is OFF by default; metrics counters/histograms are always on and
   // already included in service-8x above. This rerun flips the global trace
   // switch (per-thread span rings + span emission on every hot-path stage)
-  // and repeats the fixed-window closed-loop round, so the JSON trajectory
+  // and repeats the closed-loop round, so the JSON trajectory
   // records the full-instrumentation overhead next to the baseline. The
   // bitwise check runs on the traced outputs too: observability must never
   // change output bits. A Chrome trace of the final round is exported for
@@ -378,7 +358,7 @@ int main(int argc, char** argv) {
     double traced_s = 1e300;
     int max_batch_tr = 0;
     service::ServiceStats st_tr{};
-    run_closed(/*adaptive=*/false, traced_s, max_batch_tr, st_tr);
+    run_closed(traced_s, max_batch_tr, st_tr);
     obs::export_chrome_trace("BENCH_service_trace.json");
     obs::set_enabled(false);
 
@@ -466,50 +446,46 @@ int main(int argc, char** argv) {
     std::printf("\nOpen loop: M=%zu/request, %d Poisson arrivals, mu=%.1f req/s, "
                 "window 3 ms, max_outstanding 32, shed policy\n",
                 open_m, open_requests, mu);
-    Table ot({"rate/mu", "window", "done", "shed", "thru [req/s]", "p50 [ms]",
-              "p95 [ms]", "p99 [ms]", "mean batch", "bitwise"});
+    Table ot({"rate/mu", "done", "shed", "thru [req/s]", "p50 [ms]", "p95 [ms]",
+              "p99 [ms]", "mean batch", "bitwise"});
     const double ratios[] = {0.5, 1.0, 2.0, 4.0};
     std::uint64_t seed = 7;
     for (const double ratio : ratios) {
-      for (const bool adaptive : {true, false}) {
-        const auto r = run_open_loop(dev, ocfg, open_m, open_requests,
-                                     ratio * mu, adaptive, ref, seed++);
-        bitwise = bitwise && r.bitwise;
-        const double thru = r.wall_s > 0 ? r.completed / r.wall_s : 0.0;
-        ot.add_row({Table::fmt(ratio, 1), adaptive ? "adaptive" : "fixed",
-                    std::to_string(r.completed), std::to_string(r.shed),
-                    Table::fmt(thru, 1), Table::fmt(r.p50_ms, 1),
-                    Table::fmt(r.p95_ms, 1), Table::fmt(r.p99_ms, 1),
-                    Table::fmt(r.mean_batch, 2), r.bitwise ? "yes" : "NO"});
-        auto& rec = json.add();
-        rec.field("bench", "service_openloop")
-            .field("dist", "rand")
-            .field("dim", 3)
-            .field("M", open_m)
-            .field("requests", open_requests)
-            .field("tol", ocfg.tol)
-            .field("method", "GM-sort")
-            .field("service_threads", 2)
-            .field("window_us", std::int64_t{3000})
-            .field("window_mode", adaptive ? "adaptive" : "fixed")
-            .field("policy", "shed")
-            .field("max_outstanding", std::int64_t{32})
-            .field("rate_over_mu", ratio)
-            .field("offered_rps", ratio * mu)
-            .field("mu_rps", mu)
-            .field("submitted", r.submitted)
-            .field("completed", r.completed)
-            .field("shed", r.shed)
-            .field("shed_rate", r.submitted ? double(r.shed) / r.submitted : 0.0)
-            .field("throughput_rps", thru)
-            .field("p50_ms", r.p50_ms)
-            .field("p95_ms", r.p95_ms)
-            .field("p99_ms", r.p99_ms)
-            .field("mean_batch", r.mean_batch)
-            .field("max_batch", r.max_batch)
-            .field("batch_hist", r.hist)
-            .field("bitwise_vs_serial", r.bitwise ? "true" : "false");
-      }
+      const auto r =
+          run_open_loop(dev, ocfg, open_m, open_requests, ratio * mu, ref, seed++);
+      bitwise = bitwise && r.bitwise;
+      const double thru = r.wall_s > 0 ? r.completed / r.wall_s : 0.0;
+      ot.add_row({Table::fmt(ratio, 1), std::to_string(r.completed),
+                  std::to_string(r.shed), Table::fmt(thru, 1), Table::fmt(r.p50_ms, 1),
+                  Table::fmt(r.p95_ms, 1), Table::fmt(r.p99_ms, 1),
+                  Table::fmt(r.mean_batch, 2), r.bitwise ? "yes" : "NO"});
+      auto& rec = json.add();
+      rec.field("bench", "service_openloop")
+          .field("dist", "rand")
+          .field("dim", 3)
+          .field("M", open_m)
+          .field("requests", open_requests)
+          .field("tol", ocfg.tol)
+          .field("method", "GM-sort")
+          .field("service_threads", 2)
+          .field("window_us", std::int64_t{3000})
+          .field("policy", "shed")
+          .field("max_outstanding", std::int64_t{32})
+          .field("rate_over_mu", ratio)
+          .field("offered_rps", ratio * mu)
+          .field("mu_rps", mu)
+          .field("submitted", r.submitted)
+          .field("completed", r.completed)
+          .field("shed", r.shed)
+          .field("shed_rate", r.submitted ? double(r.shed) / r.submitted : 0.0)
+          .field("throughput_rps", thru)
+          .field("p50_ms", r.p50_ms)
+          .field("p95_ms", r.p95_ms)
+          .field("p99_ms", r.p99_ms)
+          .field("mean_batch", r.mean_batch)
+          .field("max_batch", r.max_batch)
+          .field("batch_hist", r.hist)
+          .field("bitwise_vs_serial", r.bitwise ? "true" : "false");
     }
     ot.print();
   }

@@ -46,14 +46,13 @@ int main() {
 
   // The service: dispatch threads, an LRU plan registry, and a coalescing
   // window that lets near-simultaneous clients share one batched execute.
-  // The fixed (non-adaptive) window keeps this demo deterministic: the
-  // adaptive window would dispatch the very first request solo (the service
-  // is idle), while a fixed 2 ms hold lets all early arrivals pile up.
+  // The window is adaptive: whatever has arrived when the idle service
+  // first pops dispatches at once, and the other clients pile up behind
+  // that batch's plan build and set_points and ride the following batches.
   service::ServiceConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 8;
   cfg.coalesce_window = std::chrono::milliseconds(2);
-  cfg.adaptive_window = false;
   service::NufftService svc(device, cfg);
 
   // 12 clients, each with its own k-space strengths and output grid. All

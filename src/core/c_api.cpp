@@ -32,8 +32,6 @@ Options to_options(const cfs_opts* opts) {
                  opts->gpu_binsizez > 0 ? opts->gpu_binsizez : 1};
   if (opts->ntransf > 0) o.ntransf = opts->ntransf;
   o.modeord = opts->modeord == 1 ? 1 : 0;
-  o.point_cache =
-      opts->gpu_point_cache == -1 ? 0 : opts->gpu_point_cache == 2 ? 2 : 1;
   if (opts->upsampfac > 0) o.upsampfac = opts->upsampfac;
   return o;
 }
@@ -121,7 +119,6 @@ void cfs_default_opts(cfs_opts* opts) {
   opts->gpu_binsizex = opts->gpu_binsizey = opts->gpu_binsizez = 0;
   opts->ntransf = 0;
   opts->modeord = 0;
-  opts->gpu_point_cache = 0;
   opts->upsampfac = 0.0; /* default sigma = 2 */
 }
 

@@ -45,17 +45,15 @@ enum {
  * (cufinufft's Horner option; there is no exp/sqrt path), the interior-first
  * no-wrap partition of the atomic spread and interp, and the tile-owned
  * atomic-free writeback of every SM and GM-sort type-1 spread (with its fixed
- * chunk cap) always run; they are not options. SM and GM-sort type-1 output
- * is bitwise-identical at any worker count; GM's atomic spread is not. */
+ * chunk cap) always run, and SM always builds its tap table once in setpts
+ * (GM-sort evaluates the same taps inline); they are not options. SM and
+ * GM-sort type-1 output is bitwise-identical, to each other and at any
+ * worker count; GM's atomic spread is not. */
 typedef struct {
   int gpu_method;        /* CFS_METHOD_* */
   int gpu_binsizex, gpu_binsizey, gpu_binsizez; /* 0 = paper defaults */
   int ntransf;            /* stacked vectors per execute; 0 = 1 */
   int modeord;            /* 0 = CMCL (-N/2..N/2-1), 1 = FFT-style */
-  int gpu_point_cache;    /* 0 = default (plan-resident tap table built in
-                             setpts), 2 = also cache taps for the tiled
-                             GM-sort spread (throughput mode; the service
-                             layer's plans use it), -1 = rebuild per execute */
   double upsampfac;       /* fine-grid sigma: 0 = default (2.0); 1.25 = the
                              low-upsampling mode (~2x 3D fine-grid volume
                              instead of 8x, wider kernel). Other values are
@@ -71,13 +69,16 @@ int cfs_device_destroy(cfs_device dev);
 size_t cfs_device_bytes_in_use(cfs_device dev);
 
 /* Double-precision plan: type 1 or 2; dim = 1..3; nmodes has dim entries;
- * iflag is the sign of i in the exponent; tol the requested accuracy. */
+ * iflag is the sign of i in the exponent; tol the requested accuracy, a
+ * positive normal number below 1 (else CFS_ERR_INVALID_ARG). */
 int cfs_makeplan(cfs_device dev, int type, int dim, const int64_t* nmodes, int iflag,
                  double tol, const cfs_opts* opts, cfs_plan* plan);
 int cfs_setpts(cfs_plan plan, size_t M, const double* x, const double* y,
                const double* z);
 /* Type 1 reads c (M complex interleaved) and writes f (prod(nmodes));
- * type 2 reads f and writes c. */
+ * type 2 reads f and writes c. The input is not checked: NaN in, NaN out,
+ * and the plan stays usable (a later execute on finite input gives a fresh
+ * plan's bits). */
 int cfs_execute(cfs_plan plan, double* c, double* f);
 int cfs_destroy(cfs_plan plan);
 

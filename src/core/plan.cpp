@@ -154,8 +154,6 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
 
   // Plan-resident PointCache: everything that depends on the points but not
   // the strengths is paid here, once, and amortized over repeated executes.
-  // point_cache gates only the SM tap table (its 0 setting is the
-  // per-execute-rebuild ablation baseline).
   Timer tc;
   if (M_ > 0) {
     spread::NuPoints<T> pts{xg_.data(), dim >= 2 ? yg_.data() : nullptr,
@@ -164,14 +162,10 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
     if (on_tile_engine())
       spread::build_tile_set(*dev_, grid_, bins_, kp_.w, sort_,
                              std::max(1, opts_.ntransf), cache_.tiles);
-    // SM always consumes a tap table, so point_cache >= 1 persists it. The
-    // tiled GM-sort engine can stream the same table instead of evaluating
-    // taps inline (bitwise-identical either way — see spread_tiled.cpp);
-    // point_cache = 2 opts into that SM-memory-profile throughput mode
-    // (the service layer's batched plans), closing the per-execute
-    // evaluation cost that batching otherwise only amortizes per chunk.
-    if ((opts_.point_cache && method_ == Method::SM) ||
-        (opts_.point_cache > 1 && method_ == Method::GMSort && type_ == 1)) {
+    // SM streams a tap table built here; GM-sort evaluates the same taps
+    // inline every execute (bitwise-identical, see spread_tiled.cpp) and
+    // keeps the memory the table would take.
+    if (method_ == Method::SM) {
       spread::build_tap_table(*dev_, grid_.dim, kp_, pts, order, cache_.taps);
       ++tap_builds_;
     }
@@ -218,19 +212,9 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
     }
     case Method::GMSort:
     case Method::SM: {
-      // Tile-owned writeback. SM streams the tap table; GM-sort evaluates
-      // taps inline (same values, see spread_tiled.cpp), keeping its memory
-      // profile, unless point_cache = 2 persisted the table in set_points.
-      // SM's per-execute table rebuild is the Options::point_cache == 0
-      // ablation baseline, bitwise-identical to the cached table.
-      spread::TapTable<T> transient;
+      // Tile-owned writeback. SM streams the tap table set_points built;
+      // GM-sort evaluates taps inline (same values, see spread_tiled.cpp).
       const spread::TapTable<T>* taps = cache_.taps.empty() ? nullptr : &cache_.taps;
-      if (method_ == Method::SM && !taps) {
-        spread::build_tap_table(*dev_, grid_.dim, kp_, pts, sort_.order.data(),
-                                transient);
-        ++tap_builds_;
-        taps = &transient;
-      }
       bd.chunk_steals = spread::spread_tiled_batch<T>(*dev_, grid_, bins_, kp_, pts, c,
                                                       fw_.data(), sort_, cache_.tiles,
                                                       taps, B, M_, fwstride);

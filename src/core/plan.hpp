@@ -85,14 +85,10 @@ struct Options {
                                         ///< instead of 8x, wider kernel)
   int ntransf = 1;  ///< vectors per execute (cuFINUFFT's many-vector batching)
   int modeord = 0;  ///< 0 = CMCL (-N/2..N/2-1); 1 = FFT-style (0..,-N/2..-1)
-  int point_cache = 1;     ///< 1 = build the SM tap table once in set_points;
-                           ///< 2 = ALSO cache the tap table for the tiled
-                           ///< GM-sort spread (instead of re-evaluating taps
-                           ///< inline every execute) — SM's memory profile
-                           ///< traded for repeat/batch throughput; the
-                           ///< service layer's batched plans run this mode.
-                           ///< Bitwise-identical output in every mode.
-                           ///< 0 = rebuild per execute (ablation baseline)
+  int point_cache = 1;  ///< Unread: an SM plan always builds its tap table
+                        ///< once in set_points and GM-sort always evaluates
+                        ///< taps inline. Kept only so callers that still
+                        ///< assign it compile; to be removed with them.
 };
 
 /// Stage timings (seconds) and PointCache statistics. execute() returns a
@@ -178,6 +174,10 @@ class Plan {
   /// calls perform no point-dependent precomputation. A batch whose B-plane
   /// fine-grid stack overflows std::int64_t throws std::invalid_argument
   /// before anything is touched.
+  ///
+  /// Strengths (type 1) and modes (type 2) are not checked: NaN in, NaN out.
+  /// A NaN or Inf input poisons the outputs it reaches, and the plan stays
+  /// usable: the next execute on finite input gives a fresh plan's bits.
   ///
   /// With batch size B > 1, c holds B stacked strength vectors (length B*M)
   /// and f B stacked mode grids (length B*modes_total()); the whole stack

@@ -200,10 +200,9 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   src_tiles_ = spread::TileSet<T>{};
   if (method_ != Method::GM)
     spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1, src_tiles_);
-  // SM's source tap table, paid once here and reused by every execute
-  // (Options::point_cache = 0 evaluates the taps inline instead).
+  // SM's source tap table, paid once here and reused by every execute.
   src_taps_ = spread::TapTable<T>{};
-  if (method_ == Method::SM && opts_.point_cache)
+  if (method_ == Method::SM)
     spread::build_tap_table(*dev_, dim_, kp_, srcs, src_sort_.order.data(), src_taps_);
   spread::bin_sort(*dev_, grid_, bins_, sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                    dim_ >= 3 ? ug_.data() : nullptr, K, trg_sort_);

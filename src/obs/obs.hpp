@@ -78,10 +78,10 @@ const char* span_name(SpanKind k);
 /// WindowClose arg values.
 enum CloseReason : std::int64_t {
   kCloseDeadline = 0,     ///< full window elapsed
-  kCloseBatchFull = 1,    ///< adaptive: batch cannot grow
+  kCloseBatchFull = 1,    ///< early: batch cannot grow
   kCloseShutdown = 2,     ///< service stopping
-  kCloseInteractive = 3,  ///< adaptive: latency-class request pending
-  kCloseIdle = 4,         ///< adaptive: no coalescing partner can show up
+  kCloseInteractive = 3,  ///< early: latency-class request pending
+  kCloseIdle = 4,         ///< early: no coalescing partner can show up
 };
 
 struct Span {

@@ -42,12 +42,6 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
   o.ntransf = max_batch;  // batched executes up to the coalescing cap
   o.modeord = key.modeord;
-  // Service plans serve repeated batched executes, so the default point
-  // cache is promoted to the aggressive mode (2): the tiled GM-sort spread
-  // streams a plan-resident tap table instead of re-evaluating taps every
-  // execute. Output is bitwise-identical; an explicit 0 (the ablation
-  // baseline) is honored.
-  o.point_cache = key.point_cache ? 2 : 0;
   o.upsampfac = key.upsampfac;
   return o;
 }
@@ -81,7 +75,6 @@ PlanKey make_plan_key(int type, int dim, const std::int64_t* nmodes, int iflag,
   k.binsize[1] = opts.binsize[1];
   k.binsize[2] = opts.binsize[2];
   k.modeord = opts.modeord;
-  k.point_cache = opts.point_cache;
   // Unset (<= 0) folds to the default sigma so a zero-initialized options
   // struct lands on the same plan as an explicit 2.0.
   k.upsampfac = opts.upsampfac > 0 ? opts.upsampfac : 2.0;
@@ -108,7 +101,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   h = fnv1a_value(h, k.method);
   h = fnv1a(h, k.binsize, sizeof(k.binsize));
   h = fnv1a_value(h, k.modeord);
-  h = fnv1a_value(h, k.point_cache);
   h = fnv1a_value(h, k.upsampfac);
   return static_cast<std::size_t>(h);
 }

@@ -46,7 +46,6 @@ struct PlanKey {
   std::int32_t method = 0;  ///< core::Method as int
   std::int32_t binsize[3] = {0, 0, 0};
   std::int32_t modeord = 0;
-  std::int32_t point_cache = 1;
   double upsampfac = 2.0;  ///< fine-grid sigma; changes width, grid, and bits,
                            ///< so two sigma values are two plans
 

@@ -58,7 +58,7 @@ void RequestQueue::push(const GroupKey& key, Pending p) {
 }
 
 std::shared_ptr<Group> RequestQueue::pop_ready(std::chrono::microseconds window,
-                                               int max_batch, bool adaptive) {
+                                               int max_batch) {
   std::unique_lock lk(mu_);
   cv_.wait(lk, [&] { return stop_ || !ready_.empty(); });
   if (ready_.empty()) return nullptr;  // stop requested, queue drained
@@ -81,34 +81,28 @@ std::shared_ptr<Group> RequestQueue::pop_ready(std::chrono::microseconds window,
     // sleep: shutdown() interrupts it, so a destructing service never waits
     // out residual windows.
     const auto deadline = g->pending.front().at + window;
-    if (adaptive) {
-      // Close early once waiting cannot pay for itself: the batch is already
-      // full, the group carries an interactive (latency-class) request, or
-      // nothing else is in flight or queued — an idle service has no
-      // coalescing partner a window could capture, so waiting is pure added
-      // latency. executing_ deliberately excludes workers parked in their
-      // own windows (see header) so two idle waiters don't hold each other
-      // hostage.
-      cv_.wait_until(lk, deadline, [&] {
-        return stop_ || g->interactive > 0 ||
-               g->pending.size() >= static_cast<std::size_t>(max_batch) ||
-               (executing_ == 0 && ready_.empty());
-      });
-    } else {
-      cv_.wait_until(lk, deadline, [&] { return stop_; });
-    }
+    // Close early once waiting cannot pay for itself: the batch is already
+    // full, the group carries an interactive (latency-class) request, or
+    // nothing else is in flight or queued — an idle service has no
+    // coalescing partner a window could capture, so waiting is pure added
+    // latency. executing_ deliberately excludes workers parked in their own
+    // windows (see header) so two idle waiters don't hold each other hostage.
+    cv_.wait_until(lk, deadline, [&] {
+      return stop_ || g->interactive > 0 ||
+             g->pending.size() >= static_cast<std::size_t>(max_batch) ||
+             (executing_ == 0 && ready_.empty());
+    });
     const double waited = mono::now_us() - wt0;
     if (metrics_) metrics_->window_wait_us->record(waited);
     if (obs::enabled()) {
       std::int64_t reason = obs::kCloseDeadline;
       if (stop_)
         reason = obs::kCloseShutdown;
-      else if (adaptive && g->interactive > 0)
+      else if (g->interactive > 0)
         reason = obs::kCloseInteractive;
-      else if (adaptive && g->pending.size() >= static_cast<std::size_t>(max_batch))
+      else if (g->pending.size() >= static_cast<std::size_t>(max_batch))
         reason = obs::kCloseBatchFull;
-      else if (adaptive && executing_ == 0 && ready_.empty() &&
-               mono::clock::now() < deadline)
+      else if (executing_ == 0 && ready_.empty() && mono::clock::now() < deadline)
         reason = obs::kCloseIdle;
       obs::span(obs::SpanKind::WindowClose, wtrace, wt0, waited, reason);
     }
@@ -154,7 +148,7 @@ void RequestQueue::finish(const std::shared_ptr<Group>& g) {
     }
   }
   // Unconditional: the executing_ decrement (and any re-queue) can satisfy
-  // both idle poppers and adaptive window-waiters watching for service-idle.
+  // both idle poppers and window-waiters watching for service-idle.
   cv_.notify_all();
 }
 

@@ -100,22 +100,20 @@ class RequestQueue {
 
   /// Blocks for the next ready group (nullptr on shutdown with nothing
   /// left). The group is marked draining — no other worker can pop it. When
-  /// `window` > 0 the worker then waits out the remainder of the window
+  /// `window` > 0 the worker then waits at most the remainder of the window
   /// since the group's oldest pending request's ARRIVAL, letting
   /// near-simultaneous submitters coalesce into the same batch while never
   /// delaying any request by more than `window`.
   ///
-  /// With `adaptive` set the window also closes EARLY as soon as waiting can
-  /// no longer help: the group already holds max_batch requests (the batch
-  /// cannot grow), it contains an interactive request (latency class — never
-  /// hold it for throughput), or no other worker is mid-dispatch AND nothing
-  /// else is queued (the service is otherwise idle, so no coalescing partner
-  /// can be in flight that a window would capture). With `adaptive` false
-  /// the window is fixed — the ablation baseline. Either way the wait is
-  /// interruptible: shutdown() closes it immediately, so stopping the
-  /// service flushes the queue without residual window sleeps.
-  std::shared_ptr<Group> pop_ready(std::chrono::microseconds window, int max_batch,
-                                   bool adaptive);
+  /// The window closes EARLY as soon as waiting can no longer help: the
+  /// group already holds max_batch requests (the batch cannot grow), it
+  /// contains an interactive request (latency class — never hold it for
+  /// throughput), or no other worker is mid-dispatch AND nothing else is
+  /// queued (the service is otherwise idle, so no coalescing partner can be
+  /// in flight that a window would capture). The wait is interruptible:
+  /// shutdown() closes it immediately, so stopping the service flushes the
+  /// queue without residual window sleeps.
+  std::shared_ptr<Group> pop_ready(std::chrono::microseconds window, int max_batch);
 
   /// Takes up to max_batch pending requests (FIFO) from a draining group.
   std::vector<Pending> take_batch(const std::shared_ptr<Group>& g, int max_batch);
@@ -123,7 +121,7 @@ class RequestQueue {
   /// Ends the drain: re-queues the group if requests arrived meanwhile
   /// (front of the FIFO if any of them is interactive), drops it from the
   /// index otherwise. Pairs with pop_ready: also releases the "mid-dispatch"
-  /// mark that keeps other workers' adaptive windows open.
+  /// mark that keeps other workers' windows open.
   void finish(const std::shared_ptr<Group>& g);
 
   /// Wakes all poppers; pop_ready returns nullptr once the FIFO is empty.

@@ -36,8 +36,8 @@ const char* validate_request(const Request<T>& req, GroupKey& key) {
     return "NufftService: point count must be < 2^32";
   // The plan would throw the same from width_from_tol, but only after the
   // request had taken an admission slot and a dispatcher had built it.
-  if (!(std::isnormal(req.tol) && req.tol > 0))
-    return "NufftService: tol must be a positive normal number";
+  if (!spread::valid_tol(req.tol))
+    return "NufftService: tol must be a positive normal number below 1";
   if (req.M > 0 && (!req.x || (dim >= 2 && !req.y) || (dim >= 3 && !req.z)))
     return "NufftService: coordinate arrays required for M > 0";
   if (req.type == 3) {
@@ -173,8 +173,7 @@ std::future<ExecReport> NufftService::submit_impl(const Request<T>& req) {
 }
 
 void NufftService::worker_loop() {
-  while (auto g = queue_.pop_ready(cfg_.coalesce_window, cfg_.max_batch,
-                                   cfg_.adaptive_window)) {
+  while (auto g = queue_.pop_ready(cfg_.coalesce_window, cfg_.max_batch)) {
     auto batch = queue_.take_batch(g, cfg_.max_batch);
     if (!batch.empty()) {
       if (g->key.plan.precision == 1)

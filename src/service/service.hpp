@@ -94,17 +94,15 @@ struct ServiceConfig {
   int threads = 0;
   std::size_t max_plans = 16;  ///< LRU plan registry capacity
   int max_batch = 8;           ///< coalescing cap = plan ntransf
-  /// Extra time a dispatcher waits (measured from a group's oldest pending
-  /// request) so near-simultaneous same-signature submitters coalesce.
-  /// Negative (default) = auto: read CF_SERVICE_WINDOW_US, else 0. 0 =
+  /// Longest extra time a dispatcher waits (measured from a group's oldest
+  /// pending request) so near-simultaneous same-signature submitters
+  /// coalesce. The window is adaptive: it closes early when the batch is
+  /// full, the group holds an interactive request, or the service is
+  /// otherwise idle (see RequestQueue::pop_ready), so window latency is paid
+  /// only when a coalescing partner could still show up; shutdown interrupts
+  /// it. Negative (default) = auto: read CF_SERVICE_WINDOW_US, else 0. 0 =
   /// dispatch whatever is queued, which under sustained load already batches.
   std::chrono::microseconds coalesce_window{-1};
-  /// true: the window closes early when the batch is full, the group holds
-  /// an interactive request, or the service is otherwise idle (see
-  /// RequestQueue::pop_ready) — pay window latency only when a coalescing
-  /// partner could actually show up. false: fixed window (ablation
-  /// baseline); shutdown still interrupts it.
-  bool adaptive_window = true;
   /// Admission cap: submitted-but-unfulfilled requests the service holds
   /// before `admission` applies. 0 = unbounded (memory grows with the
   /// submit/serve rate gap — fine for bounded clients, not for open load).

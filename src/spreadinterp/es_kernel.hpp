@@ -101,18 +101,25 @@ struct KernelParams {
   static KernelParams from_width(int width, double sigma = 2.0);
 };
 
+/// The tolerances a plan accepts: positive normal numbers below 1. For 0,
+/// NaN, Inf or a subnormal (whose 1/tol overflows) the width rule's int
+/// casts would be undefined, and tol >= 1 asks for no accuracy at all (it
+/// would silently get the narrowest kernel). One predicate, so the plans'
+/// width rule and the service's submit-time check cannot drift apart.
+inline bool valid_tol(double tol) { return std::isnormal(tol) && tol > 0 && tol < 1; }
+
 /// Width rule. sigma = 2: paper eq. (6), w = ceil(log10(1/eps)) + 1, clamped
 /// to [2, 16] (the original bound — w = 16 is already eps ~ 1e-15). Other
 /// sigma: w = ceil(ln(1/eps) / (pi * sqrt(1 - 1/sigma))) (the FINUFFT rule),
 /// clamped to [2, kMaxWidth] — lower upsampling needs a wider kernel for the
 /// same tolerance (sigma = 1.25 is roughly 1.6x wider). Every plan derives its
-/// width here, so this rejects a tol that is not a positive normal number:
-/// for 0, NaN, Inf or a subnormal (whose 1/tol overflows) the int casts
-/// below would be undefined. The general-sigma width is clamped before its
-/// cast, since sigma just above 1 makes it arbitrarily large.
+/// width here, so this rejects any tol that valid_tol refuses. The
+/// general-sigma width is clamped before its cast, since sigma just above 1
+/// makes it arbitrarily large.
 inline int width_from_tol(double tol, double sigma = 2.0) {
-  if (!(std::isnormal(tol) && tol > 0))
-    throw std::invalid_argument("width_from_tol: tol must be a positive normal number");
+  if (!valid_tol(tol))
+    throw std::invalid_argument(
+        "width_from_tol: tol must be a positive normal number below 1");
   if (sigma == 2.0) {
     const int w = static_cast<int>(std::ceil(std::log10(1.0 / tol))) + 1;
     return std::clamp(w, 2, 16);

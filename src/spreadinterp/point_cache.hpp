@@ -7,8 +7,10 @@
 //  * TapTable   — per-point kernel tap values and leftmost grid indices, laid
 //                 out in ITERATION order (bin-sorted position when a sort
 //                 permutation is in use) so the tile engine streams it
-//                 contiguously. Removes per-execute tap evaluation from SM
-//                 (and, at point_cache = 2, GM-sort) spreads.
+//                 contiguously. SM plans always build it; GM-sort plans
+//                 never do and evaluate the same taps inline, trading the
+//                 per-execute evaluation for the table's memory
+//                 (M * dim * wpad values).
 //  * InteriorPartition — the iteration order stably partitioned into an
 //                 interior-first prefix (every tap of every axis in [0, nf))
 //                 and a boundary suffix. GM/GM-sort spread and interp run the

@@ -32,7 +32,8 @@
 //
 // Point-dependent precomputation (point_cache.hpp) plugs in three ways:
 //  * Tiled spreading can consume a TapTable (per-point tap values in
-//    bin-sorted order). SM plans build it once in set_points.
+//    bin-sorted order). SM plans always build it once in set_points; GM-sort
+//    plans pass none, and the engine evaluates the same taps inline.
 //  * The interior-first iteration partition (InteriorPartition) drives the
 //    branch-free no-wrap path of GM spread and interp: the caller
 //    passes the partitioned order plus NuPoints::n_nowrap, and the kernels

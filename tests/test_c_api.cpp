@@ -161,7 +161,7 @@ TEST(CApi, InvalidArgumentsReturnErrorCodes) {
             CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_makeplan(g.dev, 7, 2, n2, +1, 1e-6, nullptr, &plan),
             CFS_ERR_INVALID_ARG);
-  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+  for (double tol : {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
     cfs_planf planf = nullptr;
     cfs_plan3 plan3 = nullptr;
@@ -323,14 +323,13 @@ TEST(CApi, CustomBinSize) {
   EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-7);
 }
 
-TEST(CApi, PointCacheOptions) {
-  // gpu_point_cache uses 0 = default (SM tap table), 2 = also cache taps for
-  // GM-sort, -1 = rebuild per execute. It changes where the taps come from,
-  // never their values, so every setting gives the default's bits.
+TEST(CApi, SmAndGmSortGiveTheSameBits) {
+  // SM streams the tap table setpts built; GM-sort evaluates the same taps
+  // inline on the same tile engine. Where the taps come from never changes
+  // their values, so both methods give the same bits.
   DeviceGuard g;
   cfs_opts defaults;
   cfs_default_opts(&defaults);
-  EXPECT_EQ(defaults.gpu_point_cache, 0);
 
   const int64_t nmodes[2] = {40, 36};
   Rng rng(17);
@@ -342,7 +341,9 @@ TEST(CApi, PointCacheOptions) {
     y[j] = rng.angle();
     c[j] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   }
-  auto run = [&](const cfs_opts& opts, std::vector<std::complex<double>>& f) {
+  auto run = [&](int method, std::vector<std::complex<double>>& f) {
+    cfs_opts opts = defaults;
+    opts.gpu_method = method;
     cfs_plan plan = nullptr;
     ASSERT_EQ(cfs_makeplan(g.dev, 1, 2, nmodes, +1, 1e-9, &opts, &plan), CFS_SUCCESS);
     ASSERT_EQ(cfs_setpts(plan, M, x.data(), y.data(), nullptr), CFS_SUCCESS);
@@ -352,19 +353,10 @@ TEST(CApi, PointCacheOptions) {
               CFS_SUCCESS);
     EXPECT_EQ(cfs_destroy(plan), CFS_SUCCESS);
   };
-  for (int method : {CFS_METHOD_SM, CFS_METHOD_GMSORT}) {
-    cfs_opts base = defaults;
-    base.gpu_method = method;
-    std::vector<std::complex<double>> ref;
-    run(base, ref);
-    for (int pc : {2, -1}) {
-      cfs_opts opts = base;
-      opts.gpu_point_cache = pc;
-      std::vector<std::complex<double>> f;
-      run(opts, f);
-      EXPECT_TRUE(f == ref) << "method=" << method << " pc=" << pc;
-    }
-  }
+  std::vector<std::complex<double>> sm, gmsort;
+  run(CFS_METHOD_SM, sm);
+  run(CFS_METHOD_GMSORT, gmsort);
+  EXPECT_TRUE(sm == gmsort);
 }
 
 TEST(CApi, PlanStats) {
@@ -777,11 +769,9 @@ TEST(CApi, ServiceType3MatchesPlan3) {
   EXPECT_EQ(st.plan_misses, 1u);    // one signature, one plan
   EXPECT_EQ(st.setpts_builds, 1u);  // one source + target geometry
 
-  // Reference: the direct type-3 plan with the throughput point cache a
-  // service plan runs under.
+  // Reference: the direct type-3 plan.
   cfs_opts ropts;
   cfs_default_opts(&ropts);
-  ropts.gpu_point_cache = 2;
   cfs_plan3 plan = nullptr;
   ASSERT_EQ(cfs_makeplan3(dev, 2, +1, 1e-8, &ropts, &plan), CFS_SUCCESS);
   ASSERT_EQ(cfs_setpts3(plan, M, x.data(), y.data(), nullptr, K, s.data(), t.data(),

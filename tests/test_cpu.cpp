@@ -276,6 +276,13 @@ TEST(CpuPlan, InvalidArgumentsThrow) {
   const std::int64_t four[4] = {4, 4, 4, 4};
   EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(four, 4), +1, 1e-6),
                std::invalid_argument);
+  // A tol that is not a positive normal number below 1 has no kernel width.
+  for (double tol : {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(n, 2), +1, tol),
+                 std::invalid_argument)
+        << tol;
+  }
   cpu::CpuPlan<double>::Options o;
   o.msub = 0;
   EXPECT_THROW(cpu::CpuPlan<double>(pool, 1, std::span(n, 2), +1, 1e-6, o),

@@ -50,16 +50,21 @@ TEST(WidthRule, LowUpsamplingFinufftRule) {
   EXPECT_EQ(spread::width_from_tol(1e-5, std::nextafter(1.0, 2.0)), spread::kMaxWidth);
 }
 
-TEST(WidthRule, TolMustBeAPositiveNormalNumber) {
+TEST(WidthRule, TolMustBeAPositiveNormalNumberBelowOne) {
   // The tol of every plan passes through here; 0, negatives, NaN, Inf and
-  // subnormals (1/tol overflows) have no width.
-  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+  // subnormals (1/tol overflows) have no width, and tol >= 1 asks for no
+  // accuracy at all.
+  for (double tol : {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::max(),
+                     std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(),
-                     std::numeric_limits<double>::denorm_min()})
+                     std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_FALSE(spread::valid_tol(tol)) << tol;
     for (double sigma : {2.0, 1.25})
       EXPECT_THROW(spread::width_from_tol(tol, sigma), std::invalid_argument) << tol;
+  }
   EXPECT_EQ(spread::width_from_tol(std::numeric_limits<double>::min()), 16);
-  EXPECT_EQ(spread::width_from_tol(std::numeric_limits<double>::max()), 2);
+  EXPECT_EQ(spread::width_from_tol(std::nextafter(1.0, 0.0)), 2);
+  EXPECT_EQ(spread::width_from_tol(std::nextafter(1.0, 0.0), 1.25), 2);
 }
 
 TEST(WidthRule, BetaGeneralizesAcrossSigma) {

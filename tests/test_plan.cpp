@@ -3,8 +3,11 @@
 // direct NUDFT, plus plan lifecycle and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -295,8 +298,8 @@ TEST(Plan, InvalidArgumentsThrow) {
   const std::int64_t zero_mode[2] = {16, 0};
   EXPECT_THROW(core::Plan<double>(dev, 2, std::span(zero_mode, 2), +1, 1e-6),
                std::invalid_argument);
-  // A tol that is not finite and > 0 has no kernel width.
-  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+  // A tol that is not a positive normal number below 1 has no kernel width.
+  for (double tol : {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n2, 2), +1, tol),
                  std::invalid_argument)
@@ -401,6 +404,69 @@ void check_non_finite_rejected() {
 TEST(Plan, NonFiniteCoordinatesAreRejected) {
   check_non_finite_rejected<double>();
   check_non_finite_rejected<float>();
+}
+
+namespace {
+
+/// NaN in, NaN out, and the plan stays usable: an execute with one NaN
+/// strength (type 1) or mode (type 2) gives NaN output, and the next execute
+/// on finite input gives the bits of a fresh plan on the same points.
+template <typename T>
+void check_nan_input_leaves_plan_usable(int type, core::Method method,
+                                        std::size_t workers) {
+  vgpu::Device dev(workers);
+  Problem<T> p({24, 20}, 500, false, 31);
+  core::Options o;
+  o.method = method;
+  auto make = [&] {
+    auto plan = std::make_unique<core::Plan<T>>(dev, type, p.N, +1, 1e-5, o);
+    plan->set_points(p.M, p.x.data(), p.y.data(), nullptr);
+    return plan;
+  };
+  auto run = [&](core::Plan<T>& plan, std::vector<std::complex<T>> in) {
+    std::vector<std::complex<T>> out(type == 1 ? p.f.size() : p.M);
+    if (type == 1)
+      plan.execute(in.data(), out.data());
+    else
+      plan.execute(out.data(), in.data());
+    return out;
+  };
+  const auto& finite = type == 1 ? p.c : p.f;
+  auto poisoned = finite;
+  poisoned[poisoned.size() / 2] = {std::numeric_limits<T>::quiet_NaN(), T(0)};
+
+  const auto plan = make();
+  const auto nan_out = run(*plan, poisoned);
+  EXPECT_TRUE(std::any_of(nan_out.begin(), nan_out.end(), [](const std::complex<T>& v) {
+    return std::isnan(v.real()) || std::isnan(v.imag());
+  })) << "type=" << type << " method=" << core::method_name(method);
+  const auto after = run(*plan, finite);
+  const auto want = run(*make(), finite);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(after[i], want[i]) << "type=" << type << " method="
+                                 << core::method_name(method) << " workers=" << workers
+                                 << " i=" << i;
+}
+
+}  // namespace
+
+TEST(Plan, NanStrengthGivesNanAndLeavesThePlanUsable) {
+  // GM's atomic spread is bitwise-repeatable on one worker only.
+  check_nan_input_leaves_plan_usable<double>(1, core::Method::GM, 1);
+  check_nan_input_leaves_plan_usable<float>(1, core::Method::GM, 1);
+  for (std::size_t workers : {1, 3})
+    for (auto method : {core::Method::GMSort, core::Method::SM}) {
+      check_nan_input_leaves_plan_usable<double>(1, method, workers);
+      check_nan_input_leaves_plan_usable<float>(1, method, workers);
+    }
+}
+
+TEST(Plan, NanModeGivesNanAndLeavesThePlanUsable) {
+  for (std::size_t workers : {1, 3})
+    for (auto method : {core::Method::GM, core::Method::GMSort}) {
+      check_nan_input_leaves_plan_usable<double>(2, method, workers);
+      check_nan_input_leaves_plan_usable<float>(2, method, workers);
+    }
 }
 
 TEST(Plan, GridSizeOverflowIsRejectedBeforeAllocation) {

@@ -7,9 +7,8 @@
 //    point set (everything within w/2 of the grid edge) and an all-interior
 //    one, across dims x methods x precisions;
 //  * the spread and interp kernels give identical bits with and without the
-//    no-wrap split of an interior-first order, and the per-execute-rebuild
-//    baseline (Options::point_cache = 0) is bitwise-identical to the cached
-//    pipeline.
+//    no-wrap split of an interior-first order, and SM's cached tap table
+//    gives the bits of GM-sort's inline taps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -351,56 +350,27 @@ TEST(PointCache, NoWrapSplitIsBitwiseTransparent) {
       }
 }
 
-TEST(PointCache, CachedPipelineBitwiseMatchesPerExecuteRebuildOneWorker) {
-  for (int dim = 1; dim <= 3; ++dim) {
-    if (!sm_available<float>(dim, 1e-6)) continue;
-    vgpu::Device dev(1);
-    core::Options cached, rebuild;
-    cached.method = rebuild.method = core::Method::SM;
-    rebuild.point_cache = 0;
-    core::Plan<float> pa(dev, 1, modes_for(dim), +1, 1e-6, cached);
-    core::Plan<float> pb(dev, 1, modes_for(dim), +1, 1e-6, rebuild);
-    Problem<float> p(modes_for(dim), 700, pa.fine_grid().nf, pa.kernel_width(),
-                     Placement::Anywhere, 81 + dim);
-    pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    std::vector<std::complex<float>> fa(static_cast<std::size_t>(p.ntot)), fb(fa.size());
-    pa.execute(p.c.data(), fa.data());
-    pb.execute(p.c.data(), fb.data());
-    // The rebuild baseline constructs its table inside execute; the cached
-    // plan must not.
-    EXPECT_EQ(pa.last_breakdown().tap_builds, 1u);
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // built during execute
-    pb.execute(p.c.data(), fb.data());
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 2u);  // ...and again per execute
-    for (std::size_t i = 0; i < fa.size(); ++i)
-      ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " i=" << i;
-  }
-}
+// ---- SM's cached taps vs GM-sort's inline taps -----------------------------
 
-// ---- point_cache = 2: plan-resident taps for the tiled GM-sort spread -------
-
-TEST(PointCache, GmSortTiledCachedTapsBitwiseAndBuiltOnce) {
-  // The aggressive mode the service layer's batched plans run: the tiled
-  // GM-sort spread streams a tap table persisted by set_points instead of
-  // evaluating taps inline each execute. Output must be bitwise-identical to
-  // the default inline evaluation, with exactly one build, in set_points.
-  // Modes are sized so the tile-geometry gate passes (inline vs cached only
-  // differ on the tiled path).
+TEST(PointCache, SmCachedTapsMatchGmSortInlineTapsBitwise) {
+  // The two sorted type-1 methods run one tile engine: SM streams the tap
+  // table set_points built, GM-sort evaluates the same taps inline each
+  // execute. Output must be bitwise-identical, with exactly one table build
+  // for SM, in set_points, none for GM-sort, and none in any execute.
   for (int dim = 2; dim <= 3; ++dim) {
     const auto modes = dim == 2 ? std::vector<std::int64_t>{20, 24}
                                 : std::vector<std::int64_t>{16, 16, 12};
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
     core::Options inline_taps, cached_taps;
-    inline_taps.method = cached_taps.method = core::Method::GMSort;
-    cached_taps.point_cache = 2;
+    inline_taps.method = core::Method::GMSort;
+    cached_taps.method = core::Method::SM;
     core::Plan<float> pa(dev, 1, modes, +1, 1e-5, inline_taps);
     core::Plan<float> pb(dev, 1, modes, +1, 1e-5, cached_taps);
     Problem<float> p(modes, 900, pa.fine_grid().nf, pa.kernel_width(),
                      Placement::Anywhere, 51 + dim);
     pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
     pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    EXPECT_EQ(pa.last_breakdown().tap_builds, 0u);  // GM-sort default: no table
+    EXPECT_EQ(pa.last_breakdown().tap_builds, 0u);  // GM-sort: no table
     EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // built once, in set_points
     std::vector<std::complex<float>> fa(static_cast<std::size_t>(p.ntot)), fb(fa.size());
     for (int rep = 0; rep < 2; ++rep) {
@@ -411,6 +381,7 @@ TEST(PointCache, GmSortTiledCachedTapsBitwiseAndBuiltOnce) {
       for (std::size_t i = 0; i < fa.size(); ++i)
         ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " rep=" << rep << " i=" << i;
     }
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // zero builds in executes
+    EXPECT_EQ(pa.last_breakdown().tap_builds, 0u);  // zero builds in executes
+    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);
   }
 }

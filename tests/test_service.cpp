@@ -25,11 +25,16 @@
 #include <atomic>
 #include <chrono>
 #include <complex>
+#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -91,6 +96,62 @@ struct WindowTrace {
       for (const auto& sp : spans) n += sp.kind == kind && (arg < 0 || sp.arg == arg);
     return n;
   }
+};
+
+/// Holds a one-dispatcher service inside a batch, with no clock. Once
+/// armed, the on_fulfilled hook (it runs on the dispatch thread) blocks after
+/// the next batch until release(); requests submitted meanwhile are all
+/// queued when the dispatcher pops again, so batch composition and dispatch
+/// order follow from the queue alone. Each batch that does not park is
+/// recorded, in dispatch order. The hook gives up after a minute, so a failed
+/// test can never deadlock the service's destructor.
+class DispatchPark {
+ public:
+  /// Installs the hook on `cfg` and arms the park for the first batch.
+  explicit DispatchPark(service::ServiceConfig& cfg) : s_(std::make_shared<State>()) {
+    cfg.on_fulfilled = [s = s_](const service::GroupKey& key, std::size_t n,
+                                std::size_t) {
+      std::unique_lock lk(s->mu);
+      if (!s->armed) {
+        s->seen.emplace_back(key, n);
+        return;
+      }
+      s->armed = false;
+      s->parked = true;
+      s->cv.notify_all();
+      s->cv.wait_for(lk, std::chrono::minutes(1), [&] { return !s->parked; });
+    };
+  }
+  void arm() {
+    std::lock_guard lk(s_->mu);
+    s_->armed = true;
+  }
+  /// Blocks until the dispatcher is parked; false if it never got there.
+  [[nodiscard]] bool wait_parked() {
+    std::unique_lock lk(s_->mu);
+    return s_->cv.wait_for(lk, std::chrono::minutes(1), [&] { return s_->parked; });
+  }
+  void release() {
+    {
+      std::lock_guard lk(s_->mu);
+      s_->parked = false;
+    }
+    s_->cv.notify_all();
+  }
+  /// The batches dispatched outside the park: group key and size.
+  std::vector<std::pair<service::GroupKey, std::size_t>> seen() const {
+    std::lock_guard lk(s_->mu);
+    return s_->seen;
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = true, parked = false;
+    std::vector<std::pair<service::GroupKey, std::size_t>> seen;
+  };
+  std::shared_ptr<State> s_;
 };
 
 template <typename T>
@@ -245,11 +306,10 @@ struct T3Problem {
   }
 
   /// Direct Type3Plan on the options a service plan actually runs with
-  /// (point cache promoted, ntransf = coalescing cap).
+  /// (ntransf = coalescing cap).
   std::vector<std::complex<double>> reference(std::size_t workers, core::Options opts,
                                               int max_batch = 8) const {
     vgpu::Device dev(workers);
-    opts.point_cache = 2;
     opts.ntransf = max_batch;
     core::Type3Plan<double> plan(dev, 2, +1, 1e-9, opts);
     plan.set_points(M, x.data(), y.data(), nullptr, K, s.data(), t.data(), nullptr);
@@ -377,49 +437,58 @@ TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
   ASSERT_EQ(ref_tiled, 1);  // the shape above must exercise the tiled path
 
   // Service shapes that force different batch compositions: one dispatcher
-  // with a window (full 8-batch), several dispatchers with max_batch 3
-  // (ragged 3+3+2 or racier), reversed submission order, and every serving
-  // policy — admission caps (both policies), adaptive windows, priority
+  // parked while all 8 queue (one full batch), several dispatchers with
+  // max_batch 3 (ragged 3+3+2 or racier), reversed submission order, and
+  // every serving policy — admission caps (both policies), windows, priority
   // mixes. The bitwise guarantee must survive ALL of them.
   struct Shape {
     int threads, max_batch;
     std::chrono::microseconds window;
     bool reverse;
-    bool adaptive = false;
+    bool park = false;  // queue all 8 behind a parked warm-up batch
     service::Admission admission = service::Admission::Block;
     std::size_t cap = 0;       // max_outstanding; 0 = unbounded
     bool priority_mix = false; // every other request interactive
   } shapes[] = {
-      // Fixed window, one dispatcher: all 8 land in one full batch.
+      // One dispatcher parked behind a warm-up: all 8 land in one full batch.
+      {1, 8, std::chrono::microseconds(0), false, true},
+      // A window on one dispatcher: early closes may split the batch
+      // arbitrarily.
       {1, 8, std::chrono::microseconds(20000), false},
-      // Same window, adaptive: early-closes may split the batch arbitrarily.
-      {1, 8, std::chrono::microseconds(20000), false, true},
       {1, 3, std::chrono::microseconds(0), false},
       {4, 3, std::chrono::microseconds(0), true},
       {2, 1, std::chrono::microseconds(0), false},  // no coalescing
       // Backpressure: submissions block at a 2-deep admission cap.
-      {2, 4, std::chrono::microseconds(0), false, true,
+      {2, 4, std::chrono::microseconds(0), false, false,
        service::Admission::Block, 2},
       // Shed policy with headroom (cap 16 > 8 in flight): nothing sheds.
-      {2, 4, std::chrono::microseconds(5000), false, true,
+      {2, 4, std::chrono::microseconds(5000), false, false,
        service::Admission::Shed, 16},
       // Interactive/bulk mix under a cap: jumps must not change the bits.
-      {2, 4, std::chrono::microseconds(2000), false, true,
+      {2, 4, std::chrono::microseconds(2000), false, false,
        service::Admission::Block, 3, true},
   };
 
   const bool bitwise = expect_bitwise(workers, 1, ref_tiled);
+  Problem<float> warm(std::vector<std::int64_t>{32}, 1, 100, 40);
   for (const auto& sh : shapes) {
     vgpu::Device dev(workers);
     service::ServiceConfig cfg;
     cfg.threads = sh.threads;
     cfg.max_batch = sh.max_batch;
     cfg.coalesce_window = sh.window;
-    cfg.adaptive_window = sh.adaptive;
     cfg.admission = sh.admission;
     cfg.max_outstanding = sh.cap;
+    std::optional<DispatchPark> park;
+    if (sh.park) park.emplace(cfg);
     service::NufftService svc(dev, cfg);
 
+    std::vector<std::complex<float>> wout(warm.out_len());
+    std::future<service::ExecReport> fwarm;
+    if (park) {
+      fwarm = svc.submit(warm.request(opts_for(1), wout));
+      ASSERT_TRUE(park->wait_parked());
+    }
     std::vector<std::vector<std::complex<float>>> out(kReq);
     std::vector<std::future<service::ExecReport>> futs(kReq);
     for (int i = 0; i < kReq; ++i) {
@@ -429,6 +498,10 @@ TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
       if (sh.priority_mix && i % 2 == 0) r.priority = service::Priority::Interactive;
       futs[k] = svc.submit(r);
     }
+    if (park) {
+      park->release();
+      EXPECT_NO_THROW(fwarm.get());
+    }
     int max_batch_got = 0;
     for (int i = 0; i < kReq; ++i)
       max_batch_got = std::max(max_batch_got, futs[i].get().batch);
@@ -437,16 +510,20 @@ TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
       expect_same(out[i], ref[i], bitwise, "coalesced response");
 
     const auto st = svc.stats();
-    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kReq));
+    const std::uint64_t extra = park ? 1 : 0;  // the warm-up request
+    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kReq) + extra);
     EXPECT_EQ(st.failed, 0u);
     EXPECT_EQ(st.shed, 0u);  // Block never sheds; the Shed shape has headroom
-    if (sh.window.count() > 0 && !sh.adaptive) {
-      // The fixed window lets all 8 near-simultaneous submissions land in
-      // one batched execute on the single dispatcher.
-      EXPECT_EQ(st.max_batch_seen, static_cast<std::uint64_t>(kReq));
-      EXPECT_EQ(st.batches, 1u);
+    if (park) {
+      // All 8 were queued when the dispatcher left the warm-up's batch, so
+      // they ran as one batched execute.
+      const auto seen = park->seen();
+      ASSERT_EQ(seen.size(), 1u);
+      EXPECT_EQ(seen[0].second, static_cast<std::size_t>(kReq));
+      EXPECT_EQ(st.batches, 1u + extra);
     }
-    EXPECT_EQ(st.setpts_builds, 1u);  // one point set, fingerprint-shared
+    // One point set, fingerprint-shared (plus the warm-up's).
+    EXPECT_EQ(st.setpts_builds, 1u + extra);
   }
 }
 
@@ -481,7 +558,7 @@ TEST(Service, DestructionWithQueuedRequestsSkipsResidualWindows) {
           ps[i].request(opts_for(static_cast<int>(ps[i].N.size())), out[i]));
     }
     // The dispatcher opens a window on a group popped while others are
-    // queued; with groups still queued the adaptive policy cannot close it
+    // queued; with groups still queued the window cannot close it
     // as idle, so it stays open until shutdown. (A group popped before the
     // others arrived closes idle and executes first; the next pop waits.)
     const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -553,66 +630,53 @@ TEST(Service, ShutdownUnderLoadFulfillsEveryFutureUnderBothPolicies) {
 
 TEST(Service, AdaptiveWindowClosesEarlyWhenIdle) {
   // One request into an otherwise idle service with a 300 ms window: the
-  // adaptive policy notices nothing else is queued or executing and closes
-  // the window as idle, while the fixed ablation waits it out to the
-  // deadline. Asserted on the window's recorded close reason, not on time.
+  // window notices nothing else is queued or executing and closes as idle.
+  // Asserted on the window's recorded close reason, not on time.
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
   Problem<float> p(std::vector<std::int64_t>{20, 16}, 1, 300, 61);
-  const core::Options opts = opts_for(2);
-  auto one_request = [&](bool adaptive) {
+  WindowTrace windows;
+  {
     service::ServiceConfig cfg;
     cfg.threads = 1;
     cfg.coalesce_window = std::chrono::milliseconds(300);
-    cfg.adaptive_window = adaptive;
     cfg.observability.trace = 1;
     service::NufftService svc(dev, cfg);
     std::vector<std::complex<float>> out(p.out_len());
-    svc.submit(p.request(opts, out)).get();
-  };
-  {
-    WindowTrace windows;
-    one_request(true);
-    EXPECT_EQ(windows.opened(), 1);
-    EXPECT_EQ(windows.closed(obs::kCloseIdle), 1);
+    svc.submit(p.request(opts_for(2), out)).get();
   }
-  {
-    WindowTrace windows;
-    one_request(false);  // the ablation still pays the window
-    EXPECT_EQ(windows.opened(), 1);
-    EXPECT_EQ(windows.closed(obs::kCloseDeadline), 1);
-  }
+  EXPECT_EQ(windows.opened(), 1);
+  EXPECT_EQ(windows.closed(obs::kCloseIdle), 1);
 }
 
 // ---- priority: interactive jumps the bulk queue -----------------------------
 
 TEST(Service, InteractiveRequestsJumpTheBulkQueue) {
-  // One dispatcher parked in a FIXED 250 ms warmup window while the real
-  // queue is assembled behind it — the only way to make ready-FIFO order
-  // deterministic without reaching into the queue. Then: five bulk groups,
-  // one standalone interactive request, and one interactive rider on bulk[3]
-  // (same signature and points, fresh strengths). Expected dispatch order
-  // after the warmup: bulk[3]+rider (promoted last, so frontmost), the
-  // standalone interactive, then bulk 0, 1, 2, 4.
+  // One dispatcher parked after a warm-up batch while the real queue is
+  // assembled behind it, which makes the ready-FIFO order deterministic
+  // without reaching into the queue. Then: five bulk groups, one standalone
+  // interactive request, and one interactive rider on bulk[3] (same
+  // signature and points, fresh strengths). Expected dispatch order after
+  // the warm-up: bulk[3]+rider (promoted last, so frontmost), the standalone
+  // interactive, then bulk 0, 1, 2, 4.
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
   service::ServiceConfig cfg;
   cfg.threads = 1;
   cfg.max_batch = 8;
-  cfg.coalesce_window = std::chrono::milliseconds(250);
-  cfg.adaptive_window = false;
+  cfg.coalesce_window = std::chrono::microseconds(0);
+  DispatchPark park(cfg);
   service::NufftService svc(dev, cfg);
 
   Problem<float> warm(std::vector<std::int64_t>{16, 12}, 1, 150, 70);
   std::vector<std::complex<float>> wout(warm.out_len());
   auto fwarm = svc.submit(warm.request(opts_for(2), wout));
+  ASSERT_TRUE(park.wait_parked());
 
-  // Bulk groups sized so several milliseconds of execute separate the
-  // ordering checks from scheduler noise.
   std::vector<Problem<float>> bulk;
-  bulk.emplace_back(std::vector<std::int64_t>{20, 16}, 1, 30000, 71);
-  bulk.emplace_back(std::vector<std::int64_t>{24, 16}, 1, 30000, 72);
-  bulk.emplace_back(std::vector<std::int64_t>{20, 24}, 1, 30000, 73);
-  bulk.emplace_back(std::vector<std::int64_t>{16, 16}, 1, 30000, 74);
-  bulk.emplace_back(std::vector<std::int64_t>{24, 24}, 1, 30000, 75);
+  bulk.emplace_back(std::vector<std::int64_t>{20, 16}, 1, 3000, 71);
+  bulk.emplace_back(std::vector<std::int64_t>{24, 16}, 1, 3000, 72);
+  bulk.emplace_back(std::vector<std::int64_t>{20, 24}, 1, 3000, 73);
+  bulk.emplace_back(std::vector<std::int64_t>{16, 16}, 1, 3000, 74);
+  bulk.emplace_back(std::vector<std::int64_t>{24, 24}, 1, 3000, 75);
   std::vector<std::vector<std::complex<float>>> bout(bulk.size());
   std::vector<std::future<service::ExecReport>> bfut(bulk.size());
   for (std::size_t i = 0; i < bulk.size(); ++i) {
@@ -635,24 +699,30 @@ TEST(Service, InteractiveRequestsJumpTheBulkQueue) {
   auto rreq = rider.request(opts_for(2), rout);
   rreq.priority = service::Priority::Interactive;
   auto fr = svc.submit(rreq);
+  park.release();
 
   // The rider coalesced with bulk[3] in the promoted group's batch of 2.
-  const auto rep_r = fr.get();
-  EXPECT_EQ(rep_r.batch, 2);
+  EXPECT_EQ(fr.get().batch, 2);
   EXPECT_EQ(bfut[3].get().batch, 2);
-
-  // Both interactive groups finished while bulk 0..2 and 4 still wait; the
-  // queue behind the standalone interactive holds three executes' worth of
-  // work, so bulk[4] cannot be ready the instant it resolves.
-  fi.get();
-  EXPECT_EQ(bfut[4].wait_for(std::chrono::seconds(0)), std::future_status::timeout);
-
-  for (std::size_t i = 0; i < bulk.size(); ++i) {
-    if (i != 3) {
-      EXPECT_NO_THROW(bfut[i].wait());
+  EXPECT_NO_THROW(fi.get());
+  for (auto& f : bfut) {
+    if (f.valid()) {
+      EXPECT_NO_THROW(f.get());
     }
   }
   EXPECT_NO_THROW(fwarm.get());
+
+  // Dispatch order, read from each batch's signature (every group has its
+  // own mode shape).
+  const std::vector<std::vector<std::int64_t>> want = {
+      bulk[3].N, inter.N, bulk[0].N, bulk[1].N, bulk[2].N, bulk[4].N};
+  const auto seen = park.seen();
+  ASSERT_EQ(seen.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& key = seen[i].first.plan;
+    const std::vector<std::int64_t> got(key.N, key.N + key.dim);
+    EXPECT_EQ(got, want[i]) << "dispatch " << i;
+  }
   const auto st = svc.stats();
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(bulk.size()) + 3);
   EXPECT_EQ(st.failed, 0u);
@@ -906,8 +976,8 @@ TEST(Service, PointCountOf2To32RejectedBeforeAdmission) {
 }
 
 TEST(Service, BadTolRejectedBeforeAdmission) {
-  // A tol that is not finite and > 0 fails at submit, like a non-finite
-  // coordinate: no admission slot, no plan.
+  // A tol that is not a positive normal number below 1 fails at submit, like
+  // a non-finite coordinate: no admission slot, no plan.
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
   service::NufftService svc(dev);
   const core::Options opts = opts_for(2);
@@ -915,8 +985,8 @@ TEST(Service, BadTolRejectedBeforeAdmission) {
   T3Problem t3(323);
   std::vector<std::complex<float>> out(p.out_len());
   std::vector<std::complex<double>> out3(t3.K);
-  const double bads[4] = {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
-                          std::numeric_limits<double>::infinity()};
+  const double bads[] = {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()};
   for (const double tol : bads) {
     auto req = p.request(opts, out);
     req.tol = tol;
@@ -926,8 +996,8 @@ TEST(Service, BadTolRejectedBeforeAdmission) {
     EXPECT_THROW(svc.submit(req3).get(), std::invalid_argument) << tol;
   }
   const auto st = svc.stats();
-  EXPECT_EQ(st.submitted, 8u);
-  EXPECT_EQ(st.failed, 8u);
+  EXPECT_EQ(st.submitted, 2 * std::size(bads));
+  EXPECT_EQ(st.failed, 2 * std::size(bads));
   EXPECT_EQ(st.plan_hits + st.plan_misses, 0u);  // never reached the registry
   EXPECT_EQ(st.setpts_builds, 0u);
 }
@@ -978,27 +1048,35 @@ TEST(Service, CoalescedBatchOnASmallGridSmSpread) {
   for (int i = 0; i < kReq; ++i) ref[i] = reqs[i].reference(workers, opts, &ref_tiled);
   ASSERT_EQ(ref_tiled, 1);  // clamped, not an atomic fallback
 
-  // One dispatcher holding a fixed window: the 8 requests coalesce.
+  // One dispatcher parked after a warm-up batch while the 8 requests queue:
+  // they coalesce into one batch.
   vgpu::Device dev(workers);
   service::ServiceConfig cfg;
   cfg.threads = 1;
-  cfg.coalesce_window = std::chrono::microseconds(20000);
-  cfg.adaptive_window = false;
+  cfg.coalesce_window = std::chrono::microseconds(0);
+  DispatchPark park(cfg);
   service::NufftService svc(dev, cfg);
+  Problem<float> warm(std::vector<std::int64_t>{32}, 1, 100, 57);
+  std::vector<std::complex<float>> wout(warm.out_len());
   // Several rounds: each batch stages into a fresh buffer, so an overread
   // gets several chances to reach an unmapped page.
   const int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
+    if (round > 0) park.arm();
+    auto fwarm = svc.submit(warm.request(opts_for(1), wout));
+    ASSERT_TRUE(park.wait_parked());
     std::vector<std::vector<std::complex<float>>> out(
         kReq, std::vector<std::complex<float>>(p.out_len()));
     std::vector<std::future<service::ExecReport>> futs;
     for (int i = 0; i < kReq; ++i)
       futs.push_back(svc.submit(reqs[i].request(opts, out[i])));
-    for (auto& f : futs) EXPECT_NO_THROW(f.get());
+    park.release();
+    EXPECT_NO_THROW(fwarm.get());
+    for (auto& f : futs) EXPECT_EQ(f.get().batch, kReq);
     for (int i = 0; i < kReq; ++i)
       expect_same(out[i], ref[i], expect_bitwise(workers, 1, ref_tiled), "SM batch");
   }
-  EXPECT_EQ(svc.stats().completed, static_cast<std::uint64_t>(kRounds * kReq));
+  EXPECT_EQ(svc.stats().completed, static_cast<std::uint64_t>(kRounds * (kReq + 1)));
 }
 
 // ---- plan key: upsampfac is part of the signature ---------------------------

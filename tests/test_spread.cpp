@@ -471,12 +471,12 @@ TEST(SpreadFastPath, EveryKernelWidthDispatchesCompileTime) {
 TEST(SpreadFastPath, Width20PlanBuildsTapsAndMatchesDirect) {
   // sigma = 1.25 at tol 1e-12 selects w = 20 (test_kernel asserts the width
   // rule): the plan must carry that width through the compile-time dispatch,
-  // build its plan-resident tap table (point_cache = 2 on the tiled GM-sort
-  // engine), and still deliver deep-tolerance accuracy against the direct
-  // sum.
+  // build its plan-resident tap table (SM; 2D fp64 at 16x16 bins fits
+  // shared memory), and still deliver deep-tolerance accuracy against the
+  // direct sum.
   cf::core::Options o;
   o.upsampfac = 1.25;
-  o.point_cache = 2;
+  o.method = cf::core::Method::SM;
   o.binsize = {16, 16, 1};
   vgpu::Device dev(2);
   const std::vector<std::int64_t> N{64, 64};
@@ -497,7 +497,7 @@ TEST(SpreadFastPath, Width20PlanBuildsTapsAndMatchesDirect) {
   plan.execute(c.data(), f.data());
 
   const auto bd = plan.last_breakdown();
-  EXPECT_GE(bd.tap_builds, 1u);
+  EXPECT_EQ(bd.tap_builds, 1u);
   EXPECT_EQ(bd.tiled, 1);
 
   cf::ThreadPool pool(4);

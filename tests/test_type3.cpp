@@ -251,7 +251,7 @@ TEST(Type3, InvalidUseThrows) {
   cf::vgpu::Device dev(1);
   EXPECT_THROW(core::Type3Plan<double>(dev, 0, +1, 1e-6), std::invalid_argument);
   EXPECT_THROW(core::Type3Plan<double>(dev, 4, +1, 1e-6), std::invalid_argument);
-  for (double tol : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN(),
+  for (double tol : {0.0, -1e-6, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(core::Type3Plan<double>(dev, 2, +1, tol), std::invalid_argument) << tol;
     EXPECT_THROW(core::Type3Plan<float>(dev, 2, +1, tol), std::invalid_argument) << tol;
