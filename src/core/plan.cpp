@@ -307,7 +307,8 @@ Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
     // Mode-pruned: only the band deconvolve reads holds the full transform.
     // The other points keep partial sums, which is safe because spread_step
     // zero-fills fw_ before every spread.
-    fft_.exec_batch(fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_);
+    fft_.exec_batch(fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_,
+                    fft::Band::out);
     bd.fft = t.seconds();
     t.reset();
     deconvolve_type1(f, B);
@@ -319,7 +320,7 @@ Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
     // write pass over the B-plane fine grid. Its cost is reported under
     // bd.fft.
     fft_.exec_batch_fused(
-        fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_,
+        fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_, fft::Band::in,
         [&](cplx* row, std::size_t line, std::size_t b) {
           return spread::amplify_fine_row(
               row, line, f + b * static_cast<std::size_t>(modes_total()), grid_.dim,

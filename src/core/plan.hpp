@@ -211,7 +211,8 @@ class Plan {
   spread::KernelParams<T> kp_;  ///< its Horner table lives in the process-wide
                                 ///< per-(w, sigma) horner_cache
 
-  fft::FftNd<T> fft_;                     ///< band = the plan's modes
+  fft::FftNd<T> fft_;                     ///< band = the plan's modes; type 1
+                                          ///< prunes its output, type 2 its input
   vgpu::device_buffer<cplx> fw_;          ///< fine grid (ntransf stacked planes)
   std::array<std::vector<T>, 3> fser_;    ///< per-dim correction factors
 

@@ -313,7 +313,7 @@ CpuBreakdown CpuPlan<T>::execute(cplx* c, cplx* f, int B) {
     spread_subproblems(c, B);
     bd.spread = t.seconds();
     t.reset();
-    fft_->exec_batch(fw_.data(), static_cast<std::size_t>(B), ftot, iflag_);
+    fft_->exec_batch(fw_.data(), static_cast<std::size_t>(B), ftot, iflag_, fft::Band::none);
     bd.fft = t.seconds();
     t.reset();
     deconvolve_type1(f, B);
@@ -321,7 +321,7 @@ CpuBreakdown CpuPlan<T>::execute(cplx* c, cplx* f, int B) {
   } else {
     // Fused amplify + FFT, sharing the row producer with the device library.
     fft_->exec_batch_fused(
-        fw_.data(), static_cast<std::size_t>(B), ftot, iflag_,
+        fw_.data(), static_cast<std::size_t>(B), ftot, iflag_, fft::Band::none,
         [&](cplx* row, std::size_t line, std::size_t b) {
           return spread::amplify_fine_row(
               row, line, f + b * static_cast<std::size_t>(modes_total()), grid_.dim,

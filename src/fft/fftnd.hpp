@@ -10,20 +10,26 @@
 // (Fft1d::exec_lanes) once for the whole group, and scatters the lines back.
 // On a strided axis a group is kLanes consecutive inner indices, so each
 // element row is one contiguous read; on axis 0 a group is kLanes
-// consecutive rows, transposed into lanes. An axis with fewer lines per
-// slab than kLanes runs groups of that many lanes; otherwise a short tail
-// group is padded with zero lanes. Since the engine treats every lane alike,
-// a line's bits do not depend on its group, its lane slot or the worker
-// count.
+// consecutive rows, transposed into lanes. Once the lane buffer outgrows L1
+// (kL1Bytes), the axis-0 transpose moves one kLanes-element block of every
+// line at a time, so the block's rows of the buffer stay in L1. An axis with
+// fewer lines per slab than kLanes runs groups of that many lanes; otherwise
+// a short tail group is padded with zero lanes. Since the engine treats
+// every lane alike, a line's bits do not depend on its group, its lane slot
+// or the worker count.
 //
 // Mode band: a NUFFT plan reads (type 1) or writes (type 2) only N of the
 // nf fine-grid points per axis, the band [0, ceil(N/2)) U [nf - floor(N/2),
-// nf). Given the mode counts, a pass skips the lines whose values the band
-// never needs (type 1) or which the band has left zero (type 2); see
-// exec_batch and exec_batch_fused. Without them the band is the whole axis.
+// nf). A plan built with the mode counts picks per call which side of a
+// transform the band limits (Band): none runs the full transform; Band::in
+// (type 2) takes an input that is zero outside the band and skips the lines
+// that are still zero; Band::out (type 1) skips the lines whose values no
+// band point needs. Band points, and with Band::in every point, match the
+// full transform bitwise. Without mode counts the band is the whole grid.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <complex>
 #include <cstring>
 #include <memory>
@@ -35,6 +41,13 @@
 
 namespace cf::fft {
 
+/// Which side of a transform the mode band limits (see the header).
+enum class Band {
+  none,  ///< the full transform
+  in,    ///< input zero outside the band; every output point (type 2)
+  out,   ///< any input; only the band's output points (type 1)
+};
+
 /// Planned d-dimensional (d = 1..3) in-place complex FFT; dims[0] is the
 /// fastest-varying (contiguous) axis, matching the NUFFT fine-grid layout.
 template <typename T>
@@ -42,6 +55,9 @@ class FftNd {
  public:
   using cplx = std::complex<T>;
   static constexpr std::size_t kLanes = Fft1d<T>::kLanes;
+  /// An axis-0 lane buffer (2*n*lanes values of T) larger than this is
+  /// transposed a block at a time; smaller ones line by line.
+  static constexpr std::size_t kL1Bytes = 32 * 1024;
 
   /// `modes` (empty, or one count per axis with 1 <= modes[d] <= dims[d])
   /// sets the mode band; empty means the whole grid.
@@ -80,9 +96,10 @@ class FftNd {
   std::size_t total() const { return total_; }
   const std::vector<std::size_t>& dims() const { return dims_; }
 
-  /// In-place transform of `data` (length total()); sign = -1 forward, +1
-  /// backward, both unnormalized. Same as exec_batch with one grid.
-  void exec(cplx* data, int sign) { exec_batch(data, 1, total_, sign); }
+  /// In-place full transform of `data` (length total()); sign = -1 forward,
+  /// +1 backward, both unnormalized. Same as exec_batch with one grid and
+  /// Band::none.
+  void exec(cplx* data, int sign) { exec_batch(data, 1, total_, sign, Band::none); }
 
   /// Batched in-place transform: `nbatch` grids at data + b*batch_stride
   /// (b = 0..nbatch-1), each of length total(). Planes are transformed
@@ -92,18 +109,24 @@ class FftNd {
   /// nbatch-plane stack per axis. Each per-axis launch still spreads its
   /// lane groups over the pool, so multi-worker devices stay saturated.
   ///
-  /// With a mode band (type 1), only the points whose every coordinate lies
-  /// in the band hold the full transform afterwards: axis 0 transforms every
-  /// line, and each later axis only the lines whose lower-axis coordinates
-  /// all lie in the band (3D at sigma = 2: 1 + 1/2 + 1/4 of three passes).
-  /// Every other point holds a partial sum, so the caller must rewrite the
-  /// whole grid before the next transform. Band points match the full
-  /// transform bitwise.
-  void exec_batch(cplx* data, std::size_t nbatch, std::size_t batch_stride, int sign) {
+  /// `band` picks the pruning:
+  ///  - Band::none: the full transform.
+  ///  - Band::in: `data` must be zero outside the band. Axis 0 transforms
+  ///    only the rows whose higher-axis coordinates lie in the band, and each
+  ///    later axis only the slabs that do (3D at sigma = 2: 1/4 + 1/2 + 1 of
+  ///    three passes). Every point holds the full transform.
+  ///  - Band::out: axis 0 transforms every line, and each later axis only the
+  ///    lines whose lower-axis coordinates all lie in the band (3D at
+  ///    sigma = 2: 1 + 1/2 + 1/4). Only the band points hold the full
+  ///    transform; every other point holds a partial sum, so the caller must
+  ///    rewrite the whole grid before the next transform.
+  void exec_batch(cplx* data, std::size_t nbatch, std::size_t batch_stride, int sign,
+                  Band band) {
+    const auto k = static_cast<std::size_t>(band);
     for (std::size_t b = 0; b < nbatch; ++b)
       for (std::size_t axis = 0; axis < dims_.size(); ++axis)
-        exec_axis(data + b * batch_stride, 1, 0, axis, sign, geoms_[axis].band_groups,
-                  geoms_[axis].slabs);
+        exec_axis(data + b * batch_stride, 1, 0, axis, sign, geoms_[axis].groups[k],
+                  geoms_[axis].slabs[k]);
   }
 
   /// Fused batched transform: the first (contiguous) axis's input rows are
@@ -119,18 +142,17 @@ class FftNd {
   /// line only after the fills of its lane group return. `fill` may be
   /// called concurrently from pool workers.
   ///
-  /// With a mode band (type 2), the input is zero outside it: a row whose
-  /// higher-axis coordinates leave the band is zero without a `fill` call,
-  /// and a later pass skips the slabs that are still all zero (3D: the
-  /// axis-1 pass transforms only the z-slabs in the band). The output is the
-  /// full transform, bitwise.
+  /// `band` prunes as in exec_batch. With Band::in, a row whose higher-axis
+  /// coordinates leave the band is zero without a `fill` call; with
+  /// Band::none and Band::out every row is filled.
   template <typename RowFill>
   void exec_batch_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
-                        int sign, RowFill&& fill) {
-    exec_axis0_fused(data, nbatch, batch_stride, sign, fill);
+                        int sign, Band band, RowFill&& fill) {
+    exec_axis0_fused(data, nbatch, batch_stride, sign, band == Band::in, fill);
+    const auto k = static_cast<std::size_t>(band);
     for (std::size_t axis = 1; axis < dims_.size(); ++axis)
-      exec_axis(data, nbatch, batch_stride, axis, sign, geoms_[axis].groups,
-                geoms_[axis].band_slabs);
+      exec_axis(data, nbatch, batch_stride, axis, sign, geoms_[axis].groups[k],
+                geoms_[axis].slabs[k]);
   }
 
  private:
@@ -145,10 +167,12 @@ class FftNd {
   // lists are fixed per plan, so an execute only walks them.
   struct AxisGeom {
     std::size_t n, lanes, slab_pitch, lane_pitch, elem_pitch;
-    std::vector<Group> groups;       // every line of a slab
-    std::vector<Group> band_groups;  // lines whose lower-axis coordinates are in the band
-    std::vector<std::size_t> slabs;       // every slab
-    std::vector<std::size_t> band_slabs;  // slabs whose higher-axis coordinates are in it
+    // Axis 0: elements [0, block_end) of a line are transposed kLanes at a
+    // time (0 while the lane buffer fits kL1Bytes).
+    std::size_t block_end;
+    // Indexed by Band: the lane groups of a slab, and the slabs, a pass visits.
+    std::array<std::vector<Group>, 3> groups;
+    std::array<std::vector<std::size_t>, 3> slabs;
   };
 
   // True when every coordinate of the axes [lo, hi) of the linear index
@@ -197,13 +221,21 @@ class FftNd {
       g.elem_pitch = stride;
     }
     g.lanes = std::min(kLanes, lines);
-    g.groups = make_groups(lines, g.lanes, [](std::size_t) { return true; });
-    g.band_groups = stride == 1 ? g.groups : make_groups(lines, g.lanes, [&](std::size_t l) {
-      return in_band(l, 0, a);
-    });
-    for (std::size_t s = 0; s < nslabs; ++s) {
-      g.slabs.push_back(s);
-      if (stride == 1 || in_band(s, a + 1, dims_.size())) g.band_slabs.push_back(s);
+    if (stride == 1 && 2 * g.n * g.lanes * sizeof(T) > kL1Bytes)
+      g.block_end = g.n - g.n % kLanes;
+    // Band::in skips what is still zero: the axis-0 rows, and on later axes
+    // the slabs, outside the band in their higher-axis coordinates. Band::out
+    // skips the lines no band point reads: those outside it in their
+    // lower-axis coordinates (none on axis 0).
+    const std::size_t d = dims_.size();
+    for (const Band band : {Band::none, Band::in, Band::out}) {
+      const auto k = static_cast<std::size_t>(band);
+      g.groups[k] = make_groups(lines, g.lanes, [&](std::size_t l) {
+        if (band == Band::in) return stride > 1 || in_band(l, 1, d);
+        return band == Band::none || in_band(l, 0, a);
+      });
+      for (std::size_t s = 0; s < nslabs; ++s)
+        if (band != Band::in || in_band(s, a + 1, d)) g.slabs[k].push_back(s);
     }
     return g;
   }
@@ -216,15 +248,27 @@ class FftNd {
   }
 
   // Copies `cnt` lines into the lane buffer x (re block, then im block) and
-  // zero-fills lanes [cnt, lanes).
+  // zero-fills lanes [cnt, lanes). On axis 0 each kLanes-element block of
+  // the lines fills kLanes consecutive rows of the buffer, which stay in L1
+  // until every line has written them.
   static void gather(const cplx* base, const AxisGeom& g, std::size_t cnt, T* x) {
     const std::size_t L = g.lanes;
     T* xr = x;
     T* xi = x + g.n * L;
     if (g.elem_pitch == 1) {
+      for (std::size_t j0 = 0; j0 < g.block_end; j0 += kLanes)
+        for (std::size_t v = 0; v < cnt; ++v) {
+          const cplx* src = base + v * g.lane_pitch + j0;
+          T* br = xr + j0 * L + v;
+          T* bi = xi + j0 * L + v;
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            br[j * L] = src[j].real();
+            bi[j * L] = src[j].imag();
+          }
+        }
       for (std::size_t v = 0; v < cnt; ++v) {
         const cplx* src = base + v * g.lane_pitch;
-        for (std::size_t j = 0; j < g.n; ++j) {
+        for (std::size_t j = g.block_end; j < g.n; ++j) {
           xr[j * L + v] = src[j].real();
           xi[j * L + v] = src[j].imag();
         }
@@ -243,15 +287,24 @@ class FftNd {
         for (std::size_t v = cnt; v < L; ++v) xr[j * L + v] = xi[j * L + v] = T(0);
   }
 
-  // Writes lanes [0, cnt) of the lane buffer y back to their lines.
+  // Writes lanes [0, cnt) of the lane buffer y back to their lines, on axis
+  // 0 block by block as gather reads them.
   static void scatter(const T* y, const AxisGeom& g, std::size_t cnt, cplx* base) {
     const std::size_t L = g.lanes;
     const T* yr = y;
     const T* yi = y + g.n * L;
     if (g.elem_pitch == 1) {
+      for (std::size_t j0 = 0; j0 < g.block_end; j0 += kLanes)
+        for (std::size_t v = 0; v < cnt; ++v) {
+          cplx* dst = base + v * g.lane_pitch + j0;
+          const T* br = yr + j0 * L + v;
+          const T* bi = yi + j0 * L + v;
+          for (std::size_t j = 0; j < kLanes; ++j) dst[j] = cplx(br[j * L], bi[j * L]);
+        }
       for (std::size_t v = 0; v < cnt; ++v) {
         cplx* dst = base + v * g.lane_pitch;
-        for (std::size_t j = 0; j < g.n; ++j) dst[j] = cplx(yr[j * L + v], yi[j * L + v]);
+        for (std::size_t j = g.block_end; j < g.n; ++j)
+          dst[j] = cplx(yr[j * L + v], yi[j * L + v]);
       }
     } else {
       for (std::size_t j = 0; j < g.n; ++j) {
@@ -261,25 +314,28 @@ class FftNd {
     }
   }
 
+  // Axis 0 with rows from `fill`. With `band_in`, rows outside the band in
+  // their higher-axis coordinates are zero without a fill.
   template <typename RowFill>
   void exec_axis0_fused(cplx* data, std::size_t nbatch, std::size_t batch_stride,
-                        int sign, RowFill&& fill) {
+                        int sign, bool band_in, RowFill&& fill) {
     const AxisGeom& g = geoms_[0];
     const Fft1d<T>& plan = plans_[0];
+    const auto& groups = g.groups[static_cast<std::size_t>(Band::none)];
     auto body = [&](std::size_t lo, std::size_t hi, std::size_t wid) {
       cplx* s = scratch(wid);
       T* x = reinterpret_cast<T*>(s);
       T* work = x + 2 * g.n * g.lanes;
       cplx* rows = s + g.n * g.lanes;  // `work` staging the rows; the engine reuses it
       for (std::size_t idx = lo; idx < hi; ++idx) {
-        const std::size_t b = idx / g.groups.size();
-        const auto [first, cnt] = g.groups[idx % g.groups.size()];
+        const std::size_t b = idx / groups.size();
+        const auto [first, cnt] = groups[idx % groups.size()];
         cplx* base = data + b * batch_stride + first * g.n;
         bool nz[kLanes];
         bool any = false;
         for (std::size_t v = 0; v < cnt; ++v)
-          any |= nz[v] =
-              in_band(first + v, 1, dims_.size()) && fill(rows + v * g.n, first + v, b);
+          any |= nz[v] = (!band_in || in_band(first + v, 1, dims_.size())) &&
+                         fill(rows + v * g.n, first + v, b);
         if (!any) {
           std::memset(static_cast<void*>(base), 0, cnt * g.n * sizeof(cplx));
           continue;
@@ -292,7 +348,7 @@ class FftNd {
           if (!nz[v]) std::memset(static_cast<void*>(base + v * g.n), 0, g.n * sizeof(cplx));
       }
     };
-    pool_->parallel_chunks(0, nbatch * g.groups.size(), pool_->size() * 4, body);
+    pool_->parallel_chunks(0, nbatch * groups.size(), pool_->size() * 4, body);
   }
 
   // One pass over `axis`: the lane groups `groups` of each slab in `slabs`.

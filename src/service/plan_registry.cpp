@@ -1,7 +1,11 @@
 #include "service/plan_registry.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <type_traits>
 
 namespace cf::service {
 
@@ -24,15 +28,91 @@ inline std::uint64_t fnv1a_value(std::uint64_t h, const V& v) {
   return fnv1a(h, &v, sizeof(V));
 }
 
-// Hashes n coordinates (the same bytes fnv1a over the array would) and
-// reports whether all of them are finite, in the one pass over them.
-template <typename T>
-bool fnv1a_finite(std::uint64_t& h, const T* v, std::size_t n) {
-  bool finite = true;
-  for (std::size_t j = 0; j < n; ++j) {
-    h = fnv1a_value(h, v[j]);
-    finite &= std::isfinite(v[j]);
+// murmur3's 64-bit finalizer: a bijection that avalanches every input bit.
+inline std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
+
+// Point-set hash, a 64-bit word at a time: kLanes independent accumulators
+// take consecutive words (xxHash64's round: multiply, rotate, multiply), so
+// their multiplies pipeline instead of forming one dependent chain per byte.
+// Each round is a bijection of its accumulator for a fixed word and of the
+// word for a fixed accumulator, and finish() chains the lanes through
+// fmix64, so a set that differs in a single word always hashes differently.
+class PointHasher {
+ public:
+  PointHasher() {
+    for (std::size_t l = 0; l < kLanes; ++l) acc_[l] = kSeed + l * kP1;
   }
+
+  void add(std::uint64_t w) { acc_[0] = round(acc_[0], w); }
+
+  // Hashes the n values of v (the tail block zero-padded; n itself is hashed
+  // by the caller) and reports whether all of them are finite, in the one
+  // pass over them: a value is NaN or Inf when its exponent bits are all set.
+  template <typename T>
+  bool add_finite(const T* v, std::size_t n) {
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+    static_assert(sizeof(Bits) == sizeof(T) && std::numeric_limits<T>::is_iec559);
+    constexpr Bits kExp = sizeof(T) == 4 ? Bits(0x7f800000u) : Bits(0x7ff0000000000000ull);
+    constexpr std::size_t kPerBlock = kLanes * sizeof(std::uint64_t) / sizeof(T);
+    Bits bad = 0;
+    auto block = [&](const std::uint64_t (&w)[kLanes]) {
+      Bits b[kPerBlock];
+      std::memcpy(b, w, sizeof b);
+      for (std::size_t l = 0; l < kLanes; ++l) acc_[l] = round(acc_[l], w[l]);
+      for (std::size_t i = 0; i < kPerBlock; ++i) bad |= Bits((b[i] & kExp) == kExp);
+    };
+    std::size_t j = 0;
+    for (; j + kPerBlock <= n; j += kPerBlock) {
+      std::uint64_t w[kLanes];
+      std::memcpy(w, v + j, sizeof w);
+      block(w);
+    }
+    if (j < n) {
+      std::uint64_t w[kLanes] = {};
+      std::memcpy(w, v + j, (n - j) * sizeof(T));
+      block(w);
+    }
+    return bad == 0;
+  }
+
+  // Never 0: that is the "no points loaded" sentinel in PlanEntry.
+  std::uint64_t finish() const {
+    std::uint64_t h = 0;
+    for (const std::uint64_t a : acc_) h = fmix64(h ^ a);
+    return h ? h : 1;
+  }
+
+ private:
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;  // xxHash64's primes
+  static constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+  static constexpr std::uint64_t kSeed = 0x27d4eb2f165667c5ull;
+
+  static std::uint64_t round(std::uint64_t acc, std::uint64_t w) {
+    return std::rotl(acc + w * kP2, 31) * kP1;
+  }
+
+  std::uint64_t acc_[kLanes];
+};
+
+// Hashes dim, M and the coordinate arrays dim uses; false if one is not
+// finite.
+template <typename T>
+bool hash_points(PointHasher& h, int dim, std::size_t M, const T* x, const T* y,
+                 const T* z) {
+  h.add(static_cast<std::uint64_t>(dim));
+  h.add(M);
+  bool finite = true;
+  if (x) finite &= h.add_finite(x, M);
+  if (dim >= 2 && y) finite &= h.add_finite(y, M);
+  if (dim >= 3 && z) finite &= h.add_finite(z, M);
   return finite;
 }
 
@@ -108,31 +188,19 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
 template <typename T>
 std::optional<std::uint64_t> point_fingerprint(int dim, std::size_t M, const T* x,
                                                const T* y, const T* z) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_value(h, dim);
-  h = fnv1a_value(h, M);
-  bool finite = true;
-  if (x) finite &= fnv1a_finite(h, x, M);
-  if (dim >= 2 && y) finite &= fnv1a_finite(h, y, M);
-  if (dim >= 3 && z) finite &= fnv1a_finite(h, z, M);
-  if (!finite) return std::nullopt;
-  // 0 is the "no points loaded" sentinel in PlanEntry; avoid colliding it.
-  return h ? h : 1;
+  PointHasher h;
+  if (!hash_points(h, dim, M, x, y, z)) return std::nullopt;
+  return h.finish();
 }
 
 template <typename T>
 std::optional<std::uint64_t> point_fingerprint3(int dim, std::size_t M, const T* x,
                                                 const T* y, const T* z, std::size_t K,
                                                 const T* s, const T* t, const T* u) {
-  const auto src = point_fingerprint<T>(dim, M, x, y, z);
-  if (!src) return std::nullopt;
-  std::uint64_t h = fnv1a_value(*src, K);
-  bool finite = true;
-  if (s) finite &= fnv1a_finite(h, s, K);
-  if (dim >= 2 && t) finite &= fnv1a_finite(h, t, K);
-  if (dim >= 3 && u) finite &= fnv1a_finite(h, u, K);
-  if (!finite) return std::nullopt;
-  return h ? h : 1;
+  PointHasher h;
+  if (!hash_points(h, dim, M, x, y, z) || !hash_points(h, dim, K, s, t, u))
+    return std::nullopt;
+  return h.finish();
 }
 
 ServicePlan make_plan(const PlanKey& key, vgpu::Device& dev, int max_batch) {

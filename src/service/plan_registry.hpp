@@ -61,9 +61,9 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const;
 };
 
-/// 64-bit FNV-1a over the raw coordinate arrays (plus M and dim), computed on
-/// the submitting thread. Matching fingerprints let the dispatcher reuse the
-/// plan's current set_points; the probability of a spurious 64-bit match is
+/// 64-bit hash of the raw coordinate arrays (plus M and dim), a word at a
+/// time in independent lanes, computed on the submitting thread. Matching
+/// fingerprints let the dispatcher reuse the plan's current set_points; the probability of a spurious 64-bit match is
 /// negligible next to hardware fault rates, mirroring content-addressed
 /// caches elsewhere. Empty when a coordinate is NaN or Inf: the same pass
 /// that reads every coordinate checks it, so the service rejects such a set

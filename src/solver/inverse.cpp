@@ -20,15 +20,17 @@ InverseNufft<T>::InverseNufft(vgpu::Device& dev, std::span<const std::int64_t> n
   // with the opposite sign.
   adj_ = std::make_unique<core::Plan<T>>(dev, 1, nmodes, -iflag, opts.nufft_tol,
                                          opts.plan_opts);
-  std::vector<std::size_t> dims;
+  std::vector<std::size_t> dims, modes;
   for (std::size_t d = 0; d < nmodes.size(); ++d) {
     N_[d] = nmodes[d];
     L_[d] = 2 * nmodes[d];
     ntot_ *= N_[d];
     dims.push_back(static_cast<std::size_t>(L_[d]));
+    modes.push_back(static_cast<std::size_t>(N_[d]));
     ltot_ *= dims.back();
   }
-  pad_fft_ = std::make_unique<fft::FftNd<T>>(dev.pool(), dims);
+  // Mode k sits at k mod 2N, so the modes are exactly the transform's band.
+  pad_fft_ = std::make_unique<fft::FftNd<T>>(dev.pool(), dims, modes);
   spectrum_ = vgpu::device_buffer<cplx>(dev, ltot_);
   pad_ = vgpu::device_buffer<cplx>(dev, ltot_);
 }
@@ -37,6 +39,7 @@ template <typename T>
 void InverseNufft<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
                                  const T* weights) {
   M_ = 0;  // unusable until the kernel for these points is built
+  spread::check_point_count(M);  // before M weights are read
   if (weights) {
     weights_.assign(weights, weights + M);
     for (const T w : weights_)
@@ -126,9 +129,10 @@ void InverseNufft<T>::apply_normal(const cplx* in, cplx* out) {
     const std::int64_t k = spread::index_to_mode(i, n, mo);
     return k < 0 ? k + l : k;
   };
-  // Zero-pad inside the forward transform's first axis pass, where rows that
-  // hold no mode skip their transforms.
-  pad_fft_->exec_batch_fused(pad, 1, ltot_, -1, [&](cplx* row, std::size_t line, std::size_t) {
+  // Zero-pad inside the forward transform's first axis pass. The input is the
+  // band: rows and (3D) z-slabs that hold no mode skip their transforms.
+  pad_fft_->exec_batch_fused(pad, 1, ltot_, -1, fft::Band::in,
+                             [&](cplx* row, std::size_t line, std::size_t) {
     const std::int64_t l = static_cast<std::int64_t>(line);
     const std::int64_t i1 = spread::grid_to_index(l % L[1], N[1], L[1], mo);
     const std::int64_t i2 = spread::grid_to_index(l / L[1], N[2], L[2], mo);
@@ -138,8 +142,11 @@ void InverseNufft<T>::apply_normal(const cplx* in, cplx* out) {
     for (std::int64_t i0 = 0; i0 < N[0]; ++i0) row[pos(i0, N[0], L[0])] = src[i0];
     return true;
   });
-  // The product with the spectrum rides the inverse transform's first pass.
-  pad_fft_->exec_batch_fused(pad, 1, ltot_, +1, [&](cplx* row, std::size_t line, std::size_t) {
+  // The product with the spectrum rides the inverse transform's first pass,
+  // over every row; the crop reads only the band, so later axes transform
+  // only its lines.
+  pad_fft_->exec_batch_fused(pad, 1, ltot_, +1, fft::Band::out,
+                             [&](cplx* row, std::size_t line, std::size_t) {
     const cplx* p = pad + line * static_cast<std::size_t>(L[0]);
     const cplx* sp = spec + line * static_cast<std::size_t>(L[0]);
     for (std::int64_t g = 0; g < L[0]; ++g) row[g] = p[g] * sp[g];

@@ -18,10 +18,13 @@
 //
 // with m in [-N, N)^d. set_points computes t once, with 2^d executes of the
 // type-1 plan on phase-modulated weights, and keeps the FFT of its circulant
-// embedding on the (2N)^d grid. Each CG iteration then zero-pads, runs two
-// (2N)^d FFTs with a pointwise product between them, and crops: no
-// nonuniform point is touched inside the loop. A^H runs on the points only
-// for the right-hand side A^H W y, once per solve.
+// embedding on the (2N)^d grid. Each CG iteration then zero-pads, runs a
+// forward (2N)^d FFT, multiplies by the spectrum, runs the inverse FFT and
+// crops: no nonuniform point is touched inside the loop. Both FFTs are
+// band-pruned (fft::Band) to the N^d modes: the forward one's input is the
+// zero-padded band and the crop reads only the inverse one's band, so each
+// runs 1.5 passes over the grid in 2D (1.75 in 3D) instead of d. A^H runs on
+// the points only for the right-hand side A^H W y, once per solve.
 #pragma once
 
 #include <array>
@@ -66,7 +69,8 @@ class InverseNufft {
 
   /// Registers the M sample locations (device pointers) and optional
   /// nonnegative weights w (nullptr = unweighted). Sorts the points for the
-  /// type-1 plan and builds the Toeplitz kernel's spectrum.
+  /// type-1 plan and builds the Toeplitz kernel's spectrum. Throws
+  /// std::invalid_argument for M >= 2^32 before reading any weight.
   void set_points(std::size_t M, const T* x, const T* y, const T* z,
                   const T* weights = nullptr);
 
@@ -92,7 +96,7 @@ class InverseNufft {
   std::array<std::int64_t, 3> L_{1, 1, 1};  ///< circulant length 2N per axis
   std::size_t ltot_ = 1;
   std::unique_ptr<core::Plan<T>> adj_;  ///< type 1, -iflag
-  std::unique_ptr<fft::FftNd<T>> pad_fft_;  ///< (2N)^d transform
+  std::unique_ptr<fft::FftNd<T>> pad_fft_;  ///< (2N)^d transform, band = the modes
   vgpu::device_buffer<cplx> spectrum_;  ///< FFT of the circulant kernel / prod L
   vgpu::device_buffer<cplx> pad_;       ///< (2N)^d workspace
   std::vector<T> weights_;

@@ -1,9 +1,11 @@
 // FFT substrate tests: correctness against the direct DFT for all radix
 // mixtures and Bluestein sizes, algebraic properties, N-d plans (including
 // lane-group tails and the fused first axis), the lane engine's
-// determinism contract, and the mode-pruned passes a NUFFT plan runs.
+// determinism contract, the mode-pruned passes (fft::Band) a NUFFT plan and
+// the Toeplitz operator run, and the blocked axis-0 lane transposes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -491,10 +493,10 @@ TEST(FftNd, FusedFirstAxisMatchesUnfused) {
       if (!is_zero(line, b))
         std::copy_n(src.begin() + b * total + line * n0, n0,
                     unfused.begin() + b * total + line * n0);
-  plan.exec_batch(unfused.data(), nbatch, total, +1);
+  plan.exec_batch(unfused.data(), nbatch, total, +1, fft::Band::none);
 
   std::vector<cplx> fused(total * nbatch, cplx(7, 7));  // fused path overwrites all
-  plan.exec_batch_fused(fused.data(), nbatch, total, +1,
+  plan.exec_batch_fused(fused.data(), nbatch, total, +1, fft::Band::none,
                         [&](cplx* row, std::size_t line, std::size_t b) {
                           if (is_zero(line, b)) return false;
                           std::copy_n(src.begin() + b * total + line * n0, n0, row);
@@ -519,56 +521,66 @@ bool in_mode_band(std::size_t i, const std::vector<std::size_t>& dims,
   return true;
 }
 
-// A pruned plan against the full one on the same grid: the type-1 band of
-// exec_batch and the whole type-2 output of exec_batch_fused (input zero
-// outside the band) must match bitwise.
+// A pruned plan against the full one on the same grid, at `workers` pool
+// workers. Band::out (exec_batch and exec_batch_fused) must match the full
+// transform bitwise on the band; Band::in (both entry points, input zero
+// outside the band) everywhere.
 template <typename T>
 void check_pruned_matches_full(const std::vector<std::size_t>& modes, double sigma,
-                               int sign, std::size_t nbatch) {
+                               int sign, std::size_t nbatch, std::size_t workers) {
   using cplx = std::complex<T>;
   std::vector<std::size_t> dims;
   for (std::size_t N : modes)
     dims.push_back(fft::next235(static_cast<std::size_t>(std::ceil(sigma * double(N)))));
-  ThreadPool pool(3);
+  ThreadPool pool(workers);
   fft::FftNd<T> full(pool, dims), pruned(pool, dims, modes);
   const std::size_t total = full.total();
   const std::string where = "dims " + std::to_string(dims[0]) + " x" +
                             std::to_string(dims.size()) + " sigma " + std::to_string(sigma) +
                             " sign " + std::to_string(sign) + " nbatch " +
-                            std::to_string(nbatch);
+                            std::to_string(nbatch) + " workers " + std::to_string(workers);
+  auto copy_row = [&](const cplx* from) {
+    return [&, from](cplx* row, std::size_t line, std::size_t b) {
+      std::copy_n(from + b * total + line * dims[0], dims[0], row);
+      return true;
+    };
+  };
 
-  // Type 1: arbitrary input everywhere, only the band is read.
+  // Band out: arbitrary input everywhere, only the band is read.
   const auto src = random_signal<T>(total * nbatch, 600 + total + nbatch);
   auto want = src, got = src;
-  full.exec_batch(want.data(), nbatch, total, sign);
-  pruned.exec_batch(got.data(), nbatch, total, sign);
+  full.exec_batch(want.data(), nbatch, total, sign, fft::Band::none);
+  pruned.exec_batch(got.data(), nbatch, total, sign, fft::Band::out);
+  auto fused = src;  // the fill reads its own line, as the Toeplitz product does
+  pruned.exec_batch_fused(fused.data(), nbatch, total, sign, fft::Band::out,
+                          copy_row(fused.data()));
   std::size_t band = 0;
   for (std::size_t b = 0; b < nbatch; ++b)
     for (std::size_t i = 0; i < total; ++i)
       if (in_mode_band(i, dims, modes)) {
         ++band;
-        ASSERT_EQ(got[b * total + i], want[b * total + i]) << where << " type 1, point " << i;
+        ASSERT_EQ(got[b * total + i], want[b * total + i]) << where << " band out, point " << i;
+        ASSERT_EQ(fused[b * total + i], want[b * total + i])
+            << where << " fused band out, point " << i;
       }
   std::size_t per_plane = 1;
   for (std::size_t N : modes) per_plane *= N;
   EXPECT_EQ(band, per_plane * nbatch) << where;
 
-  // Type 2: input zero outside the band, the full output is compared.
+  // Band in: input zero outside the band, the full output is compared.
   auto padded = src;
   for (std::size_t b = 0; b < nbatch; ++b)
     for (std::size_t i = 0; i < total; ++i)
       if (!in_mode_band(i, dims, modes)) padded[b * total + i] = cplx(0, 0);
-  want = padded;
-  full.exec_batch(want.data(), nbatch, total, sign);
-  got.assign(total * nbatch, cplx(7, 7));  // the fused pass overwrites every point
-  pruned.exec_batch_fused(got.data(), nbatch, total, sign,
-                          [&](cplx* row, std::size_t line, std::size_t b) {
-                            std::copy_n(padded.begin() + b * total + line * dims[0], dims[0],
-                                        row);
-                            return true;
-                          });
+  want = got = padded;
+  full.exec_batch(want.data(), nbatch, total, sign, fft::Band::none);
+  pruned.exec_batch(got.data(), nbatch, total, sign, fft::Band::in);
   for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << where << " type 2, point " << i;
+    ASSERT_EQ(got[i], want[i]) << where << " band in, point " << i;
+  got.assign(total * nbatch, cplx(7, 7));  // the fused pass overwrites every point
+  pruned.exec_batch_fused(got.data(), nbatch, total, sign, fft::Band::in, copy_row(padded.data()));
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << where << " fused band in, point " << i;
 }
 
 template <typename T>
@@ -580,7 +592,8 @@ void check_pruning_matrix() {
       for (double sigma : {2.0, 1.25})
         for (int sign : {-1, +1})
           for (std::size_t nbatch : {1u, 3u})
-            check_pruned_matches_full<T>(modes, sigma, sign, nbatch);
+            for (std::size_t workers : {1u, 3u})
+              check_pruned_matches_full<T>(modes, sigma, sign, nbatch, workers);
 }
 
 }  // namespace
@@ -594,6 +607,107 @@ TEST(FftNdPruned, RejectsBadModeCounts) {
   EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4}), std::invalid_argument);
   EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4, 0}), std::invalid_argument);
   EXPECT_THROW(fft::FftNd<double>(pool, {8, 8}, {4, 9}), std::invalid_argument);
+}
+
+namespace {
+
+// exec() on a plan built with mode counts prunes nothing: every point
+// matches a plan built without them.
+template <typename T>
+void check_exec_with_modes_is_full() {
+  ThreadPool pool(3);
+  for (const auto& [dims, modes] :
+       {std::pair{std::vector<std::size_t>{24, 20}, std::vector<std::size_t>{12, 9}},
+        std::pair{std::vector<std::size_t>{16, 10, 12}, std::vector<std::size_t>{7, 5, 6}}}) {
+    fft::FftNd<T> full(pool, dims), banded(pool, dims, modes);
+    const auto src = random_signal<T>(full.total(), 650 + dims.size());
+    auto want = src, got = src;
+    full.exec(want.data(), -1);
+    banded.exec(got.data(), -1);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << dims.size() << "D, point " << i;
+  }
+}
+
+}  // namespace
+
+TEST(FftNdPruned, ExecWithModesIsTheFullTransformDouble) {
+  check_exec_with_modes_is_full<double>();
+}
+
+TEST(FftNdPruned, ExecWithModesIsTheFullTransformSingle) {
+  check_exec_with_modes_is_full<float>();
+}
+
+// ---- axis-0 lane transposes ---------------------------------------------------
+
+namespace {
+
+// An n x rows grid through FftNd (exec and the fused first axis), against
+// Fft1d::exec on every row and then every column. Rows of n points whose
+// lane buffer passes FftNd::kL1Bytes are transposed block by block, the
+// others line by line; either way the bits must be Fft1d's. The grid
+// vectors are exactly total() long, so a read past the last line is caught
+// under AddressSanitizer.
+template <typename T>
+void check_axis0_transpose(std::size_t n, std::size_t rows, std::size_t workers) {
+  using cplx = std::complex<T>;
+  const std::string where = "n " + std::to_string(n) + " rows " + std::to_string(rows) +
+                            " workers " + std::to_string(workers);
+  const auto src = random_signal<T>(n * rows, 800 + n + rows);
+  auto want = src;
+  fft::Fft1d<T> row_plan(n), col_plan(rows);
+  std::vector<cplx> work(std::max(row_plan.workspace_size(), col_plan.workspace_size()));
+  std::vector<cplx> line(std::max(n, rows));
+  for (std::size_t r = 0; r < rows; ++r) {
+    row_plan.exec(want.data() + r * n, 1, line.data(), +1, work.data());
+    std::copy_n(line.begin(), n, want.begin() + r * n);
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    col_plan.exec(want.data() + c, static_cast<std::ptrdiff_t>(n), line.data(), +1,
+                  work.data());
+    for (std::size_t r = 0; r < rows; ++r) want[r * n + c] = line[r];
+  }
+
+  ThreadPool pool(workers);
+  fft::FftNd<T> nd(pool, {n, rows});
+  auto got = src;
+  nd.exec(got.data(), +1);
+  for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], want[i]) << where << " " << i;
+  std::vector<cplx> fused(n * rows, cplx(7, 7));
+  nd.exec_batch_fused(fused.data(), 1, n * rows, +1, fft::Band::none,
+                      [&](cplx* row, std::size_t l, std::size_t) {
+                        std::copy_n(src.begin() + l * n, n, row);
+                        return true;
+                      });
+  for (std::size_t i = 0; i < fused.size(); ++i)
+    ASSERT_EQ(fused[i], want[i]) << where << " fused " << i;
+}
+
+// Row lengths on both sides of the threshold, multiples of kLanes and not;
+// row counts giving full groups only, a short tail group, and fewer rows
+// than kLanes (one narrow group, blocked only for long rows).
+template <typename T>
+void check_axis0_transpose_matrix(const std::vector<std::size_t>& lengths) {
+  const std::size_t L = fft::FftNd<T>::kLanes;
+  for (std::size_t n : lengths)
+    for (std::size_t rows : {2 * L, L + 3, std::size_t{5}})
+      for (std::size_t workers : {1u, 3u}) check_axis0_transpose<T>(n, rows, workers);
+}
+
+}  // namespace
+
+TEST(FftNdTranspose, Axis0MatchesPerLineFft1dSingle) {
+  // fp32 lane buffer 2*n*16*4 bytes: 256 sits at the 32 KiB threshold (line
+  // by line), 512 and 520 (520 = 32*16 + 8) pass it, and 1800 passes it
+  // even with 5 lanes.
+  check_axis0_transpose_matrix<float>({250, 256, 512, 520, 1800});
+}
+
+TEST(FftNdTranspose, Axis0MatchesPerLineFft1dDouble) {
+  // fp64 lane buffer 2*n*8*8 bytes: 162 stays line by line, 270 (= 33*8 + 6)
+  // and 512 pass the threshold, 1800 even with 5 lanes.
+  check_axis0_transpose_matrix<double>({162, 270, 512, 1800});
 }
 
 namespace {

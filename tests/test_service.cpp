@@ -5,7 +5,8 @@
 //    service/worker thread counts, across mixed signatures submitted from
 //    many threads at once;
 //  * the signature-keyed LRU plan registry counts hits, misses, and
-//    evictions, and point-set fingerprinting reuses set_points;
+//    evictions, and point-set fingerprinting reuses set_points (and tells
+//    near-identical sets apart);
 //  * request failures (bad type / modes / method, missing buffers, iflag 0)
 //    propagate through the futures as the exceptions a direct Plan would
 //    throw, and the ledger invariant submitted == completed + failed holds
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <complex>
 #include <condition_variable>
 #include <cstdlib>
@@ -42,6 +44,7 @@
 #include "core/plan.hpp"
 #include "core/type3.hpp"
 #include "obs/obs.hpp"
+#include "service/plan_registry.hpp"
 #include "service/service.hpp"
 #include "test_env.hpp"
 #include "vgpu/device.hpp"
@@ -1122,6 +1125,64 @@ TEST(Service, UpsampfacIsPartOfThePlanKey) {
   EXPECT_NO_THROW(svc.submit(p.request(low, out_low)).get());
   EXPECT_EQ(svc.stats().plan_misses, 2u);
   EXPECT_EQ(svc.stats().plan_hits, 2u);
+}
+
+// ---- point fingerprint ----------------------------------------------------------
+
+namespace {
+
+// Near-identical point sets must fingerprint apart, and a non-finite
+// coordinate (in a full hash block or the zero-padded tail) must empty the
+// fingerprint while extreme finite values do not.
+template <typename T>
+void check_fingerprint_separates() {
+  const std::size_t M = 1001;  // not a multiple of any hash block
+  Rng rng(90);
+  std::vector<T> x(M), y(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = static_cast<T>(rng.angle());
+    y[j] = static_cast<T>(rng.angle());
+  }
+  auto fp = [](std::size_t m, const std::vector<T>& a, const std::vector<T>& b) {
+    return service::point_fingerprint<T>(2, m, a.data(), b.data(), nullptr);
+  };
+  const auto base = fp(M, x, y);
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(fp(M, x, y), base);  // deterministic
+  for (std::size_t j : {std::size_t{0}, std::size_t{5}, M / 2, M - 1}) {
+    auto ulp = x;
+    ulp[j] = std::nextafter(ulp[j], T(10));
+    EXPECT_NE(fp(M, ulp, y), base) << "one ulp at x[" << j << "]";
+  }
+  EXPECT_NE(fp(M, y, x), base) << "x and y swapped";
+  auto xs = x, ys = y;
+  std::swap(xs[3], xs[700]);
+  std::swap(ys[3], ys[700]);
+  EXPECT_NE(fp(M, xs, ys), base) << "points 3 and 700 swapped";
+  EXPECT_NE(fp(M - 1, x, y), base) << "one point fewer";
+  EXPECT_NE(service::point_fingerprint<T>(1, M, x.data(), y.data(), nullptr), base)
+      << "dim 1";
+
+  for (std::size_t j : {std::size_t{2}, M - 1}) {
+    auto bad = x;
+    bad[j] = std::numeric_limits<T>::quiet_NaN();
+    EXPECT_FALSE(fp(M, bad, y).has_value()) << "NaN at " << j;
+    bad[j] = -std::numeric_limits<T>::infinity();
+    EXPECT_FALSE(fp(M, y, bad).has_value()) << "-Inf at " << j;
+  }
+  auto extreme = x;
+  extreme[0] = std::numeric_limits<T>::max();
+  extreme[1] = -std::numeric_limits<T>::denorm_min();
+  extreme[M - 1] = T(-0.0);
+  EXPECT_TRUE(fp(M, extreme, y).has_value());
+}
+
+}  // namespace
+
+TEST(Service, PointFingerprintSeparatesNearbySetsSingle) { check_fingerprint_separates<float>(); }
+
+TEST(Service, PointFingerprintSeparatesNearbySetsDouble) {
+  check_fingerprint_separates<double>();
 }
 
 // ---- registry: LRU eviction + fingerprint reuse -----------------------------

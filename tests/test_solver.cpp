@@ -191,6 +191,12 @@ TEST(InverseNufft, MisuseThrows) {
                std::invalid_argument);
   xnan[3] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(inv.set_points(10, xnan.data(), nullptr, nullptr), std::invalid_argument);
+  // M >= 2^32 is rejected on the count alone, before the M weights are read
+  // from this 4-entry buffer.
+  const std::size_t huge = std::size_t{1} << 32;
+  std::vector<double> w4(4, 1.0);
+  EXPECT_THROW(inv.set_points(huge, x.data(), nullptr, nullptr, w4.data()),
+               std::invalid_argument);
   EXPECT_THROW(inv.solve(y.data(), f.data()), std::logic_error);  // still no points
   // The solver's workspaces hold one vector; a batched plan would overrun them.
   solver::InverseOptions batched;
